@@ -34,6 +34,7 @@
 #include "query/query_service.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
+#include "sql/scan_source.h"
 #include "state/snapshot_registry.h"
 #include "state/squery_state_store.h"
 #include "trace/trace.h"
@@ -155,28 +156,17 @@ void BM_SqlParseQuery1(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlParseQuery1);
 
-class VectorResolver : public sql::TableResolver {
- public:
-  explicit VectorResolver(int64_t rows) {
-    for (int64_t i = 0; i < rows; ++i) {
-      kv::Object o;
-      o.Set("partitionKey", kv::Value(i));
-      o.Set("zone", kv::Value("zone-" + std::to_string(i % 12)));
-      o.Set("v", kv::Value(i));
-      rows_.push_back(std::move(o));
-    }
-  }
-  Result<std::vector<kv::Object>> ScanTable(
-      const std::string&, std::optional<int64_t>) override {
-    return rows_;
-  }
-
- private:
-  std::vector<kv::Object> rows_;
-};
-
 void BM_SqlJoinGroupBy(benchmark::State& state) {
-  VectorResolver resolver(state.range(0));
+  sql::MemoryResolver resolver;
+  std::vector<kv::Object>& rows = resolver.tables["a"];
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    kv::Object o;
+    o.Set("key", kv::Value(i));
+    o.Set("zone", kv::Value("zone-" + std::to_string(i % 12)));
+    o.Set("v", kv::Value(i));
+    rows.push_back(std::move(o));
+  }
+  resolver.tables["b"] = rows;
   for (auto _ : state) {
     auto result = sql::ExecuteSql(
         "SELECT COUNT(*), zone FROM a JOIN b USING(partitionKey) WHERE "

@@ -18,21 +18,6 @@ namespace {
 /// pin a server thread forever.
 constexpr int64_t kSendDeadlineNanos = int64_t{30} * 1000 * 1000 * 1000;
 
-/// The tuple shape the executor materializes for group representatives —
-/// must stay identical to the local scan path (executor.cc MaterializeRow)
-/// so distributed aggregation projects non-aggregate expressions
-/// bit-identically.
-kv::Object MaterializeRow(const kv::Value& key, const kv::Value* ssid,
-                          const kv::Object& value) {
-  kv::Object tuple = value;
-  tuple.Set("key", key);
-  tuple.Set("partitionKey", key);
-  if (ssid != nullptr) {
-    tuple.Set("ssid", *ssid);
-  }
-  return tuple;
-}
-
 std::string JoinSql(const std::vector<std::string>& parts) {
   std::string out;
   for (const std::string& part : parts) {
@@ -278,9 +263,11 @@ Result<std::unique_ptr<sql::TableSource>> NodeServer::OpenSource(
   }
   SQ_ASSIGN_OR_RETURN(
       std::unique_ptr<sql::TableSource> source,
-      options_.query->OpenTableSourceWithOptions(read.table, requested,
-                                                 qopts));
-  if (source == nullptr) {
+      options_.query->OpenTableSource(read.table, requested, qopts));
+  // Requests address partitions of the cluster's partition space; a
+  // single-partition source (a virtual table, a snapshot read back from the
+  // durable log) cannot answer them.
+  if (source->partition_count() != options_.partition_count) {
     return Status::NotFound("net: no partition-scannable table named \"" +
                             read.table + "\" on node " +
                             std::to_string(options_.node_id));
@@ -433,7 +420,7 @@ Result<std::string> NodeServer::HandleAggregatePartition(
         if (inserted) {
           WireGroup group;
           group.key = std::move(group_key);
-          group.representative = MaterializeRow(key, ssid, value);
+          group.representative = sql::MaterializeRow(key, ssid, value);
           group.aggs.resize(stmt.items.size());
           reply.groups.push_back(std::move(group));
         }

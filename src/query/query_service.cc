@@ -1,9 +1,7 @@
 #include "query/query_service.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -12,6 +10,7 @@
 #include "dataflow/execution.h"
 #include "kv/columnar.h"
 #include "sql/parser.h"
+#include "sql/scan_source.h"
 #include "state/squery_state_store.h"
 #include "storage/snapshot_log.h"
 #include "trace/trace.h"
@@ -43,29 +42,6 @@ std::string IsolationSlug(state::IsolationLevel level) {
                                   static_cast<unsigned char>(c))));
   }
   return slug;
-}
-
-kv::Object MakeTuple(const kv::Value& key, const kv::Object& value,
-                     std::optional<int64_t> ssid) {
-  kv::Object tuple = value;
-  tuple.Set("key", key);
-  tuple.Set("partitionKey", key);
-  if (ssid.has_value()) {
-    tuple.Set("ssid", kv::Value(*ssid));
-  }
-  return tuple;
-}
-
-/// True when SQ_FORCE_ROW_SCAN disables the vectorized engine process-wide
-/// (any non-empty value but "0"). Read once; the knob is for whole-run A/B
-/// comparisons, not per-query toggling (QueryOptions::force_row_scan is).
-bool ForceRowScanEnv() {
-  static const bool force = [] {
-    const char* v = std::getenv("SQ_FORCE_ROW_SCAN");
-    return v != nullptr && v[0] != '\0' &&
-           !(v[0] == '0' && v[1] == '\0');
-  }();
-  return force;
 }
 
 /// BatchReader over one prebuilt columnar view: yields it once, then ends.
@@ -225,8 +201,10 @@ class VersionsTableSource : public sql::TableSource {
 
   Status ScanKeys(const std::vector<kv::Value>& keys,
                   const RowFn& fn) const override {
-    for (const kv::Value& version : version_values_) {
-      for (const kv::Value& key : keys) {
+    // Keys outermost, versions innermost: the order the cluster's scattered
+    // lookups are replayed in, so both paths agree row for row.
+    for (const kv::Value& key : keys) {
+      for (const kv::Value& version : version_values_) {
         if (auto value = snap_->GetAt(key, version.int64_value());
             value.has_value()) {
           fn(key, &version, *value);
@@ -278,53 +256,22 @@ class VersionsTableSource : public sql::TableSource {
   std::vector<kv::Value> version_values_;
 };
 
-/// Sequentially materializes every partition of a source into result tuples
-/// — the ScanTable-shaped fallback for cluster reads (e.g. join sides).
-Result<std::vector<kv::Object>> MaterializeSource(sql::TableSource& source) {
-  std::vector<kv::Object> tuples;
-  for (int32_t p = 0; p < source.partition_count(); ++p) {
-    SQ_RETURN_IF_ERROR(source.ScanPartition(
-        p, [&tuples](const kv::Value& key, const kv::Value* ssid,
-                     const kv::Object& value) {
-          tuples.push_back(MakeTuple(
-              key, value,
-              ssid != nullptr ? std::optional<int64_t>(ssid->int64_value())
-                              : std::nullopt));
-        }));
-  }
-  return tuples;
-}
-
 /// Binds per-call options to the resolver interface so concurrent Execute
 /// calls do not share mutable state.
 class BoundResolver : public sql::TableResolver {
  public:
-  using ScanFn = Result<std::vector<kv::Object>> (QueryService::*)(
-      const std::string&, std::optional<int64_t>, const QueryOptions&);
-  using OpenFn = Result<std::unique_ptr<sql::TableSource>> (QueryService::*)(
-      const std::string&, std::optional<int64_t>, const QueryOptions&);
-
-  BoundResolver(QueryService* service, const QueryOptions& options,
-                ScanFn scan, OpenFn open)
-      : service_(service), options_(options), scan_(scan), open_(open) {}
-
-  Result<std::vector<kv::Object>> ScanTable(
-      const std::string& table,
-      std::optional<int64_t> requested_ssid) override {
-    return (service_->*scan_)(table, requested_ssid, options_);
-  }
+  BoundResolver(QueryService* service, const QueryOptions& options)
+      : service_(service), options_(options) {}
 
   Result<std::unique_ptr<sql::TableSource>> OpenTableSource(
       const std::string& table,
       std::optional<int64_t> requested_ssid) override {
-    return (service_->*open_)(table, requested_ssid, options_);
+    return service_->OpenTableSource(table, requested_ssid, options_);
   }
 
  private:
   QueryService* service_;
   QueryOptions options_;
-  ScanFn scan_;
-  OpenFn open_;
 };
 
 /// One `plan` row per line (the shape EXPLAIN returns).
@@ -544,13 +491,11 @@ Result<sql::ResultSet> QueryService::Execute(const std::string& sql,
 Result<QueryResult> QueryService::ExecuteWithStats(
     const std::string& sql, const QueryOptions& options) {
   const int64_t start_nanos = clock_->NowNanos();
-  BoundResolver resolver(this, options, &QueryService::ScanTableImpl,
-                         &QueryService::OpenTableSourceImpl);
+  BoundResolver resolver(this, options);
   sql::ExecOptions exec_options;
   exec_options.local_timestamp_micros = UnixMicros();
   exec_options.enable_pushdown = options.pushdown;
-  exec_options.enable_vectorized =
-      !options.force_row_scan && !ForceRowScanEnv();
+  exec_options.enable_vectorized = !options.force_row_scan;
   sql::ExecStats stats;
   exec_options.stats = &stats;
   if (options.parallelism != 1) {
@@ -569,8 +514,10 @@ Result<QueryResult> QueryService::ExecuteWithStats(
     const int64_t parse_t1 = trace::NowNanos();
     if (parsed.explain && !parsed.analyze) {
       // Plan only: probe the resolver for the scan strategy, execute nothing.
-      return PlanResultSet(
+      SQ_ASSIGN_OR_RETURN(
+          std::vector<std::string> lines,
           sql::ExplainPlanLines(*parsed.select, &resolver, exec_options));
+      return PlanResultSet(std::move(lines));
     }
 
     // Root span of this query's trace. EXPLAIN ANALYZE forces recording
@@ -594,8 +541,9 @@ Result<QueryResult> QueryService::ExecuteWithStats(
     if (!parsed.analyze) return exec;
     SQ_RETURN_IF_ERROR(exec.status());
 
-    std::vector<std::string> lines =
-        sql::ExplainPlanLines(*parsed.select, &resolver, exec_options);
+    SQ_ASSIGN_OR_RETURN(
+        std::vector<std::string> lines,
+        sql::ExplainPlanLines(*parsed.select, &resolver, exec_options));
     std::string execution =
         "Execution: " + std::to_string(exec->rows.size()) + " rows, scanned " +
         std::to_string(stats.rows_scanned) + ", returned " +
@@ -810,24 +758,34 @@ Status QueryService::ExportClusterTrace(const std::string& path) {
   return trace::ExportChromeJsonMerged(path, processes);
 }
 
-Result<std::vector<kv::Object>> QueryService::ScanTable(
-    const std::string& table, std::optional<int64_t> requested_ssid) {
-  return ScanTableImpl(table, requested_ssid, QueryOptions{});
-}
-
 Result<std::unique_ptr<sql::TableSource>> QueryService::OpenTableSource(
-    const std::string& table, std::optional<int64_t> requested_ssid) {
-  return OpenTableSourceImpl(table, requested_ssid, QueryOptions{});
-}
-
-Result<std::unique_ptr<sql::TableSource>> QueryService::OpenTableSourceImpl(
     const std::string& table, std::optional<int64_t> requested_ssid,
     const QueryOptions& options) {
-  // Null means "not partition-scannable here": the executor falls back to
-  // ScanTable, which owns the virtual-table, durable-log-fallback, and
-  // error paths. Sources cover exactly the in-memory grid tables.
-  std::unique_ptr<sql::TableSource> none;
-  if (catalog_.HasVirtualTable(table)) return none;
+  // System tables first: engine introspection is observational (not stream
+  // state), so it is readable at every isolation level. With a cluster
+  // attached, the federatable tables merge every reachable node's rows
+  // behind the local ones. Rows are computed (and fetched) at scan time.
+  if (catalog_.HasVirtualTable(table)) {
+    ClusterRouter* cluster = IsFederatedSystemTable(table)
+                                 ? cluster_.load(std::memory_order_acquire)
+                                 : nullptr;
+    return std::unique_ptr<sql::TableSource>(new sql::ScanFnSource(
+        [this, table, cluster](const sql::TableSource::RowFn& fn) -> Status {
+          SQ_ASSIGN_OR_RETURN(std::vector<kv::Object> rows,
+                              catalog_.ScanVirtualTable(table));
+          if (cluster != nullptr) AppendFederatedRows(cluster, table, &rows);
+          return sql::EmitKeyedRows(rows, fn);
+        }));
+  }
+
+  const bool snapshot = IsSnapshotTableName(table);
+  if (!snapshot && state::ReadsSnapshots(options.isolation)) {
+    return Status::InvalidArgument(
+        "live table \"" + table + "\" cannot be read at isolation level '" +
+        state::IsolationLevelToString(options.isolation) +
+        "'; query snapshot_" + table +
+        " instead, or lower the isolation level");
+  }
 
   // Cluster-attached: grid tables live on remote nodes, not here.
   if (ClusterRouter* cluster = cluster_.load(std::memory_order_acquire);
@@ -835,28 +793,67 @@ Result<std::unique_ptr<sql::TableSource>> QueryService::OpenTableSourceImpl(
     return OpenClusterSource(cluster, table, requested_ssid, options);
   }
 
-  if (IsSnapshotTableName(table)) {
-    std::string base = table;
-    const bool all_versions = HasVersionsSuffix(table);
-    if (all_versions) {
-      base = table.substr(0, table.size() - kVersionsSuffix.size());
+  if (!snapshot) {
+    kv::LiveMap* live = grid_->GetLiveMap(table);
+    if (live == nullptr) {
+      return Status::NotFound("no live table named " + table);
     }
-    kv::SnapshotTable* snap = grid_->GetSnapshotTable(base);
-    if (snap == nullptr) return none;
-    if (all_versions) {
-      return std::unique_ptr<sql::TableSource>(new VersionsTableSource(
-          snap, registry_->RetainedVersions()));
+    return std::unique_ptr<sql::TableSource>(new LiveTableSource(live));
+  }
+
+  const bool all_versions = HasVersionsSuffix(table);
+  const std::string base =
+      all_versions ? table.substr(0, table.size() - kVersionsSuffix.size())
+                   : table;
+  kv::SnapshotTable* snap = grid_->GetSnapshotTable(base);
+  if (all_versions) {
+    if (snap == nullptr) {
+      return Status::NotFound("no snapshot table named " + base);
     }
-    Result<int64_t> resolved = ResolveSsid(requested_ssid, options);
-    if (!resolved.ok()) return none;  // durable fallback / error path
+    return std::unique_ptr<sql::TableSource>(
+        new VersionsTableSource(snap, registry_->RetainedVersions()));
+  }
+  Result<int64_t> resolved = ResolveSsid(requested_ssid, options);
+  if (resolved.ok() && snap != nullptr) {
     return std::unique_ptr<sql::TableSource>(
         new SnapshotTableSource(snap, *resolved));
   }
+  // Time travel beyond the in-memory retention window, or a cold restart
+  // before replay (the grid lost the table): the durable log may still hold
+  // the snapshot.
+  if (std::unique_ptr<sql::TableSource> durable = OpenDurableSource(
+          base, resolved,
+          requested_ssid.has_value() ? requested_ssid : options.snapshot_id);
+      durable != nullptr) {
+    return durable;
+  }
+  SQ_RETURN_IF_ERROR(resolved.status());
+  return Status::NotFound("no snapshot table named " + base);
+}
 
-  if (state::ReadsSnapshots(options.isolation)) return none;
-  kv::LiveMap* live = grid_->GetLiveMap(table);
-  if (live == nullptr) return none;
-  return std::unique_ptr<sql::TableSource>(new LiveTableSource(live));
+std::unique_ptr<sql::TableSource> QueryService::OpenDurableSource(
+    const std::string& table, const Result<int64_t>& resolved,
+    std::optional<int64_t> explicit_id) {
+  storage::SnapshotLog* log = durable_log_.load(std::memory_order_acquire);
+  const std::optional<int64_t> id =
+      resolved.ok() ? std::optional<int64_t>(*resolved) : explicit_id;
+  if (log == nullptr || !id.has_value() || !log->IsDurable(*id)) {
+    return nullptr;
+  }
+  return std::make_unique<sql::ScanFnSource>(
+      [this, log, table, ssid = kv::Value(*id)](
+          const sql::TableSource::RowFn& fn) -> Status {
+        if (metrics_ != nullptr) {
+          metrics_->GetCounter(metric_names::kQueryDurableFallbacks)
+              ->Increment();
+        }
+        return log->ScanSnapshot(
+            table, ssid.int64_value(),
+            [&fn, &ssid](int32_t /*partition*/, const kv::Value& key,
+                         int64_t /*entry_ssid*/, const kv::Object& value) {
+              fn(key, &ssid, value);
+            });
+      });
 }
 
 Result<std::unique_ptr<sql::TableSource>> QueryService::OpenClusterSource(
@@ -879,13 +876,6 @@ Result<std::unique_ptr<sql::TableSource>> QueryService::OpenClusterSource(
     SQ_RETURN_IF_ERROR(resolved.status());
     return router->OpenRemoteSource(table, *resolved, /*all_versions=*/false);
   }
-  if (state::ReadsSnapshots(options.isolation)) {
-    return Status::InvalidArgument(
-        "live table \"" + table + "\" cannot be read at isolation level '" +
-        state::IsolationLevelToString(options.isolation) +
-        "'; query snapshot_" + table +
-        " instead, or lower the isolation level");
-  }
   return router->OpenRemoteSource(table, std::nullopt, /*all_versions=*/false);
 }
 
@@ -897,110 +887,6 @@ Result<int64_t> QueryService::ResolveSsid(std::optional<int64_t> requested,
                                                : options.snapshot_id);
   last_resolve_nanos_.store(clock_->NowNanos() - start);
   return resolved;
-}
-
-Result<std::vector<kv::Object>> QueryService::ScanTableImpl(
-    const std::string& table, std::optional<int64_t> requested_ssid,
-    const QueryOptions& options) {
-  // System tables first: engine introspection is observational (not stream
-  // state), so it is readable at every isolation level. With a cluster
-  // attached, the federatable tables merge every reachable node's rows
-  // behind the local ones.
-  if (catalog_.HasVirtualTable(table)) {
-    SQ_ASSIGN_OR_RETURN(std::vector<kv::Object> rows,
-                        catalog_.ScanVirtualTable(table));
-    if (ClusterRouter* cluster = cluster_.load(std::memory_order_acquire);
-        cluster != nullptr && IsFederatedSystemTable(table)) {
-      AppendFederatedRows(cluster, table, &rows);
-    }
-    return rows;
-  }
-
-  // Cluster-attached: materialize through the remote source (errors — dead
-  // nodes, unresolvable snapshots, isolation violations — surface typed).
-  if (ClusterRouter* cluster = cluster_.load(std::memory_order_acquire);
-      cluster != nullptr) {
-    SQ_ASSIGN_OR_RETURN(
-        std::unique_ptr<sql::TableSource> source,
-        OpenClusterSource(cluster, table, requested_ssid, options));
-    if (source == nullptr) {
-      return Status::Unavailable("cluster router offered no source for " +
-                                 table);
-    }
-    return MaterializeSource(*source);
-  }
-
-  std::vector<kv::Object> tuples;
-  if (IsSnapshotTableName(table)) {
-    std::string base = table;
-    const bool all_versions = HasVersionsSuffix(table);
-    if (all_versions) {
-      base = table.substr(0, table.size() - kVersionsSuffix.size());
-    }
-    kv::SnapshotTable* snap = grid_->GetSnapshotTable(base);
-    if (all_versions) {
-      if (snap == nullptr) {
-        return Status::NotFound("no snapshot table named " + base);
-      }
-      // One reconstructed view per retained version; `ssid` column tells
-      // versions apart.
-      for (int64_t version : registry_->RetainedVersions()) {
-        snap->ScanAt(version, [&tuples, version](const kv::Value& key,
-                                                 int64_t /*entry_ssid*/,
-                                                 const kv::Object& value) {
-          tuples.push_back(MakeTuple(key, value, version));
-        });
-      }
-      return tuples;
-    }
-    Result<int64_t> resolved = ResolveSsid(requested_ssid, options);
-    if (!resolved.ok()) {
-      // Time travel beyond the in-memory retention window: an explicitly
-      // requested id the registry no longer retains can still be served
-      // from the durable snapshot log.
-      const std::optional<int64_t> explicit_id =
-          requested_ssid.has_value() ? requested_ssid : options.snapshot_id;
-      storage::SnapshotLog* log = durable_log_.load(std::memory_order_acquire);
-      if (log != nullptr && explicit_id.has_value() &&
-          log->IsDurable(*explicit_id)) {
-        return ScanDurable(log, base, *explicit_id);
-      }
-      return resolved.status();
-    }
-    if (snap == nullptr) {
-      // Cold restart before replay: the grid lost the table but the log may
-      // still hold the resolved snapshot.
-      storage::SnapshotLog* log = durable_log_.load(std::memory_order_acquire);
-      if (log != nullptr && log->IsDurable(*resolved)) {
-        return ScanDurable(log, base, *resolved);
-      }
-      return Status::NotFound("no snapshot table named " + base);
-    }
-    const int64_t ssid = *resolved;
-    snap->ScanAt(ssid, [&tuples, ssid](const kv::Value& key,
-                                       int64_t /*entry_ssid*/,
-                                       const kv::Object& value) {
-      tuples.push_back(MakeTuple(key, value, ssid));
-    });
-    return tuples;
-  }
-
-  // Live table.
-  if (state::ReadsSnapshots(options.isolation)) {
-    return Status::InvalidArgument(
-        "live table \"" + table + "\" cannot be read at isolation level '" +
-        state::IsolationLevelToString(options.isolation) +
-        "'; query snapshot_" + table +
-        " instead, or lower the isolation level");
-  }
-  kv::LiveMap* live = grid_->GetLiveMap(table);
-  if (live == nullptr) {
-    return Status::NotFound("no live table named " + table);
-  }
-  live->ForEach([&tuples](const kv::Value& key, const kv::Object& value) {
-    tuples.push_back(MakeTuple(key, value, std::nullopt));
-  });
-  return tuples;
 }
 
 Result<std::vector<std::pair<kv::Value, kv::Object>>>
@@ -1028,55 +914,29 @@ QueryService::GetSnapshotObjects(const std::string& operator_name,
   const std::string table = state::SnapshotTableName(operator_name);
   kv::SnapshotTable* snap = grid_->GetSnapshotTable(table);
   Result<int64_t> resolved = ResolveSsid(ssid, QueryOptions{});
-  if (!resolved.ok() || snap == nullptr) {
-    // Same fall-through as SQL scans: an id outside the in-memory window
-    // (or a lost table) is served from the durable log if present there.
-    const std::optional<int64_t> durable_id =
-        resolved.ok() ? std::optional<int64_t>(*resolved) : ssid;
-    storage::SnapshotLog* log = durable_log_.load(std::memory_order_acquire);
-    if (log != nullptr && durable_id.has_value() &&
-        log->IsDurable(*durable_id)) {
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter(metric_names::kQueryDurableFallbacks)->Increment();
+  std::vector<std::pair<kv::Value, kv::Object>> out;
+  if (resolved.ok() && snap != nullptr) {
+    out.reserve(keys.size());
+    for (const kv::Value& key : keys) {
+      if (auto value = snap->GetAt(key, *resolved); value.has_value()) {
+        out.emplace_back(key, std::move(*value));
       }
-      std::vector<std::pair<kv::Value, kv::Object>> out;
-      SQ_RETURN_IF_ERROR(log->ScanSnapshot(
-          table, *durable_id,
-          [&out, &keys](int32_t /*partition*/, const kv::Value& key,
-                        int64_t /*entry_ssid*/, const kv::Object& value) {
-            if (std::find(keys.begin(), keys.end(), key) != keys.end()) {
-              out.emplace_back(key, value);
-            }
-          }));
-      return out;
     }
-    if (!resolved.ok()) return resolved.status();
+    return out;
+  }
+  // Same fall-through as SQL scans: an id outside the in-memory window (or
+  // a lost table) is served from the durable log if present there.
+  std::unique_ptr<sql::TableSource> durable =
+      OpenDurableSource(table, resolved, ssid);
+  if (durable == nullptr) {
+    SQ_RETURN_IF_ERROR(resolved.status());
     return Status::NotFound("no snapshot table for operator " +
                             operator_name);
   }
-  std::vector<std::pair<kv::Value, kv::Object>> out;
-  out.reserve(keys.size());
-  for (const kv::Value& key : keys) {
-    if (auto value = snap->GetAt(key, *resolved); value.has_value()) {
-      out.emplace_back(key, std::move(*value));
-    }
-  }
+  SQ_RETURN_IF_ERROR(durable->ScanKeys(
+      keys, [&out](const kv::Value& key, const kv::Value* /*ssid*/,
+                   const kv::Object& value) { out.emplace_back(key, value); }));
   return out;
-}
-
-Result<std::vector<kv::Object>> QueryService::ScanDurable(
-    storage::SnapshotLog* log, const std::string& table, int64_t ssid) {
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter(metric_names::kQueryDurableFallbacks)->Increment();
-  }
-  std::vector<kv::Object> tuples;
-  SQ_RETURN_IF_ERROR(log->ScanSnapshot(
-      table, ssid,
-      [&tuples, ssid](int32_t /*partition*/, const kv::Value& key,
-                      int64_t /*entry_ssid*/, const kv::Object& value) {
-        tuples.push_back(MakeTuple(key, value, ssid));
-      }));
-  return tuples;
 }
 
 Result<std::vector<std::pair<kv::Value, kv::Object>>>

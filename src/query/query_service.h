@@ -54,8 +54,7 @@ struct QueryOptions {
   bool pushdown = true;
   /// Disable the vectorized (columnar-batch) scan engine for this query and
   /// stream rows instead. Results are identical either way; this is an
-  /// escape hatch for debugging and A/B measurement. The SQ_FORCE_ROW_SCAN
-  /// environment variable (any value but "0") forces it process-wide.
+  /// escape hatch for debugging and A/B measurement.
   bool force_row_scan = false;
 };
 
@@ -93,28 +92,19 @@ class ClusterRouter {
   /// Resolves `requested` (nullopt = latest committed) against the cluster.
   virtual Result<int64_t> ResolveSsid(std::optional<int64_t> requested) = 0;
 
-  // The three hooks below have conservative defaults (nothing to federate)
-  // so routers predating cluster-wide observability keep compiling; system
-  // tables then simply stay local.
-
   /// Fetches node `node_id`'s local rows of virtual table `table` within
   /// the router's RPC deadline. A dead or slow node is a typed error, never
   /// a hang — the caller degrades to a partial result.
   virtual Result<RemoteSystemTable> FetchSystemTable(const std::string& table,
-                                                     int32_t node_id) {
-    (void)table;
-    (void)node_id;
-    return Status::Unimplemented(
-        "cluster router does not federate system tables");
-  }
+                                                     int32_t node_id) = 0;
 
   /// Ids of the remote nodes this router can reach, ascending (the merge
   /// order of federated scans). Empty = nothing to federate.
-  virtual std::vector<int32_t> RemoteNodeIds() { return {}; }
+  virtual std::vector<int32_t> RemoteNodeIds() = 0;
 
   /// The `__nodes` health registry: one summary row per known node plus one
   /// row per (node, message type) with RPC latency/byte stats.
-  virtual std::vector<kv::Object> NodeHealthRows() { return {}; }
+  virtual std::vector<kv::Object> NodeHealthRows() = 0;
 };
 
 /// Everything one Execute call produced: the rows plus that query's own scan
@@ -148,7 +138,7 @@ struct QueryResult {
 ///   `__spans`                       the trace-span journal as rows
 ///   `__nodes`                       per-peer cluster health registry (empty
 ///                                   without an attached cluster)
-class QueryService : public sql::TableResolver {
+class QueryService {
  public:
   QueryService(kv::Grid* grid, state::SnapshotRegistry* registry,
                Clock* clock = nullptr, MetricsRegistry* metrics = nullptr);
@@ -239,14 +229,18 @@ class QueryService : public sql::TableResolver {
   }
   int32_t node_id() const { return node_id_.load(std::memory_order_acquire); }
 
-  /// OpenTableSource with explicit per-call options — the entry point node
-  /// servers use to serve remote scans (read-committed isolation so live
-  /// tables are servable, snapshot pins forwarded from the wire).
-  Result<std::unique_ptr<sql::TableSource>> OpenTableSourceWithOptions(
+  /// Opens `table` (any name of the table namespace above) for one scan:
+  /// the one place that decides how a table is read. `requested_ssid` is an
+  /// explicit version pin (it overrides `options.snapshot_id`). Returns a
+  /// source or a typed error: NotFound for a missing table, InvalidArgument
+  /// for a live table read at a snapshot isolation level, the registry's
+  /// error for a version it cannot resolve and the durable log does not
+  /// hold. Opening reads no rows (with a cluster attached it may resolve a
+  /// snapshot id over RPC). Execute() reads through this; node servers call
+  /// it to serve remote scans.
+  Result<std::unique_ptr<sql::TableSource>> OpenTableSource(
       const std::string& table, std::optional<int64_t> requested_ssid,
-      const QueryOptions& options) {
-    return OpenTableSourceImpl(table, requested_ssid, options);
-  }
+      const QueryOptions& options);
 
   /// The virtual-table catalog (system tables; extensible by embedders).
   sql::Catalog* catalog() { return &catalog_; }
@@ -257,24 +251,18 @@ class QueryService : public sql::TableResolver {
     return last_resolve_nanos_.load();
   }
 
-  // sql::TableResolver (scans with default options; Execute() binds per-call
-  // options through an internal resolver so concurrent queries are safe):
-  Result<std::vector<kv::Object>> ScanTable(
-      const std::string& table,
-      std::optional<int64_t> requested_ssid) override;
-  Result<std::unique_ptr<sql::TableSource>> OpenTableSource(
-      const std::string& table,
-      std::optional<int64_t> requested_ssid) override;
-
  private:
-  Result<std::vector<kv::Object>> ScanTableImpl(
-      const std::string& table, std::optional<int64_t> requested_ssid,
-      const QueryOptions& options);
-  Result<std::unique_ptr<sql::TableSource>> OpenTableSourceImpl(
-      const std::string& table, std::optional<int64_t> requested_ssid,
-      const QueryOptions& options);
   Result<int64_t> ResolveSsid(std::optional<int64_t> requested,
                               const QueryOptions& options);
+
+  /// Whether the durable log serves a snapshot read the in-memory grid
+  /// cannot (`resolved` failed, or the grid lost snapshot table `table`):
+  /// a source over the log's copy at the resolved id, else at
+  /// `explicit_id`. Null when no log is attached or it does not hold that
+  /// id durably.
+  std::unique_ptr<sql::TableSource> OpenDurableSource(
+      const std::string& table, const Result<int64_t>& resolved,
+      std::optional<int64_t> explicit_id);
 
   /// Cluster routing: opens a remote source for `table` through `router`
   /// (snapshot ids resolved locally first, then cluster-wide).
@@ -291,11 +279,6 @@ class QueryService : public sql::TableResolver {
 
   /// The scan worker pool, created on first parallel query.
   ThreadPool* Pool();
-
-  /// Scans `table` at `ssid` from `log` into result tuples.
-  Result<std::vector<kv::Object>> ScanDurable(storage::SnapshotLog* log,
-                                              const std::string& table,
-                                              int64_t ssid);
 
   kv::Grid* grid_;
   state::SnapshotRegistry* registry_;

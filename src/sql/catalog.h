@@ -16,6 +16,8 @@ namespace sq::sql {
 /// Produces the current rows of a virtual table. Called once per scan, on
 /// the querying thread; implementations must be safe to call concurrently
 /// with the engine running (read from atomics / under their own locks).
+/// Every row must carry a `key` field: SQL scans read it as the row's state
+/// key (the `key`/`partitionKey` pseudo-columns and point lookups).
 using VirtualTableScanFn = std::function<Result<std::vector<kv::Object>>()>;
 
 /// Registry of virtual (computed) tables — the engine's introspection

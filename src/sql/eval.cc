@@ -167,4 +167,15 @@ Result<kv::Value> EvalScalar(const Expr& expr, const ScanRowView& row,
   return EvalScalarImpl(expr, row, ctx);
 }
 
+kv::Object MaterializeRow(const kv::Value& key, const kv::Value* ssid,
+                          const kv::Object& value) {
+  kv::Object tuple = value;
+  tuple.Set("key", key);
+  tuple.Set("partitionKey", key);
+  if (ssid != nullptr) {
+    tuple.Set("ssid", *ssid);
+  }
+  return tuple;
+}
+
 }  // namespace sq::sql

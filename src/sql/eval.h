@@ -46,6 +46,14 @@ struct ScanRowView {
   }
 };
 
+/// The tuple a scan row materializes to: the state object plus the
+/// pseudo-columns `key` and `partitionKey` (both the state key) and, when
+/// `ssid` is non-null, `ssid`. The one definition of the tuple shape, shared
+/// by local scans and the node servers' remote folds, and in lockstep with
+/// ScanRowView's resolution.
+kv::Object MaterializeRow(const kv::Value& key, const kv::Value* ssid,
+                          const kv::Object& value);
+
 /// EvalScalar over an unmaterialized scan row (predicate pushdown). SQL
 /// three-valued logic is simplified to two-valued here: NULL compares
 /// false, arithmetic on NULL yields NULL.

@@ -72,19 +72,6 @@ Object MergeTuples(const Object& left, const Object& right,
   return out;
 }
 
-/// The tuple a scan row materializes to: the state object plus the
-/// pseudo-columns. Must stay in lockstep with ScanRowView's resolution.
-Object MaterializeRow(const Value& key, const Value* ssid,
-                      const Object& value) {
-  Object tuple = value;
-  tuple.Set("key", key);
-  tuple.Set("partitionKey", key);
-  if (ssid != nullptr) {
-    tuple.Set("ssid", *ssid);
-  }
-  return tuple;
-}
-
 struct AggregateSpec {
   const Expr* call = nullptr;  // points into the statement
   std::string id;              // canonical text, used as substitution key
@@ -534,33 +521,15 @@ Status ScanAggregate(const TableSource& source, const Expr* predicate,
   return Status::OK();
 }
 
-/// Materializes one table: through a TableSource when the resolver offers
-/// one (partition-parallel), else via the legacy full-copy ScanTable.
+/// Opens one table and copies out every row (a join input).
 Result<std::vector<Object>> MaterializeTable(
     TableResolver* resolver, const std::string& table,
-    std::optional<int64_t> requested_ssid, const Expr* predicate,
-    const std::vector<Value>* keys, const EvalContext& ctx,
+    std::optional<int64_t> requested_ssid, const EvalContext& ctx,
     const ExecOptions& options, ExecStats* stats) {
   SQ_ASSIGN_OR_RETURN(std::unique_ptr<TableSource> source,
                       resolver->OpenTableSource(table, requested_ssid));
-  if (source != nullptr) {
-    return MaterializeFromSource(*source, predicate, keys, ctx, options,
-                                 stats);
-  }
-  SQ_ASSIGN_OR_RETURN(std::vector<Object> tuples,
-                      resolver->ScanTable(table, requested_ssid));
-  stats->rows_scanned += static_cast<int64_t>(tuples.size());
-  if (predicate != nullptr) {
-    std::vector<Object> kept;
-    kept.reserve(tuples.size());
-    for (Object& tuple : tuples) {
-      SQ_ASSIGN_OR_RETURN(Value pass, EvalScalar(*predicate, tuple, ctx));
-      if (pass.Truthy()) kept.push_back(std::move(tuple));
-    }
-    tuples = std::move(kept);
-  }
-  stats->rows_returned += static_cast<int64_t>(tuples.size());
-  return tuples;
+  return MaterializeFromSource(*source, nullptr, nullptr, ctx, options,
+                               stats);
 }
 
 }  // namespace
@@ -610,11 +579,11 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
                     {{"pushdown", plan.predicate != nullptr},
                      {"point_lookup", plan.keys.has_value()}});
 
-  // --- Scan + joins. The FROM scan goes through a TableSource when the
-  // resolver offers one: partitions fan out over the pool, the pushed-down
-  // predicate filters rows before they are copied, and pushed-down key
-  // equalities route to point lookups. Aggregating join-free statements
-  // fuse the scan with per-partition partial aggregation.
+  // --- Scan + joins. The FROM scan goes through the table's source:
+  // partitions fan out over the pool, the pushed-down predicate filters rows
+  // before they are copied, and pushed-down key equalities route to point
+  // lookups. Aggregating join-free statements fuse the scan with
+  // per-partition partial aggregation.
   GroupTable groups;
   std::vector<Object> tuples;
   bool where_applied = false;
@@ -626,33 +595,27 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
     SQ_ASSIGN_OR_RETURN(
         std::unique_ptr<TableSource> source,
         resolver->OpenTableSource(stmt.from.name, ssid_for(stmt.from)));
-    const Expr* pushed = source != nullptr ? plan.predicate : nullptr;
+    const Expr* pushed = plan.predicate;
     const std::vector<Value>* keys =
-        (source != nullptr && plan.keys.has_value()) ? &*plan.keys : nullptr;
+        plan.keys.has_value() ? &*plan.keys : nullptr;
     if (pushed != nullptr) {
       source->BindPredicateHint(pushed->ToString(),
                                 ctx.local_timestamp_micros);
     }
     scan_span.AddAttr("pushdown", pushed != nullptr);
     scan_span.AddAttr("point_lookup", keys != nullptr);
-    if (aggregating && stmt.joins.empty() && source != nullptr &&
+    if (aggregating && stmt.joins.empty() &&
         (stmt.where == nullptr || pushed != nullptr)) {
       SQ_RETURN_IF_ERROR(ScanAggregate(*source, pushed, keys, stmt,
                                        aggregates, ctx, options, stats,
                                        &groups));
       where_applied = true;
       partial_aggregated = true;
-    } else if (source != nullptr) {
+    } else {
       SQ_ASSIGN_OR_RETURN(tuples,
                           MaterializeFromSource(*source, pushed, keys, ctx,
                                                 options, stats));
       where_applied = pushed != nullptr;
-    } else {
-      SQ_ASSIGN_OR_RETURN(
-          tuples, MaterializeTable(resolver, stmt.from.name,
-                                   ssid_for(stmt.from), nullptr, nullptr,
-                                   ctx, options, stats));
-      scan_span.AddAttr("fallback", true);
     }
   }
   for (const JoinClause& join : stmt.joins) {
@@ -662,7 +625,7 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
     SQ_ASSIGN_OR_RETURN(
         std::vector<Object> right,
         MaterializeTable(resolver, join.table.name, ssid_for(join.table),
-                         nullptr, nullptr, ctx, options, stats));
+                         ctx, options, stats));
     // Build side: hash the (smaller, typically right) input on the USING
     // column; S-QUERY's extension of the IMDG SQL interface (Section VI-A).
     // sq-lint: unordered-ok(probe-only; output order follows the left input)
@@ -871,9 +834,9 @@ Result<ResultSet> ExecuteSql(const std::string& sql, TableResolver* resolver,
   return ExecuteSelect(*stmt, resolver, options);
 }
 
-std::vector<std::string> ExplainPlanLines(const SelectStatement& stmt,
-                                          TableResolver* resolver,
-                                          const ExecOptions& options) {
+Result<std::vector<std::string>> ExplainPlanLines(
+    const SelectStatement& stmt, TableResolver* resolver,
+    const ExecOptions& options) {
   std::vector<std::string> lines;
 
   // Mirror ExecuteSelect's analysis exactly, without scanning anything.
@@ -898,16 +861,13 @@ std::vector<std::string> ExplainPlanLines(const SelectStatement& stmt,
 
   const ScanPlan plan = BuildScanPlan(stmt, options.enable_pushdown);
 
-  std::unique_ptr<TableSource> source;
-  if (resolver != nullptr) {
-    Result<std::unique_ptr<TableSource>> probe =
-        resolver->OpenTableSource(stmt.from.name, ssid_for(stmt.from));
-    if (probe.ok()) source = std::move(*probe);
-  }
-  const bool pushed = source != nullptr && plan.predicate != nullptr;
-  const bool point = source != nullptr && plan.keys.has_value();
-  const bool fused = aggregating && stmt.joins.empty() &&
-                     source != nullptr && (stmt.where == nullptr || pushed);
+  SQ_ASSIGN_OR_RETURN(
+      std::unique_ptr<TableSource> source,
+      resolver->OpenTableSource(stmt.from.name, ssid_for(stmt.from)));
+  const bool pushed = plan.predicate != nullptr;
+  const bool point = plan.keys.has_value();
+  const bool fused =
+      aggregating && stmt.joins.empty() && (stmt.where == nullptr || pushed);
 
   std::string scan;
   if (point) {
@@ -920,21 +880,18 @@ std::vector<std::string> ExplainPlanLines(const SelectStatement& stmt,
     }
     if (plan.keys->size() > shown) scan += ", ...";
     scan += ")";
-  } else if (source != nullptr) {
+  } else {
     const int32_t partitions = source->partition_count();
     const int32_t workers = ScanWorkers(options, partitions);
     scan = "Scan: partitioned fan-out over " + stmt.from.name + " (" +
            std::to_string(partitions) + " partitions, " +
            std::to_string(workers) + " workers)";
-  } else {
-    scan = "Scan: materialize " + stmt.from.name + " (full copy)";
   }
   if (std::optional<int64_t> pin = ssid_for(stmt.from); pin.has_value()) {
     scan += " @ ssid=" + std::to_string(*pin);
   }
   lines.push_back(std::move(scan));
-  if (source != nullptr && !point && options.enable_vectorized &&
-      source->SupportsBatches()) {
+  if (!point && options.enable_vectorized && source->SupportsBatches()) {
     lines.push_back("  engine: vectorized (columnar batches)");
   }
   if (fused) {

@@ -127,9 +127,9 @@ class TableSource {
 
   /// Optional capability: serve `partition` as columnar batches instead of
   /// row callbacks. Null means this source (or this partition) cannot — the
-  /// executor then streams rows through `ScanPartition`, which stays the
-  /// universal fallback (virtual tables, joins, remote sources). Like
-  /// ScanPartition, readers for distinct partitions may run concurrently.
+  /// executor then streams rows through `ScanPartition`, which every source
+  /// implements. Like ScanPartition, readers for distinct partitions may run
+  /// concurrently.
   virtual std::unique_ptr<BatchReader> OpenBatchReader(
       int32_t partition) const {
     (void)partition;
@@ -157,33 +157,26 @@ class TableSource {
   }
 };
 
-/// Supplies base-table scans to the executor. The query layer implements
-/// this over the KV grid: live tables scan the LiveMap (key-level locked
-/// reads), snapshot tables scan the SnapshotTable view at a version resolved
-/// through the SnapshotRegistry.
+/// The executor's only way to read a table. The query layer implements this
+/// over the KV grid (live tables scan the LiveMap through key-level locked
+/// reads, snapshot tables the SnapshotTable view at a version resolved
+/// through the SnapshotRegistry), the virtual-table catalog and the durable
+/// snapshot log.
 ///
-/// Returned tuples must already carry the pseudo-columns the paper's schema
-/// exposes: `key` and `partitionKey` (the state key) and, for snapshot
-/// tables, `ssid`.
+/// Every row a source emits carries its state key, which the executor
+/// exposes as the pseudo-columns `key` and `partitionKey`, plus the `ssid`
+/// pseudo-column for snapshot tables (see MaterializeRow).
 class TableResolver {
  public:
   virtual ~TableResolver() = default;
 
-  /// Scans `table`. `requested_ssid` is the version extracted from an
-  /// `ssid = <n>` WHERE conjunct, if any (nullopt = latest committed).
-  virtual Result<std::vector<kv::Object>> ScanTable(
-      const std::string& table, std::optional<int64_t> requested_ssid) = 0;
-
-  /// Opens partition-addressable access to `table` for one scan, or null if
-  /// the table is not partition-scannable (virtual tables, durable-log
-  /// fallback, errors) — the executor then falls back to ScanTable. The
-  /// default implementation never offers a source.
+  /// Opens `table` for one scan. `requested_ssid` is the version extracted
+  /// from an `ssid = <n>` WHERE conjunct, if any (nullopt = latest
+  /// committed). Returns a source or a typed error (a missing table, an
+  /// isolation violation, an unresolvable version), never null. Opening
+  /// reads no rows, so plan-only callers such as EXPLAIN may probe freely.
   virtual Result<std::unique_ptr<TableSource>> OpenTableSource(
-      const std::string& table, std::optional<int64_t> requested_ssid) {
-    (void)table;
-    (void)requested_ssid;
-    return std::unique_ptr<TableSource>();
-  }
+      const std::string& table, std::optional<int64_t> requested_ssid) = 0;
 };
 
 /// Per-query scan instrumentation, filled in by the executor (the paper's
@@ -233,9 +226,9 @@ struct ExecOptions {
 };
 
 /// Executes a parsed SELECT against the resolver: scan (partition-parallel,
-/// with predicate/key pushdown and per-partition partial aggregation where
-/// the resolver offers a TableSource) → hash join (USING) → filter →
-/// group/aggregate → project → distinct → order → limit.
+/// with predicate/key pushdown and per-partition partial aggregation) → hash
+/// join (USING) → filter → group/aggregate → project → distinct → order →
+/// limit.
 Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
                                 TableResolver* resolver,
                                 const ExecOptions& options);
@@ -245,13 +238,14 @@ Result<ResultSet> ExecuteSql(const std::string& sql, TableResolver* resolver,
                              const ExecOptions& options);
 
 /// Renders the plan `ExecuteSelect` would pick for `stmt` as indented text
-/// lines (the body of `EXPLAIN`): scan strategy (partitioned fan-out vs
-/// materialize fallback), pushed-down predicate, point-lookup key set,
-/// parallelism, joins, aggregation, and tail operators. Read-only: probes
-/// `resolver->OpenTableSource` to learn the strategy but scans nothing.
-std::vector<std::string> ExplainPlanLines(const SelectStatement& stmt,
-                                          TableResolver* resolver,
-                                          const ExecOptions& options);
+/// lines (the body of `EXPLAIN`): scan strategy (partitioned fan-out or
+/// point lookup), engine, pushed-down predicate, parallelism, joins,
+/// aggregation, and tail operators. Read-only: opens the FROM table's source
+/// to learn its shape but scans nothing; an error opening it (the one
+/// ExecuteSelect would hit) is returned as is.
+Result<std::vector<std::string>> ExplainPlanLines(const SelectStatement& stmt,
+                                                  TableResolver* resolver,
+                                                  const ExecOptions& options);
 
 }  // namespace sq::sql
 

@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
+#include <set>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/metrics.h"
 #include "dataflow/execution.h"
@@ -204,6 +208,98 @@ TEST(IntrospectionTest, SystemTablesReadableAtEveryIsolationLevel) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(FindInt(*result, 0, "n"), 6);
   }
+}
+
+/// System tables go through the same scan machinery as state tables
+/// (pushed-down filters, point lookups, fused aggregation). With the engine
+/// stopped they hold still, so every query must return exactly the rows of
+/// filtering ScanSystemObjects by hand, in the same order.
+TEST(IntrospectionTest, SystemTableQueriesMatchHandFilteredRows) {
+  auto h = StartQ6Harness();
+  ASSERT_NE(h, nullptr);
+  auto first = h->job->TriggerCheckpoint();
+  auto second = h->job->TriggerCheckpoint();
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_TRUE(h->job->Stop().ok());
+  // Unmetered, so its own queries do not change the `__metrics` they read.
+  query::QueryService service(h->grid.get(), h->registry.get());
+  service.RegisterEngineIntrospection(h->job.get(), &h->metrics);
+
+  // `query` must return `columns` of the `table` rows `keep` accepts, in
+  // table order. Returns the query's stats.
+  auto check = [&](const std::string& query, const std::string& table,
+                   const std::vector<std::string>& columns,
+                   const std::function<bool(const kv::Object&)>& keep) {
+    auto result = service.ExecuteWithStats(query);
+    auto all = service.ScanSystemObjects(table);
+    EXPECT_TRUE(result.ok() && all.ok()) << query;
+    if (!result.ok() || !all.ok()) return sql::ExecStats{};
+    std::vector<sql::Row> expected;
+    for (const kv::Object& row : *all) {
+      if (!keep(row)) continue;
+      expected.emplace_back();
+      for (const std::string& c : columns) expected.back().push_back(row.Get(c));
+    }
+    EXPECT_FALSE(expected.empty()) << query;
+    EXPECT_EQ(result->result.columns, columns) << query;
+    EXPECT_EQ(result->result.rows, expected) << query;
+    return result->stats;
+  };
+  auto key_in = [](std::vector<kv::Value> keys) {
+    return [keys](const kv::Object& row) {
+      return std::find(keys.begin(), keys.end(), row.Get("key")) != keys.end();
+    };
+  };
+  // GROUP BY keeps groups in first-seen order, each represented by its
+  // first row.
+  auto first_of_group = [](const std::string& column) {
+    return [column, seen = std::make_shared<std::set<kv::Value>>()](
+               const kv::Object& row) {
+      return seen->insert(row.Get(column)).second;
+    };
+  };
+
+  check("SELECT name, value, p99 FROM __metrics "
+        "WHERE kind = 'histogram' AND count > 0",
+        "__metrics", {"name", "value", "p99"}, [](const kv::Object& row) {
+          return row.Get("kind") == kv::Value("histogram") &&
+                 row.Get("count").AsInt64() > 0;
+        });
+  check("SELECT kind, name FROM __metrics GROUP BY kind", "__metrics",
+        {"kind", "name"}, first_of_group("kind"));
+  EXPECT_TRUE(check("SELECT key, value FROM __metrics "
+                    "WHERE key = 'checkpoint.committed'",
+                    "__metrics", {"key", "value"},
+                    key_in({kv::Value("checkpoint.committed")}))
+                  .used_point_lookup);
+  sql::ExecStats stats = check(
+      "SELECT key, value FROM __metrics WHERE key IN "
+      "('state.snapshot_entries', 'no.such.metric', 'checkpoint.committed')",
+      "__metrics", {"key", "value"},
+      key_in({kv::Value("checkpoint.committed"),
+              kv::Value("state.snapshot_entries")}));
+  EXPECT_TRUE(stats.used_point_lookup);
+  EXPECT_EQ(stats.rows_scanned, 2);
+
+  check("SELECT id, state, phase1_nanos FROM __checkpoints "
+        "WHERE state = 'committed'",
+        "__checkpoints", {"id", "state", "phase1_nanos"},
+        [](const kv::Object& row) {
+          return row.Get("state") == kv::Value("committed");
+        });
+  check("SELECT state, id FROM __checkpoints GROUP BY state", "__checkpoints",
+        {"state", "id"}, first_of_group("state"));
+  EXPECT_TRUE(check("SELECT id, mode FROM __checkpoints WHERE key = " +
+                        std::to_string(*second),
+                    "__checkpoints", {"id", "mode"},
+                    key_in({kv::Value(*second)}))
+                  .used_point_lookup);
+  EXPECT_TRUE(check("SELECT id FROM __checkpoints WHERE key IN (" +
+                        std::to_string(*second) + ", " +
+                        std::to_string(*first) + ")",
+                    "__checkpoints", {"id"},
+                    key_in({kv::Value(*first), kv::Value(*second)}))
+                  .used_point_lookup);
 }
 
 TEST(ColocationTest, MismatchedFactoryPartitionerIsRejected) {

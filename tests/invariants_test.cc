@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "sql/executor.h"
+#include "sql/scan_source.h"
 #include "kv/value.h"
 
 namespace sq {
@@ -71,27 +72,19 @@ TEST_P(ValueOrderProperty, StrictWeakOrderingAxioms) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ValueOrderProperty,
                          ::testing::Values(101, 202, 303));
 
-class SortResolver : public sql::TableResolver {
- public:
-  std::vector<Object> rows;
-  Result<std::vector<Object>> ScanTable(const std::string&,
-                                        std::optional<int64_t>) override {
-    return rows;
-  }
-};
-
 class OrderLimitProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OrderLimitProperty, MatchesReferenceSort) {
   Rng rng(GetParam());
-  SortResolver resolver;
+  sql::MemoryResolver resolver;
+  std::vector<Object>& rows = resolver.tables["t"];
   std::vector<std::pair<int64_t, int64_t>> reference;  // (sort key, id)
   for (int64_t i = 0; i < 300; ++i) {
     const int64_t v = rng.NextInRange(-1000, 1000);
     Object row;
     row.Set("id", Value(i));
     row.Set("v", Value(v));
-    resolver.rows.push_back(std::move(row));
+    rows.push_back(std::move(row));
     reference.emplace_back(v, i);
   }
   auto result = sql::ExecuteSql(

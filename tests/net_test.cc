@@ -951,6 +951,12 @@ TEST(ClusterNet, DifferentialSnapshotQueries) {
                     "SELECT key, ssid FROM snapshot_orders__versions "
                     "ORDER BY key, ssid",
                     serializable);
+  // Multi-key lookups into it: both paths emit keys outermost, versions
+  // innermost, with no ORDER BY to hide a difference.
+  ExpectSameResults(tc.get(),
+                    "SELECT key, ssid FROM snapshot_orders__versions "
+                    "WHERE key IN (3, 6)",
+                    serializable);
 }
 
 TEST(ClusterNet, LiveTableNeedsWeakIsolationOnBothPaths) {
@@ -1215,6 +1221,29 @@ TEST(ClusterNet, FederatedMetricsScanIsUnionOfPerNodeScans) {
       "ORDER BY node");
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_EQ(again->rows, fed->rows);
+}
+
+TEST(ClusterNet, ExplainOfFederatedTableSendsNoRpc) {
+  auto tc = StartCluster({}, /*load_data=*/false);
+  tc->coordinator->RegisterEngineIntrospection(nullptr,
+                                               tc->coord_metrics.get());
+  for (auto& n : tc->nodes) {
+    n->query->RegisterEngineIntrospection(nullptr, n->metrics.get());
+  }
+  Counter* fetches =
+      tc->coord_metrics->GetCounter("net.client.rpcs.fetch_system_table");
+  const int64_t before = fetches->Value();
+
+  // Planning opens the table's source but fetches nothing.
+  auto plan = tc->coordinator->Execute("EXPLAIN SELECT * FROM __metrics");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_FALSE(plan->rows.empty());
+  EXPECT_EQ(fetches->Value() - before, 0);
+
+  // Executing it federates: one fetch per node.
+  auto scan = tc->coordinator->Execute("SELECT * FROM __metrics");
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  EXPECT_EQ(fetches->Value() - before, kClusterNodes);
 }
 
 TEST(ClusterNet, FederatedSpansScanReturnsDistributedTree) {

@@ -1,8 +1,7 @@
 // Differential tests for partition-parallel query execution: every query in
 // the matrix must produce identical results at parallelism 1 / 2 / 8, with
-// pushdown on and off, and (where comparable) through a resolver that only
-// offers the legacy whole-table ScanTable fallback. Also covers the pushdown
-// instrumentation (rows_scanned / point lookups) and a concurrent
+// pushdown on and off, and with the row and columnar engines. Also covers
+// the pushdown instrumentation (rows_scanned / point lookups) and a concurrent
 // writer+query hammer for the sanitizer jobs.
 
 #include <gtest/gtest.h>
@@ -34,8 +33,8 @@ constexpr int32_t kPartitions = 32;
 constexpr int64_t kKeys = 3000;
 
 /// Rows ordered for multiset comparison. SQL row order without ORDER BY is
-/// unspecified (and the legacy scan, the parallel scan, and the hash-grouping
-/// paths genuinely order differently), so unordered queries compare sorted.
+/// unspecified (and the point-lookup, full-scan and hash-grouping paths
+/// genuinely order differently), so unordered queries compare sorted.
 std::vector<sql::Row> SortedRows(const sql::ResultSet& result) {
   std::vector<sql::Row> rows = result.rows;
   std::sort(rows.begin(), rows.end());
@@ -175,45 +174,14 @@ TEST_F(ParallelQueryTest, SnapshotQueriesMatchAcrossMatrix) {
       "SELECT ssid, COUNT(*) AS n FROM snapshot_metrics__versions "
       "GROUP BY ssid ORDER BY ssid",
       "SELECT v, ssid FROM snapshot_metrics__versions WHERE key = 11",
+      "SELECT key, v, ssid FROM snapshot_metrics__versions "
+      "WHERE key IN (3, 6)",
   };
   for (const auto& level : {state::IsolationLevel::kSnapshotIsolation,
                             state::IsolationLevel::kSerializable}) {
     for (const std::string& sql : queries) {
       CheckDifferential(sql, level);
     }
-  }
-}
-
-/// The executor must behave identically when the resolver cannot offer
-/// partition-addressable sources at all (legacy fallback path).
-TEST_F(ParallelQueryTest, ScanTableOnlyResolverMatchesSourceScan) {
-  class ScanOnlyResolver : public sql::TableResolver {
-   public:
-    explicit ScanOnlyResolver(QueryService* service) : service_(service) {}
-    Result<std::vector<Object>> ScanTable(
-        const std::string& table,
-        std::optional<int64_t> requested_ssid) override {
-      return service_->ScanTable(table, requested_ssid);
-    }
-    // OpenTableSource deliberately not overridden: always null.
-   private:
-    QueryService* service_;
-  };
-  ScanOnlyResolver legacy(&service_);
-  for (const std::string& sql : {
-           std::string("SELECT key, v, ssid FROM snapshot_metrics"),
-           std::string("SELECT SUM(v) AS s, COUNT(*) AS n "
-                       "FROM snapshot_metrics WHERE v > 500"),
-           std::string("SELECT v FROM snapshot_metrics WHERE key = 42"),
-       }) {
-    sql::ExecOptions exec;
-    auto via_fallback = sql::ExecuteSql(sql, &legacy, exec);
-    ASSERT_TRUE(via_fallback.ok()) << via_fallback.status();
-    QueryOptions options;
-    options.parallelism = 8;
-    const sql::ResultSet via_source = MustExecute(sql, options);
-    EXPECT_EQ(via_source.columns, via_fallback->columns) << sql;
-    EXPECT_EQ(SortedRows(via_source), SortedRows(*via_fallback)) << sql;
   }
 }
 

@@ -19,6 +19,7 @@
 #include "sql/eval.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
+#include "sql/scan_source.h"
 #include "state/snapshot_registry.h"
 #include "state/squery_state_store.h"
 
@@ -290,25 +291,17 @@ INSTANTIATE_TEST_SUITE_P(Sweep, WindowProperty,
 
 class SqlFilterProperty : public ::testing::TestWithParam<uint64_t> {};
 
-class MemResolver : public sql::TableResolver {
- public:
-  std::vector<Object> rows;
-  Result<std::vector<Object>> ScanTable(const std::string&,
-                                        std::optional<int64_t>) override {
-    return rows;
-  }
-};
-
 TEST_P(SqlFilterProperty, WhereMatchesDirectEvaluation) {
   Rng rng(GetParam());
-  MemResolver resolver;
+  sql::MemoryResolver resolver;
+  std::vector<Object>& rows = resolver.tables["t"];
   for (int64_t i = 0; i < 200; ++i) {
     Object row;
     row.Set("key", Value(i));
     row.Set("a", Value(static_cast<int64_t>(rng.NextBounded(20))));
     row.Set("b", Value(rng.NextDouble() * 10.0));
     row.Set("s", Value(std::string(rng.NextBool(0.5) ? "x" : "y")));
-    resolver.rows.push_back(std::move(row));
+    rows.push_back(std::move(row));
   }
   const char* kPredicates[] = {
       "a = 5",
@@ -328,7 +321,7 @@ TEST_P(SqlFilterProperty, WhereMatchesDirectEvaluation) {
     auto stmt = sql::ParseSelect(sql);
     ASSERT_TRUE(stmt.ok());
     std::vector<int64_t> expected;
-    for (const Object& row : resolver.rows) {
+    for (const Object& row : rows) {
       auto verdict = sql::EvalScalar(*(*stmt)->where, row, sql::EvalContext{});
       ASSERT_TRUE(verdict.ok());
       if (verdict->Truthy()) expected.push_back(row.Get("key").AsInt64());
@@ -351,7 +344,8 @@ class SqlAggregateProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SqlAggregateProperty, GroupByMatchesReference) {
   Rng rng(GetParam());
-  MemResolver resolver;
+  sql::MemoryResolver resolver;
+  std::vector<Object>& rows = resolver.tables["t"];
   std::map<int64_t, std::vector<int64_t>> groups;
   for (int64_t i = 0; i < 500; ++i) {
     const int64_t g = static_cast<int64_t>(rng.NextBounded(7));
@@ -359,7 +353,7 @@ TEST_P(SqlAggregateProperty, GroupByMatchesReference) {
     Object row;
     row.Set("g", Value(g));
     row.Set("v", Value(v));
-    resolver.rows.push_back(std::move(row));
+    rows.push_back(std::move(row));
     groups[g].push_back(v);
   }
   auto result = sql::ExecuteSql(

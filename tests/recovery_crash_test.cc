@@ -512,6 +512,20 @@ TEST_F(TimeTravelTest, SqlQueryFallsThroughToDiskForPrunedSsid) {
   EXPECT_FALSE(missing.ok());
 }
 
+TEST_F(TimeTravelTest, PointLookupPastRetentionReadsOnlyTheKeyFromDisk) {
+  service_.AttachDurableStorage(log_.get());
+  auto result = service_.ExecuteWithStats(
+      "SELECT key, v, ssid FROM snapshot_counts WHERE ssid = 2 AND key = 1");
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->result.RowCount(), 1u);
+  EXPECT_EQ(result->result.rows[0],
+            (sql::Row{kv::Value(int64_t{1}), kv::Value(int64_t{21}),
+                      kv::Value(int64_t{2})}));
+  // Served by the log source's key lookup: the other key is never emitted.
+  EXPECT_TRUE(result->stats.used_point_lookup);
+  EXPECT_EQ(result->stats.rows_scanned, 1);
+}
+
 TEST_F(TimeTravelTest, DirectObjectInterfaceFallsThroughToDisk) {
   service_.AttachDurableStorage(log_.get());
   auto rows = service_.GetSnapshotObjects("counts",

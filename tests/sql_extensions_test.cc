@@ -7,24 +7,13 @@
 
 #include "sql/executor.h"
 #include "sql/parser.h"
+#include "sql/scan_source.h"
 
 namespace sq::sql {
 namespace {
 
 using kv::Object;
 using kv::Value;
-
-class FakeResolver : public TableResolver {
- public:
-  std::map<std::string, std::vector<Object>> tables;
-
-  Result<std::vector<Object>> ScanTable(
-      const std::string& table, std::optional<int64_t>) override {
-    auto it = tables.find(table);
-    if (it == tables.end()) return Status::NotFound("no table " + table);
-    return it->second;
-  }
-};
 
 class SqlExtensionsTest : public ::testing::Test {
  protected:
@@ -47,7 +36,7 @@ class SqlExtensionsTest : public ::testing::Test {
     return result.ok() ? *result : ResultSet{};
   }
 
-  FakeResolver resolver_;
+  MemoryResolver resolver_;
 };
 
 TEST_F(SqlExtensionsTest, InList) {

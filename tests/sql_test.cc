@@ -6,6 +6,7 @@
 #include "sql/executor.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
+#include "sql/scan_source.h"
 
 namespace sq::sql {
 namespace {
@@ -106,28 +107,6 @@ TEST(ParserTest, ExpressionPrecedence) {
   EXPECT_EQ((*arith)->items[0].expr->ToString(), "((1 + (2 * 3)) - 4)");
 }
 
-/// Resolver over in-memory tables for executor tests.
-class FakeResolver : public TableResolver {
- public:
-  void AddRow(const std::string& table, Object row) {
-    tables_[table].push_back(std::move(row));
-  }
-
-  Result<std::vector<Object>> ScanTable(
-      const std::string& table,
-      std::optional<int64_t> requested_ssid) override {
-    last_ssid_request = requested_ssid;
-    auto it = tables_.find(table);
-    if (it == tables_.end()) return Status::NotFound("no table " + table);
-    return it->second;
-  }
-
-  std::optional<int64_t> last_ssid_request;
-
- private:
-  std::map<std::string, std::vector<Object>> tables_;
-};
-
 Object Tuple(std::initializer_list<Object::Field> fields) {
   return Object(fields);
 }
@@ -136,22 +115,22 @@ class ExecutorTest : public ::testing::Test {
  protected:
   ExecutorTest() {
     // Fig. 4's "average" operator state.
-    resolver_.AddRow("average", Tuple({{"key", Value(int64_t{1})},
-                                       {"count", Value(int64_t{3})},
-                                       {"total", Value(int64_t{30})}}));
-    resolver_.AddRow("average", Tuple({{"key", Value(int64_t{2})},
-                                       {"count", Value(int64_t{2})},
-                                       {"total", Value(int64_t{20})}}));
-    // Orders: info + state, joined on partitionKey.
+    resolver_.tables["average"] = {
+        Tuple({{"key", Value(int64_t{1})},
+               {"count", Value(int64_t{3})},
+               {"total", Value(int64_t{30})}}),
+        Tuple({{"key", Value(int64_t{2})},
+               {"count", Value(int64_t{2})},
+               {"total", Value(int64_t{20})}})};
+    // Orders: info + state, keyed by order id (the source stamps it as
+    // `partitionKey` too, the join column).
     for (int64_t k = 0; k < 6; ++k) {
-      resolver_.AddRow(
-          "snapshot_orderinfo",
-          Tuple({{"partitionKey", Value(k)},
+      resolver_.tables["snapshot_orderinfo"].push_back(
+          Tuple({{"key", Value(k)},
                  {"deliveryZone", Value(k % 2 == 0 ? "north" : "south")},
                  {"vendorCategory", Value(k % 3 == 0 ? "food" : "retail")}}));
-      resolver_.AddRow(
-          "snapshot_orderstate",
-          Tuple({{"partitionKey", Value(k)},
+      resolver_.tables["snapshot_orderstate"].push_back(
+          Tuple({{"key", Value(k)},
                  {"orderState",
                   Value(k < 4 ? "VENDOR_ACCEPTED" : "DELIVERED")},
                  {"lateTimestamp", Value(int64_t{500})}}));
@@ -164,7 +143,7 @@ class ExecutorTest : public ::testing::Test {
     return result.ok() ? *result : ResultSet{};
   }
 
-  FakeResolver resolver_;
+  MemoryResolver resolver_;
   ExecOptions options_{.local_timestamp_micros = 1000};
 };
 
@@ -277,12 +256,12 @@ TEST_F(ExecutorTest, DistinctDeduplicates) {
 
 TEST_F(ExecutorTest, SsidEqualityConjunctIsExtracted) {
   MustExecute("SELECT count FROM average WHERE key=1");
-  EXPECT_FALSE(resolver_.last_ssid_request.has_value());
+  EXPECT_FALSE(resolver_.last_requested_ssid.has_value());
   auto result = ExecuteSql("SELECT count FROM average WHERE ssid=9 AND key=2",
                            &resolver_, options_);
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_TRUE(resolver_.last_ssid_request.has_value());
-  EXPECT_EQ(*resolver_.last_ssid_request, 9);
+  ASSERT_TRUE(resolver_.last_requested_ssid.has_value());
+  EXPECT_EQ(*resolver_.last_requested_ssid, 9);
 }
 
 TEST_F(ExecutorTest, SsidInsideOrIsNotAVersionPin) {
@@ -290,7 +269,7 @@ TEST_F(ExecutorTest, SsidInsideOrIsNotAVersionPin) {
       "SELECT count FROM average WHERE ssid=9 OR key=2", &resolver_,
       options_);
   ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(resolver_.last_ssid_request.has_value());
+  EXPECT_FALSE(resolver_.last_requested_ssid.has_value());
 }
 
 TEST_F(ExecutorTest, ErrorsSurfaceCleanly) {

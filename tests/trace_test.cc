@@ -370,6 +370,16 @@ TEST_F(ExplainTest, ExplainReturnsPlanWithoutExecuting) {
   EXPECT_NE(all.find("Limit: 3"), std::string::npos) << all;
 }
 
+TEST_F(ExplainTest, ExplainOfUnopenableTableReturnsTheOpenError) {
+  auto missing =
+      service_.Execute("EXPLAIN SELECT * FROM no_such_table", options_);
+  EXPECT_TRUE(missing.status().IsNotFound()) << missing.status().ToString();
+  // A live table at a snapshot isolation level: the isolation error.
+  auto live = service_.Execute("EXPLAIN SELECT * FROM metrics",
+                               query::QueryOptions{});
+  EXPECT_TRUE(live.status().IsInvalidArgument()) << live.status().ToString();
+}
+
 TEST_F(ExplainTest, ExplainAnalyzeMatchesPlainExecution) {
   const std::string body =
       "SELECT g, COUNT(*) AS c FROM metrics WHERE v > 10 GROUP BY g";
