@@ -1,9 +1,9 @@
 #include "common/mutex.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 namespace sq {
 
@@ -15,8 +15,13 @@ struct HeldEntry {
   const char* name;
 };
 
-// Per-thread stack of ranked locks currently held, acquisition order.
-thread_local std::vector<HeldEntry> t_held;
+// Per-thread stack of ranked locks currently held, acquisition order. A
+// fixed array plus a count, not a vector: it must have no destructor, because
+// other thread-locals (the trace ring's exit flush) still take ranked locks
+// after a vector constructed later would already have been destroyed.
+constexpr size_t kMaxHeld = 64;
+thread_local HeldEntry t_held[kMaxHeld];
+thread_local size_t t_held_count = 0;
 
 bool DefaultEnabled() {
   // Env override first so RelWithDebInfo/Release test runs can opt in
@@ -40,29 +45,43 @@ const char* NameOf(const char* name) {
   return name != nullptr ? name : "<unnamed>";
 }
 
+// Plain fprintf, not SQ_LOG/SQ_CHECK: the logging mutex is itself
+// rank-checked, and a diagnostic that takes locks mid-abort could recurse
+// into the validator or deadlock.
+void PrintHeldStack() {
+  for (size_t i = 0; i < t_held_count; ++i) {
+    std::fprintf(stderr, "  [%zu] \"%s\" (rank %d)\n", i,
+                 NameOf(t_held[i].name), t_held[i].rank);
+  }
+}
+
 [[noreturn]] void ReportInversionAndAbort(int rank, const char* name) {
-  // Plain fprintf, not SQ_LOG/SQ_CHECK: the logging mutex is itself
-  // rank-checked, and a diagnostic that takes locks mid-abort could recurse
-  // into the validator or deadlock.
   std::fprintf(stderr,
                "FATAL: lock rank inversion: acquiring \"%s\" (rank %d) below "
                "the top of this thread's held-lock stack\n",
                NameOf(name), rank);
   std::fprintf(stderr, "held-lock stack (outermost first):\n");
-  for (size_t i = 0; i < t_held.size(); ++i) {
-    std::fprintf(stderr, "  [%zu] \"%s\" (rank %d)\n", i,
-                 NameOf(t_held[i].name), t_held[i].rank);
-  }
+  PrintHeldStack();
   std::fprintf(stderr, "acquiring-lock stack (what the acquisition would "
                        "make, outermost first):\n");
-  for (size_t i = 0; i < t_held.size(); ++i) {
-    std::fprintf(stderr, "  [%zu] \"%s\" (rank %d)\n", i,
-                 NameOf(t_held[i].name), t_held[i].rank);
-  }
+  PrintHeldStack();
   std::fprintf(stderr, "  [%zu] \"%s\" (rank %d)  <-- rank decreases\n",
-               t_held.size(), NameOf(name), rank);
+               t_held_count, NameOf(name), rank);
   std::fflush(stderr);
   std::abort();
+}
+
+void PushHeld(const void* mu, int rank, const char* name) {
+  if (t_held_count == kMaxHeld) {
+    std::fprintf(stderr,
+                 "FATAL: more than %zu ranked locks held at once; acquiring "
+                 "\"%s\" (rank %d)\nheld-lock stack (outermost first):\n",
+                 kMaxHeld, NameOf(name), rank);
+    PrintHeldStack();
+    std::fflush(stderr);
+    std::abort();
+  }
+  t_held[t_held_count++] = HeldEntry{mu, rank, name};
 }
 
 }  // namespace
@@ -75,25 +94,26 @@ void CheckAcquire(const void* mu, int rank, const char* name) {
   }
   // Compare against the maximum held rank, not just the top of the stack,
   // so out-of-order try-lock successes cannot mask a later inversion.
-  for (const HeldEntry& held : t_held) {
-    if (rank < held.rank) ReportInversionAndAbort(rank, name);
+  for (size_t i = 0; i < t_held_count; ++i) {
+    if (rank < t_held[i].rank) ReportInversionAndAbort(rank, name);
   }
-  t_held.push_back(HeldEntry{mu, rank, name});
+  PushHeld(mu, rank, name);
 }
 
 void RecordAcquire(const void* mu, int rank, const char* name) {
   if (rank == lockrank::kUnranked || !EnabledFlag().load(std::memory_order_relaxed)) {
     return;
   }
-  t_held.push_back(HeldEntry{mu, rank, name});
+  PushHeld(mu, rank, name);
 }
 
 void RecordRelease(const void* mu) {
   // Runs even when checking is disabled so a mid-run disable drains the
   // stack instead of leaving stale entries.
-  for (auto it = t_held.rbegin(); it != t_held.rend(); ++it) {
-    if (it->mu == mu) {
-      t_held.erase(std::next(it).base());
+  for (size_t i = t_held_count; i-- > 0;) {
+    if (t_held[i].mu == mu) {
+      std::copy(t_held + i + 1, t_held + t_held_count, t_held + i);
+      --t_held_count;
       return;
     }
   }

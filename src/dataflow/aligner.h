@@ -46,10 +46,10 @@ class ChannelAligner {
     /// Unaligned: begin the capture of this id (OnCheckpoint +
     /// BeginSnapshot) and forward the marker immediately. 0 = none.
     int64_t begin_capture = 0;
-    /// The checkpoint to complete: aligned — snapshot, ack, forward the
-    /// marker, then replay the buffer; unaligned — FinishSnapshot and ack
-    /// with the channel log (the marker was already forwarded at
-    /// begin_capture). 0 = none.
+    /// The checkpoint to complete: aligned — capture, write out, ack,
+    /// forward the marker, then replay the buffer; unaligned — write out the
+    /// capture begun at begin_capture (the marker was already forwarded) and
+    /// ack with the channel log. 0 = none.
     int64_t complete = 0;
   };
 

@@ -1,12 +1,10 @@
 #ifndef SQUERY_DATAFLOW_CHECKPOINT_H_
 #define SQUERY_DATAFLOW_CHECKPOINT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "dataflow/record.h"
 
 namespace sq::dataflow {
@@ -110,19 +108,6 @@ class CheckpointListenerChain : public CheckpointListener {
 
  private:
   std::vector<CheckpointListener*> listeners_;  // not owned
-};
-
-/// Latency instrumentation of the snapshot 2PC, measured at the coordinator
-/// exactly as in the paper (Section IX-A): "before phase 1 begins, after
-/// phase 1 completes, and after phase 2 completes". Figures 10-12 plot
-/// `phase2_latency` (full 2PC commit time).
-struct CheckpointStats {
-  /// Initiation → all instances prepared (ns).
-  Histogram phase1_latency;
-  /// Initiation → commit published (ns).
-  Histogram phase2_latency;
-  std::atomic<int64_t> committed{0};
-  std::atomic<int64_t> aborted{0};
 };
 
 }  // namespace sq::dataflow

@@ -297,33 +297,12 @@ trace::SpanContext Job::CheckpointTraceParent(int64_t checkpoint_id) const {
                             false};
 }
 
-Status Job::PerformSnapshot(Worker* w, ContextImpl* ctx,
-                            int64_t checkpoint_id) {
-  // Per-operator delta capture, attached to the coordinator's checkpoint
-  // span across the thread boundary.
-  trace::ScopedSpan span(trace::Category::kCheckpoint, "phase1_capture",
-                         CheckpointTraceParent(checkpoint_id));
-  span.AddAttr("vertex", w->vertex_name);
-  span.AddAttr("instance", w->instance);
-  // Order matters: OnCheckpoint may flush transient operator members into
-  // keyed state (and emit pre-marker records), then the state store persists
-  // phase-1 data, then the caller acks so the coordinator can commit. A
-  // failure in either step must reach the coordinator: acking it as
-  // prepared would commit a checkpoint silently missing this worker's
-  // state.
-  Status s = w->op->OnCheckpoint(checkpoint_id, ctx);
-  if (s.ok() && w->state) s = w->state->SnapshotTo(checkpoint_id);
-  if (!s.ok()) {
-    SQ_LOG(Error) << w->vertex_name << "[" << w->instance
-                  << "] phase-1 capture failed: " << s;
-  }
-  return s.WithContext(w->vertex_name + "[" + std::to_string(w->instance) +
-                       "]");
-}
-
 Status Job::BeginCapture(Worker* w, ContextImpl* ctx, int64_t checkpoint_id) {
-  // Unaligned capture point: O(1) copy-on-write mark, so the marker can be
-  // forwarded before any snapshot write-out happens.
+  // Order matters: OnCheckpoint may flush transient operator members into
+  // keyed state (and emit pre-marker records) before the state store marks
+  // its capture point. A failure in either step must reach the coordinator:
+  // acking it as prepared would commit a checkpoint silently missing this
+  // worker's state.
   Status s = w->op->OnCheckpoint(checkpoint_id, ctx);
   if (s.ok() && w->state) s = w->state->BeginSnapshot(checkpoint_id);
   if (!s.ok()) {
@@ -334,19 +313,28 @@ Status Job::BeginCapture(Worker* w, ContextImpl* ctx, int64_t checkpoint_id) {
                        "]");
 }
 
-Status Job::FinishCapture(Worker* w, int64_t checkpoint_id) {
-  if (!w->state) return Status::OK();
-  trace::ScopedSpan span(trace::Category::kCheckpoint, "phase1_capture",
-                         CheckpointTraceParent(checkpoint_id));
-  span.AddAttr("vertex", w->vertex_name);
-  span.AddAttr("instance", w->instance);
-  Status s = w->state->FinishSnapshot(checkpoint_id);
-  if (!s.ok()) {
-    SQ_LOG(Error) << w->vertex_name << "[" << w->instance
-                  << "] capture finish failed: " << s;
+void Job::StepCapture(Worker* w, PendingCapture* capture, size_t budget) {
+  if (capture->checkpoint_id == 0) return;
+  if (w->state != nullptr && capture->status.ok()) {
+    auto step = w->state->FinishSnapshotStep(capture->checkpoint_id, budget);
+    if (step.ok() && !*step) return;  // more chunks to go
+    if (!step.ok()) {
+      SQ_LOG(Error) << w->vertex_name << "[" << w->instance
+                    << "] capture write-out failed: " << step.status();
+      capture->status = step.status().WithContext(
+          w->vertex_name + "[" + std::to_string(w->instance) + "]");
+      w->state->AbortSnapshot(capture->checkpoint_id);  // release it
+    }
   }
-  return s.WithContext(w->vertex_name + "[" + std::to_string(w->instance) +
-                       "]");
+  // Per-operator capture, attached to the coordinator's checkpoint span
+  // across the thread boundary.
+  trace::RecordSpan(trace::Category::kCheckpoint, "phase1_capture",
+                    CheckpointTraceParent(capture->checkpoint_id),
+                    capture->start_steady, trace::NowNanos(),
+                    {{"vertex", w->vertex_name}, {"instance", w->instance}});
+  AckPrepared(w->id, capture->checkpoint_id, std::move(capture->status),
+              std::move(capture->channel_log));
+  *capture = PendingCapture{};
 }
 
 void Job::RunWorker(Worker* w) {
@@ -376,20 +364,20 @@ void Job::RunSource(Worker* w, ContextImpl* ctx) {
     const int64_t requested =
         w->requested_checkpoint.load(std::memory_order_acquire);
     if (requested > last_ckpt) {
-      if (config_.checkpoint_mode == CheckpointMode::kUnaligned) {
-        // Mark the capture point and let the marker leave *before* the
-        // write-out: downstream alignment windows open as early as
-        // possible, and the COW overlay protects the captured offset while
-        // this source keeps producing.
-        Status s = BeginCapture(w, ctx, requested);
+      const bool unaligned =
+          config_.checkpoint_mode == CheckpointMode::kUnaligned;
+      PendingCapture capture{.checkpoint_id = requested,
+                             .start_steady = trace::NowNanos()};
+      capture.status = BeginCapture(w, ctx, requested);
+      if (unaligned) {
+        // The marker leaves *before* the write-out: downstream alignment
+        // windows open as early as possible, and the COW overlay protects
+        // the captured offset while this source keeps producing.
         BroadcastControl(w, Record::Marker(requested));
-        if (s.ok()) s = FinishCapture(w, requested);
-        AckPrepared(w->id, requested, std::move(s));
-      } else {
-        Status s = PerformSnapshot(w, ctx, requested);
-        AckPrepared(w->id, requested, std::move(s));
-        BroadcastControl(w, Record::Marker(requested));
+        capture.start_steady = trace::NowNanos();
       }
+      StepCapture(w, &capture, std::numeric_limits<size_t>::max());
+      if (!unaligned) BroadcastControl(w, Record::Marker(requested));
       last_ckpt = requested;
     }
     auto* source = static_cast<SourceOperator*>(w->op.get());
@@ -440,41 +428,12 @@ void Job::RunConsumer(Worker* w, ContextImpl* ctx) {
   // kRecordsPerForcedChunk records, so a large state neither stalls the
   // data path in one long pause nor starves behind a saturated queue — the
   // COW overlay keeps the captured values stable while new records mutate
-  // the live map.
+  // the live map. Aligned captures write out in one unbounded step.
   constexpr size_t kCaptureChunk = 256;
+  constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
   constexpr int kRecordsPerForcedChunk = 64;
-  int64_t writeout_ckpt = 0;  // 0 = no write-out pending
-  Status writeout_status;
-  std::vector<Record> writeout_log;  // frozen channel log for the ack
-  int64_t writeout_start_steady = 0;
+  PendingCapture writeout;
   int records_since_chunk = 0;
-
-  auto writeout_step = [&](size_t budget) {
-    if (writeout_ckpt == 0) return true;
-    bool done = true;
-    if (w->state != nullptr && writeout_status.ok()) {
-      auto step = w->state->FinishSnapshotStep(writeout_ckpt, budget);
-      if (step.ok()) {
-        done = *step;
-      } else {
-        writeout_status = step.status().WithContext(
-            w->vertex_name + "[" + std::to_string(w->instance) + "]");
-        w->state->AbortSnapshot(writeout_ckpt);  // release the dead capture
-      }
-    }
-    if (!done) return false;
-    trace::RecordSpan(trace::Category::kCheckpoint, "phase1_capture",
-                      CheckpointTraceParent(writeout_ckpt),
-                      writeout_start_steady, trace::NowNanos(),
-                      {{"vertex", w->vertex_name},
-                       {"instance", w->instance}});
-    AckPrepared(w->id, writeout_ckpt, std::move(writeout_status),
-                std::move(writeout_log));
-    writeout_ckpt = 0;
-    writeout_status = Status::OK();
-    writeout_log.clear();
-    return true;
-  };
 
   // Acts on one aligner ruling, in field order (see ChannelAligner::Outcome).
   auto handle = [&](const ChannelAligner::Outcome& o) {
@@ -492,7 +451,7 @@ void Job::RunConsumer(Worker* w, ContextImpl* ctx) {
     if (o.begin_capture != 0) {
       // A previous checkpoint's write-out still pending? Flush it now: the
       // store tracks one capture epoch at a time.
-      (void)writeout_step(std::numeric_limits<size_t>::max());
+      StepCapture(w, &writeout, kUnbounded);
       Status s = BeginCapture(w, ctx, o.begin_capture);
       if (!s.ok()) AckPrepared(w->id, o.begin_capture, std::move(s));
       // Forward the marker immediately — the unaligned overtake: downstream
@@ -514,8 +473,10 @@ void Job::RunConsumer(Worker* w, ContextImpl* ctx) {
                            {"instance", w->instance},
                            {"buffered_records",
                             static_cast<int64_t>(buffered.size())}});
-        Status s = PerformSnapshot(w, ctx, o.complete);
-        AckPrepared(w->id, o.complete, std::move(s));
+        writeout = PendingCapture{.checkpoint_id = o.complete,
+                                  .start_steady = trace::NowNanos()};
+        writeout.status = BeginCapture(w, ctx, o.complete);
+        StepCapture(w, &writeout, kUnbounded);
         BroadcastControl(w, Record::Marker(o.complete));
         drain_buffered();
       } else {
@@ -533,14 +494,11 @@ void Job::RunConsumer(Worker* w, ContextImpl* ctx) {
         }
         // Freeze the channel log and hand the write-out to the chunked
         // pipeline; the ack happens when the last chunk lands.
-        writeout_ckpt = o.complete;
-        writeout_status = Status::OK();
-        writeout_log.swap(overtaken);
-        writeout_start_steady = trace::NowNanos();
+        writeout = PendingCapture{.checkpoint_id = o.complete,
+                                  .start_steady = trace::NowNanos()};
+        writeout.channel_log.swap(overtaken);
         records_since_chunk = 0;
-        // Completion is detected by the writeout_ckpt reset inside the
-        // step, not by this call's progress report.
-        (void)writeout_step(kCaptureChunk);
+        StepCapture(w, &writeout, kCaptureChunk);
       }
     }
   };
@@ -556,14 +514,12 @@ void Job::RunConsumer(Worker* w, ContextImpl* ctx) {
   while (aligner.has_active_upstreams() &&
          !abort_.load(std::memory_order_relaxed)) {
     std::optional<Record> r;
-    if (writeout_ckpt != 0) {
+    if (writeout.checkpoint_id != 0) {
       // Never block while a write-out is pending: idle queue time turns
       // into capture chunks instead.
       r = input->TryPop();
       if (!r.has_value()) {
-        // Idle turn: make capture progress; completion is detected by the
-        // writeout_ckpt reset inside the step.
-        (void)writeout_step(kCaptureChunk);
+        StepCapture(w, &writeout, kCaptureChunk);
         continue;
       }
     } else {
@@ -579,13 +535,14 @@ void Job::RunConsumer(Worker* w, ContextImpl* ctx) {
                                 latest_committed_.load()));
         break;
       case RecordKind::kAbort:
-        if (r->checkpoint_id == writeout_ckpt && writeout_ckpt != 0) {
+        if (r->checkpoint_id == writeout.checkpoint_id &&
+            writeout.checkpoint_id != 0) {
           // The coordinator gave up on the checkpoint whose write-out is
           // still pending: abandon it instead of finishing dead work.
-          if (w->state != nullptr) w->state->AbortSnapshot(writeout_ckpt);
-          writeout_ckpt = 0;
-          writeout_status = Status::OK();
-          writeout_log.clear();
+          if (w->state != nullptr) {
+            w->state->AbortSnapshot(writeout.checkpoint_id);
+          }
+          writeout = PendingCapture{};
         }
         handle(aligner.OnAbort(r->checkpoint_id));
         break;
@@ -612,17 +569,16 @@ void Job::RunConsumer(Worker* w, ContextImpl* ctx) {
     // Under sustained load the idle-gap path above never fires; force a
     // chunk every kRecordsPerForcedChunk records so the write-out still
     // progresses without throttling the data path per record.
-    if (writeout_ckpt != 0 && ++records_since_chunk >= kRecordsPerForcedChunk) {
+    if (writeout.checkpoint_id != 0 &&
+        ++records_since_chunk >= kRecordsPerForcedChunk) {
       records_since_chunk = 0;
-      // Forced progress on the data path; completion is detected by the
-      // writeout_ckpt reset inside the step.
-      (void)writeout_step(kCaptureChunk);
+      StepCapture(w, &writeout, kCaptureChunk);
     }
   }
   // Flush a write-out still pending at exit (EOF arrived mid-capture) so
   // the coordinator is not left waiting on a worker that already drained
   // its input.
-  (void)writeout_step(std::numeric_limits<size_t>::max());
+  StepCapture(w, &writeout, kUnbounded);
   // Exiting with records still held means shutdown/crash mid-alignment:
   // they are dropped here (recovery re-delivers them from the sources), but
   // the drop is counted instead of being silent.
@@ -781,7 +737,6 @@ Result<int64_t> Job::TriggerCheckpoint() {
     ckpt_span.AddAttr("aborted", true);
     pending_checkpoint_ = 0;
     channel_logs_.erase(id);
-    stats_.aborted.fetch_add(1);
     if (m_aborted_ != nullptr) m_aborted_->Increment();
     AppendCheckpointRowLocked(CheckpointRow{
         .id = id,
@@ -806,7 +761,6 @@ Result<int64_t> Job::TriggerCheckpoint() {
                            (prepared ? " aborted" : " timed out"));
   }
   const int64_t t1 = clock_->NowNanos();
-  stats_.phase1_latency.Record(t1 - t0);
   if (m_phase1_nanos_ != nullptr) m_phase1_nanos_->Record(t1 - t0);
   trace::RecordSpan(trace::Category::kCheckpoint, "phase1",
                     ckpt_span.context(), s0, trace::NowNanos());
@@ -847,9 +801,7 @@ Result<int64_t> Job::TriggerCheckpoint() {
   }
   trace_ckpt_id_.store(0, std::memory_order_release);
   const int64_t t2 = clock_->NowNanos();
-  stats_.phase2_latency.Record(t2 - t0);
   if (m_phase2_nanos_ != nullptr) m_phase2_nanos_->Record(t2 - t0);
-  stats_.committed.fetch_add(1);
   if (m_committed_ != nullptr) m_committed_->Increment();
   AppendCheckpointRowLocked(CheckpointRow{.id = id,
                                           .committed = true,
@@ -907,7 +859,6 @@ Status Job::InjectFailureAndRecover() {
       if (config_.listener != nullptr) {
         config_.listener->OnCheckpointAborted(id);
       }
-      stats_.aborted.fetch_add(1);
       if (m_aborted_ != nullptr) m_aborted_->Increment();
       AppendCheckpointRowLocked(CheckpointRow{
           .id = id,

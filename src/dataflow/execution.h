@@ -55,7 +55,7 @@ struct JobConfig {
   CheckpointMode checkpoint_mode = CheckpointMode::kAligned;
   /// Sink for engine instrumentation (records in/out, channel depths,
   /// checkpoint phase timings). May be null: the job then keeps only its
-  /// per-worker counters and CheckpointStats.
+  /// per-worker counters and the `RecentCheckpoints` rows.
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -124,11 +124,6 @@ class Job {
     return latest_committed_.load();
   }
 
-  /// 2PC latency instrumentation (Figs. 10-12).
-  const CheckpointStats& checkpoint_stats() const { return stats_; }
-  /// Mutable access for benchmark harnesses that reset between phases.
-  CheckpointStats* mutable_checkpoint_stats() { return &stats_; }
-
   /// Simulates a crash of the whole pipeline followed by recovery: all
   /// workers are killed, uncommitted snapshots discarded, every stateful
   /// instance rolled back to the latest committed checkpoint, and the
@@ -189,6 +184,16 @@ class Job {
     Histogram proc_latency;                // sampled ProcessRecord nanos
   };
 
+  /// A worker's phase-1 write-out between BeginCapture and its ack.
+  struct PendingCapture {
+    int64_t checkpoint_id = 0;  // 0 = none pending
+    /// A failure so far (BeginCapture or a step); acked instead of stepping.
+    Status status = Status::OK();
+    /// Unaligned: the frozen channel log, acked with the capture.
+    std::vector<Record> channel_log = {};
+    int64_t start_steady = 0;  // phase1_capture span start
+  };
+
   class ContextImpl;
 
   Job(const JobGraph& graph, JobConfig config);
@@ -196,13 +201,15 @@ class Job {
   void RunWorker(Worker* w);
   void RunSource(Worker* w, ContextImpl* ctx);
   void RunConsumer(Worker* w, ContextImpl* ctx);
-  /// Aligned phase-1: OnCheckpoint + SnapshotTo, traced as phase1_capture.
-  Status PerformSnapshot(Worker* w, ContextImpl* ctx, int64_t checkpoint_id);
-  /// Unaligned phase-1 halves: BeginCapture is the O(1) capture-point mark
-  /// (OnCheckpoint + BeginSnapshot), FinishCapture the write-out
-  /// (FinishSnapshot, traced as phase1_capture).
+  /// Phase 1 of a worker, the same in both barrier modes: BeginCapture marks
+  /// the capture point (OnCheckpoint + BeginSnapshot), StepCapture writes it
+  /// out (FinishSnapshotStep) and acks. Aligned workers step once, unbounded;
+  /// unaligned workers forward the marker first and step in chunks.
   Status BeginCapture(Worker* w, ContextImpl* ctx, int64_t checkpoint_id);
-  Status FinishCapture(Worker* w, int64_t checkpoint_id);
+  /// Writes out up to `budget` entries of `capture`. Once it is fully written
+  /// (or failed) records its phase1_capture span, acks it with its status and
+  /// channel log, and resets it (checkpoint_id 0).
+  void StepCapture(Worker* w, PendingCapture* capture, size_t budget);
   void EmitFrom(Worker* w, Record record);
   void BroadcastControl(Worker* w, const Record& record);
   /// Worker -> coordinator phase-1 vote. A non-OK status aborts the
@@ -273,8 +280,6 @@ class Job {
   /// phase 2 for durable recovery.
   std::map<int64_t, std::vector<std::pair<int32_t, std::vector<Record>>>>
       channel_logs_ SQ_GUARDED_BY(ckpt_mu_);
-  // sq-lint: unguarded-ok(internally synchronized: atomics and histograms)
-  CheckpointStats stats_;
   std::deque<CheckpointRow> checkpoint_history_ SQ_GUARDED_BY(ckpt_mu_);
 
   // Cached metric handles (null when config_.metrics is null).

@@ -1,6 +1,17 @@
 #include "dataflow/state_store.h"
 
+#include <limits>
+
 namespace sq::dataflow {
+
+Status StateStore::SnapshotTo(int64_t checkpoint_id) {
+  SQ_RETURN_IF_ERROR(BeginSnapshot(checkpoint_id));
+  auto done = FinishSnapshotStep(checkpoint_id,
+                                 std::numeric_limits<size_t>::max());
+  if (!done.ok()) return done.status();
+  return *done ? Status::OK()
+               : Status::Internal("unbounded capture step did not finish");
+}
 
 InMemoryStateStore::InMemoryStateStore(int retained_snapshots)
     : retained_snapshots_(retained_snapshots) {}
@@ -27,12 +38,6 @@ void InMemoryStateStore::ForEach(
 
 size_t InMemoryStateStore::Size() const { return live_.size(); }
 
-Status InMemoryStateStore::SnapshotTo(int64_t checkpoint_id) {
-  snapshots_[checkpoint_id] = live_;
-  TrimRetention();
-  return Status::OK();
-}
-
 Status InMemoryStateStore::BeginSnapshot(int64_t checkpoint_id) {
   if (capture_ckpt_ != 0) {
     return Status::FailedPrecondition(
@@ -44,17 +49,20 @@ Status InMemoryStateStore::BeginSnapshot(int64_t checkpoint_id) {
   return Status::OK();
 }
 
-Status InMemoryStateStore::FinishSnapshot(int64_t checkpoint_id) {
+Result<bool> InMemoryStateStore::FinishSnapshotStep(int64_t checkpoint_id,
+                                                    size_t /*max_entries*/) {
   if (capture_ckpt_ != checkpoint_id) {
     return Status::FailedPrecondition(
         "no capture in flight for checkpoint " +
         std::to_string(checkpoint_id));
   }
+  // The copy was taken at Begin; publishing it is one move, so any budget
+  // finishes the write-out.
   snapshots_[checkpoint_id] = std::move(capture_);
   capture_ = StateMap();
   capture_ckpt_ = 0;
   TrimRetention();
-  return Status::OK();
+  return true;
 }
 
 void InMemoryStateStore::AbortSnapshot(int64_t checkpoint_id) {

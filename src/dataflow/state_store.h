@@ -47,41 +47,27 @@ class StateStore {
 
   virtual size_t Size() const = 0;
 
-  /// Phase-1 work of a checkpoint: persist the current state under
-  /// `checkpoint_id`. Called by the worker after marker alignment.
-  virtual Status SnapshotTo(int64_t checkpoint_id) = 0;
+  /// Phase-1 capture protocol, the same three calls in both barrier modes.
+  /// `BeginSnapshot` marks the capture point for `checkpoint_id`: every
+  /// mutation after it must be invisible to the snapshot. It fails with
+  /// FailedPrecondition while another capture is in flight.
+  virtual Status BeginSnapshot(int64_t checkpoint_id) = 0;
 
-  /// Unaligned (asynchronous) capture protocol. `BeginSnapshot` marks the
-  /// capture point for `checkpoint_id` — every mutation after it must be
-  /// invisible to the snapshot; `FinishSnapshot` persists the captured view
-  /// (equivalent to `SnapshotTo` of the state as it was at Begin);
-  /// `AbortSnapshot` abandons an in-flight capture without persisting.
-  ///
-  /// The defaults give any implementation correct (if eager) semantics:
-  /// Begin takes the whole snapshot immediately and Finish/Abort are no-ops.
-  /// Copy-on-write implementations (SQueryStateStore) override all three so
-  /// Begin is O(1) and record processing proceeds during the capture window.
-  virtual Status BeginSnapshot(int64_t checkpoint_id) {
-    return SnapshotTo(checkpoint_id);
-  }
-  virtual Status FinishSnapshot(int64_t checkpoint_id) {
-    (void)checkpoint_id;
-    return Status::OK();
-  }
-  virtual void AbortSnapshot(int64_t checkpoint_id) { (void)checkpoint_id; }
-
-  /// Incremental variant of `FinishSnapshot`: persists at most `max_entries`
-  /// captured entries and returns true once the capture of `checkpoint_id`
-  /// is fully written out (false = call again). Unaligned workers interleave
-  /// these steps with record processing, so a large state never stalls the
-  /// data path in one long phase-1 pause. The default finishes in a single
-  /// step.
+  /// Persists at most `max_entries` captured entries and returns true once
+  /// the capture of `checkpoint_id` is fully written out (false = call
+  /// again). Aligned workers call it once, unbounded; unaligned workers
+  /// interleave bounded steps with record processing, so a large state never
+  /// stalls the data path in one long phase-1 pause.
   virtual Result<bool> FinishSnapshotStep(int64_t checkpoint_id,
-                                          size_t max_entries) {
-    (void)max_entries;
-    SQ_RETURN_IF_ERROR(FinishSnapshot(checkpoint_id));
-    return true;
-  }
+                                          size_t max_entries) = 0;
+
+  /// Abandons the in-flight capture of `checkpoint_id` without publishing
+  /// anything; a no-op if that capture is not in flight.
+  virtual void AbortSnapshot(int64_t checkpoint_id) = 0;
+
+  /// Convenience for callers outside the engine: Begin plus one unbounded
+  /// write-out step, i.e. the whole phase-1 capture at once.
+  Status SnapshotTo(int64_t checkpoint_id);
 
   /// Rolls the authoritative state back to `checkpoint_id` (recovery).
   virtual Status RestoreFrom(int64_t checkpoint_id) = 0;
@@ -134,9 +120,9 @@ class InMemoryStateStore : public StateStore {
   void ForEach(const std::function<void(const kv::Value&, const kv::Object&)>&
                    fn) const override;
   size_t Size() const override;
-  Status SnapshotTo(int64_t checkpoint_id) override;
   Status BeginSnapshot(int64_t checkpoint_id) override;
-  Status FinishSnapshot(int64_t checkpoint_id) override;
+  Result<bool> FinishSnapshotStep(int64_t checkpoint_id,
+                                  size_t max_entries) override;
   void AbortSnapshot(int64_t checkpoint_id) override;
   Status RestoreFrom(int64_t checkpoint_id) override;
   void Clear() override;
@@ -149,8 +135,8 @@ class InMemoryStateStore : public StateStore {
   int retained_snapshots_;
   StateMap live_;
   std::map<int64_t, StateMap> snapshots_;  // ordered by checkpoint id
-  /// Pending unaligned capture: full copy taken at BeginSnapshot, published
-  /// into `snapshots_` at FinishSnapshot. 0 = no capture in flight.
+  /// Pending capture: full copy taken at BeginSnapshot, published into
+  /// `snapshots_` by the write-out step. 0 = no capture in flight.
   int64_t capture_ckpt_ = 0;
   StateMap capture_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
 #include "common/metric_names.h"
 #include "storage/snapshot_log.h"
@@ -116,15 +115,6 @@ void SQueryStateStore::ForEach(
 
 size_t SQueryStateStore::Size() const { return local_.size(); }
 
-Status SQueryStateStore::SnapshotTo(int64_t checkpoint_id) {
-  // Aligned capture == an unaligned capture with an empty mutation window.
-  // Funnelling both modes through Begin/Finish keeps them on one code path,
-  // which is what makes the aligned-vs-unaligned differential test
-  // bit-exact by construction.
-  SQ_RETURN_IF_ERROR(BeginSnapshot(checkpoint_id));
-  return FinishSnapshot(checkpoint_id);
-}
-
 Status SQueryStateStore::BeginSnapshot(int64_t checkpoint_id) {
   if (capture_ckpt_ != 0) {
     return Status::FailedPrecondition(
@@ -150,14 +140,6 @@ Status SQueryStateStore::BeginSnapshot(int64_t checkpoint_id) {
   capture_table_entries_ = 0;
   capture_bytes_ = 0;
   return Status::OK();
-}
-
-Status SQueryStateStore::FinishSnapshot(int64_t checkpoint_id) {
-  auto done = FinishSnapshotStep(checkpoint_id,
-                                 std::numeric_limits<size_t>::max());
-  if (!done.ok()) return done.status();
-  return *done ? Status::OK()
-               : Status::Internal("unbounded capture step did not finish");
 }
 
 Result<bool> SQueryStateStore::FinishSnapshotStep(int64_t checkpoint_id,

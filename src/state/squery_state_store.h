@@ -90,9 +90,7 @@ class SQueryStateStore : public dataflow::StateStore {
   void ForEach(const std::function<void(const kv::Value&, const kv::Object&)>&
                    fn) const override;
   size_t Size() const override;
-  Status SnapshotTo(int64_t checkpoint_id) override;
   Status BeginSnapshot(int64_t checkpoint_id) override;
-  Status FinishSnapshot(int64_t checkpoint_id) override;
   Result<bool> FinishSnapshotStep(int64_t checkpoint_id,
                                   size_t max_entries) override;
   void AbortSnapshot(int64_t checkpoint_id) override;
@@ -105,7 +103,7 @@ class SQueryStateStore : public dataflow::StateStore {
   /// p % parallelism == instance.
   Status RestoreFromTable(int64_t checkpoint_id);
 
-  /// Number of entries written by the most recent SnapshotTo (delta size in
+  /// Number of entries written by the most recent capture (delta size in
   /// incremental mode; full state size otherwise). Benchmark hook (Fig. 12).
   size_t last_snapshot_entries() const { return last_snapshot_entries_; }
 
@@ -117,7 +115,7 @@ class SQueryStateStore : public dataflow::StateStore {
   using KeySet = std::unordered_set<kv::Value, kv::ValueHash>;
 
   /// Before a mutation of `key`, saves its capture-point value (or absence)
-  /// if an unaligned capture is in flight and the key is not yet preserved.
+  /// if a capture is in flight and the key is not yet preserved.
   void PreserveForCapture(const kv::Value& key);
   void DiscardCapture();
 
@@ -142,15 +140,15 @@ class SQueryStateStore : public dataflow::StateStore {
   KeySet dirty_;
   KeySet deleted_;
 
-  // Epoch-tagged copy-on-write capture (unaligned checkpoints). Between
-  // BeginSnapshot and the last FinishSnapshotStep, `cow_overlay_` holds the
-  // capture-point values of keys mutated since Begin and `cow_absent_` the
-  // keys that did not exist at the capture point but do now; the
-  // capture-epoch dirty/deleted sets are frozen aside so the live epoch
-  // starts tracking the *next* checkpoint's delta immediately. The cursor
-  // (`capture_keys_`/`capture_pos_`) lets the write-out proceed in bounded
-  // chunks interleaved with record processing; `capture_build_` accumulates
-  // the reconstructed capture-point state for the private recovery copy.
+  // Epoch-tagged copy-on-write capture. Between BeginSnapshot and the last
+  // FinishSnapshotStep, `cow_overlay_` holds the capture-point values of
+  // keys mutated since Begin and `cow_absent_` the keys that did not exist
+  // at the capture point but do now; the capture-epoch dirty/deleted sets
+  // are frozen aside so the live epoch starts tracking the *next*
+  // checkpoint's delta immediately. The cursor (`capture_keys_`/
+  // `capture_pos_`) lets the write-out proceed in bounded chunks interleaved
+  // with record processing; `capture_build_` accumulates the reconstructed
+  // capture-point state for the private recovery copy.
   int64_t capture_ckpt_ = 0;  // 0 = no capture in flight
   StateMap cow_overlay_;
   KeySet cow_absent_;

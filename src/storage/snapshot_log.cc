@@ -36,23 +36,19 @@ constexpr size_t kRecordHeaderSize = 8;    // u32 len + u32 masked crc
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestBanner[] = "squery-snapshot-log 1";
 
+// Type 1 was the retired row-at-a-time delta record. Like any type not
+// listed here, a checksum-valid record of it inside a segment's committed
+// prefix fails `Open` instead of being skipped.
 enum RecordType : uint8_t {
-  kDeltaRecord = 1,
   kCommitRecord = 2,
   // Unaligned checkpoints: records that overtook the barrier at one
   // consumer, logged so recovery can replay the in-flight data the
   // rolled-back upstream will not re-emit.
   kChannelLogRecord = 3,
   // One partition's delta encoded as a column batch (serde PutColumnBatch,
-  // which carries its own encoding version). Semantically identical to
-  // kDeltaRecord; logs freely mix both — old row segments stay readable and
-  // readers that predate this type skip it as unknown.
+  // which carries its own encoding version).
   kColumnarDeltaRecord = 4,
 };
-
-bool IsDeltaRecordType(uint8_t type) {
-  return type == kDeltaRecord || type == kColumnarDeltaRecord;
-}
 
 std::string SegmentFileName(uint64_t seq) {
   char buf[32];
@@ -124,33 +120,6 @@ void AppendRecord(std::string* out, std::string_view payload) {
   out->append(payload.data(), payload.size());
 }
 
-/// Walks the records of `data` starting at `offset`, calling
-/// `fn(type, payload, end_offset)` per checksum-valid record. Returns the
-/// offset of the first torn/corrupt record (== data.size() on a clean read).
-size_t ParseRecords(
-    std::string_view data, size_t offset,
-    const std::function<void(uint8_t, std::string_view, size_t)>& fn) {
-  while (offset + kRecordHeaderSize <= data.size()) {
-    Reader header(data.substr(offset, kRecordHeaderSize));
-    uint32_t len = 0;
-    uint32_t masked_crc = 0;
-    // The reader was sized to exactly one header, so these cannot fail.
-    (void)header.ReadU32(&len);
-    (void)header.ReadU32(&masked_crc);
-    const size_t end = offset + kRecordHeaderSize + len;
-    if (len == 0 || end > data.size()) break;  // torn tail
-    const std::string_view payload =
-        data.substr(offset + kRecordHeaderSize, len);
-    if (Crc32c(payload) != UnmaskCrc(masked_crc)) break;  // corrupt
-    uint8_t type = 0;
-    Reader typer(payload);
-    if (!typer.ReadU8(&type)) break;
-    fn(type, payload, end);
-    offset = end;
-  }
-  return offset;
-}
-
 struct DecodedEntry {
   int64_t ssid = 0;
   bool tombstone = false;
@@ -163,33 +132,6 @@ struct DecodedDelta {
   int32_t partition = 0;
   std::vector<DecodedEntry> entries;
 };
-
-bool DecodeDelta(std::string_view payload, DecodedDelta* out) {
-  Reader reader(payload);
-  uint8_t type = 0;
-  uint32_t partition = 0;
-  uint32_t count = 0;
-  if (!reader.ReadU8(&type) || type != kDeltaRecord) return false;
-  if (!reader.ReadString(&out->table) || !reader.ReadU32(&partition) ||
-      !reader.ReadU32(&count)) {
-    return false;
-  }
-  out->partition = static_cast<int32_t>(partition);
-  out->entries.clear();
-  out->entries.reserve(std::min<size_t>(count, reader.remaining()));
-  for (uint32_t i = 0; i < count; ++i) {
-    DecodedEntry entry;
-    uint8_t tombstone = 0;
-    if (!reader.ReadI64(&entry.ssid) || !reader.ReadU8(&tombstone) ||
-        !reader.ReadValue(&entry.key)) {
-      return false;
-    }
-    entry.tombstone = tombstone != 0;
-    if (!entry.tombstone && !reader.ReadObject(&entry.value)) return false;
-    out->entries.push_back(std::move(entry));
-  }
-  return true;
-}
 
 bool DecodeColumnarDelta(std::string_view payload, DecodedDelta* out) {
   Reader reader(payload);
@@ -213,14 +155,6 @@ bool DecodeColumnarDelta(std::string_view payload, DecodedDelta* out) {
     out->entries.push_back(std::move(entry));
   }
   return true;
-}
-
-// Decodes either delta representation into the row form the readers share.
-bool DecodeAnyDelta(uint8_t type, std::string_view payload,
-                    DecodedDelta* out) {
-  if (type == kDeltaRecord) return DecodeDelta(payload, out);
-  if (type == kColumnarDeltaRecord) return DecodeColumnarDelta(payload, out);
-  return false;
 }
 
 std::string EncodeColumnarDeltaPayload(const std::string& table,
@@ -273,6 +207,111 @@ bool DecodeCommit(std::string_view payload, int64_t* ssid) {
   int64_t micros = 0;
   return reader.ReadU8(&type) && type == kCommitRecord &&
          reader.ReadI64(ssid) && reader.ReadI64(&micros);
+}
+
+/// Callbacks for the decoded records of a segment; a null callback skips its
+/// record type without decoding the body.
+struct RecordVisitor {
+  std::function<void(int64_t ssid, size_t end)> commit;
+  std::function<void(DecodedDelta& delta, size_t payload_bytes)> delta;
+  std::function<void(DecodedChannelLog& log, size_t payload_bytes)>
+      channel_log;
+};
+
+/// What one walk over a segment's records found.
+struct RecordWalk {
+  size_t valid_end = 0;  // offset of the first torn/corrupt record
+  int64_t records = 0;   // checksum-valid records walked
+  /// First checksum-valid record of an unknown type or whose body does not
+  /// decode (npos = none), and why.
+  size_t bad_offset = std::string_view::npos;
+  uint8_t bad_type = 0;
+  const char* bad_reason = "";
+};
+
+/// Walks the records of `data` from `offset`, decoding each checksum-valid
+/// one for `visit`, up to the first torn or corrupt record. A record of an
+/// unknown type, or whose body does not decode, is noted rather than fatal so
+/// the walk still finds the commit boundary; the caller decides whether it
+/// matters.
+RecordWalk WalkRecords(std::string_view data, size_t offset,
+                       const RecordVisitor& visit) {
+  RecordWalk walk;
+  while (offset + kRecordHeaderSize <= data.size()) {
+    Reader header(data.substr(offset, kRecordHeaderSize));
+    uint32_t len = 0;
+    uint32_t masked_crc = 0;
+    // The reader was sized to exactly one header, so these cannot fail.
+    (void)header.ReadU32(&len);
+    (void)header.ReadU32(&masked_crc);
+    const size_t end = offset + kRecordHeaderSize + len;
+    if (len == 0 || end > data.size()) break;  // torn tail
+    const std::string_view payload =
+        data.substr(offset + kRecordHeaderSize, len);
+    if (Crc32c(payload) != UnmaskCrc(masked_crc)) break;  // corrupt
+    const auto type = static_cast<uint8_t>(payload[0]);
+    bool known = true;
+    bool decoded = true;
+    switch (type) {
+      case kCommitRecord: {
+        int64_t ssid = 0;
+        decoded = DecodeCommit(payload, &ssid);
+        if (decoded && visit.commit) visit.commit(ssid, end);
+        break;
+      }
+      case kChannelLogRecord: {
+        if (!visit.channel_log) break;
+        DecodedChannelLog channel_log;
+        decoded = DecodeChannelLog(payload, &channel_log);
+        if (decoded) visit.channel_log(channel_log, payload.size());
+        break;
+      }
+      case kColumnarDeltaRecord: {
+        if (!visit.delta) break;
+        DecodedDelta delta;
+        decoded = DecodeColumnarDelta(payload, &delta);
+        if (decoded) visit.delta(delta, payload.size());
+        break;
+      }
+      default:
+        known = false;
+    }
+    if ((!known || !decoded) && walk.bad_offset == std::string_view::npos) {
+      walk.bad_offset = offset;
+      walk.bad_type = type;
+      walk.bad_reason =
+          known ? "undecodable body of record type" : "unknown record type";
+    }
+    ++walk.records;
+    offset = end;
+  }
+  walk.valid_end = offset;
+  return walk;
+}
+
+Status BadRecordError(const std::string& path, const RecordWalk& walk) {
+  return Status::Internal("snapshot log segment " + path + ", offset " +
+                          std::to_string(walk.bad_offset) + ": " +
+                          walk.bad_reason + " " +
+                          std::to_string(walk.bad_type));
+}
+
+/// Reads the committed prefix (the first `durable_bytes`) of the segment at
+/// `path` and walks its records for `visit`. Fails on a bad record; adds the
+/// records walked to `*records` if given.
+Status VisitCommittedRecords(const std::string& path, uint64_t durable_bytes,
+                             const RecordVisitor& visit,
+                             int64_t* records = nullptr) {
+  std::string data;
+  SQ_RETURN_IF_ERROR(ReadFileBytes(path, &data));
+  const size_t limit = std::min<size_t>(data.size(), durable_bytes);
+  const RecordWalk walk = WalkRecords(std::string_view(data).substr(0, limit),
+                                      kSegmentHeaderSize, visit);
+  if (walk.bad_offset != std::string_view::npos) {
+    return BadRecordError(path, walk);
+  }
+  if (records != nullptr) *records += walk.records;
+  return Status::OK();
 }
 
 int64_t NowUnixMicros() {
@@ -392,55 +431,47 @@ Status SnapshotLog::ScanSegmentsLocked() {
     }
 
     size_t last_commit_end = data.empty() ? 0 : kSegmentHeaderSize;
-    size_t records = 0;
-    const size_t valid_end = ParseRecords(
-        data, data.empty() ? 0 : kSegmentHeaderSize,
-        [&](uint8_t type, std::string_view payload, size_t end) {
-          ++records;
-          if (type == kCommitRecord) {
-            int64_t ssid = 0;
-            if (DecodeCommit(payload, &ssid)) {
-              committed_.push_back(ssid);
-              last_commit_end = end;
-            }
-            return;
-          }
-          if (type == kChannelLogRecord) {
-            DecodedChannelLog channel_log;
-            if (!DecodeChannelLog(payload, &channel_log)) return;
-            bytes_per_ssid_[channel_log.ssid] +=
-                static_cast<int64_t>(payload.size());
-            // Compaction candidates are segments whose max_ssid is below the
-            // retention floor; counting the channel log here keeps a live
-            // log's segment out of that set (a rewrite keeps delta bases
-            // only and would silently drop it).
-            segment.max_ssid = std::max(segment.max_ssid, channel_log.ssid);
-            recovery_.channel_log_records +=
-                static_cast<int64_t>(channel_log.records.size());
-            return;
-          }
-          if (!IsDeltaRecordType(type)) return;  // unknown types are skipped
-          DecodedDelta delta;
-          if (!DecodeAnyDelta(type, payload, &delta) ||
-              delta.entries.empty()) {
-            return;
-          }
-          for (const DecodedEntry& entry : delta.entries) {
-            bytes_per_ssid_[entry.ssid] +=
-                static_cast<int64_t>(payload.size() / delta.entries.size());
-            int64_t& latest = table_latest_[delta.table];
-            latest = std::max(latest, entry.ssid);
-            segment.max_ssid = std::max(segment.max_ssid, entry.ssid);
-          }
-        });
-    recovery_.records_scanned += static_cast<int64_t>(records);
+    RecordVisitor visit;
+    visit.commit = [&](int64_t ssid, size_t end) {
+      committed_.push_back(ssid);
+      last_commit_end = end;
+    };
+    visit.channel_log = [&](DecodedChannelLog& channel_log,
+                            size_t payload_bytes) {
+      bytes_per_ssid_[channel_log.ssid] += static_cast<int64_t>(payload_bytes);
+      // Compaction candidates are segments whose max_ssid is below the
+      // retention floor; counting the channel log here keeps a live log's
+      // segment out of that set (a rewrite keeps delta bases only and would
+      // silently drop it).
+      segment.max_ssid = std::max(segment.max_ssid, channel_log.ssid);
+      recovery_.channel_log_records +=
+          static_cast<int64_t>(channel_log.records.size());
+    };
+    visit.delta = [&](DecodedDelta& delta, size_t payload_bytes) {
+      for (const DecodedEntry& entry : delta.entries) {
+        bytes_per_ssid_[entry.ssid] +=
+            static_cast<int64_t>(payload_bytes / delta.entries.size());
+        int64_t& latest = table_latest_[delta.table];
+        latest = std::max(latest, entry.ssid);
+        segment.max_ssid = std::max(segment.max_ssid, entry.ssid);
+      }
+    };
+    const RecordWalk walk =
+        WalkRecords(data, data.empty() ? 0 : kSegmentHeaderSize, visit);
+    recovery_.records_scanned += walk.records;
 
     // The active segment's tail beyond the last commit record is
     // uncommitted (phase-1 spill of a checkpoint that never committed) or
     // torn mid-write; both are truncated so the log ends at a commit
     // boundary. Non-active segments are sealed at commit boundaries by
     // construction, so only real corruption can shorten them.
-    const size_t durable_end = is_active ? last_commit_end : valid_end;
+    const size_t durable_end = is_active ? last_commit_end : walk.valid_end;
+    // A record the reader cannot use inside that committed prefix would
+    // silently drop rows; fail instead (the uncommitted tail is garbage and
+    // may hold anything).
+    if (walk.bad_offset < durable_end) {
+      return BadRecordError(segment.path, walk);
+    }
     if (durable_end < data.size()) {
       recovery_.torn_bytes_skipped +=
           static_cast<int64_t>(data.size() - durable_end);
@@ -587,30 +618,17 @@ Status SnapshotLog::AppendDelta(const std::string& table, int64_t ssid,
                                 int32_t partition,
                                 const std::vector<DeltaEntry>& entries) {
   if (entries.empty()) return Status::OK();
-  std::string payload;
-  if (options_.columnar_segments) {
-    kv::ColumnBatch batch;
-    batch.Reserve(entries.size());
-    for (const DeltaEntry& entry : entries) {
-      if (entry.tombstone) {
-        batch.AppendTombstone(entry.key, ssid);
-      } else {
-        batch.AppendRow(entry.key, ssid, entry.value);
-      }
-    }
-    payload = EncodeColumnarDeltaPayload(table, partition, batch);
-  } else {
-    PutU8(&payload, kDeltaRecord);
-    PutString(&payload, table);
-    PutU32(&payload, static_cast<uint32_t>(partition));
-    PutU32(&payload, static_cast<uint32_t>(entries.size()));
-    for (const DeltaEntry& entry : entries) {
-      PutI64(&payload, ssid);
-      PutU8(&payload, entry.tombstone ? 1 : 0);
-      PutValue(&payload, entry.key);
-      if (!entry.tombstone) PutObject(&payload, entry.value);
+  kv::ColumnBatch batch;
+  batch.Reserve(entries.size());
+  for (const DeltaEntry& entry : entries) {
+    if (entry.tombstone) {
+      batch.AppendTombstone(entry.key, ssid);
+    } else {
+      batch.AppendRow(entry.key, ssid, entry.value);
     }
   }
+  const std::string payload =
+      EncodeColumnarDeltaPayload(table, partition, batch);
 
   MutexLock lock(&mu_);
   if (pending_ssid_ != 0 && pending_ssid_ != ssid) {
@@ -825,27 +843,22 @@ Status SnapshotLog::ScanSnapshotLocked(const std::string& table, int64_t ssid,
   // durable-fallback path, so emission must be deterministic (key order),
   // not hash order. Cold path; the tree map is fine.
   std::map<kv::Value, Best> view;
+  RecordVisitor visit;
+  visit.delta = [&](DecodedDelta& delta, size_t) {
+    if (delta.table != table) return;
+    for (DecodedEntry& entry : delta.entries) {
+      if (entry.ssid > ssid) continue;
+      Best& best = view[entry.key];
+      if (best.ssid > entry.ssid) continue;
+      best.ssid = entry.ssid;
+      best.partition = delta.partition;
+      best.tombstone = entry.tombstone;
+      best.value = std::move(entry.value);
+    }
+  };
   for (const Segment& segment : segments_) {
-    std::string data;
-    SQ_RETURN_IF_ERROR(ReadFileBytes(segment.path, &data));
-    const size_t limit =
-        std::min<size_t>(data.size(), segment.durable_bytes);
-    ParseRecords(std::string_view(data).substr(0, limit), kSegmentHeaderSize,
-                 [&](uint8_t type, std::string_view payload, size_t) {
-                   if (!IsDeltaRecordType(type)) return;
-                   DecodedDelta delta;
-                   if (!DecodeAnyDelta(type, payload, &delta)) return;
-                   if (delta.table != table) return;
-                   for (DecodedEntry& entry : delta.entries) {
-                     if (entry.ssid > ssid) continue;
-                     Best& best = view[entry.key];
-                     if (best.ssid > entry.ssid) continue;
-                     best.ssid = entry.ssid;
-                     best.partition = delta.partition;
-                     best.tombstone = entry.tombstone;
-                     best.value = std::move(entry.value);
-                   }
-                 });
+    SQ_RETURN_IF_ERROR(
+        VisitCommittedRecords(segment.path, segment.durable_bytes, visit));
   }
   for (const auto& [key, best] : view) {
     if (best.tombstone) continue;
@@ -864,20 +877,16 @@ Status SnapshotLog::ScanChannelLog(int64_t ssid, const ChannelLogFn& fn) const {
   // order, so each consumer's records come back in the order it logged them
   // (one consumer writes at most a handful of records per checkpoint, all in
   // a single phase-2 append).
+  RecordVisitor visit;
+  visit.channel_log = [&](DecodedChannelLog& channel_log, size_t) {
+    if (channel_log.ssid != ssid) return;
+    for (const LoggedRecord& record : channel_log.records) {
+      fn(channel_log.vertex, channel_log.instance, record);
+    }
+  };
   for (const Segment& segment : segments_) {
-    std::string data;
-    SQ_RETURN_IF_ERROR(ReadFileBytes(segment.path, &data));
-    const size_t limit = std::min<size_t>(data.size(), segment.durable_bytes);
-    ParseRecords(std::string_view(data).substr(0, limit), kSegmentHeaderSize,
-                 [&](uint8_t type, std::string_view payload, size_t) {
-                   if (type != kChannelLogRecord) return;
-                   DecodedChannelLog channel_log;
-                   if (!DecodeChannelLog(payload, &channel_log)) return;
-                   if (channel_log.ssid != ssid) return;
-                   for (const LoggedRecord& record : channel_log.records) {
-                     fn(channel_log.vertex, channel_log.instance, record);
-                   }
-                 });
+    SQ_RETURN_IF_ERROR(
+        VisitCommittedRecords(segment.path, segment.durable_bytes, visit));
   }
   return Status::OK();
 }
@@ -888,37 +897,24 @@ Result<RecoveryInfo> SnapshotLog::ReplayInto(kv::Grid* grid,
   RecoveryInfo info = recovery_;
   info.records_scanned = 0;
   info.channel_log_records = 0;
+  RecordVisitor visit;
+  visit.channel_log = [&](DecodedChannelLog& channel_log, size_t) {
+    info.channel_log_records +=
+        static_cast<int64_t>(channel_log.records.size());
+  };
+  visit.delta = [&](DecodedDelta& delta, size_t) {
+    kv::SnapshotTable* snap_table = grid->GetOrCreateSnapshotTable(delta.table);
+    for (DecodedEntry& entry : delta.entries) {
+      if (entry.tombstone) {
+        snap_table->WriteTombstone(entry.ssid, entry.key);
+      } else {
+        snap_table->Write(entry.ssid, entry.key, std::move(entry.value));
+      }
+    }
+  };
   for (const Segment& segment : segments_) {
-    std::string data;
-    SQ_RETURN_IF_ERROR(ReadFileBytes(segment.path, &data));
-    const size_t limit =
-        std::min<size_t>(data.size(), segment.durable_bytes);
-    ParseRecords(
-        std::string_view(data).substr(0, limit), kSegmentHeaderSize,
-        [&](uint8_t type, std::string_view payload, size_t) {
-          ++info.records_scanned;
-          if (type == kChannelLogRecord) {
-            DecodedChannelLog channel_log;
-            if (DecodeChannelLog(payload, &channel_log)) {
-              info.channel_log_records +=
-                  static_cast<int64_t>(channel_log.records.size());
-            }
-            return;
-          }
-          if (!IsDeltaRecordType(type)) return;
-          DecodedDelta delta;
-          if (!DecodeAnyDelta(type, payload, &delta)) return;
-          kv::SnapshotTable* snap_table =
-              grid->GetOrCreateSnapshotTable(delta.table);
-          for (DecodedEntry& entry : delta.entries) {
-            if (entry.tombstone) {
-              snap_table->WriteTombstone(entry.ssid, entry.key);
-            } else {
-              snap_table->Write(entry.ssid, entry.key,
-                                std::move(entry.value));
-            }
-          }
-        });
+    SQ_RETURN_IF_ERROR(VisitCommittedRecords(
+        segment.path, segment.durable_bytes, visit, &info.records_scanned));
   }
   // Prune the rebuilt tables to the in-memory retention window, exactly as
   // the registry would have after its last commit.
@@ -965,27 +961,26 @@ size_t SnapshotLog::CompactTo(int64_t floor_ssid) {
   // identical segments. Cold path; the tree map is fine.
   std::map<std::string, std::map<kv::Value, Base>> bases;
   int64_t max_base_ssid = 0;
+  RecordVisitor visit;
+  visit.delta = [&](DecodedDelta& delta, size_t) {
+    auto& table_bases = bases[delta.table];
+    for (DecodedEntry& entry : delta.entries) {
+      Base& base = table_bases[entry.key];
+      if (base.ssid > entry.ssid) continue;
+      base.ssid = entry.ssid;
+      base.partition = delta.partition;
+      base.tombstone = entry.tombstone;
+      base.value = std::move(entry.value);
+      max_base_ssid = std::max(max_base_ssid, entry.ssid);
+    }
+  };
   for (size_t i : inputs) {
-    std::string data;
-    if (!ReadFileBytes(segments_[i].path, &data).ok()) return 0;
-    const size_t limit =
-        std::min<size_t>(data.size(), segments_[i].durable_bytes);
-    ParseRecords(std::string_view(data).substr(0, limit), kSegmentHeaderSize,
-                 [&](uint8_t type, std::string_view payload, size_t) {
-                   if (!IsDeltaRecordType(type)) return;
-                   DecodedDelta delta;
-                   if (!DecodeAnyDelta(type, payload, &delta)) return;
-                   auto& table_bases = bases[delta.table];
-                   for (DecodedEntry& entry : delta.entries) {
-                     Base& base = table_bases[entry.key];
-                     if (base.ssid > entry.ssid) continue;
-                     base.ssid = entry.ssid;
-                     base.partition = delta.partition;
-                     base.tombstone = entry.tombstone;
-                     base.value = std::move(entry.value);
-                     max_base_ssid = std::max(max_base_ssid, entry.ssid);
-                   }
-                 });
+    Status s = VisitCommittedRecords(segments_[i].path,
+                                     segments_[i].durable_bytes, visit);
+    if (!s.ok()) {
+      SQ_LOG(Warning) << "compaction skipped: " << s;
+      return 0;
+    }
   }
 
   // Serialize the surviving bases into one compacted segment, one delta
@@ -999,29 +994,13 @@ size_t SnapshotLog::CompactTo(int64_t floor_ssid) {
       by_partition[entry.second.partition].push_back(&entry);
     }
     for (const auto& [partition, rows] : by_partition) {
-      // Rewritten bases take the configured record format, so compaction
-      // also migrates old row segments to columnar over time.
-      std::string payload;
-      if (options_.columnar_segments) {
-        kv::ColumnBatch batch;
-        batch.Reserve(rows.size());
-        for (const auto* row : rows) {
-          batch.AppendRow(row->first, row->second.ssid, row->second.value);
-        }
-        payload = EncodeColumnarDeltaPayload(table, partition, batch);
-      } else {
-        PutU8(&payload, kDeltaRecord);
-        PutString(&payload, table);
-        PutU32(&payload, static_cast<uint32_t>(partition));
-        PutU32(&payload, static_cast<uint32_t>(rows.size()));
-        for (const auto* row : rows) {
-          PutI64(&payload, row->second.ssid);
-          PutU8(&payload, 0);
-          PutValue(&payload, row->first);
-          PutObject(&payload, row->second.value);
-        }
+      kv::ColumnBatch batch;
+      batch.Reserve(rows.size());
+      for (const auto* row : rows) {
+        batch.AppendRow(row->first, row->second.ssid, row->second.value);
       }
-      AppendRecord(&contents, payload);
+      AppendRecord(&contents,
+                   EncodeColumnarDeltaPayload(table, partition, batch));
     }
   }
 

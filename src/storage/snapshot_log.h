@@ -48,12 +48,6 @@ struct StorageOptions {
   /// Run compaction on a background thread (disable for deterministic
   /// tests; compaction then runs inline on the commit path).
   bool async_compact = true;
-  /// Write new delta records in the columnar batch encoding (one typed
-  /// column chunk per field, bit-packed presence/tombstone bitmaps) instead
-  /// of row-at-a-time objects. Reading is format-agnostic either way: logs
-  /// may freely mix row and columnar segments, and compaction rewrites
-  /// surviving bases in the configured format.
-  bool columnar_segments = true;
   /// Sink for storage instrumentation (persisted bytes, fsync latency,
   /// segment count, compactions). May be null.
   MetricsRegistry* metrics = nullptr;
@@ -99,7 +93,11 @@ struct LogStats {
 /// A snapshot id is durable iff its commit record is on disk; everything
 /// after the last commit record is garbage by definition and is truncated
 /// during `Open`. Records are framed [len][masked crc32c][payload] and a
-/// failed checksum anywhere marks the rest of that segment torn.
+/// failed checksum anywhere marks the rest of that segment torn. Deltas are
+/// stored in one format, a column batch per (table, ssid, partition); a
+/// checksum-valid record of an unknown type, or one whose body does not
+/// decode, inside the committed prefix fails `Open` with an error naming
+/// the segment, offset and type.
 ///
 /// Reads (`ScanSnapshot`, `ReplayInto`) re-read segment files on demand: the
 /// log is the cold path behind the in-memory retention window, so it trades
@@ -136,7 +134,8 @@ class SnapshotLog {
   /// Opens (creating if necessary) the log in `options.dir` and recovers its
   /// state: segment list from the MANIFEST (or a directory scan if the
   /// MANIFEST is missing/corrupt), committed ids from commit records, torn
-  /// and uncommitted tails truncated.
+  /// and uncommitted tails truncated. Fails on a committed record it cannot
+  /// read rather than skipping it.
   static Result<std::unique_ptr<SnapshotLog>> Open(StorageOptions options);
 
   ~SnapshotLog();

@@ -129,9 +129,9 @@ ModeRun RunToQuiescenceAndCheckpoint(CheckpointMode mode, int64_t records,
 
 // The tentpole's differential oracle: aligned (Fig. 3 marker alignment) and
 // unaligned (COW capture + channel log) checkpointing must commit
-// byte-identical state for the same input. Both funnel through the same
-// WriteCaptured path, so any divergence is a protocol bug, not an encoding
-// artifact.
+// byte-identical state for the same input. Both run the same capture
+// protocol (BeginSnapshot, FinishSnapshotStep until done, ack), so any
+// divergence is a protocol bug, not an encoding artifact.
 TEST(CheckpointModesTest, AlignedAndUnalignedCommitIdenticalState) {
   constexpr int64_t kRecords = 20000;
   constexpr int64_t kKeys = 17;

@@ -154,10 +154,11 @@ TEST(HistogramConsistencyTest, SummariesAreInternallyConsistentUnderWrites) {
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([&histogram, &stop, t] {
-      int64_t v = t + 1;
+      uint64_t v = t + 1;
       while (!stop.load(std::memory_order_relaxed)) {
-        histogram.Record(v);
-        v = (v * 2862933555777941757LL + 3037000493LL) & 0xFFFFF;
+        histogram.Record(static_cast<int64_t>(v));
+        // Unsigned, so the LCG wraps instead of overflowing a signed type.
+        v = (v * 2862933555777941757ULL + 3037000493ULL) & 0xFFFFF;
       }
     });
   }

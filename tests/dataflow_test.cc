@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <thread>
+#include <vector>
 
 #include "dataflow/execution.h"
 #include "dataflow/job_graph.h"
@@ -146,8 +148,15 @@ TEST(ExecutionTest, ManualCheckpointCommits) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*second, 2);
   EXPECT_EQ((*job)->latest_committed_checkpoint(), 2);
-  EXPECT_EQ((*job)->checkpoint_stats().committed.load(), 2);
-  EXPECT_EQ((*job)->checkpoint_stats().phase2_latency.count(), 2);
+  const std::vector<CheckpointRow> rows = (*job)->RecentCheckpoints();
+  EXPECT_EQ(std::count_if(rows.begin(), rows.end(),
+                          [](const CheckpointRow& r) { return r.committed; }),
+            2);
+  EXPECT_EQ(std::count_if(rows.begin(), rows.end(),
+                          [](const CheckpointRow& r) {
+                            return r.phase2_nanos > 0;
+                          }),
+            2);
   ASSERT_TRUE((*job)->Stop().ok());
 }
 
@@ -239,14 +248,17 @@ TEST(ExecutionTest, CheckpointTimesOutAndAborts) {
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_GT(*second, 1);
   EXPECT_EQ(listener.committed.load(), 1);
-  EXPECT_EQ((*job)->checkpoint_stats().aborted.load(), 1);
+  const std::vector<CheckpointRow> rows = (*job)->RecentCheckpoints();
+  EXPECT_EQ(std::count_if(rows.begin(), rows.end(),
+                          [](const CheckpointRow& r) { return !r.committed; }),
+            1);
   ASSERT_TRUE((*job)->Stop().ok());
 }
 
 // Regression: a failing phase 1 must abort the checkpoint, not commit it.
-// PerformSnapshot used to acknowledge the worker as prepared even when
-// OnCheckpoint/SnapshotTo failed, so the coordinator committed a checkpoint
-// that silently lost that worker's state.
+// The worker used to be acknowledged as prepared even when its capture
+// failed, so the coordinator committed a checkpoint that silently lost that
+// worker's state.
 TEST(ExecutionTest, FailedPhase1AbortsInsteadOfCommitting) {
   struct AbortListener : public CheckpointListener {
     std::atomic<int64_t> aborted{0};

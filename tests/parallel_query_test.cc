@@ -213,10 +213,10 @@ TEST_F(ParallelQueryTest, VectorizedEngineIsReportedAndCanBeForcedOff) {
   EXPECT_TRUE(result->stats.used_vectorized);
 }
 
-/// A snapshot table recovered from a durable log whose history spans the
-/// format upgrade — old segments hold row-at-a-time delta records, newer
-/// ones columnar records — must serve both engines with identical results.
-TEST(MixedSegmentQueryTest, RowAndColumnarSegmentsServeBothEngines) {
+/// A snapshot table recovered from a durable log whose history spans several
+/// segments, written by two log instances across a reopen, must serve both
+/// engines with identical results.
+TEST(ReplayedLogQueryTest, MultiSegmentHistoryServesBothEngines) {
   std::string tmpl = "/tmp/sq_mixed_segments_XXXXXX";
   const std::string dir = ::mkdtemp(tmpl.data());
   const auto entry = [](int64_t key, int64_t v, const std::string& zone) {
@@ -226,9 +226,8 @@ TEST(MixedSegmentQueryTest, RowAndColumnarSegmentsServeBothEngines) {
     return storage::SnapshotLog::DeltaEntry{Value(key), false, std::move(o)};
   };
   {
-    // Pre-upgrade writer: row-format segments.
-    auto log = storage::SnapshotLog::Open(
-        {.dir = dir, .segment_bytes = 1, .columnar_segments = false});
+    // First writer: one segment per commit.
+    auto log = storage::SnapshotLog::Open({.dir = dir, .segment_bytes = 1});
     ASSERT_TRUE(log.ok());
     std::vector<storage::SnapshotLog::DeltaEntry> delta;
     for (int64_t k = 0; k < 100; ++k) {
@@ -241,9 +240,8 @@ TEST(MixedSegmentQueryTest, RowAndColumnarSegmentsServeBothEngines) {
   state::SnapshotRegistry registry(
       &grid, {.retained_versions = 3, .async_prune = false});
   {
-    // Post-upgrade writer appends columnar segments to the same log.
-    auto log = storage::SnapshotLog::Open(
-        {.dir = dir, .segment_bytes = 1, .columnar_segments = true});
+    // Second writer appends segments to the same log after a reopen.
+    auto log = storage::SnapshotLog::Open({.dir = dir, .segment_bytes = 1});
     ASSERT_TRUE(log.ok());
     std::vector<storage::SnapshotLog::DeltaEntry> delta;
     for (int64_t k = 0; k < 100; k += 7) delta.push_back(entry(k, k + 1000, "hot"));
@@ -284,8 +282,8 @@ TEST(MixedSegmentQueryTest, RowAndColumnarSegmentsServeBothEngines) {
           << sql << " [parallelism=" << parallelism << "]";
     }
   }
-  // Spot checks across the format boundary: count reflects the columnar
-  // insert and tombstone over the row-format base.
+  // Spot checks across the segment boundary: count reflects the second
+  // writer's insert and tombstone over the first writer's base.
   auto count = service.Execute("SELECT COUNT(*) AS n FROM snapshot_mixed", {});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count->rows[0][0], Value(int64_t{100}));  // 100 base +1 -1

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <memory>
+#include <string>
+#include <type_traits>
 
+#include "dataflow/state_store.h"
 #include "kv/grid.h"
 #include "state/isolation.h"
 #include "state/snapshot_registry.h"
@@ -155,6 +160,185 @@ TEST_F(StateStoreTest, RestoreFromTableRebuildsInstanceState) {
       EXPECT_FALSE(store0.Get(Value(k)).has_value()) << k;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The phase-1 capture protocol (BeginSnapshot, FinishSnapshotStep until true,
+// AbortSnapshot), checked directly against every StateStore implementation.
+
+struct InMemoryStores {
+  static std::unique_ptr<dataflow::StateStore> Make(Grid* /*grid*/,
+                                                    const std::string& /*op*/,
+                                                    bool /*incremental*/) {
+    return std::make_unique<dataflow::InMemoryStateStore>(
+        /*retained_snapshots=*/8);
+  }
+  // The baseline store has no queryable snapshot table.
+  static std::map<int64_t, int64_t> TableView(Grid* /*grid*/,
+                                              const std::string& /*op*/,
+                                              int64_t /*ssid*/) {
+    return {};
+  }
+};
+
+struct SQueryStores {
+  static std::unique_ptr<dataflow::StateStore> Make(Grid* grid,
+                                                    const std::string& op,
+                                                    bool incremental) {
+    SQueryConfig config;
+    config.incremental = incremental;
+    config.retained_versions = 8;
+    return std::make_unique<SQueryStateStore>(grid, op, 0, config);
+  }
+  static std::map<int64_t, int64_t> TableView(Grid* grid,
+                                              const std::string& op,
+                                              int64_t ssid) {
+    std::map<int64_t, int64_t> view;
+    grid->GetOrCreateSnapshotTable(SnapshotTableName(op))
+        ->ScanAt(ssid, [&view](const Value& key, int64_t, const Object& v) {
+          view[key.AsInt64()] = v.Get("v").AsInt64();
+        });
+    return view;
+  }
+};
+
+template <typename Stores>
+class CaptureProtocolTest : public ::testing::Test {
+ protected:
+  CaptureProtocolTest()
+      : grid_(GridConfig{.node_count = 2, .partition_count = 8,
+                         .backup_count = 0}) {}
+
+  std::unique_ptr<dataflow::StateStore> Make(const std::string& op,
+                                             bool incremental = false) {
+    return Stores::Make(&grid_, op, incremental);
+  }
+  std::map<int64_t, int64_t> TableView(const std::string& op, int64_t ssid) {
+    return Stores::TableView(&grid_, op, ssid);
+  }
+
+  // Rolls `store` back to `ssid` and returns the restored state.
+  static std::map<int64_t, int64_t> Restored(dataflow::StateStore* store,
+                                             int64_t ssid) {
+    EXPECT_TRUE(store->RestoreFrom(ssid).ok());
+    std::map<int64_t, int64_t> view;
+    store->ForEach([&view](const Value& key, const Object& v) {
+      view[key.AsInt64()] = v.Get("v").AsInt64();
+    });
+    return view;
+  }
+
+  // Keys 0..9 with value == key.
+  static void Fill(dataflow::StateStore* store) {
+    for (int64_t k = 0; k < 10; ++k) store->Put(Value(k), Obj(k));
+  }
+
+  // Mutations racing a capture: an update, a delete and an insert.
+  static void Mutate(dataflow::StateStore* store) {
+    store->Put(Value(int64_t{1}), Obj(100));
+    store->Remove(Value(int64_t{2}));
+    store->Put(Value(int64_t{50}), Obj(50));
+  }
+
+  static std::map<int64_t, int64_t> Filled() {
+    std::map<int64_t, int64_t> view;
+    for (int64_t k = 0; k < 10; ++k) view[k] = k;
+    return view;
+  }
+
+  Grid grid_;
+};
+
+using StoreKinds = ::testing::Types<InMemoryStores, SQueryStores>;
+TYPED_TEST_SUITE(CaptureProtocolTest, StoreKinds);
+
+TYPED_TEST(CaptureProtocolTest, MutationsAfterBeginAreInvisible) {
+  auto store = this->Make("op");
+  this->Fill(store.get());
+  ASSERT_TRUE(store->BeginSnapshot(1).ok());
+  this->Mutate(store.get());
+  auto done = store->FinishSnapshotStep(1, 4);
+  ASSERT_TRUE(done.ok()) << done.status();
+  while (!*done) {
+    this->Mutate(store.get());
+    done = store->FinishSnapshotStep(1, 4);
+    ASSERT_TRUE(done.ok()) << done.status();
+  }
+  if (std::is_same_v<TypeParam, SQueryStores>) {
+    EXPECT_EQ(this->TableView("op", 1), this->Filled());
+  }
+  EXPECT_EQ(this->Restored(store.get(), 1), this->Filled());
+}
+
+TYPED_TEST(CaptureProtocolTest, StepsOfOneEqualOneUnboundedStep) {
+  auto stepped = this->Make("stepped");
+  auto whole = this->Make("whole");
+  this->Fill(stepped.get());
+  this->Fill(whole.get());
+  ASSERT_TRUE(stepped->BeginSnapshot(1).ok());
+  ASSERT_TRUE(whole->BeginSnapshot(1).ok());
+  auto done = whole->FinishSnapshotStep(1, std::numeric_limits<size_t>::max());
+  ASSERT_TRUE(done.ok());
+  EXPECT_TRUE(*done);
+  this->Mutate(whole.get());
+  do {
+    this->Mutate(stepped.get());
+    done = stepped->FinishSnapshotStep(1, 1);
+    ASSERT_TRUE(done.ok()) << done.status();
+  } while (!*done);
+  EXPECT_EQ(this->TableView("stepped", 1), this->TableView("whole", 1));
+  EXPECT_EQ(this->Restored(stepped.get(), 1), this->Restored(whole.get(), 1));
+}
+
+TYPED_TEST(CaptureProtocolTest, AbortPublishesNothing) {
+  auto store = this->Make("op");
+  this->Fill(store.get());
+  ASSERT_TRUE(store->BeginSnapshot(1).ok());
+  this->Mutate(store.get());
+  store->AbortSnapshot(1);
+  // The capture is gone: stepping it fails, a new one can begin.
+  EXPECT_FALSE(store->FinishSnapshotStep(1, 1).ok());
+  EXPECT_TRUE(store->RestoreFrom(1).IsNotFound());
+  this->Fill(store.get());
+  ASSERT_TRUE(store->SnapshotTo(2).ok());
+  std::map<int64_t, int64_t> expected = this->Filled();
+  expected[50] = 50;  // inserted by Mutate
+  EXPECT_EQ(this->Restored(store.get(), 2), expected);
+}
+
+TYPED_TEST(CaptureProtocolTest, SecondBeginWhileInFlightIsRejected) {
+  auto store = this->Make("op");
+  this->Fill(store.get());
+  ASSERT_TRUE(store->BeginSnapshot(1).ok());
+  const Status second = store->BeginSnapshot(2);
+  EXPECT_EQ(second.code(), StatusCode::kFailedPrecondition) << second;
+  // The first capture is untouched by the rejected Begin.
+  auto done = store->FinishSnapshotStep(1, std::numeric_limits<size_t>::max());
+  ASSERT_TRUE(done.ok());
+  EXPECT_TRUE(*done);
+  EXPECT_EQ(this->Restored(store.get(), 1), this->Filled());
+}
+
+// Incremental snapshots write only the keys dirtied since the last one; an
+// aborted capture must hand its epoch's dirty and deleted keys on to the next
+// capture, or the next delta silently misses them.
+TEST_F(StateStoreTest, AbortedIncrementalEpochCarriesIntoNextSnapshot) {
+  SQueryConfig config;
+  config.incremental = true;
+  SQueryStateStore store(&grid_, "op", 0, config);
+  for (int64_t k = 0; k < 10; ++k) store.Put(Value(k), Obj(k));
+  ASSERT_TRUE(store.SnapshotTo(1).ok());
+  store.Put(Value(int64_t{3}), Obj(33));
+  store.Remove(Value(int64_t{4}));
+  ASSERT_TRUE(store.BeginSnapshot(2).ok());
+  ASSERT_TRUE(store.FinishSnapshotStep(2, 1).ok());
+  store.AbortSnapshot(2);
+  ASSERT_TRUE(store.SnapshotTo(3).ok());
+  EXPECT_EQ(store.last_snapshot_entries(), 1u);  // key 3; key 4 a tombstone
+  kv::SnapshotTable* table = grid_.GetSnapshotTable("snapshot_op");
+  EXPECT_EQ(table->GetAt(Value(int64_t{3}), 3)->Get("v").AsInt64(), 33);
+  EXPECT_FALSE(table->GetAt(Value(int64_t{4}), 3).has_value());
+  EXPECT_EQ(table->GetAt(Value(int64_t{5}), 3)->Get("v").AsInt64(), 5);
 }
 
 class RegistryTest : public ::testing::Test {

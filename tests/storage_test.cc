@@ -371,13 +371,11 @@ TEST(SnapshotLogTest, TornTailIsTruncatedByChecksum) {
             (std::map<int64_t, int64_t>{{1, 10}}));
 }
 
-TEST(SnapshotLogTest, MixedFormatSegmentsReadBackAcrossReopen) {
+TEST(SnapshotLogTest, MultiSegmentHistoryReadsBackAcrossReopen) {
   TempDir dir;
   {
-    // Old-format writer: row-at-a-time delta records.
     auto log = SnapshotLog::Open({.dir = dir.path(),
-                                  .segment_bytes = 1,  // rotate per commit
-                                  .columnar_segments = false});
+                                  .segment_bytes = 1});  // rotate per commit
     ASSERT_TRUE(log.ok());
     ASSERT_TRUE(
         (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 10}, {2, 20}}))
@@ -386,11 +384,9 @@ TEST(SnapshotLogTest, MixedFormatSegmentsReadBackAcrossReopen) {
   }
   std::string newest_segment;
   {
-    // Upgraded writer: columnar records appended to the same log — the
-    // directory now mixes both record formats across segments.
-    auto log = SnapshotLog::Open({.dir = dir.path(),
-                                  .segment_bytes = 1,
-                                  .columnar_segments = true});
+    // A second writer appends to the same log after a reopen, so the
+    // history spans segments written by two log instances.
+    auto log = SnapshotLog::Open({.dir = dir.path(), .segment_bytes = 1});
     ASSERT_TRUE(log.ok());
     std::vector<SnapshotLog::DeltaEntry> delta2 = Delta({{2, 21}, {3, 30}});
     delta2.push_back(Tombstone(1));
@@ -407,7 +403,7 @@ TEST(SnapshotLogTest, MixedFormatSegmentsReadBackAcrossReopen) {
   ASSERT_FALSE(newest_segment.empty());
   const auto durable_size = fs::file_size(newest_segment);
   {
-    // Torn tail on top of the mixed history: plausible header, garbage body.
+    // Torn tail on top of that history: plausible header, garbage body.
     std::ofstream out(newest_segment, std::ios::binary | std::ios::app);
     out.write("\x40\x00\x00\x00\xAA\xBB\xCC\xDDgarbage-torn-write", 26);
   }
@@ -423,8 +419,8 @@ TEST(SnapshotLogTest, MixedFormatSegmentsReadBackAcrossReopen) {
   EXPECT_EQ(ReadView(**reopened, "snapshot_orders", 2),
             (std::map<int64_t, int64_t>{{2, 21}, {3, 30}}));
 
-  // Replay rebuilds the grid from the mixed-format history: values written
-  // as row records and as columnar records land in the same table.
+  // Replay rebuilds the grid from the multi-segment history: values written
+  // by both log instances land in the same table.
   kv::Grid grid(kv::GridConfig{});
   auto info = (*reopened)->ReplayInto(&grid, /*retained_versions=*/2);
   ASSERT_TRUE(info.ok()) << info.status();
@@ -440,38 +436,132 @@ TEST(SnapshotLogTest, MixedFormatSegmentsReadBackAcrossReopen) {
             30);
 }
 
-TEST(SnapshotLogTest, CompactionMigratesRowSegmentsToColumnar) {
-  TempDir dir;
-  {
-    auto log = SnapshotLog::Open({.dir = dir.path(),
-                                  .segment_bytes = 1,
-                                  .columnar_segments = false});
-    ASSERT_TRUE(log.ok());
-    for (int64_t id = 1; id <= 4; ++id) {
-      ASSERT_TRUE((*log)
-                      ->AppendDelta("snapshot_orders", id, 0,
-                                    Delta({{1, id * 10}, {id + 10, id}}))
-                      .ok());
-      ASSERT_TRUE((*log)->Commit(id).ok());
+std::string OnlySegmentPath(const std::string& dir) {
+  std::vector<std::string> segments;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("segment-", 0) == 0) {
+      segments.push_back(entry.path().string());
     }
   }
-  // Reopen with columnar writes and a retention floor: compaction rewrites
-  // the surviving bases of the old row segments in the columnar format.
-  auto log = SnapshotLog::Open({.dir = dir.path(),
-                                .segment_bytes = 1,
-                                .retained_snapshots = 1,
-                                .async_compact = false,
-                                .columnar_segments = true});
+  EXPECT_EQ(segments.size(), 1u);
+  return segments.empty() ? std::string() : segments[0];
+}
+
+// Frames `payload` as one checksum-valid log record.
+std::string FrameRecord(const std::string& payload) {
+  std::string record;
+  PutU32(&record, static_cast<uint32_t>(payload.size()));
+  PutU32(&record, MaskCrc(Crc32c(payload)));
+  return record + payload;
+}
+
+std::string CommitRecord(int64_t ssid) {
+  std::string payload;
+  PutU8(&payload, 2);  // commit record
+  PutI64(&payload, ssid);
+  PutI64(&payload, 0);  // commit time
+  return FrameRecord(payload);
+}
+
+// Appends `record` to the log in `dir` (one segment, snapshot 1 committed),
+// optionally followed by a commit record of snapshot 2, which puts `record`
+// inside the committed prefix. Returns the offset `record` landed at.
+uint64_t AppendRawRecord(const std::string& dir, const std::string& record,
+                         bool commit_after) {
+  const std::string path = OnlySegmentPath(dir);
+  const uint64_t offset = fs::file_size(path);
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  out << record;
+  if (commit_after) out << CommitRecord(2);
+  return offset;
+}
+
+void WriteOneCommittedSnapshot(const std::string& dir) {
+  auto log = SnapshotLog::Open({.dir = dir});
   ASSERT_TRUE(log.ok());
   ASSERT_TRUE(
-      (*log)->AppendDelta("snapshot_orders", 5, 0, Delta({{1, 50}})).ok());
-  ASSERT_TRUE((*log)->Commit(5).ok());
-  EXPECT_GT((*log)->Stats().compactions, 0);
-  const auto view = ReadView(**log, "snapshot_orders", 5);
-  EXPECT_EQ(view.at(1), 50);
-  // Bases carried over from the migrated row segments keep their values.
-  EXPECT_EQ(view.at(11), 1);
-  EXPECT_EQ(view.at(14), 4);
+      (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 10}})).ok());
+  ASSERT_TRUE((*log)->Commit(1).ok());
+}
+
+TEST(SnapshotLogTest, CommittedRecordOfUnknownTypeFailsOpen) {
+  TempDir dir;
+  WriteOneCommittedSnapshot(dir.path());
+  std::string payload;
+  PutU8(&payload, 99);
+  payload += "from a future writer";
+  const uint64_t offset =
+      AppendRawRecord(dir.path(), FrameRecord(payload), /*commit_after=*/true);
+
+  auto reopened = SnapshotLog::Open({.dir = dir.path()});
+  ASSERT_FALSE(reopened.ok());
+  const std::string message = reopened.status().message();
+  EXPECT_NE(message.find(OnlySegmentPath(dir.path())), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("offset " + std::to_string(offset)),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("type 99"), std::string::npos) << message;
+}
+
+// The retired row-at-a-time delta record (type 1) is rejected, never
+// dropped: skipping it would silently lose its rows.
+TEST(SnapshotLogTest, CommittedRowFormatDeltaFailsOpen) {
+  TempDir dir;
+  WriteOneCommittedSnapshot(dir.path());
+  std::string payload;
+  PutU8(&payload, 1);
+  PutString(&payload, "snapshot_orders");
+  PutU32(&payload, 0);  // partition
+  PutU32(&payload, 1);  // entries
+  PutI64(&payload, 2);  // entry ssid
+  PutU8(&payload, 0);   // not a tombstone
+  PutValue(&payload, kv::Value(int64_t{2}));
+  PutObject(&payload, MakeObject(20));
+  const uint64_t offset =
+      AppendRawRecord(dir.path(), FrameRecord(payload), /*commit_after=*/true);
+
+  auto reopened = SnapshotLog::Open({.dir = dir.path()});
+  ASSERT_FALSE(reopened.ok());
+  const std::string message = reopened.status().message();
+  EXPECT_NE(message.find("offset " + std::to_string(offset)),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("type 1"), std::string::npos) << message;
+}
+
+TEST(SnapshotLogTest, CommittedUndecodableDeltaFailsOpen) {
+  TempDir dir;
+  WriteOneCommittedSnapshot(dir.path());
+  std::string payload;
+  PutU8(&payload, 4);  // columnar delta
+  PutString(&payload, "snapshot_orders");
+  PutU32(&payload, 0);
+  payload += "not a column batch";
+  AppendRawRecord(dir.path(), FrameRecord(payload), /*commit_after=*/true);
+
+  auto reopened = SnapshotLog::Open({.dir = dir.path()});
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_NE(reopened.status().message().find("type 4"), std::string::npos)
+      << reopened.status();
+}
+
+// Past the last commit record the active segment is uncommitted garbage by
+// definition: an unknown record there is truncated like any torn tail.
+TEST(SnapshotLogTest, UncommittedRecordOfUnknownTypeIsTruncated) {
+  TempDir dir;
+  WriteOneCommittedSnapshot(dir.path());
+  const std::string path = OnlySegmentPath(dir.path());
+  const auto durable_size = fs::file_size(path);
+  std::string payload;
+  PutU8(&payload, 99);
+  AppendRawRecord(dir.path(), FrameRecord(payload), /*commit_after=*/false);
+
+  auto reopened = SnapshotLog::Open({.dir = dir.path()});
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(fs::file_size(path), durable_size);
+  EXPECT_EQ(ReadView(**reopened, "snapshot_orders", 1),
+            (std::map<int64_t, int64_t>{{1, 10}}));
 }
 
 TEST(SnapshotLogTest, MissingManifestFallsBackToDirectoryScan) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/mutex.h"
 #include "common/thread_pool.h"
 #include "dataflow/execution.h"
 #include "dataflow/job_graph.h"
@@ -567,6 +568,21 @@ TEST_F(TraceTest, ConcurrentRecordAndExportHammer) {
   for (std::thread& t : recorders) t.join();
   const std::vector<trace::TraceSpan> spans = trace::SnapshotSpans();
   EXPECT_FALSE(spans.empty());
+}
+
+// Regression: a thread whose first ranked lock is the trace-ring
+// registration flushes its ring from a thread-local destructor at exit. The
+// lock-rank validator's per-thread held-lock stack, first touched after that
+// ring handle, must still be usable then; as a vector destroyed first it
+// aborted ASan builds with a heap-use-after-free at thread exit.
+TEST_F(TraceTest, ThreadExitFlushTakesRankedLocksCleanly) {
+  const bool was_enabled = Mutex::RankCheckingEnabled();
+  Mutex::SetRankCheckingEnabled(true);
+  std::thread([] {
+    trace::ScopedSpan span(trace::Category::kOther, "exit_flush");
+  }).join();
+  Mutex::SetRankCheckingEnabled(was_enabled);
+  EXPECT_EQ(SpansNamed(trace::SnapshotSpans(), "exit_flush").size(), 1u);
 }
 
 }  // namespace
