@@ -17,10 +17,13 @@ namespace sq::net {
 namespace {
 
 /// The client half of distributed routing: a TableSource whose partitions
-/// live on remote nodes. The executor's partition fan-out calls
-/// ScanPartition / AggregatePartition from pool workers, so one slow node
-/// only stalls its own partitions; per-peer connection locks serialize RPCs
-/// to the same node and let distinct nodes proceed in parallel.
+/// live on remote nodes. A node answers a partition read with the columnar
+/// batches its own source yields, so the coordinator filters and folds
+/// remote partitions with exactly the code it runs on local ones. The
+/// executor's partition fan-out reads partitions from pool workers, so one
+/// slow node only stalls its own partitions; per-peer connection locks
+/// serialize RPCs to the same node and let distinct nodes proceed in
+/// parallel.
 class ClusterTableSource : public sql::TableSource {
  public:
   ClusterTableSource(ClusterClient* client, TableRead read)
@@ -39,26 +42,16 @@ class ClusterTableSource : public sql::TableSource {
     return client_->partitioner().PartitionOf(key);
   }
 
-  void BindPredicateHint(const std::string& predicate_sql,
-                         int64_t local_timestamp_micros) override {
-    predicate_sql_ = predicate_sql;
-    local_timestamp_micros_ = local_timestamp_micros;
-  }
-
+  /// The row engine's view of the same batches the columnar engine reads.
   Status ScanPartition(int32_t partition, const RowFn& fn) const override {
-    ScanPartitionRequest req;
-    req.read = read_;
-    req.partition = partition;
-    req.predicate_sql = predicate_sql_;
-    req.local_timestamp_micros = local_timestamp_micros_;
-    std::string body;
-    EncodeScanPartitionRequest(req, &body);
-    std::string reply_body;
-    SQ_RETURN_IF_ERROR(client_->Call(
-        client_->OwnerOfPartition(partition), MsgType::kScanPartition, body,
-        MsgType::kRows, &reply_body, ctx_, /*idempotent=*/true));
-    SQ_ASSIGN_OR_RETURN(RowsReply reply, DecodeRowsReply(reply_body));
-    EmitRows(reply.rows, fn);
+    SQ_ASSIGN_OR_RETURN(std::vector<sql::ScanBatch> batches,
+                        FetchBatches(partition));
+    for (const sql::ScanBatch& batch : batches) {
+      const kv::Value* ssid = batch.ssid.has_value() ? &*batch.ssid : nullptr;
+      for (size_t r = 0; r < batch.rows->row_count(); ++r) {
+        fn(batch.rows->keys()[r], ssid, batch.rows->MaterializeRow(r));
+      }
+    }
     return Status::OK();
   }
 
@@ -100,57 +93,7 @@ class ClusterTableSource : public sql::TableSource {
                      [](const auto& a, const auto& b) {
                        return a.first < b.first;
                      });
-    std::vector<WireRow> rows;
-    rows.reserve(collected.size());
-    for (auto& [index, row] : collected) rows.push_back(std::move(row));
-    EmitRows(rows, fn);
-    return Status::OK();
-  }
-
-  bool AggregatePartition(int32_t partition, const sql::RemoteAggregateSpec& spec,
-                          sql::RemotePartialResult* out,
-                          Status* error) const override {
-    AggregatePartitionRequest req;
-    req.read = read_;
-    req.partition = partition;
-    req.predicate_sql = spec.predicate_sql;
-    req.group_by_sql = spec.group_by_sql;
-    req.aggregate_sql = spec.aggregate_sql;
-    req.local_timestamp_micros = spec.local_timestamp_micros;
-    std::string body;
-    EncodeAggregatePartitionRequest(req, &body);
-    std::string reply_body;
-    Status s = client_->Call(client_->OwnerOfPartition(partition),
-                             MsgType::kAggregatePartition, body,
-                             MsgType::kAggregateReply, &reply_body, ctx_,
-                             /*idempotent=*/true);
-    if (s.code() == StatusCode::kUnimplemented) {
-      // The node cannot fold this shape remotely — stream rows instead.
-      return false;
-    }
-    if (!s.ok()) {
-      *error = std::move(s);
-      return true;
-    }
-    Result<AggregateReply> reply = DecodeAggregateReply(reply_body);
-    if (!reply.ok()) {
-      *error = reply.status();
-      return true;
-    }
-    out->rows_scanned = reply->rows_scanned;
-    out->rows_returned = reply->rows_returned;
-    out->groups.reserve(reply->groups.size());
-    for (WireGroup& group : reply->groups) {
-      out->groups.push_back(sql::RemotePartialGroup{
-          std::move(group.key), std::move(group.representative),
-          std::move(group.aggs)});
-    }
-    return true;
-  }
-
- private:
-  void EmitRows(const std::vector<WireRow>& rows, const RowFn& fn) const {
-    for (const WireRow& row : rows) {
+    for (const auto& [index, row] : collected) {
       if (row.has_ssid) {
         const kv::Value ssid(row.ssid);
         fn(row.key, &ssid, row.value);
@@ -158,13 +101,67 @@ class ClusterTableSource : public sql::TableSource {
         fn(row.key, nullptr, row.value);
       }
     }
+    return Status::OK();
+  }
+
+  std::unique_ptr<sql::BatchReader> OpenBatchReader(
+      int32_t partition) const override {
+    return std::make_unique<RemoteBatchReader>(this, partition);
+  }
+
+  bool SupportsBatches() const override { return true; }
+
+ private:
+  /// Cursor over one remote partition. The RPC runs on the first NextBatch,
+  /// so transport and decode errors come back through its Result.
+  class RemoteBatchReader : public sql::BatchReader {
+   public:
+    RemoteBatchReader(const ClusterTableSource* source, int32_t partition)
+        : source_(source), partition_(partition) {}
+
+    Result<bool> NextBatch(sql::ScanBatch* out) override {
+      if (!fetched_) {
+        SQ_ASSIGN_OR_RETURN(batches_, source_->FetchBatches(partition_));
+        fetched_ = true;
+      }
+      if (next_ == batches_.size()) return false;
+      *out = std::move(batches_[next_++]);
+      return true;
+    }
+
+   private:
+    const ClusterTableSource* source_;
+    const int32_t partition_;
+    bool fetched_ = false;
+    std::vector<sql::ScanBatch> batches_;
+    size_t next_ = 0;
+  };
+
+  /// One kScanBatches RPC to the partition's owner.
+  Result<std::vector<sql::ScanBatch>> FetchBatches(int32_t partition) const {
+    ScanPartitionRequest req;
+    req.read = read_;
+    req.partition = partition;
+    std::string body;
+    EncodeScanPartitionRequest(req, &body);
+    std::string reply_body;
+    SQ_RETURN_IF_ERROR(client_->Call(
+        client_->OwnerOfPartition(partition), MsgType::kScanBatches, body,
+        MsgType::kBatches, &reply_body, ctx_, /*idempotent=*/true));
+    SQ_ASSIGN_OR_RETURN(BatchesReply reply, DecodeBatchesReply(reply_body));
+    std::vector<sql::ScanBatch> batches;
+    batches.reserve(reply.batches.size());
+    for (WireBatch& batch : reply.batches) {
+      std::optional<kv::Value> ssid;
+      if (batch.has_ssid) ssid = kv::Value(batch.ssid);
+      batches.push_back(sql::ScanBatch{std::move(batch.rows), std::move(ssid)});
+    }
+    return batches;
   }
 
   ClusterClient* client_;
   TableRead read_;
   trace::SpanContext ctx_;
-  std::string predicate_sql_;
-  int64_t local_timestamp_micros_ = 0;
 };
 
 }  // namespace

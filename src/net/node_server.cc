@@ -1,13 +1,10 @@
 #include "net/node_server.h"
 
-#include <map>
 #include <memory>
 #include <utility>
 
 #include "common/metric_names.h"
 #include "net/socket.h"
-#include "sql/eval.h"
-#include "sql/parser.h"
 #include "trace/trace.h"
 
 namespace sq::net {
@@ -17,15 +14,6 @@ namespace {
 /// Reply send deadline: a client that stopped draining its socket must not
 /// pin a server thread forever.
 constexpr int64_t kSendDeadlineNanos = int64_t{30} * 1000 * 1000 * 1000;
-
-std::string JoinSql(const std::vector<std::string>& parts) {
-  std::string out;
-  for (const std::string& part : parts) {
-    if (!out.empty()) out += ", ";
-    out += part;
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -209,12 +197,9 @@ Result<std::string> NodeServer::Dispatch(const Frame& request,
     case MsgType::kPointLookup:
       *reply_type = MsgType::kRows;
       return HandlePointLookup(request.body);
-    case MsgType::kScanPartition:
-      *reply_type = MsgType::kRows;
-      return HandleScanPartition(request.body);
-    case MsgType::kAggregatePartition:
-      *reply_type = MsgType::kAggregateReply;
-      return HandleAggregatePartition(request.body);
+    case MsgType::kScanBatches:
+      *reply_type = MsgType::kBatches;
+      return HandleScanBatches(request.body);
     case MsgType::kReplicationDelta:
       *reply_type = MsgType::kAck;
       return HandleReplicationDelta(request.body);
@@ -298,153 +283,38 @@ Result<std::string> NodeServer::HandlePointLookup(std::string_view body) {
   return out;
 }
 
-Result<std::string> NodeServer::HandleScanPartition(std::string_view body) {
+Result<std::string> NodeServer::HandleScanBatches(std::string_view body) {
   SQ_ASSIGN_OR_RETURN(ScanPartitionRequest req,
                       DecodeScanPartitionRequest(body));
   SQ_RETURN_IF_ERROR(CheckOwned(req.partition));
   SQ_ASSIGN_OR_RETURN(std::unique_ptr<sql::TableSource> source,
                       OpenSource(req.read));
-  // The pushed-down predicate is a best-effort pre-filter: re-parse it and
-  // drop rows that provably fail. Parse or evaluation failures KEEP the row
-  // — the client re-evaluates every emitted row, so conservatism here can
-  // never change query results, only the bytes on the wire.
-  std::unique_ptr<sql::SelectStatement> stmt;
-  const sql::Expr* predicate = nullptr;
-  if (!req.predicate_sql.empty()) {
-    Result<std::unique_ptr<sql::SelectStatement>> parsed =
-        sql::ParseSelect("SELECT key FROM \"" + req.read.table + "\" WHERE " +
-                         req.predicate_sql);
-    if (parsed.ok()) {
-      stmt = std::move(parsed).value();
-      predicate = stmt->where.get();
+  // The node serves the batches its own reader yields and nothing else: the
+  // coordinator filters and folds them with the code it runs on local ones.
+  std::unique_ptr<sql::BatchReader> reader =
+      source->OpenBatchReader(req.partition);
+  if (reader == nullptr) {
+    return Status::FailedPrecondition("net: table \"" + req.read.table +
+                                      "\" cannot serve batches on node " +
+                                      std::to_string(options_.node_id));
+  }
+  BatchesReply reply;
+  sql::ScanBatch batch;
+  for (;;) {
+    SQ_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch));
+    if (!more) break;
+    if (batch.rows == nullptr) continue;
+    WireBatch wire;
+    if (batch.ssid.has_value()) {
+      wire.has_ssid = true;
+      wire.ssid = batch.ssid->AsInt64();
     }
+    wire.rows = std::move(batch.rows);
+    reply.batches.push_back(std::move(wire));
+    batch = sql::ScanBatch{};
   }
-  const sql::EvalContext ctx{req.local_timestamp_micros};
-  RowsReply reply;
-  SQ_RETURN_IF_ERROR(source->ScanPartition(
-      req.partition,
-      [&](const kv::Value& key, const kv::Value* ssid,
-          const kv::Object& value) {
-        ++reply.rows_scanned;
-        if (predicate != nullptr) {
-          const sql::ScanRowView row{&key, ssid, &value};
-          Result<kv::Value> pass = sql::EvalScalar(*predicate, row, ctx);
-          if (pass.ok() && !pass->Truthy()) return;
-        }
-        WireRow row;
-        row.key = key;
-        if (ssid != nullptr) {
-          row.has_ssid = true;
-          row.ssid = ssid->AsInt64();
-        }
-        row.value = value;
-        reply.rows.push_back(std::move(row));
-      }));
   std::string out;
-  EncodeRowsReply(reply, &out);
-  return out;
-}
-
-Result<std::string> NodeServer::HandleAggregatePartition(
-    std::string_view body) {
-  SQ_ASSIGN_OR_RETURN(AggregatePartitionRequest req,
-                      DecodeAggregatePartitionRequest(body));
-  SQ_RETURN_IF_ERROR(CheckOwned(req.partition));
-  if (req.aggregate_sql.empty()) {
-    return Status::Unimplemented("net: remote aggregate without aggregates");
-  }
-  // Reconstruct the fold as a statement and re-parse it. Every expression
-  // travelled as canonical Expr::ToString text, which round-trips; if
-  // anything fails to round-trip we answer kUnimplemented and the client
-  // falls back to streaming rows — slower, never wrong.
-  std::string sql = "SELECT " + JoinSql(req.aggregate_sql) + " FROM \"" +
-                    req.read.table + "\"";
-  if (!req.predicate_sql.empty()) sql += " WHERE " + req.predicate_sql;
-  if (!req.group_by_sql.empty()) {
-    sql += " GROUP BY " + JoinSql(req.group_by_sql);
-  }
-  Result<std::unique_ptr<sql::SelectStatement>> parsed =
-      sql::ParseSelect(sql);
-  if (!parsed.ok()) {
-    return Status::Unimplemented("net: remote aggregate does not reparse: " +
-                                 parsed.status().message());
-  }
-  const sql::SelectStatement& stmt = **parsed;
-  if (stmt.items.size() != req.aggregate_sql.size() ||
-      stmt.group_by.size() != req.group_by_sql.size()) {
-    return Status::Unimplemented("net: remote aggregate shape mismatch");
-  }
-  for (size_t a = 0; a < stmt.items.size(); ++a) {
-    if (stmt.items[a].expr->ToString() != req.aggregate_sql[a]) {
-      return Status::Unimplemented(
-          "net: remote aggregate does not round-trip: " +
-          req.aggregate_sql[a]);
-    }
-  }
-  SQ_ASSIGN_OR_RETURN(std::unique_ptr<sql::TableSource> source,
-                      OpenSource(req.read));
-  const sql::EvalContext ctx{req.local_timestamp_micros};
-  const sql::Expr* predicate = stmt.where.get();
-  AggregateReply reply;
-  std::map<std::vector<kv::Value>, size_t> index;
-  Status fold = Status::OK();
-  static const kv::Value kCountStarArg(int64_t{1});
-  SQ_RETURN_IF_ERROR(source->ScanPartition(
-      req.partition,
-      [&](const kv::Value& key, const kv::Value* ssid,
-          const kv::Object& value) {
-        if (!fold.ok()) return;
-        ++reply.rows_scanned;
-        const sql::ScanRowView row{&key, ssid, &value};
-        if (predicate != nullptr) {
-          Result<kv::Value> pass = sql::EvalScalar(*predicate, row, ctx);
-          if (!pass.ok()) {
-            fold = pass.status();
-            return;
-          }
-          if (!pass->Truthy()) return;
-        }
-        ++reply.rows_returned;
-        std::vector<kv::Value> group_key;
-        group_key.reserve(stmt.group_by.size());
-        for (const auto& expr : stmt.group_by) {
-          Result<kv::Value> v = sql::EvalScalar(*expr, row, ctx);
-          if (!v.ok()) {
-            fold = v.status();
-            return;
-          }
-          group_key.push_back(std::move(v).value());
-        }
-        auto [it, inserted] = index.try_emplace(group_key,
-                                                reply.groups.size());
-        if (inserted) {
-          WireGroup group;
-          group.key = std::move(group_key);
-          group.representative = sql::MaterializeRow(key, ssid, value);
-          group.aggs.resize(stmt.items.size());
-          reply.groups.push_back(std::move(group));
-        }
-        WireGroup& group = reply.groups[it->second];
-        for (size_t a = 0; a < stmt.items.size(); ++a) {
-          const sql::Expr& call = *stmt.items[a].expr;
-          if (call.star || call.children.empty()) {
-            fold = sql::AccumulateAggregate(call, kCountStarArg,
-                                            &group.aggs[a]);
-          } else {
-            Result<kv::Value> v =
-                sql::EvalScalar(*call.children[0], row, ctx);
-            if (!v.ok()) {
-              fold = v.status();
-            } else {
-              fold = sql::AccumulateAggregate(call, *v, &group.aggs[a]);
-            }
-          }
-          if (!fold.ok()) return;
-        }
-      }));
-  SQ_RETURN_IF_ERROR(fold);
-  std::string out;
-  EncodeAggregateReply(reply, &out);
+  EncodeBatchesReply(reply, &out);
   return out;
 }
 

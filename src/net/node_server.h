@@ -33,7 +33,7 @@ struct NodeServerOptions {
   kv::PartitionRange owned;
   /// Total cluster partition space (must match every peer and client).
   int32_t partition_count = kv::kDefaultPartitionCount;
-  /// Serves point lookups / partition scans / partial aggregates. Required.
+  /// Serves point lookups and partition scans. Required.
   query::QueryService* query = nullptr;
   /// Target of replication deltas (live maps and snapshot tables). May be
   /// null on a read-only node; deltas then fail with kFailedPrecondition.
@@ -81,8 +81,7 @@ class NodeServer {
   Result<std::string> Dispatch(const Frame& request, MsgType* reply_type);
 
   Result<std::string> HandlePointLookup(std::string_view body);
-  Result<std::string> HandleScanPartition(std::string_view body);
-  Result<std::string> HandleAggregatePartition(std::string_view body);
+  Result<std::string> HandleScanBatches(std::string_view body);
   Result<std::string> HandleReplicationDelta(std::string_view body);
   Result<std::string> HandleCheckpointMarker(std::string_view body);
   Result<std::string> HandleResolveSsid(std::string_view body);

@@ -62,56 +62,24 @@ bool ReadTableRead(Reader* r, TableRead* out) {
          r->ReadI64(&out->ssid) && ReadBool(r, &out->all_versions);
 }
 
-void PutAggState(std::string* buf, const sql::AggState& state) {
-  PutI64(buf, state.count);
-  PutBool(buf, state.all_int);
-  PutI64(buf, state.isum);
-  PutU64(buf, std::bit_cast<uint64_t>(state.sum));
-  PutBool(buf, state.has_best);
-  storage::PutValue(buf, state.best);
-  PutU32(buf, static_cast<uint32_t>(state.distinct.size()));
-  for (const kv::Value& v : state.distinct) {
-    storage::PutValue(buf, v);
-  }
-}
-
-bool ReadAggState(Reader* r, sql::AggState* out) {
-  uint64_t sum_bits = 0;
-  uint32_t distinct_count = 0;
-  if (!r->ReadI64(&out->count) || !ReadBool(r, &out->all_int) ||
-      !r->ReadI64(&out->isum) || !r->ReadU64(&sum_bits) ||
-      !ReadBool(r, &out->has_best) || !r->ReadValue(&out->best) ||
-      !ReadCount(r, &distinct_count)) {
-    return false;
-  }
-  out->sum = std::bit_cast<double>(sum_bits);
-  for (uint32_t i = 0; i < distinct_count; ++i) {
-    kv::Value v;
-    if (!r->ReadValue(&v)) return false;
-    out->distinct.insert(std::move(v));
-  }
-  return true;
-}
-
 }  // namespace
 
 bool IsKnownMsgType(uint8_t type) {
   switch (static_cast<MsgType>(type)) {
     case MsgType::kHello:
     case MsgType::kPointLookup:
-    case MsgType::kScanPartition:
-    case MsgType::kAggregatePartition:
     case MsgType::kReplicationDelta:
     case MsgType::kCheckpointMarker:
     case MsgType::kResolveSsid:
     case MsgType::kFetchSystemTable:
+    case MsgType::kScanBatches:
     case MsgType::kHelloReply:
     case MsgType::kRows:
-    case MsgType::kAggregateReply:
     case MsgType::kAck:
     case MsgType::kResolveSsidReply:
     case MsgType::kError:
     case MsgType::kSystemTableReply:
+    case MsgType::kBatches:
       return true;
   }
   return false;
@@ -121,19 +89,18 @@ const char* MsgTypeToString(MsgType type) {
   switch (type) {
     case MsgType::kHello: return "hello";
     case MsgType::kPointLookup: return "point_lookup";
-    case MsgType::kScanPartition: return "scan_partition";
-    case MsgType::kAggregatePartition: return "aggregate_partition";
     case MsgType::kReplicationDelta: return "replication_delta";
     case MsgType::kCheckpointMarker: return "checkpoint_marker";
     case MsgType::kResolveSsid: return "resolve_ssid";
     case MsgType::kFetchSystemTable: return "fetch_system_table";
+    case MsgType::kScanBatches: return "scan_batches";
     case MsgType::kHelloReply: return "hello_reply";
     case MsgType::kRows: return "rows";
-    case MsgType::kAggregateReply: return "aggregate_reply";
     case MsgType::kAck: return "ack";
     case MsgType::kResolveSsidReply: return "resolve_ssid_reply";
     case MsgType::kError: return "error";
     case MsgType::kSystemTableReply: return "system_table_reply";
+    case MsgType::kBatches: return "batches";
   }
   return "unknown";
 }
@@ -245,61 +212,16 @@ void EncodeScanPartitionRequest(const ScanPartitionRequest& msg,
                                 std::string* body) {
   PutTableRead(body, msg.read);
   PutI32(body, msg.partition);
-  PutString(body, msg.predicate_sql);
-  PutI64(body, msg.local_timestamp_micros);
 }
 
 Result<ScanPartitionRequest> DecodeScanPartitionRequest(
     std::string_view body) {
   Reader r(body);
   ScanPartitionRequest msg;
-  if (!ReadTableRead(&r, &msg.read) || !r.ReadI32(&msg.partition) ||
-      !r.ReadString(&msg.predicate_sql) ||
-      !r.ReadI64(&msg.local_timestamp_micros)) {
+  if (!ReadTableRead(&r, &msg.read) || !r.ReadI32(&msg.partition)) {
     return Corrupt("bad scan request");
   }
   return Finish(r, std::move(msg), "bad scan request");
-}
-
-void EncodeAggregatePartitionRequest(const AggregatePartitionRequest& msg,
-                                     std::string* body) {
-  PutTableRead(body, msg.read);
-  PutI32(body, msg.partition);
-  PutString(body, msg.predicate_sql);
-  PutU32(body, static_cast<uint32_t>(msg.group_by_sql.size()));
-  for (const std::string& expr : msg.group_by_sql) PutString(body, expr);
-  PutU32(body, static_cast<uint32_t>(msg.aggregate_sql.size()));
-  for (const std::string& expr : msg.aggregate_sql) PutString(body, expr);
-  PutI64(body, msg.local_timestamp_micros);
-}
-
-Result<AggregatePartitionRequest> DecodeAggregatePartitionRequest(
-    std::string_view body) {
-  Reader r(body);
-  AggregatePartitionRequest msg;
-  uint32_t groups = 0;
-  uint32_t aggs = 0;
-  if (!ReadTableRead(&r, &msg.read) || !r.ReadI32(&msg.partition) ||
-      !r.ReadString(&msg.predicate_sql) || !ReadCount(&r, &groups)) {
-    return Corrupt("bad aggregate request");
-  }
-  msg.group_by_sql.resize(groups);
-  for (uint32_t i = 0; i < groups; ++i) {
-    if (!r.ReadString(&msg.group_by_sql[i])) {
-      return Corrupt("bad aggregate request");
-    }
-  }
-  if (!ReadCount(&r, &aggs)) return Corrupt("bad aggregate request");
-  msg.aggregate_sql.resize(aggs);
-  for (uint32_t i = 0; i < aggs; ++i) {
-    if (!r.ReadString(&msg.aggregate_sql[i])) {
-      return Corrupt("bad aggregate request");
-    }
-  }
-  if (!r.ReadI64(&msg.local_timestamp_micros)) {
-    return Corrupt("bad aggregate request");
-  }
-  return Finish(r, std::move(msg), "bad aggregate request");
 }
 
 void EncodeRowsReply(const RowsReply& msg, std::string* body) {
@@ -332,51 +254,32 @@ Result<RowsReply> DecodeRowsReply(std::string_view body) {
   return Finish(r, std::move(msg), "bad rows reply");
 }
 
-void EncodeAggregateReply(const AggregateReply& msg, std::string* body) {
-  PutI64(body, msg.rows_scanned);
-  PutI64(body, msg.rows_returned);
-  PutU32(body, static_cast<uint32_t>(msg.groups.size()));
-  for (const WireGroup& group : msg.groups) {
-    PutU32(body, static_cast<uint32_t>(group.key.size()));
-    for (const kv::Value& v : group.key) storage::PutValue(body, v);
-    PutObject(body, group.representative);
-    PutU32(body, static_cast<uint32_t>(group.aggs.size()));
-    for (const sql::AggState& agg : group.aggs) PutAggState(body, agg);
+void EncodeBatchesReply(const BatchesReply& msg, std::string* body) {
+  PutU32(body, static_cast<uint32_t>(msg.batches.size()));
+  for (const WireBatch& batch : msg.batches) {
+    PutBool(body, batch.has_ssid);
+    PutI64(body, batch.ssid);
+    storage::PutColumnBatch(body, *batch.rows);
   }
 }
 
-Result<AggregateReply> DecodeAggregateReply(std::string_view body) {
+Result<BatchesReply> DecodeBatchesReply(std::string_view body) {
   Reader r(body);
-  AggregateReply msg;
-  uint32_t group_count = 0;
-  if (!r.ReadI64(&msg.rows_scanned) || !r.ReadI64(&msg.rows_returned) ||
-      !ReadCount(&r, &group_count)) {
-    return Corrupt("bad aggregate reply");
+  BatchesReply msg;
+  uint32_t count = 0;
+  if (!ReadCount(&r, &count)) return Corrupt("bad batches reply");
+  msg.batches.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    WireBatch batch;
+    auto rows = std::make_shared<kv::ColumnBatch>();
+    if (!ReadBool(&r, &batch.has_ssid) || !r.ReadI64(&batch.ssid) ||
+        !storage::ReadColumnBatch(&r, rows.get()) || rows->has_tombstones()) {
+      return Corrupt("bad batches reply");
+    }
+    batch.rows = std::move(rows);
+    msg.batches.push_back(std::move(batch));
   }
-  msg.groups.reserve(group_count);
-  for (uint32_t g = 0; g < group_count; ++g) {
-    WireGroup group;
-    uint32_t key_count = 0;
-    uint32_t agg_count = 0;
-    if (!ReadCount(&r, &key_count)) return Corrupt("bad aggregate reply");
-    group.key.reserve(key_count);
-    for (uint32_t i = 0; i < key_count; ++i) {
-      kv::Value v;
-      if (!r.ReadValue(&v)) return Corrupt("bad aggregate reply");
-      group.key.push_back(std::move(v));
-    }
-    if (!r.ReadObject(&group.representative) || !ReadCount(&r, &agg_count)) {
-      return Corrupt("bad aggregate reply");
-    }
-    group.aggs.resize(agg_count);
-    for (uint32_t i = 0; i < agg_count; ++i) {
-      if (!ReadAggState(&r, &group.aggs[i])) {
-        return Corrupt("bad aggregate reply");
-      }
-    }
-    msg.groups.push_back(std::move(group));
-  }
-  return Finish(r, std::move(msg), "bad aggregate reply");
+  return Finish(r, std::move(msg), "bad batches reply");
 }
 
 void EncodeReplicationDelta(const ReplicationDelta& msg, std::string* body) {

@@ -2,6 +2,7 @@
 #define SQUERY_NET_WIRE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -9,9 +10,9 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "kv/columnar.h"
 #include "kv/object.h"
 #include "kv/value.h"
-#include "sql/aggregate.h"
 
 namespace sq::net {
 
@@ -36,25 +37,28 @@ inline constexpr size_t kFrameHeaderBytes = 8;
 /// Fixed payload prefix: version, type, request id, trace id.
 inline constexpr size_t kPayloadPrefixBytes = 1 + 1 + 8 + 8;
 
+/// Retired values are never reused, so a frame from an old peer can only be
+/// rejected as an unknown type, never misread: 3 (a row scan with a pushed
+/// predicate), 4 (a partition fold into partial aggregates) and 66 (its
+/// reply).
 enum class MsgType : uint8_t {
   // Requests.
   kHello = 1,              ///< who are you / which partitions do you own
   kPointLookup = 2,        ///< rows for an explicit key set
-  kScanPartition = 3,      ///< stream one partition (predicate pushed down)
-  kAggregatePartition = 4, ///< fold one partition into partial aggregates
   kReplicationDelta = 5,   ///< primary→backup entry batch (live or snapshot)
   kCheckpointMarker = 6,   ///< 2PC marker exchange (prepare/commit/abort)
   kResolveSsid = 7,        ///< resolve "latest"/explicit id cluster-wide
   kFetchSystemTable = 8,   ///< one node's rows of a virtual system table
+  kScanBatches = 9,        ///< one partition as columnar batches
 
   // Responses.
   kHelloReply = 64,
   kRows = 65,
-  kAggregateReply = 66,
   kAck = 67,
   kResolveSsidReply = 68,
   kError = 69,
   kSystemTableReply = 70,
+  kBatches = 71,
 };
 
 /// True for the type values actually defined above (frame decoding rejects
@@ -113,31 +117,14 @@ void EncodePointLookupRequest(const PointLookupRequest& msg,
                               std::string* body);
 Result<PointLookupRequest> DecodePointLookupRequest(std::string_view body);
 
+/// Asks for one partition, answered with a BatchesReply.
 struct ScanPartitionRequest {
   TableRead read;
   int32_t partition = 0;
-  /// Pushed-down predicate (canonical Expr text), or empty. Server-side
-  /// filtering is conservative: rows the server cannot evaluate are kept and
-  /// re-filtered by the client, so the hint can never drop a valid row.
-  std::string predicate_sql;
-  int64_t local_timestamp_micros = 0;
 };
 void EncodeScanPartitionRequest(const ScanPartitionRequest& msg,
                                 std::string* body);
 Result<ScanPartitionRequest> DecodeScanPartitionRequest(std::string_view body);
-
-struct AggregatePartitionRequest {
-  TableRead read;
-  int32_t partition = 0;
-  std::string predicate_sql;  // empty = unfiltered
-  std::vector<std::string> group_by_sql;
-  std::vector<std::string> aggregate_sql;
-  int64_t local_timestamp_micros = 0;
-};
-void EncodeAggregatePartitionRequest(const AggregatePartitionRequest& msg,
-                                     std::string* body);
-Result<AggregatePartitionRequest> DecodeAggregatePartitionRequest(
-    std::string_view body);
 
 struct WireRow {
   kv::Value key;
@@ -152,18 +139,20 @@ struct RowsReply {
 void EncodeRowsReply(const RowsReply& msg, std::string* body);
 Result<RowsReply> DecodeRowsReply(std::string_view body);
 
-struct WireGroup {
-  std::vector<kv::Value> key;
-  kv::Object representative;
-  std::vector<sql::AggState> aggs;
+/// One columnar scan batch: the `ssid` pseudo-column value of its rows
+/// (absent on live scans) and the rows, in storage::PutColumnBatch encoding.
+struct WireBatch {
+  bool has_ssid = false;
+  int64_t ssid = 0;
+  std::shared_ptr<const kv::ColumnBatch> rows;  // never null
 };
-struct AggregateReply {
-  int64_t rows_scanned = 0;
-  int64_t rows_returned = 0;
-  std::vector<WireGroup> groups;  // first-seen scan order
+/// A partition's batches, in the order the node's own batch reader yields
+/// them. Decoding rejects tombstone rows: scan views never carry them.
+struct BatchesReply {
+  std::vector<WireBatch> batches;
 };
-void EncodeAggregateReply(const AggregateReply& msg, std::string* body);
-Result<AggregateReply> DecodeAggregateReply(std::string_view body);
+void EncodeBatchesReply(const BatchesReply& msg, std::string* body);
+Result<BatchesReply> DecodeBatchesReply(std::string_view body);
 
 struct DeltaEntry {
   kv::Value key;

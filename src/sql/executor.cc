@@ -403,63 +403,10 @@ Status ScanAggregate(const TableSource& source, const Expr* predicate,
   std::vector<GroupTable> per_partition(partitions);
   std::vector<PartitionOutcome> outcomes(partitions);
   const trace::SpanContext scan_ctx = trace::CurrentContext();
-  // Offered to sources that can fold a partition close to the data (cluster
-  // nodes); the row-streaming fold below stays the universal fallback.
-  RemoteAggregateSpec remote_spec;
-  remote_spec.local_timestamp_micros = ctx.local_timestamp_micros;
-  if (predicate != nullptr) remote_spec.predicate_sql = predicate->ToString();
-  for (const auto& expr : stmt.group_by) {
-    remote_spec.group_by_sql.push_back(expr->ToString());
-  }
-  for (const AggregateSpec& agg : aggregates) {
-    remote_spec.aggregate_sql.push_back(agg.id);
-  }
   RunPartitioned(options, partitions, workers, [&](int32_t p) {
     const int64_t span_t0 = trace::NowNanos();
     PartitionOutcome& outcome = outcomes[p];
     GroupTable& local = per_partition[p];
-    RemotePartialResult partial;
-    Status remote_status;
-    if (source.AggregatePartition(p, remote_spec, &partial, &remote_status)) {
-      if (!remote_status.ok()) {
-        outcome.status = std::move(remote_status);
-      } else {
-        outcome.scanned = partial.rows_scanned;
-        outcome.returned = partial.rows_returned;
-        for (RemotePartialGroup& group : partial.groups) {
-          if (group.aggs.size() != aggregates.size()) {
-            outcome.status =
-                Status::Internal("remote partial aggregate arity mismatch");
-            break;
-          }
-          // Groups arrive in the remote scan's first-seen order; replaying
-          // that order into the local table makes the later partition-order
-          // merge identical to a local fold.
-          auto [it, inserted] =
-              local.index.try_emplace(group.key, local.groups.size());
-          if (inserted) {
-            local.groups.push_back(GroupData{std::move(group.key),
-                                             std::move(group.representative),
-                                             std::move(group.aggs)});
-            continue;
-          }
-          GroupData& into = local.groups[it->second];
-          for (size_t a = 0; a < aggregates.size(); ++a) {
-            MergeAggregate(*aggregates[a].call, group.aggs[a],
-                           &into.aggs[a]);
-          }
-        }
-      }
-      trace::RecordSpan(trace::Category::kQuery, "partition_aggregate",
-                        scan_ctx, span_t0, trace::NowNanos(),
-                        {{"partition", p},
-                         {"remote", true},
-                         {"scanned", outcome.scanned},
-                         {"returned", outcome.returned},
-                         {"groups",
-                          static_cast<int64_t>(local.groups.size())}});
-      return;
-    }
     if (ScanPartitionBatches(source, p, options, &outcome,
                              [&](const ScanBatch& batch) {
                                return scan.AccumulateBatch(batch, ctx, &local,
@@ -598,10 +545,6 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
     const Expr* pushed = plan.predicate;
     const std::vector<Value>* keys =
         plan.keys.has_value() ? &*plan.keys : nullptr;
-    if (pushed != nullptr) {
-      source->BindPredicateHint(pushed->ToString(),
-                                ctx.local_timestamp_micros);
-    }
     scan_span.AddAttr("pushdown", pushed != nullptr);
     scan_span.AddAttr("point_lookup", keys != nullptr);
     if (aggregating && stmt.joins.empty() &&

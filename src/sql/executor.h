@@ -13,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "kv/object.h"
 #include "kv/value.h"
-#include "sql/aggregate.h"
 #include "sql/ast.h"
 #include "sql/result_set.h"
 
@@ -22,39 +21,6 @@ class ColumnBatch;
 }  // namespace sq::kv
 
 namespace sq::sql {
-
-/// A partial-aggregation request a TableSource may execute close to the
-/// data (e.g. on the cluster node owning the partition) instead of streaming
-/// rows back. All expressions travel as their canonical `Expr::ToString`
-/// text, which round-trips through the parser.
-struct RemoteAggregateSpec {
-  /// Pushed-down WHERE predicate, or empty for an unfiltered scan.
-  std::string predicate_sql;
-  /// GROUP BY expressions, in statement order.
-  std::vector<std::string> group_by_sql;
-  /// Aggregate calls (e.g. "sum(total)"), in collection order.
-  std::vector<std::string> aggregate_sql;
-  /// LOCALTIMESTAMP binding, so remote evaluation agrees with local.
-  int64_t local_timestamp_micros = 0;
-};
-
-/// One group of a remotely folded partition: the group key, the first row of
-/// the group in scan order (the representative for non-aggregate
-/// expressions), and one AggState per requested aggregate.
-struct RemotePartialGroup {
-  std::vector<kv::Value> key;
-  kv::Object representative;
-  std::vector<AggState> aggs;
-};
-
-/// A remotely folded partition. Groups are in first-seen scan order — the
-/// executor inserts them into its merge table in that order, which is what
-/// keeps distributed aggregation bit-identical to the local fold.
-struct RemotePartialResult {
-  int64_t rows_scanned = 0;
-  int64_t rows_returned = 0;
-  std::vector<RemotePartialGroup> groups;
-};
 
 /// One columnar batch of scan rows: the column-chunked rows plus how the
 /// `ssid` pseudo-column resolves for them. Live scans carry no ssid;
@@ -114,47 +80,16 @@ class TableSource {
   /// Partition a key routes to (scan metrics only).
   virtual int32_t PartitionOfKey(const kv::Value& key) const = 0;
 
-  /// Called once before the scan when the executor pushed `predicate_sql`
-  /// down: sources that evaluate remotely may forward it so filtering
-  /// happens before rows cross the network. Filtering through the hint must
-  /// be conservative (keep rows on any doubt) — the executor re-evaluates
-  /// the predicate on every emitted row regardless.
-  virtual void BindPredicateHint(const std::string& predicate_sql,
-                                 int64_t local_timestamp_micros) {
-    (void)predicate_sql;
-    (void)local_timestamp_micros;
-  }
-
-  /// Optional capability: serve `partition` as columnar batches instead of
-  /// row callbacks. Null means this source (or this partition) cannot — the
-  /// executor then streams rows through `ScanPartition`, which every source
-  /// implements. Like ScanPartition, readers for distinct partitions may run
-  /// concurrently.
+  /// Serves `partition` as columnar batches instead of row callbacks, or
+  /// returns null when this source (or this partition) cannot — the
+  /// executor then streams rows through `ScanPartition`. Like ScanPartition,
+  /// readers for distinct partitions may run concurrently.
   virtual std::unique_ptr<BatchReader> OpenBatchReader(
-      int32_t partition) const {
-    (void)partition;
-    return nullptr;
-  }
+      int32_t partition) const = 0;
 
   /// True if OpenBatchReader may return non-null (plan/EXPLAIN probing
   /// without building a batch).
-  virtual bool SupportsBatches() const { return false; }
-
-  /// Optional capability: fold `partition` remotely per `spec` instead of
-  /// streaming its rows. Returns false if the source (or this particular
-  /// spec) does not support remote folding — the executor then streams rows
-  /// and folds locally, which is always equivalent. Returns true with
-  /// `*error` set when the fold was attempted and failed.
-  virtual bool AggregatePartition(int32_t partition,
-                                  const RemoteAggregateSpec& spec,
-                                  RemotePartialResult* out,
-                                  Status* error) const {
-    (void)partition;
-    (void)spec;
-    (void)out;
-    (void)error;
-    return false;
-  }
+  virtual bool SupportsBatches() const = 0;
 };
 
 /// The executor's only way to read a table. The query layer implements this

@@ -36,6 +36,12 @@ class ScanFnSource final : public TableSource {
   int32_t PartitionOfKey(const kv::Value& /*key*/) const override {
     return 0;
   }
+  /// Row-only: the executor streams every scan through ScanPartition.
+  std::unique_ptr<BatchReader> OpenBatchReader(
+      int32_t /*partition*/) const override {
+    return nullptr;
+  }
+  bool SupportsBatches() const override { return false; }
 
  private:
   TableScanFn scan_;

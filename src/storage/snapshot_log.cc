@@ -681,7 +681,19 @@ Status SnapshotLog::AppendChannelLog(int64_t ssid, const std::string& vertex,
 
 Status SnapshotLog::FlushBatchLocked() {
   if (batch_.empty()) return Status::OK();
-  SQ_RETURN_IF_ERROR(WriteAll(active_fd_, batch_.data(), batch_.size()));
+  Status written = WriteAll(active_fd_, batch_.data(), batch_.size());
+  if (!written.ok()) {
+    // A failed write may still have appended part of the batch. Cut it off:
+    // the batch stays pending, and the next flush must append it whole at
+    // active_size_, not behind a torn prefix that reopening would truncate
+    // together with everything after it.
+    if (::ftruncate(active_fd_, static_cast<off_t>(active_size_)) != 0) {
+      return Status::Internal(ErrnoMessage("ftruncate " +
+                                           segments_.back().path) +
+                              " after " + written.ToString());
+    }
+    return written;
+  }
   active_size_ += batch_.size();
   batch_.clear();
   return Status::OK();

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -369,6 +371,52 @@ TEST(SnapshotLogTest, TornTailIsTruncatedByChecksum) {
   EXPECT_EQ(fs::file_size(segment_path), durable_size);
   EXPECT_EQ(ReadView(**reopened, "snapshot_orders", 1),
             (std::map<int64_t, int64_t>{{1, 10}}));
+}
+
+// A flush that fails part-way must not leave its prefix in the segment:
+// the retried batch would land behind torn bytes, Commit would report
+// success, and reopening would truncate the committed snapshot away.
+TEST(SnapshotLogTest, FailedFlushLeavesNoTornPrefixBeforeALaterCommit) {
+  TempDir dir;
+  {
+    auto log = SnapshotLog::Open({.dir = dir.path(), .flush_bytes = 1});
+    ASSERT_TRUE(log.ok()) << log.status();
+    ASSERT_TRUE(
+        (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 10}})).ok());
+    ASSERT_TRUE((*log)->Commit(1).ok());
+    std::string segment_path;
+    for (const auto& entry : fs::directory_iterator(dir.path())) {
+      if (entry.path().filename().string().rfind("segment-", 0) == 0) {
+        segment_path = entry.path().string();
+      }
+    }
+    ASSERT_FALSE(segment_path.empty());
+    const auto committed_size = fs::file_size(segment_path);
+
+    // A file-size limit 16 bytes past the segment's end turns the next
+    // flush into a short write followed by EFBIG (SIGXFSZ ignored).
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit limited = saved;
+    limited.rlim_cur = committed_size + 16;
+    const auto previous_handler = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+    const Status failed = (*log)->AppendDelta("snapshot_orders", 2, 0,
+                                              Delta({{2, 20}, {3, 30}}));
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, previous_handler);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(fs::file_size(segment_path), committed_size);
+
+    // The limit is gone: the pending batch flushes whole with the commit.
+    ASSERT_TRUE((*log)->Commit(2).ok());
+  }
+  auto reopened = SnapshotLog::Open({.dir = dir.path()});
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->recovery_info().torn_bytes_skipped, 0);
+  EXPECT_TRUE((*reopened)->IsDurable(2));
+  EXPECT_EQ(ReadView(**reopened, "snapshot_orders", 2),
+            (std::map<int64_t, int64_t>{{1, 10}, {2, 20}, {3, 30}}));
 }
 
 TEST(SnapshotLogTest, MultiSegmentHistoryReadsBackAcrossReopen) {

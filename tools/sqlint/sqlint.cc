@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -229,6 +230,8 @@ namespace {
 /// line range [begin, end] (1-based, inclusive).
 struct EnumBlock {
   std::vector<std::string> enumerators;
+  /// Explicit `= <n>` value of each enumerator, or -1 when it has none.
+  std::vector<long> values;
   size_t begin = 0;
   size_t end = 0;
 };
@@ -256,6 +259,11 @@ std::optional<EnumBlock> ParseEnum(const SourceFile& file,
       if (token.size() >= 2 && token[0] == 'k' &&
           std::isupper(static_cast<unsigned char>(token[1])) != 0) {
         block.enumerators.push_back(token);
+        const size_t eq = code.find('=', code.find(token) + token.size());
+        block.values.push_back(
+            eq == std::string::npos ? -1
+                                    : std::strtol(code.c_str() + eq + 1,
+                                                  nullptr, 0));
         break;
       }
     }
@@ -314,6 +322,19 @@ void PassWire(const Tree& tree, std::vector<Finding>* findings) {
             "could not locate MsgTypeToString() in wire.cc");
       }
 
+      // Request types (values below 64) are served by NodeServer::Dispatch;
+      // one without a case there only fails at runtime, as "not a request
+      // type".
+      const SourceFile* server_cc = tree.Find("src/net/node_server.cc");
+      std::optional<std::pair<size_t, size_t>> dispatch;
+      if (server_cc != nullptr) {
+        dispatch = FindFunctionRegion(*server_cc, "NodeServer::Dispatch(");
+        if (!dispatch.has_value()) {
+          Add(findings, *server_cc, 1, "wire",
+              "could not locate NodeServer::Dispatch() in node_server.cc");
+        }
+      }
+
       const SourceFile* net_test = tree.Find("tests/net_test.cc");
       std::pair<size_t, size_t> corpus{0, 0};
       std::pair<size_t, size_t> rpc_metrics{0, 0};
@@ -347,7 +368,26 @@ void PassWire(const Tree& tree, std::vector<Finding>* findings) {
         }
       }
 
-      for (const std::string& e : msg_types->enumerators) {
+      for (size_t i = 0; i < msg_types->enumerators.size(); ++i) {
+        const std::string& e = msg_types->enumerators[i];
+        const long value = msg_types->values[i];
+        if (dispatch.has_value() && value >= 0 && value < 64) {
+          bool dispatched = false;
+          for (size_t line = dispatch->first; line <= dispatch->second;
+               ++line) {
+            const std::string_view code = server_cc->CodeAt(line);
+            if (HasToken(code, "case") && HasToken(code, e)) {
+              dispatched = true;
+              break;
+            }
+          }
+          if (!dispatched) {
+            Add(findings, *wire_h, msg_types->begin, "wire",
+                "request MsgType::" + e + " has no case in "
+                "NodeServer::Dispatch(): nodes answer it \"not a request "
+                "type\"");
+          }
+        }
         if (known.has_value() &&
             !RegionHasToken(*wire_cc, *known, e, false)) {
           Add(findings, *wire_h, msg_types->begin, "wire",

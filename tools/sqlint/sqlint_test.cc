@@ -293,6 +293,47 @@ TEST(Wire, UnreferencedMsgTypeIsFlagged) {
             std::string::npos);
 }
 
+// Both fixture types have values below 64, so both are request types the
+// node's Dispatch must serve.
+TEST(Wire, DispatchedRequestTypesAreClean) {
+  const Tree tree = MakeTree(
+      {{"src/net/wire.h", kWireH},
+       {"src/net/wire.cc", kWireCcComplete},
+       {"src/net/client.cc", kNetUser},
+       {"src/net/node_server.cc",
+        "Result<std::string> NodeServer::Dispatch(const Frame& request) {\n"
+        "  switch (request.type) {\n"
+        "    case MsgType::kHello:\n"
+        "      return Hello();\n"
+        "    case MsgType::kError:\n"
+        "      return Error();\n"
+        "  }\n"
+        "}\n"},
+       {"tests/net_test.cc", kNetTestComplete}});
+  EXPECT_TRUE(RunPass(PassWire, tree).empty());
+}
+
+TEST(Wire, UndispatchedRequestTypeIsFlagged) {
+  const Tree tree = MakeTree(
+      {{"src/net/wire.h", kWireH},
+       {"src/net/wire.cc", kWireCcComplete},
+       {"src/net/client.cc", kNetUser},
+       {"src/net/node_server.cc",
+        "Result<std::string> NodeServer::Dispatch(const Frame& request) {\n"
+        "  switch (request.type) {\n"
+        "    case MsgType::kHello:\n"
+        "      *reply_type = MsgType::kError;\n"
+        "      return Hello();\n"
+        "  }\n"
+        "}\n"},
+       {"tests/net_test.cc", kNetTestComplete}});
+  const auto findings = RunPass(PassWire, tree);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].message.find("kError"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("NodeServer::Dispatch"),
+            std::string::npos);
+}
+
 TEST(Wire, RecordTypeNeedsEncodeAndDecodeSites) {
   const Tree tree = MakeTree(
       {{"src/storage/snapshot_log.cc",
