@@ -110,6 +110,11 @@ class SQ_CAPABILITY("mutex") Mutex {
 
   int rank() const { return rank_; }
 
+  /// Tells the static analysis that this thread holds the mutex, where it
+  /// cannot follow the acquisition (locks taken in a loop and held in a
+  /// container). Checks nothing at run time.
+  void AssertHeld() const SQ_ASSERT_CAPABILITY(this) {}
+
   /// Toggles the per-thread lock-rank validator. The validator is compiled
   /// into every build (so RelWithDebInfo test binaries can enable it) but
   /// defaults on only when NDEBUG is not defined; the SQ_LOCK_RANK_CHECKS

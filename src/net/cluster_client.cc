@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/metric_names.h"
 #include "net/socket.h"
 
@@ -17,21 +20,26 @@ namespace sq::net {
 namespace {
 
 /// The client half of distributed routing: a TableSource whose partitions
-/// live on remote nodes. A node answers a partition read with the columnar
+/// live on remote nodes. A node answers a range read with the columnar
 /// batches its own source yields, so the coordinator filters and folds
-/// remote partitions with exactly the code it runs on local ones. The
-/// executor's partition fan-out reads partitions from pool workers, so one
-/// slow node only stalls its own partitions; per-peer connection locks
-/// serialize RPCs to the same node and let distinct nodes proceed in
-/// parallel.
+/// remote partitions with exactly the code it runs on local ones.
+///
+/// The first read of any partition fetches them all: one range request per
+/// owning node, all sent before any reply is read (ClusterClient::Scatter),
+/// so the nodes serve the scan at once. The decoded batches stay with the
+/// source for its lifetime, and each partition's reader gets copies of
+/// their shared pointers, so the executor's partition fan-out and merge
+/// work as they do on a local table.
 class ClusterTableSource : public sql::TableSource {
  public:
-  ClusterTableSource(ClusterClient* client, TableRead read)
+  ClusterTableSource(ClusterClient* client, TableRead read,
+                     bool resolve_latest)
       : client_(client),
         read_(std::move(read)),
+        resolve_latest_(resolve_latest),
         // Captured once on the coordinating thread (the source is opened
-        // inside the query's span); worker-side RPCs parent here so the
-        // whole scatter joins the query's trace tree.
+        // inside the query's span); RPCs from pool workers parent here so
+        // the whole scatter joins the query's trace tree.
         ctx_(trace::CurrentContext()) {}
 
   int32_t partition_count() const override {
@@ -44,9 +52,9 @@ class ClusterTableSource : public sql::TableSource {
 
   /// The row engine's view of the same batches the columnar engine reads.
   Status ScanPartition(int32_t partition, const RowFn& fn) const override {
-    SQ_ASSIGN_OR_RETURN(std::vector<sql::ScanBatch> batches,
-                        FetchBatches(partition));
-    for (const sql::ScanBatch& batch : batches) {
+    SQ_ASSIGN_OR_RETURN(const std::vector<sql::ScanBatch>* batches,
+                        Batches(partition));
+    for (const sql::ScanBatch& batch : *batches) {
       const kv::Value* ssid = batch.ssid.has_value() ? &*batch.ssid : nullptr;
       for (size_t r = 0; r < batch.rows->row_count(); ++r) {
         fn(batch.rows->keys()[r], ssid, batch.rows->MaterializeRow(r));
@@ -62,15 +70,17 @@ class ClusterTableSource : public sql::TableSource {
     // outermost, versions innermost), so multi-version lookups stay
     // bit-identical.
     std::map<int32_t, PointLookupRequest> by_node;
+    // sq-lint: unordered-ok(lookups only; rows are ordered by request index)
+    std::unordered_map<kv::Value, size_t, kv::ValueHash> first_index;
     for (size_t i = 0; i < keys.size(); ++i) {
-      const int32_t node =
-          client_->OwnerOfPartition(PartitionOfKey(keys[i]));
-      PointLookupRequest& req = by_node[node];
-      req.read = read_;
-      req.keys.push_back(keys[i]);
+      first_index.emplace(keys[i], i);
+      by_node[client_->OwnerOfPartition(PartitionOfKey(keys[i]))]
+          .keys.push_back(keys[i]);
     }
+    SQ_ASSIGN_OR_RETURN(const TableRead read, ReadFor(by_node.size()));
     std::vector<std::pair<size_t, WireRow>> collected;
     for (auto& [node, req] : by_node) {
+      req.read = read;
       std::string body;
       EncodePointLookupRequest(req, &body);
       std::string reply_body;
@@ -79,13 +89,8 @@ class ClusterTableSource : public sql::TableSource {
                                        /*idempotent=*/true));
       SQ_ASSIGN_OR_RETURN(RowsReply reply, DecodeRowsReply(reply_body));
       for (WireRow& row : reply.rows) {
-        size_t index = keys.size();
-        for (size_t i = 0; i < keys.size(); ++i) {
-          if (keys[i] == row.key) {
-            index = i;
-            break;
-          }
-        }
+        const auto it = first_index.find(row.key);
+        const size_t index = it == first_index.end() ? keys.size() : it->second;
         collected.emplace_back(index, std::move(row));
       }
     }
@@ -112,56 +117,136 @@ class ClusterTableSource : public sql::TableSource {
   bool SupportsBatches() const override { return true; }
 
  private:
-  /// Cursor over one remote partition. The RPC runs on the first NextBatch,
-  /// so transport and decode errors come back through its Result.
+  /// Cursor over one remote partition. The fetch runs on the first
+  /// NextBatch, so transport and decode errors come back through its Result.
   class RemoteBatchReader : public sql::BatchReader {
    public:
     RemoteBatchReader(const ClusterTableSource* source, int32_t partition)
         : source_(source), partition_(partition) {}
 
     Result<bool> NextBatch(sql::ScanBatch* out) override {
-      if (!fetched_) {
-        SQ_ASSIGN_OR_RETURN(batches_, source_->FetchBatches(partition_));
-        fetched_ = true;
+      if (batches_ == nullptr) {
+        SQ_ASSIGN_OR_RETURN(batches_, source_->Batches(partition_));
       }
-      if (next_ == batches_.size()) return false;
-      *out = std::move(batches_[next_++]);
+      if (next_ == batches_->size()) return false;
+      *out = (*batches_)[next_++];
       return true;
     }
 
    private:
     const ClusterTableSource* source_;
     const int32_t partition_;
-    bool fetched_ = false;
-    std::vector<sql::ScanBatch> batches_;
+    const std::vector<sql::ScanBatch>* batches_ = nullptr;
     size_t next_ = 0;
   };
 
-  /// One kScanBatches RPC to the partition's owner.
-  Result<std::vector<sql::ScanBatch>> FetchBatches(int32_t partition) const {
-    ScanPartitionRequest req;
-    req.read = read_;
-    req.partition = partition;
-    std::string body;
-    EncodeScanPartitionRequest(req, &body);
-    std::string reply_body;
-    SQ_RETURN_IF_ERROR(client_->Call(
-        client_->OwnerOfPartition(partition), MsgType::kScanBatches, body,
-        MsgType::kBatches, &reply_body, ctx_, /*idempotent=*/true));
-    SQ_ASSIGN_OR_RETURN(BatchesReply reply, DecodeBatchesReply(reply_body));
-    std::vector<sql::ScanBatch> batches;
-    batches.reserve(reply.batches.size());
-    for (WireBatch& batch : reply.batches) {
-      std::optional<kv::Value> ssid;
-      if (batch.has_ssid) ssid = kv::Value(batch.ssid);
-      batches.push_back(sql::ScanBatch{std::move(batch.rows), std::move(ssid)});
+  /// The read to send to `nodes` nodes. An unpinned snapshot read served by
+  /// one node lets that node resolve "latest"; one that spans several
+  /// resolves it once first, so every node serves the same id.
+  Result<TableRead> ReadFor(size_t nodes) const {
+    TableRead read = read_;
+    if (resolve_latest_ && nodes > 1) {
+      SQ_ASSIGN_OR_RETURN(read.ssid,
+                          client_->ResolveSsid(std::nullopt, ctx_));
+      read.has_ssid = true;
     }
-    return batches;
+    return read;
+  }
+
+  /// The batches of `partition`, fetched with every other partition by the
+  /// first caller; later callers wait for that fetch and share its outcome.
+  Result<const std::vector<sql::ScanBatch>*> Batches(int32_t partition) const {
+    std::call_once(fetch_once_, [this] { fetch_status_ = FetchAll(); });
+    SQ_RETURN_IF_ERROR(fetch_status_);
+    return &partitions_[partition];
+  }
+
+  /// One owning node's part of the scan still to fetch.
+  struct PendingRange {
+    int32_t node_id;
+    int32_t begin;
+    int32_t end;
+  };
+
+  /// Sends every owning node its range at once, then asks again from
+  /// `next_partition` for each node that answered with a partial page.
+  Status FetchAll() const {
+    const ClusterTopology& topology = client_->topology();
+    const auto node_count = static_cast<int32_t>(topology.nodes.size());
+    partitions_.resize(topology.partition_count);
+    std::vector<PendingRange> pending;
+    for (int32_t i = 0; i < node_count; ++i) {
+      const kv::PartitionRange owned =
+          kv::PartitionRangeOf(i, node_count, topology.partition_count);
+      if (owned.begin < owned.end) {
+        pending.push_back({topology.nodes[i].node_id, owned.begin, owned.end});
+      }
+    }
+    SQ_ASSIGN_OR_RETURN(const TableRead read, ReadFor(pending.size()));
+    while (!pending.empty()) {
+      std::vector<ClusterClient::ScatterCall> calls(pending.size());
+      for (size_t i = 0; i < pending.size(); ++i) {
+        calls[i].node_id = pending[i].node_id;
+        EncodeScanRangeRequest(
+            ScanRangeRequest{read, pending[i].begin, pending[i].end},
+            &calls[i].body);
+      }
+      client_->Scatter(MsgType::kScanRange, MsgType::kRangeBatches, &calls,
+                       ctx_);
+      std::vector<PendingRange> unfinished;
+      for (size_t i = 0; i < pending.size(); ++i) {
+        SQ_RETURN_IF_ERROR(calls[i].status);
+        SQ_ASSIGN_OR_RETURN(ScanRangeReply page,
+                            DecodeScanRangeReply(calls[i].reply_body));
+        SQ_RETURN_IF_ERROR(Store(pending[i], &page));
+        if (page.next_partition < pending[i].end) {
+          unfinished.push_back(
+              {pending[i].node_id, page.next_partition, pending[i].end});
+        }
+      }
+      pending = std::move(unfinished);
+    }
+    return Status::OK();
+  }
+
+  /// Files one page's batches under their partitions. A page must cover
+  /// consecutive partitions from the range's start and make progress.
+  Status Store(const PendingRange& range, ScanRangeReply* page) const {
+    const auto served = static_cast<int32_t>(page->partitions.size());
+    bool consecutive = served > 0 && page->next_partition <= range.end &&
+                       page->next_partition - range.begin == served;
+    for (int32_t k = 0; consecutive && k < served; ++k) {
+      consecutive = page->partitions[k].partition == range.begin + k;
+    }
+    if (!consecutive) {
+      return Status::Internal("net: node " + std::to_string(range.node_id) +
+                              " answered partitions [" +
+                              std::to_string(range.begin) + ", " +
+                              std::to_string(range.end) +
+                              ") with a page that does not follow them");
+    }
+    for (PartitionBatches& partition : page->partitions) {
+      std::vector<sql::ScanBatch>& batches = partitions_[partition.partition];
+      batches.reserve(partition.batches.size());
+      for (WireBatch& batch : partition.batches) {
+        std::optional<kv::Value> ssid;
+        if (batch.has_ssid) ssid = kv::Value(batch.ssid);
+        batches.push_back(
+            sql::ScanBatch{std::move(batch.rows), std::move(ssid)});
+      }
+    }
+    return Status::OK();
   }
 
   ClusterClient* client_;
-  TableRead read_;
+  const TableRead read_;
+  const bool resolve_latest_;
   trace::SpanContext ctx_;
+
+  // Written once, inside the call_once, and read-only after it.
+  mutable std::once_flag fetch_once_;
+  mutable Status fetch_status_;
+  mutable std::vector<std::vector<sql::ScanBatch>> partitions_;
 };
 
 }  // namespace
@@ -233,14 +318,20 @@ Result<size_t> ClusterClient::IndexOfNode(int32_t node_id) const {
                           " in the cluster topology");
 }
 
-Status ClusterClient::TryCall(Peer* peer, const NodeAddress& address,
-                              const Frame& request, MsgType expected_reply,
-                              std::string* reply_body,
-                              bool* transport_failed) {
+Frame ClusterClient::MakeRequest(MsgType type, const std::string& body,
+                                 trace::SpanContext parent) {
+  Frame request;
+  request.type = type;
+  request.request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
+  request.trace_id = parent.trace_id;
+  request.body = body;
+  return request;
+}
+
+Status ClusterClient::SendRequest(Peer* peer, const NodeAddress& address,
+                                  const Frame& request, int64_t deadline,
+                                  bool* transport_failed) {
   *transport_failed = true;
-  const int64_t deadline =
-      trace::NowNanos() + rpc_.deadline_ms * 1000 * 1000;
-  MutexLock lock(&peer->mu);
   if (peer->fd < 0) {
     Result<int> fd = DialTcp(address.host, address.port, deadline);
     if (!fd.ok()) return fd.status();
@@ -252,31 +343,44 @@ Status ClusterClient::TryCall(Peer* peer, const NodeAddress& address,
     }
     peer->ever_connected = true;
   }
-  int64_t bytes_in = 0;
   int64_t bytes_out = 0;
-  Status s = SendFrame(peer->fd, request, deadline, &bytes_out);
-  Result<Frame> reply = s.ok() ? RecvFrame(peer->fd, deadline, &bytes_in)
-                               : Result<Frame>(s);
+  const Status s = SendFrame(peer->fd, request, deadline, &bytes_out);
   if (m_bytes_out_ != nullptr && bytes_out > 0) {
     m_bytes_out_->Increment(bytes_out);
   }
+  peer->by_type[static_cast<uint8_t>(request.type)].bytes_out += bytes_out;
+  if (s.IsInvalidArgument()) {
+    // Refused before a byte was written (an oversized frame): the connection
+    // is intact, and a retry would be refused the same way.
+    *transport_failed = false;
+  } else if (!s.ok()) {
+    // A half-written request leaves the connection unusable; a retry
+    // reconnects.
+    CloseFd(peer->fd);
+    peer->fd = -1;
+  }
+  return s;
+}
+
+Status ClusterClient::ReceiveReply(Peer* peer, const NodeAddress& address,
+                                   const Frame& request,
+                                   MsgType expected_reply, int64_t deadline,
+                                   std::string* reply_body,
+                                   bool* transport_failed) {
+  *transport_failed = true;
+  int64_t bytes_in = 0;
+  Result<Frame> reply = RecvFrame(peer->fd, deadline, &bytes_in);
   if (m_bytes_in_ != nullptr && bytes_in > 0) m_bytes_in_->Increment(bytes_in);
-  {
-    TypeStats& stats = peer->by_type[static_cast<uint8_t>(request.type)];
-    stats.bytes_in += bytes_in;
-    stats.bytes_out += bytes_out;
-  }
-  if (reply.ok()) {
-    // Any decoded reply — kError included — proves the node is answering.
-    peer->last_contact_micros = SteadyToUnixMicros(trace::NowNanos());
-  }
+  peer->by_type[static_cast<uint8_t>(request.type)].bytes_in += bytes_in;
   if (!reply.ok()) {
-    // The connection is in an unknown state (half-written request, torn
-    // reply) — drop it; a retry reconnects.
+    // The connection is in an unknown state (a torn reply): drop it; a
+    // retry reconnects.
     CloseFd(peer->fd);
     peer->fd = -1;
     return reply.status();
   }
+  // Any decoded reply — kError included — proves the node is answering.
+  peer->last_contact_micros = SteadyToUnixMicros(trace::NowNanos());
   if (reply->request_id != request.request_id) {
     CloseFd(peer->fd);
     peer->fd = -1;
@@ -302,42 +406,10 @@ Status ClusterClient::TryCall(Peer* peer, const NodeAddress& address,
   return Status::OK();
 }
 
-Status ClusterClient::Call(int32_t node_id, MsgType type,
-                           const std::string& body, MsgType expected_reply,
-                           std::string* reply_body, trace::SpanContext parent,
-                           bool idempotent) {
-  SQ_ASSIGN_OR_RETURN(size_t index, IndexOfNode(node_id));
-  const NodeAddress& address = topology_.nodes[index];
-  Peer* peer = peers_[index].get();
-
-  Frame request;
-  request.type = type;
-  request.trace_id = parent.trace_id;
-  request.body = body;
-
-  const int64_t t0 = trace::NowNanos();
-  Status status = Status::OK();
-  int32_t attempts = 0;
-  bool transport_failed = false;
-  for (;;) {
-    ++attempts;
-    request.request_id =
-        next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    transport_failed = false;
-    status = TryCall(peer, address, request, expected_reply, reply_body,
-                     &transport_failed);
-    if (status.ok()) break;
-    if (status.IsTimeout() && m_deadline_exceeded_ != nullptr) {
-      m_deadline_exceeded_->Increment();
-    }
-    if (!transport_failed || !idempotent || attempts >= rpc_.max_attempts) {
-      break;
-    }
-    if (m_retries_ != nullptr) m_retries_->Increment();
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(rpc_.backoff_ms * attempts));
-  }
-  const int64_t t1 = trace::NowNanos();
+void ClusterClient::FinishCall(Peer* peer, int32_t node_id, MsgType type,
+                               trace::SpanContext parent, int64_t t0,
+                               int64_t t1, int32_t attempts,
+                               bool transport_failed, Status* status) {
   {
     // Health registry: liveness follows the *transport*, not the status — a
     // typed error reply means the node answered and is alive.
@@ -346,20 +418,20 @@ Status ClusterClient::Call(int32_t node_id, MsgType type,
     ++stats.rpcs;
     if (stats.latency == nullptr) stats.latency = std::make_unique<Histogram>();
     stats.latency->Record(t1 - t0);
-    const bool answered = status.ok() || !transport_failed;
+    const bool answered = status->ok() || !transport_failed;
     peer->alive = answered;
     if (peer->m_alive != nullptr) peer->m_alive->Set(answered ? 1 : 0);
-    if (!status.ok()) {
-      peer->last_error = status.ToString();
+    if (!status->ok()) {
+      peer->last_error = status->ToString();
       if (!answered) {
         ++peer->failures;
         if (peer->m_failures != nullptr) peer->m_failures->Increment();
       }
     }
   }
-  if (!status.ok()) {
-    status = status.WithContext(std::string("rpc ") + MsgTypeToString(type) +
-                                " to node " + std::to_string(node_id));
+  if (!status->ok()) {
+    *status = status->WithContext(std::string("rpc ") + MsgTypeToString(type) +
+                                  " to node " + std::to_string(node_id));
     if (m_errors_ != nullptr) m_errors_->Increment();
   }
   if (metrics_ != nullptr) {
@@ -376,28 +448,139 @@ Status ClusterClient::Call(int32_t node_id, MsgType type,
                     {{"type", MsgTypeToString(type)},
                      {"node", node_id},
                      {"attempts", attempts},
-                     {"ok", status.ok()}});
+                     {"ok", status->ok()}});
+}
+
+Status ClusterClient::Call(int32_t node_id, MsgType type,
+                           const std::string& body, MsgType expected_reply,
+                           std::string* reply_body, trace::SpanContext parent,
+                           bool idempotent) {
+  SQ_ASSIGN_OR_RETURN(size_t index, IndexOfNode(node_id));
+  const NodeAddress& address = topology_.nodes[index];
+  Peer* peer = peers_[index].get();
+
+  const int64_t t0 = trace::NowNanos();
+  Status status = Status::OK();
+  int32_t attempts = 0;
+  bool transport_failed = false;
+  for (;;) {
+    ++attempts;
+    const Frame request = MakeRequest(type, body, parent);
+    const int64_t deadline =
+        trace::NowNanos() + rpc_.deadline_ms * 1000 * 1000;
+    {
+      MutexLock lock(&peer->mu);
+      status = SendRequest(peer, address, request, deadline,
+                           &transport_failed);
+      if (status.ok()) {
+        status = ReceiveReply(peer, address, request, expected_reply,
+                              deadline, reply_body, &transport_failed);
+      }
+    }
+    if (status.ok()) break;
+    if (status.IsTimeout() && m_deadline_exceeded_ != nullptr) {
+      m_deadline_exceeded_->Increment();
+    }
+    if (!transport_failed || !idempotent || attempts >= rpc_.max_attempts) {
+      break;
+    }
+    if (m_retries_ != nullptr) m_retries_->Increment();
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(rpc_.backoff_ms * attempts));
+  }
+  FinishCall(peer, node_id, type, parent, t0, trace::NowNanos(), attempts,
+             transport_failed, &status);
   return status;
 }
 
+void ClusterClient::Scatter(MsgType type, MsgType expected_reply,
+                            std::vector<ScatterCall>* calls,
+                            trace::SpanContext parent) {
+  struct Step {
+    Peer* peer = nullptr;
+    const NodeAddress* address = nullptr;
+    Frame request;
+    bool sent = false;
+    bool transport_failed = false;
+    int64_t t1 = 0;
+  };
+  std::vector<Step> steps(calls->size());
+  const int64_t t0 = trace::NowNanos();
+  const int64_t deadline = t0 + rpc_.deadline_ms * 1000 * 1000;
+  {
+    // Every peer stays locked for the whole exchange, taken in ascending
+    // node order so two concurrent scatters cannot deadlock.
+    std::vector<std::unique_ptr<MutexLock>> locks;
+    locks.reserve(calls->size());
+    size_t last_index = 0;
+    for (size_t i = 0; i < calls->size(); ++i) {
+      ScatterCall& call = (*calls)[i];
+      Result<size_t> index = IndexOfNode(call.node_id);
+      if (!index.ok()) {
+        call.status = index.status();
+        continue;
+      }
+      SQ_CHECK(locks.empty() || *index > last_index)
+          << "Scatter calls must be in ascending node order";
+      last_index = *index;
+      Step& step = steps[i];
+      step.peer = peers_[*index].get();
+      step.address = &topology_.nodes[*index];
+      step.request = MakeRequest(type, call.body, parent);
+      locks.push_back(std::make_unique<MutexLock>(&step.peer->mu));
+      step.peer->mu.AssertHeld();
+      call.status = SendRequest(step.peer, *step.address, step.request,
+                                deadline, &step.transport_failed);
+      step.sent = call.status.ok();
+    }
+    for (size_t i = 0; i < calls->size(); ++i) {
+      Step& step = steps[i];
+      if (!step.sent) continue;
+      ScatterCall& call = (*calls)[i];
+      step.peer->mu.AssertHeld();  // locked by the loop above
+      call.status = ReceiveReply(step.peer, *step.address, step.request,
+                                 expected_reply, deadline, &call.reply_body,
+                                 &step.transport_failed);
+      step.t1 = trace::NowNanos();
+    }
+  }
+  for (size_t i = 0; i < calls->size(); ++i) {
+    Step& step = steps[i];
+    if (step.peer == nullptr) continue;
+    ScatterCall& call = (*calls)[i];
+    if (!call.status.ok() && step.transport_failed) {
+      // This node's part of the exchange failed in transit: the ordinary
+      // retrying call takes it over.
+      if (call.status.IsTimeout() && m_deadline_exceeded_ != nullptr) {
+        m_deadline_exceeded_->Increment();
+      }
+      if (m_retries_ != nullptr) m_retries_->Increment();
+      call.status = Call(call.node_id, type, call.body, expected_reply,
+                         &call.reply_body, parent, /*idempotent=*/true);
+      continue;
+    }
+    FinishCall(step.peer, call.node_id, type, parent, t0,
+               step.sent ? step.t1 : trace::NowNanos(), /*attempts=*/1,
+               step.transport_failed, &call.status);
+  }
+}
+
 Result<std::unique_ptr<sql::TableSource>> ClusterClient::OpenRemoteSource(
-    const std::string& table, std::optional<int64_t> resolved_ssid,
-    bool all_versions) {
+    const std::string& table, query::RemoteVersion version, int64_t ssid) {
   if (topology_.nodes.empty()) {
     return Status::FailedPrecondition("net: empty cluster topology");
   }
   TableRead read;
   read.table = table;
-  if (resolved_ssid.has_value()) {
-    read.has_ssid = true;
-    read.ssid = *resolved_ssid;
-  }
-  read.all_versions = all_versions;
-  return std::unique_ptr<sql::TableSource>(
-      new ClusterTableSource(this, std::move(read)));
+  read.has_ssid = version == query::RemoteVersion::kPinned;
+  read.ssid = read.has_ssid ? ssid : 0;
+  read.all_versions = version == query::RemoteVersion::kAllVersions;
+  return std::unique_ptr<sql::TableSource>(new ClusterTableSource(
+      this, std::move(read), version == query::RemoteVersion::kLatest));
 }
 
-Result<int64_t> ClusterClient::ResolveSsid(std::optional<int64_t> requested) {
+Result<int64_t> ClusterClient::ResolveSsid(std::optional<int64_t> requested,
+                                           trace::SpanContext parent) {
   if (topology_.nodes.empty()) {
     return Status::FailedPrecondition("net: empty cluster topology");
   }
@@ -415,8 +598,8 @@ Result<int64_t> ClusterClient::ResolveSsid(std::optional<int64_t> requested) {
   for (const NodeAddress& node : topology_.nodes) {
     std::string reply_body;
     last = Call(node.node_id, MsgType::kResolveSsid, body,
-                MsgType::kResolveSsidReply, &reply_body,
-                trace::CurrentContext(), /*idempotent=*/true);
+                MsgType::kResolveSsidReply, &reply_body, parent,
+                /*idempotent=*/true);
     if (last.ok()) {
       SQ_ASSIGN_OR_RETURN(ResolveSsidReply reply,
                           DecodeResolveSsidReply(reply_body));

@@ -47,10 +47,11 @@ struct RpcOptions {
 };
 
 /// TCP client side of the cluster: one cached connection per peer (guarded
-/// per-peer, so distinct nodes are called in parallel by the executor's
-/// partition fan-out), request-id matching, bounded retry with backoff for
-/// idempotent reads, and the `query::ClusterRouter` implementation that
-/// plugs distributed routing into a coordinator QueryService.
+/// per peer, so distinct nodes can be called in parallel), request-id
+/// matching, bounded retry with backoff for idempotent reads, a scatter that
+/// sends several nodes their requests at once, and the
+/// `query::ClusterRouter` implementation that plugs distributed routing into
+/// a coordinator QueryService.
 class ClusterClient : public query::ClusterRouter {
  public:
   explicit ClusterClient(ClusterTopology topology, RpcOptions rpc = {},
@@ -62,9 +63,8 @@ class ClusterClient : public query::ClusterRouter {
 
   // query::ClusterRouter:
   Result<std::unique_ptr<sql::TableSource>> OpenRemoteSource(
-      const std::string& table, std::optional<int64_t> resolved_ssid,
-      bool all_versions) override;
-  Result<int64_t> ResolveSsid(std::optional<int64_t> requested) override;
+      const std::string& table, query::RemoteVersion version,
+      int64_t ssid) override;
   /// One node's local rows of a virtual system table, plus (for
   /// `__metrics`) raw histogram state and the RPC-midpoint clock-offset
   /// estimate. Bounded by the per-attempt RPC deadline; a dead node is a
@@ -76,6 +76,12 @@ class ClusterClient : public query::ClusterRouter {
 
   /// Handshake with one node: identity and owned partition range.
   Result<HelloReply> Hello(int32_t node_id);
+
+  /// Resolves `requested` (nullopt = latest committed) against the cluster:
+  /// the first node that answers decides. Its RPCs parent on `parent`.
+  Result<int64_t> ResolveSsid(
+      std::optional<int64_t> requested,
+      trace::SpanContext parent = trace::CurrentContext());
 
   /// Routes `entries` to their owning nodes as replication deltas (`ssid` 0
   /// = live table; table names are grid names, e.g. "orders" /
@@ -105,6 +111,25 @@ class ClusterClient : public query::ClusterRouter {
   Status Call(int32_t node_id, MsgType type, const std::string& body,
               MsgType expected_reply, std::string* reply_body,
               trace::SpanContext parent, bool idempotent);
+
+  /// One node's part of a Scatter: the request body in, the reply body and
+  /// the RPC's outcome out.
+  struct ScatterCall {
+    int32_t node_id = 0;
+    std::string body;
+    std::string reply_body;
+    Status status;
+  };
+
+  /// Sends every call's request before it reads any reply, so the nodes
+  /// serve them at once, from this thread alone: the peers stay locked,
+  /// taken in ascending node order, for the whole exchange. `calls` must be
+  /// in ascending node order, one per node. A call that fails in transit
+  /// (dial, send, receive, deadline) then goes through the ordinary
+  /// retrying Call; a kError reply is a typed answer and is not retried.
+  /// Each call is recorded like a Call: stats, health, metrics, span.
+  void Scatter(MsgType type, MsgType expected_reply,
+               std::vector<ScatterCall>* calls, trace::SpanContext parent);
 
  private:
   /// Per-message-type RPC stats of one peer. Latency is a real Histogram so
@@ -147,12 +172,27 @@ class ClusterClient : public query::ClusterRouter {
     Counter* m_failures = nullptr;
   };
 
-  /// One attempt over the peer's cached connection. `transport_failed`
-  /// distinguishes retryable connection/timeout failures from typed
-  /// application errors the server answered with.
-  Status TryCall(Peer* peer, const NodeAddress& address, const Frame& request,
-                 MsgType expected_reply, std::string* reply_body,
-                 bool* transport_failed);
+  /// A request frame with a fresh request id.
+  Frame MakeRequest(MsgType type, const std::string& body,
+                    trace::SpanContext parent);
+
+  /// The two halves of one attempt over the peer's cached connection:
+  /// SendRequest dials if needed and writes the request, ReceiveReply reads
+  /// and checks its reply. `transport_failed` tells retryable connection
+  /// and deadline failures from typed errors the server answered with.
+  Status SendRequest(Peer* peer, const NodeAddress& address,
+                     const Frame& request, int64_t deadline,
+                     bool* transport_failed) SQ_REQUIRES(peer->mu);
+  Status ReceiveReply(Peer* peer, const NodeAddress& address,
+                      const Frame& request, MsgType expected_reply,
+                      int64_t deadline, std::string* reply_body,
+                      bool* transport_failed) SQ_REQUIRES(peer->mu);
+
+  /// Records one finished RPC — per-type stats, health, metrics and its
+  /// `rpc.call` span — and adds the RPC's context to a failed `*status`.
+  void FinishCall(Peer* peer, int32_t node_id, MsgType type,
+                  trace::SpanContext parent, int64_t t0, int64_t t1,
+                  int32_t attempts, bool transport_failed, Status* status);
 
   Result<size_t> IndexOfNode(int32_t node_id) const;
 

@@ -17,6 +17,47 @@ constexpr int64_t kSendDeadlineNanos = int64_t{30} * 1000 * 1000 * 1000;
 
 }  // namespace
 
+Result<std::string> BuildScanPage(const sql::TableSource& source,
+                                  int32_t begin, int32_t end,
+                                  size_t budget_bytes) {
+  // The node serves the batches its own reader yields and nothing else: the
+  // coordinator filters and folds them with the code it runs on local ones.
+  ScanRangeReplyWriter page;
+  int32_t partition = begin;
+  // Every page carries at least one partition, so a scan always progresses.
+  while (partition < end &&
+         (partition == begin || page.size() <= budget_bytes)) {
+    std::unique_ptr<sql::BatchReader> reader =
+        source.OpenBatchReader(partition);
+    if (reader == nullptr) {
+      return Status::FailedPrecondition("net: partition " +
+                                        std::to_string(partition) +
+                                        " cannot be served as batches");
+    }
+    PartitionBatches served;
+    served.partition = partition;
+    sql::ScanBatch batch;
+    for (;;) {
+      SQ_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch));
+      if (!more) break;
+      if (batch.rows == nullptr) continue;
+      WireBatch wire;
+      if (batch.ssid.has_value()) {
+        wire.has_ssid = true;
+        wire.ssid = batch.ssid->AsInt64();
+      }
+      wire.rows = std::move(batch.rows);
+      served.batches.push_back(std::move(wire));
+      batch = sql::ScanBatch{};
+    }
+    page.Add(served);
+    ++partition;
+  }
+  std::string out;
+  page.Finish(partition, &out);
+  return out;
+}
+
 NodeServer::NodeServer(NodeServerOptions options)
     : options_(std::move(options)) {
   if (MetricsRegistry* m = options_.metrics; m != nullptr) {
@@ -160,6 +201,15 @@ Frame NodeServer::Handle(const Frame& request, bool* handled_ok) {
   reply.trace_id = request.trace_id;
   MsgType reply_type = MsgType::kError;
   Result<std::string> body = Dispatch(request, &reply_type);
+  if (body.ok() && body->size() > kMaxBodyBytes) {
+    // Sent as is, the frame would fail the client's length check as corrupt
+    // and be retried; as a typed error it fails once.
+    body = Status::InvalidArgument(
+        std::string("net: ") + MsgTypeToString(reply_type) + " reply of " +
+        std::to_string(body->size()) + " bytes exceeds the " +
+        std::to_string(kMaxBodyBytes) + "-byte frame body limit on node " +
+        std::to_string(options_.node_id));
+  }
   *handled_ok = body.ok();
   if (body.ok()) {
     reply.type = reply_type;
@@ -197,9 +247,9 @@ Result<std::string> NodeServer::Dispatch(const Frame& request,
     case MsgType::kPointLookup:
       *reply_type = MsgType::kRows;
       return HandlePointLookup(request.body);
-    case MsgType::kScanBatches:
-      *reply_type = MsgType::kBatches;
-      return HandleScanBatches(request.body);
+    case MsgType::kScanRange:
+      *reply_type = MsgType::kRangeBatches;
+      return HandleScanRange(request.body);
     case MsgType::kReplicationDelta:
       *reply_type = MsgType::kAck;
       return HandleReplicationDelta(request.body);
@@ -219,15 +269,20 @@ Result<std::string> NodeServer::Dispatch(const Frame& request,
   }
 }
 
-Status NodeServer::CheckOwned(int32_t partition) const {
-  if (partition < 0 || partition >= options_.partition_count) {
-    return Status::InvalidArgument("net: partition " +
-                                   std::to_string(partition) +
+Status NodeServer::CheckOwnedRange(int32_t begin, int32_t end) const {
+  const std::string range =
+      "[" + std::to_string(begin) + ", " + std::to_string(end) + ")";
+  if (begin >= end) {
+    return Status::InvalidArgument("net: empty or inverted partition range " +
+                                   range);
+  }
+  if (begin < 0 || end > options_.partition_count) {
+    return Status::InvalidArgument("net: partition range " + range +
                                    " outside the partition space");
   }
-  if (!options_.owned.Contains(partition)) {
+  if (begin < options_.owned.begin || end > options_.owned.end) {
     return Status::OutOfRange(
-        "net: partition " + std::to_string(partition) + " not owned by node " +
+        "net: partition range " + range + " not owned by node " +
         std::to_string(options_.node_id) + " (owns [" +
         std::to_string(options_.owned.begin) + ", " +
         std::to_string(options_.owned.end) + "))");
@@ -283,39 +338,12 @@ Result<std::string> NodeServer::HandlePointLookup(std::string_view body) {
   return out;
 }
 
-Result<std::string> NodeServer::HandleScanBatches(std::string_view body) {
-  SQ_ASSIGN_OR_RETURN(ScanPartitionRequest req,
-                      DecodeScanPartitionRequest(body));
-  SQ_RETURN_IF_ERROR(CheckOwned(req.partition));
+Result<std::string> NodeServer::HandleScanRange(std::string_view body) {
+  SQ_ASSIGN_OR_RETURN(ScanRangeRequest req, DecodeScanRangeRequest(body));
+  SQ_RETURN_IF_ERROR(CheckOwnedRange(req.begin, req.end));
   SQ_ASSIGN_OR_RETURN(std::unique_ptr<sql::TableSource> source,
                       OpenSource(req.read));
-  // The node serves the batches its own reader yields and nothing else: the
-  // coordinator filters and folds them with the code it runs on local ones.
-  std::unique_ptr<sql::BatchReader> reader =
-      source->OpenBatchReader(req.partition);
-  if (reader == nullptr) {
-    return Status::FailedPrecondition("net: table \"" + req.read.table +
-                                      "\" cannot serve batches on node " +
-                                      std::to_string(options_.node_id));
-  }
-  BatchesReply reply;
-  sql::ScanBatch batch;
-  for (;;) {
-    SQ_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch));
-    if (!more) break;
-    if (batch.rows == nullptr) continue;
-    WireBatch wire;
-    if (batch.ssid.has_value()) {
-      wire.has_ssid = true;
-      wire.ssid = batch.ssid->AsInt64();
-    }
-    wire.rows = std::move(batch.rows);
-    reply.batches.push_back(std::move(wire));
-    batch = sql::ScanBatch{};
-  }
-  std::string out;
-  EncodeBatchesReply(reply, &out);
-  return out;
+  return BuildScanPage(*source, req.begin, req.end, kScanPageBytes);
 }
 
 Result<std::string> NodeServer::HandleReplicationDelta(

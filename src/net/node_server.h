@@ -27,7 +27,7 @@ struct NodeServerOptions {
   int port = 0;
   int32_t node_id = 0;
   /// Contiguous partition range this node owns (use kv::PartitionRangeOf).
-  /// Reads for partitions outside the range are answered with a typed
+  /// Reads reaching outside the range are answered with a typed
   /// kOutOfRange error — a misrouted request must never silently read
   /// another node's share of the keyspace.
   kv::PartitionRange owned;
@@ -47,6 +47,19 @@ struct NodeServerOptions {
   /// Sink for net.server.* metrics. May be null.
   MetricsRegistry* metrics = nullptr;
 };
+
+/// Page budget of a range scan: a node ends a page after the partition that
+/// takes its body past this, so a reply stays under kMaxFrameBytes unless a
+/// single partition is larger than the rest of the frame.
+inline constexpr size_t kScanPageBytes = kMaxFrameBytes / 2;
+
+/// Builds one page of a range scan over `source`: partitions from `begin`
+/// on, in order, each with the batches its OpenBatchReader yields, up to
+/// `end` or through the partition that takes the body past `budget_bytes`.
+/// Returns the encoded ScanRangeReply body. Nodes pass kScanPageBytes.
+Result<std::string> BuildScanPage(const sql::TableSource& source,
+                                  int32_t begin, int32_t end,
+                                  size_t budget_bytes);
 
 /// One cluster node: a TCP server answering the wire protocol against the
 /// node's local state (live maps, snapshot tables, snapshot registry). One
@@ -81,13 +94,13 @@ class NodeServer {
   Result<std::string> Dispatch(const Frame& request, MsgType* reply_type);
 
   Result<std::string> HandlePointLookup(std::string_view body);
-  Result<std::string> HandleScanBatches(std::string_view body);
+  Result<std::string> HandleScanRange(std::string_view body);
   Result<std::string> HandleReplicationDelta(std::string_view body);
   Result<std::string> HandleCheckpointMarker(std::string_view body);
   Result<std::string> HandleResolveSsid(std::string_view body);
   Result<std::string> HandleFetchSystemTable(std::string_view body);
 
-  Status CheckOwned(int32_t partition) const;
+  Status CheckOwnedRange(int32_t begin, int32_t end) const;
   Result<std::unique_ptr<sql::TableSource>> OpenSource(const TableRead& read);
 
   // sq-lint: unguarded-ok(set in Start before the accept thread spawns)

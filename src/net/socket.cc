@@ -203,6 +203,15 @@ void ShutdownFd(int fd) {
 
 Status SendFrame(int fd, const Frame& frame, int64_t deadline_nanos,
                  int64_t* bytes_out) {
+  // The receiver rejects an oversized frame as corrupt and drops the
+  // connection; refusing it here, before a byte is written, keeps the
+  // connection usable and the error typed.
+  if (frame.body.size() > kMaxBodyBytes) {
+    return Status::InvalidArgument(
+        "net: frame body of " + std::to_string(frame.body.size()) +
+        " bytes exceeds the " + std::to_string(kMaxBodyBytes) +
+        "-byte limit");
+  }
   std::string encoded;
   EncodeFrame(frame, &encoded);
   return SendAll(fd, encoded.data(), encoded.size(), deadline_nanos,

@@ -38,8 +38,9 @@ void CloseFd(int fd);
 /// Shuts down both directions, waking any thread blocked on the fd.
 void ShutdownFd(int fd);
 
-/// Writes one encoded frame. `bytes_out`, if non-null, is incremented by the
-/// bytes written.
+/// Writes one encoded frame. A frame over kMaxFrameBytes is refused with
+/// kInvalidArgument before any byte is written. `bytes_out`, if non-null, is
+/// incremented by the bytes written.
 Status SendFrame(int fd, const Frame& frame, int64_t deadline_nanos,
                  int64_t* bytes_out = nullptr);
 

@@ -72,14 +72,14 @@ bool IsKnownMsgType(uint8_t type) {
     case MsgType::kCheckpointMarker:
     case MsgType::kResolveSsid:
     case MsgType::kFetchSystemTable:
-    case MsgType::kScanBatches:
+    case MsgType::kScanRange:
     case MsgType::kHelloReply:
     case MsgType::kRows:
     case MsgType::kAck:
     case MsgType::kResolveSsidReply:
     case MsgType::kError:
     case MsgType::kSystemTableReply:
-    case MsgType::kBatches:
+    case MsgType::kRangeBatches:
       return true;
   }
   return false;
@@ -93,14 +93,14 @@ const char* MsgTypeToString(MsgType type) {
     case MsgType::kCheckpointMarker: return "checkpoint_marker";
     case MsgType::kResolveSsid: return "resolve_ssid";
     case MsgType::kFetchSystemTable: return "fetch_system_table";
-    case MsgType::kScanBatches: return "scan_batches";
+    case MsgType::kScanRange: return "scan_range";
     case MsgType::kHelloReply: return "hello_reply";
     case MsgType::kRows: return "rows";
     case MsgType::kAck: return "ack";
     case MsgType::kResolveSsidReply: return "resolve_ssid_reply";
     case MsgType::kError: return "error";
     case MsgType::kSystemTableReply: return "system_table_reply";
-    case MsgType::kBatches: return "batches";
+    case MsgType::kRangeBatches: return "range_batches";
   }
   return "unknown";
 }
@@ -208,20 +208,20 @@ Result<PointLookupRequest> DecodePointLookupRequest(std::string_view body) {
   return Finish(r, std::move(msg), "bad point lookup");
 }
 
-void EncodeScanPartitionRequest(const ScanPartitionRequest& msg,
-                                std::string* body) {
+void EncodeScanRangeRequest(const ScanRangeRequest& msg, std::string* body) {
   PutTableRead(body, msg.read);
-  PutI32(body, msg.partition);
+  PutI32(body, msg.begin);
+  PutI32(body, msg.end);
 }
 
-Result<ScanPartitionRequest> DecodeScanPartitionRequest(
-    std::string_view body) {
+Result<ScanRangeRequest> DecodeScanRangeRequest(std::string_view body) {
   Reader r(body);
-  ScanPartitionRequest msg;
-  if (!ReadTableRead(&r, &msg.read) || !r.ReadI32(&msg.partition)) {
-    return Corrupt("bad scan request");
+  ScanRangeRequest msg;
+  if (!ReadTableRead(&r, &msg.read) || !r.ReadI32(&msg.begin) ||
+      !r.ReadI32(&msg.end)) {
+    return Corrupt("bad scan range request");
   }
-  return Finish(r, std::move(msg), "bad scan request");
+  return Finish(r, std::move(msg), "bad scan range request");
 }
 
 void EncodeRowsReply(const RowsReply& msg, std::string* body) {
@@ -254,32 +254,69 @@ Result<RowsReply> DecodeRowsReply(std::string_view body) {
   return Finish(r, std::move(msg), "bad rows reply");
 }
 
-void EncodeBatchesReply(const BatchesReply& msg, std::string* body) {
-  PutU32(body, static_cast<uint32_t>(msg.batches.size()));
-  for (const WireBatch& batch : msg.batches) {
-    PutBool(body, batch.has_ssid);
-    PutI64(body, batch.ssid);
-    storage::PutColumnBatch(body, *batch.rows);
+ScanRangeReplyWriter::ScanRangeReplyWriter() { PutU32(&body_, 0); }
+
+void ScanRangeReplyWriter::Add(const PartitionBatches& partition) {
+  PutI32(&body_, partition.partition);
+  PutU32(&body_, static_cast<uint32_t>(partition.batches.size()));
+  for (const WireBatch& batch : partition.batches) {
+    PutBool(&body_, batch.has_ssid);
+    PutI64(&body_, batch.ssid);
+    storage::PutColumnBatch(&body_, *batch.rows);
   }
+  ++partitions_;
 }
 
-Result<BatchesReply> DecodeBatchesReply(std::string_view body) {
-  Reader r(body);
-  BatchesReply msg;
-  uint32_t count = 0;
-  if (!ReadCount(&r, &count)) return Corrupt("bad batches reply");
-  msg.batches.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    WireBatch batch;
-    auto rows = std::make_shared<kv::ColumnBatch>();
-    if (!ReadBool(&r, &batch.has_ssid) || !r.ReadI64(&batch.ssid) ||
-        !storage::ReadColumnBatch(&r, rows.get()) || rows->has_tombstones()) {
-      return Corrupt("bad batches reply");
-    }
-    batch.rows = std::move(rows);
-    msg.batches.push_back(std::move(batch));
+void ScanRangeReplyWriter::Finish(int32_t next_partition, std::string* out) {
+  std::string count;
+  PutU32(&count, partitions_);
+  body_.replace(0, count.size(), count);
+  PutI32(&body_, next_partition);
+  out->append(body_);
+}
+
+void EncodeScanRangeReply(const ScanRangeReply& msg, std::string* body) {
+  ScanRangeReplyWriter writer;
+  for (const PartitionBatches& partition : msg.partitions) {
+    writer.Add(partition);
   }
-  return Finish(r, std::move(msg), "bad batches reply");
+  writer.Finish(msg.next_partition, body);
+}
+
+Result<ScanRangeReply> DecodeScanRangeReply(std::string_view body) {
+  Reader r(body);
+  ScanRangeReply msg;
+  uint32_t partition_count = 0;
+  if (!ReadCount(&r, &partition_count)) return Corrupt("bad range batches");
+  msg.partitions.reserve(partition_count);
+  for (uint32_t p = 0; p < partition_count; ++p) {
+    PartitionBatches partition;
+    uint32_t batch_count = 0;
+    if (!r.ReadI32(&partition.partition) || !ReadCount(&r, &batch_count) ||
+        (!msg.partitions.empty() &&
+         partition.partition <= msg.partitions.back().partition)) {
+      return Corrupt("bad range batches");
+    }
+    partition.batches.reserve(batch_count);
+    for (uint32_t i = 0; i < batch_count; ++i) {
+      WireBatch batch;
+      auto rows = std::make_shared<kv::ColumnBatch>();
+      if (!ReadBool(&r, &batch.has_ssid) || !r.ReadI64(&batch.ssid) ||
+          !storage::ReadColumnBatch(&r, rows.get()) ||
+          rows->has_tombstones()) {
+        return Corrupt("bad range batches");
+      }
+      batch.rows = std::move(rows);
+      partition.batches.push_back(std::move(batch));
+    }
+    msg.partitions.push_back(std::move(partition));
+  }
+  if (!r.ReadI32(&msg.next_partition) ||
+      (!msg.partitions.empty() &&
+       msg.next_partition <= msg.partitions.back().partition)) {
+    return Corrupt("bad range batches");
+  }
+  return Finish(r, std::move(msg), "bad range batches");
 }
 
 void EncodeReplicationDelta(const ReplicationDelta& msg, std::string* body) {

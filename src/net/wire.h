@@ -1,6 +1,8 @@
 #ifndef SQUERY_NET_WIRE_H_
 #define SQUERY_NET_WIRE_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -37,10 +39,17 @@ inline constexpr size_t kFrameHeaderBytes = 8;
 /// Fixed payload prefix: version, type, request id, trace id.
 inline constexpr size_t kPayloadPrefixBytes = 1 + 1 + 8 + 8;
 
-/// Retired values are never reused, so a frame from an old peer can only be
-/// rejected as an unknown type, never misread: 3 (a row scan with a pushed
-/// predicate), 4 (a partition fold into partial aggregates) and 66 (its
-/// reply).
+/// Bytes a frame body may take: the frame limit less the payload prefix.
+inline constexpr size_t kMaxBodyBytes = kMaxFrameBytes - kPayloadPrefixBytes;
+
+/// Message-type values that are retired and never reused, so a frame from an
+/// old peer can only be rejected as an unknown type, never misread: 3 (a row
+/// scan with a pushed predicate), 4 (a partition fold into partial
+/// aggregates), 66 (its reply), 9 (one partition as columnar batches) and 71
+/// (its reply). The lint tool's `wire` pass rejects a MsgType that takes
+/// one.
+inline constexpr std::array<uint8_t, 5> kRetiredMsgTypes = {3, 4, 66, 9, 71};
+
 enum class MsgType : uint8_t {
   // Requests.
   kHello = 1,              ///< who are you / which partitions do you own
@@ -49,7 +58,7 @@ enum class MsgType : uint8_t {
   kCheckpointMarker = 6,   ///< 2PC marker exchange (prepare/commit/abort)
   kResolveSsid = 7,        ///< resolve "latest"/explicit id cluster-wide
   kFetchSystemTable = 8,   ///< one node's rows of a virtual system table
-  kScanBatches = 9,        ///< one partition as columnar batches
+  kScanRange = 10,         ///< a range of partitions as columnar batches
 
   // Responses.
   kHelloReply = 64,
@@ -58,7 +67,7 @@ enum class MsgType : uint8_t {
   kResolveSsidReply = 68,
   kError = 69,
   kSystemTableReply = 70,
-  kBatches = 71,
+  kRangeBatches = 72,
 };
 
 /// True for the type values actually defined above (frame decoding rejects
@@ -117,14 +126,15 @@ void EncodePointLookupRequest(const PointLookupRequest& msg,
                               std::string* body);
 Result<PointLookupRequest> DecodePointLookupRequest(std::string_view body);
 
-/// Asks for one partition, answered with a BatchesReply.
-struct ScanPartitionRequest {
+/// Asks a node for partitions [begin, end) of its owned range, answered
+/// with one ScanRangeReply page.
+struct ScanRangeRequest {
   TableRead read;
-  int32_t partition = 0;
+  int32_t begin = 0;
+  int32_t end = 0;
 };
-void EncodeScanPartitionRequest(const ScanPartitionRequest& msg,
-                                std::string* body);
-Result<ScanPartitionRequest> DecodeScanPartitionRequest(std::string_view body);
+void EncodeScanRangeRequest(const ScanRangeRequest& msg, std::string* body);
+Result<ScanRangeRequest> DecodeScanRangeRequest(std::string_view body);
 
 struct WireRow {
   kv::Value key;
@@ -146,13 +156,40 @@ struct WireBatch {
   int64_t ssid = 0;
   std::shared_ptr<const kv::ColumnBatch> rows;  // never null
 };
-/// A partition's batches, in the order the node's own batch reader yields
-/// them. Decoding rejects tombstone rows: scan views never carry them.
-struct BatchesReply {
+/// One partition's batches, in the order the node's own batch reader
+/// yields them.
+struct PartitionBatches {
+  int32_t partition = 0;
   std::vector<WireBatch> batches;
 };
-void EncodeBatchesReply(const BatchesReply& msg, std::string* body);
-Result<BatchesReply> DecodeBatchesReply(std::string_view body);
+/// One page of a range scan: consecutive partitions from the request's
+/// `begin`, in partition order, and the partition the next page starts at
+/// (the request's `end` once the range is done). Decoding rejects tombstone
+/// rows (scan views never carry them), partitions out of order and a
+/// `next_partition` that does not follow the last one.
+struct ScanRangeReply {
+  std::vector<PartitionBatches> partitions;
+  int32_t next_partition = 0;
+};
+void EncodeScanRangeReply(const ScanRangeReply& msg, std::string* body);
+Result<ScanRangeReply> DecodeScanRangeReply(std::string_view body);
+
+/// Encodes a ScanRangeReply one partition at a time, so a node can end the
+/// page once the body passes its budget. EncodeScanRangeReply is this
+/// writer over a whole message.
+class ScanRangeReplyWriter {
+ public:
+  ScanRangeReplyWriter();
+  void Add(const PartitionBatches& partition);
+  /// Body bytes so far.
+  size_t size() const { return body_.size(); }
+  /// Appends the finished body to `out`; the writer is spent.
+  void Finish(int32_t next_partition, std::string* out);
+
+ private:
+  std::string body_;  // a u32 placeholder for the count, then partitions
+  uint32_t partitions_ = 0;
+};
 
 struct DeltaEntry {
   kv::Value key;

@@ -859,24 +859,26 @@ std::unique_ptr<sql::TableSource> QueryService::OpenDurableSource(
 Result<std::unique_ptr<sql::TableSource>> QueryService::OpenClusterSource(
     ClusterRouter* router, const std::string& table,
     std::optional<int64_t> requested_ssid, const QueryOptions& options) {
-  if (IsSnapshotTableName(table)) {
-    if (HasVersionsSuffix(table)) {
-      return router->OpenRemoteSource(table, std::nullopt,
-                                      /*all_versions=*/true);
-    }
-    // Resolve once, coordinator-side, so every node serves the same version.
-    // The local registry answers when this process participates in
-    // checkpoints; a pure client asks the cluster.
-    Result<int64_t> resolved = ResolveSsid(requested_ssid, options);
-    if (!resolved.ok()) {
-      const std::optional<int64_t> wanted =
-          requested_ssid.has_value() ? requested_ssid : options.snapshot_id;
-      resolved = router->ResolveSsid(wanted);
-    }
-    SQ_RETURN_IF_ERROR(resolved.status());
-    return router->OpenRemoteSource(table, *resolved, /*all_versions=*/false);
+  if (!IsSnapshotTableName(table)) {
+    return router->OpenRemoteSource(table, RemoteVersion::kLive, 0);
   }
-  return router->OpenRemoteSource(table, std::nullopt, /*all_versions=*/false);
+  if (HasVersionsSuffix(table)) {
+    return router->OpenRemoteSource(table, RemoteVersion::kAllVersions, 0);
+  }
+  // The local registry answers when this process takes part in checkpoints.
+  // Otherwise nothing is resolved here: a pin travels as is and each node
+  // validates it, and "latest" is left to the source, which resolves it
+  // only for a read that spans several nodes.
+  if (Result<int64_t> resolved = ResolveSsid(requested_ssid, options);
+      resolved.ok()) {
+    return router->OpenRemoteSource(table, RemoteVersion::kPinned, *resolved);
+  }
+  const std::optional<int64_t> pin =
+      requested_ssid.has_value() ? requested_ssid : options.snapshot_id;
+  if (pin.has_value()) {
+    return router->OpenRemoteSource(table, RemoteVersion::kPinned, *pin);
+  }
+  return router->OpenRemoteSource(table, RemoteVersion::kLatest, 0);
 }
 
 Result<int64_t> QueryService::ResolveSsid(std::optional<int64_t> requested,

@@ -73,24 +73,30 @@ struct RemoteSystemTable {
   int64_t clock_offset_micros = 0;
 };
 
+/// The version a remote table read serves.
+enum class RemoteVersion {
+  kLive,         ///< the live table
+  kPinned,       ///< one snapshot id, sent as is; each node validates it
+  kLatest,       ///< the latest committed snapshot (see OpenRemoteSource)
+  kAllVersions,  ///< every retained version: the `__versions` view
+};
+
 /// Distributed-routing hook, implemented by the cluster layer (`sq::net`).
 /// QueryService stays network-agnostic: when a router is attached it asks
-/// the router for partition-addressable sources over grid tables (which
-/// scatter scans/lookups to the owning nodes) and for cluster-wide snapshot
-/// id resolution when the local registry cannot resolve one.
+/// the router for partition-addressable sources over grid tables, which
+/// scatter scans and lookups to the owning nodes and resolve snapshot ids
+/// there when the local registry cannot.
 class ClusterRouter {
  public:
   virtual ~ClusterRouter() = default;
 
-  /// Opens a remote source for `table`. `resolved_ssid` pins single-version
-  /// snapshot reads (already resolved cluster-wide); `all_versions` selects
-  /// the `__versions` view; neither set means a live-table scan.
+  /// Opens a remote source for `table` at `version`; `ssid` is the id of a
+  /// kPinned read. A kLatest read that one node serves lets that node
+  /// resolve the id; one that spans several nodes resolves it once,
+  /// cluster-wide, before it scatters, so every node serves the same id.
+  /// Opening sends no RPC.
   virtual Result<std::unique_ptr<sql::TableSource>> OpenRemoteSource(
-      const std::string& table, std::optional<int64_t> resolved_ssid,
-      bool all_versions) = 0;
-
-  /// Resolves `requested` (nullopt = latest committed) against the cluster.
-  virtual Result<int64_t> ResolveSsid(std::optional<int64_t> requested) = 0;
+      const std::string& table, RemoteVersion version, int64_t ssid) = 0;
 
   /// Fetches node `node_id`'s local rows of virtual table `table` within
   /// the router's RPC deadline. A dead or slow node is a typed error, never
@@ -264,8 +270,9 @@ class QueryService {
       const std::string& table, const Result<int64_t>& resolved,
       std::optional<int64_t> explicit_id);
 
-  /// Cluster routing: opens a remote source for `table` through `router`
-  /// (snapshot ids resolved locally first, then cluster-wide).
+  /// Cluster routing: opens a remote source for `table` through `router`.
+  /// The local registry resolves a snapshot id when it can; otherwise the
+  /// read goes out unresolved (RemoteVersion), and opening sends no RPC.
   Result<std::unique_ptr<sql::TableSource>> OpenClusterSource(
       ClusterRouter* router, const std::string& table,
       std::optional<int64_t> requested_ssid, const QueryOptions& options);

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -179,15 +180,16 @@ TEST(WireCodec, UnknownVersionRejected) {
 }
 
 TEST(WireCodec, UnknownMessageTypeRejected) {
-  // 3, 4 and 66 are retired (a row scan with a pushed predicate, a partition
-  // fold and its partial-aggregate reply): their ids stay unknown.
-  for (const int type : {3, 4, 66, 200}) {
+  // Retired ids stay unknown, and so does an id never assigned.
+  std::vector<uint8_t> types(kRetiredMsgTypes.begin(), kRetiredMsgTypes.end());
+  types.push_back(200);
+  for (const uint8_t type : types) {
     Frame frame = SamplePointLookupFrame();
     frame.type = static_cast<MsgType>(type);
     std::string encoded;
     EncodeFrame(frame, &encoded);
     auto decoded = DecodeFrame(encoded);
-    ASSERT_FALSE(decoded.ok()) << type;
+    ASSERT_FALSE(decoded.ok()) << int{type};
     EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status();
   }
 }
@@ -416,20 +418,21 @@ std::vector<GoldenFrame> GoldenCorpus() {
         return f;
       },
       Codec(DecodePointLookupRequest, EncodePointLookupRequest));
-  add(MsgType::kScanBatches,
-      "2a00000095360af8010903000000000000000000000000000000060000006f72646572"
-      "730000000000000000000002000000",
+  add(MsgType::kScanRange,
+      "2e0000004bf25d1b010a03000000000000000000000000000000060000006f72646572"
+      "73000000000000000000000200000005000000",
       [] {
         Frame f;
-        f.type = MsgType::kScanBatches;
+        f.type = MsgType::kScanRange;
         f.request_id = 3;
-        ScanPartitionRequest m;
+        ScanRangeRequest m;
         m.read.table = "orders";
-        m.partition = 2;
-        EncodeScanPartitionRequest(m, &f.body);
+        m.begin = 2;
+        m.end = 5;
+        EncodeScanRangeRequest(m, &f.body);
         return f;
       },
-      Codec(DecodeScanPartitionRequest, EncodeScanPartitionRequest));
+      Codec(DecodeScanRangeRequest, EncodeScanRangeRequest));
   add(MsgType::kReplicationDelta,
       "560000007a27a7e4010505000000000000000000000000000000060000006f72646572"
       "73070000000000000002000000020a000000000000000001000000050000007072696365"
@@ -580,14 +583,15 @@ std::vector<GoldenFrame> GoldenCorpus() {
         return f;
       },
       Codec(DecodeSystemTableReply, EncodeSystemTableReply));
-  add(MsgType::kBatches,
-      "7a000000d3d05be9014703000000000000000000000000000000010000000102000000"
-      "0000000001020000000200000002010000000000000002040000000000000002000000"
-      "000000000100000000000000000500000070726963650002032a000000000000000700"
-      "00000000000006000000726567696f6e000401020000007231",
+  add(MsgType::kRangeBatches,
+      "8e000000f3d43213014803000000000000000000000000000000020000000200000000"
+      "0000000300000001000000010200000000000000010200000002000000020100000000"
+      "0000000204000000000000000200000000000000010000000000000000050000007072"
+      "6963650002032a00000000000000070000000000000006000000726567696f6e000401"
+      "02000000723104000000",
       [] {
         Frame f;
-        f.type = MsgType::kBatches;
+        f.type = MsgType::kRangeBatches;
         f.request_id = 3;
         auto rows = std::make_shared<kv::ColumnBatch>();
         rows->AppendRow(kv::Value(int64_t{1}), 2,
@@ -595,12 +599,15 @@ std::vector<GoldenFrame> GoldenCorpus() {
                                    {"region", kv::Value("r1")}});
         rows->AppendRow(kv::Value(int64_t{4}), 1,
                         kv::Object{{"price", kv::Value(int64_t{7})}});
-        BatchesReply m;
-        m.batches.push_back(WireBatch{true, 2, std::move(rows)});
-        EncodeBatchesReply(m, &f.body);
+        ScanRangeReply m;
+        m.partitions.push_back(PartitionBatches{2, {}});
+        m.partitions.push_back(
+            PartitionBatches{3, {WireBatch{true, 2, std::move(rows)}}});
+        m.next_partition = 4;
+        EncodeScanRangeReply(m, &f.body);
         return f;
       },
-      Codec(DecodeBatchesReply, EncodeBatchesReply));
+      Codec(DecodeScanRangeReply, EncodeScanRangeReply));
   // sqlint-golden-corpus-end
   return corpus;
 }
@@ -658,7 +665,7 @@ TEST(WireCodec, GoldenBodiesRoundTripThroughTheirCodecs) {
 }
 
 // Bodies arrive from other processes: a truncated body of any type (the
-// columnar batches of kBatches included) must fail its decoder with a typed
+// columnar batches of kRangeBatches included) must fail its decoder with a typed
 // error, never crash or over-read.
 TEST(WireCodec, EveryStrictBodyPrefixFailsWithATypedError) {
   for (const GoldenFrame& g : GoldenCorpus()) {
@@ -1037,20 +1044,40 @@ TEST(ClusterNet, ReplicationDeltaAppliesPutsAndTombstones) {
                     ReadCommitted());
 }
 
-TEST(ClusterNet, MisroutedPartitionGetsTypedOutOfRange) {
-  auto tc = StartCluster({}, /*load_data=*/false);
-  // A partition owned by node 2, asked of node 0: the server must refuse
-  // rather than silently read its own (wrong) share of the keyspace.
-  ScanPartitionRequest req;
+/// One kScanRange RPC for [begin, end) of live `orders` to `node`.
+Status CallScanRange(TestCluster* tc, int32_t node, int32_t begin,
+                     int32_t end) {
+  ScanRangeRequest req;
   req.read.table = "orders";
-  req.partition = tc->nodes[2]->server->options().owned.begin;
+  req.begin = begin;
+  req.end = end;
   std::string body;
-  EncodeScanPartitionRequest(req, &body);
+  EncodeScanRangeRequest(req, &body);
   std::string reply;
-  Status s = tc->client->Call(0, MsgType::kScanBatches, body,
-                              MsgType::kBatches, &reply, trace::SpanContext{},
-                              /*idempotent=*/true);
+  return tc->client->Call(node, MsgType::kScanRange, body,
+                          MsgType::kRangeBatches, &reply, trace::SpanContext{},
+                          /*idempotent=*/true);
+}
+
+TEST(ClusterNet, MisroutedPartitionGetsTypedOutOfRange) {
+  auto tc = StartCluster();
+  const kv::PartitionRange owned0 = tc->nodes[0]->server->options().owned;
+  const kv::PartitionRange owned2 = tc->nodes[2]->server->options().owned;
+  // Partitions owned by node 2, asked of node 0: the server must refuse
+  // rather than silently read its own (wrong) share of the keyspace.
+  Status s = CallScanRange(tc.get(), 0, owned2.begin, owned2.begin + 1);
   EXPECT_EQ(s.code(), StatusCode::kOutOfRange) << s;
+  // A range that starts inside node 0's share and runs past it.
+  s = CallScanRange(tc.get(), 0, owned0.end - 1, owned0.end + 1);
+  EXPECT_EQ(s.code(), StatusCode::kOutOfRange) << s;
+  // Its own range is served.
+  s = CallScanRange(tc.get(), 0, owned0.begin, owned0.end);
+  EXPECT_TRUE(s.ok()) << s;
+  // Empty and inverted ranges are malformed, not misrouted.
+  s = CallScanRange(tc.get(), 0, owned0.begin, owned0.begin);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
+  s = CallScanRange(tc.get(), 0, owned0.begin + 1, owned0.begin);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s;
 }
 
 TEST(ClusterNet, DeadNodeYieldsTypedErrorNotAHang) {
@@ -1113,21 +1140,19 @@ TEST(ClusterNet, MetricsAndNodeColumn) {
       "SELECT count(*), sum(total) FROM orders", ReadCommitted());
   ASSERT_TRUE(result.ok()) << result.status();
 
-  // Client side: one scan RPC per partition, bytes both ways.
+  // Client side: one range RPC per node, bytes both ways.
   EXPECT_GT(tc->coord_metrics->GetCounter("net.client.bytes_out")->Value(), 0);
   EXPECT_GT(tc->coord_metrics->GetCounter("net.client.bytes_in")->Value(), 0);
   EXPECT_EQ(
-      tc->coord_metrics->GetCounter("net.client.rpcs.scan_batches")->Value(),
-      kClusterPartitions);
+      tc->coord_metrics->GetCounter("net.client.rpcs.scan_range")->Value(),
+      kClusterNodes);
 
-  // Server side on every node: the scan fanned out across all owned ranges.
+  // Server side: every node served its whole owned range in one RPC.
   for (auto& n : tc->nodes) {
     EXPECT_GT(n->metrics->GetCounter("net.server.bytes_in")->Value(), 0);
     EXPECT_GT(n->metrics->GetCounter("net.server.bytes_out")->Value(), 0);
     EXPECT_GT(n->metrics->GetCounter("net.server.connections")->Value(), 0);
-    const kv::PartitionRange& owned = n->server->options().owned;
-    EXPECT_EQ(n->metrics->GetCounter("net.server.rpcs.scan_batches")->Value(),
-              owned.end - owned.begin)
+    EXPECT_EQ(n->metrics->GetCounter("net.server.rpcs.scan_range")->Value(), 1)
         << "node " << n->server->options().node_id;
   }
 
@@ -1156,6 +1181,156 @@ TEST(ClusterNet, RetriesAreCountedAndRecoverAfterReconnect) {
   ASSERT_TRUE(result.ok()) << result.status();
 }
 
+/// The coordinator's per-type client RPC counters, by wire name.
+std::map<std::string, int64_t> ClientRpcs(TestCluster* tc) {
+  std::map<std::string, int64_t> rpcs;
+  for (const char* type : {"point_lookup", "resolve_ssid", "scan_range"}) {
+    rpcs[type] = tc->coord_metrics
+                     ->GetCounter(std::string("net.client.rpcs.") + type)
+                     ->Value();
+  }
+  return rpcs;
+}
+
+/// Counter deltas between two ClientRpcs snapshots.
+std::map<std::string, int64_t> RpcsSince(
+    const std::map<std::string, int64_t>& before,
+    const std::map<std::string, int64_t>& after) {
+  std::map<std::string, int64_t> delta;
+  for (const auto& [type, count] : after) delta[type] = count - before.at(type);
+  return delta;
+}
+
+TEST(ClusterNet, OnlyReadsSpanningSeveralNodesResolveTheSsid) {
+  auto tc = StartCluster();
+  const query::QueryOptions serializable;
+  using Rpcs = std::map<std::string, int64_t>;
+
+  // A single-key lookup goes to its owner alone, which resolves "latest"
+  // itself: one RPC in all.
+  Rpcs before = ClientRpcs(tc.get());
+  auto lookup = tc->coordinator->Execute(
+      "SELECT total FROM snapshot_orders WHERE key = 3", serializable);
+  ASSERT_TRUE(lookup.ok()) << lookup.status();
+  ASSERT_EQ(lookup->rows.size(), 1u);
+  EXPECT_EQ(lookup->rows[0][0], OrderValueV2(3).Get("total"));
+  EXPECT_EQ(RpcsSince(before, ClientRpcs(tc.get())),
+            (Rpcs{{"point_lookup", 1}, {"resolve_ssid", 0}, {"scan_range", 0}}));
+
+  // A pinned scan sends its pin as is: one range RPC per node, no resolve.
+  before = ClientRpcs(tc.get());
+  auto pinned = tc->coordinator->Execute(
+      "SELECT count(*) FROM snapshot_orders WHERE ssid = 1", serializable);
+  ASSERT_TRUE(pinned.ok()) << pinned.status();
+  EXPECT_EQ(RpcsSince(before, ClientRpcs(tc.get())),
+            (Rpcs{{"point_lookup", 0},
+                  {"resolve_ssid", 0},
+                  {"scan_range", kClusterNodes}}));
+
+  // An unpinned scan spans every node: it resolves once, then scatters.
+  before = ClientRpcs(tc.get());
+  auto latest = tc->coordinator->Execute(
+      "SELECT count(*) FROM snapshot_orders", serializable);
+  ASSERT_TRUE(latest.ok()) << latest.status();
+  EXPECT_EQ(RpcsSince(before, ClientRpcs(tc.get())),
+            (Rpcs{{"point_lookup", 0},
+                  {"resolve_ssid", 1},
+                  {"scan_range", kClusterNodes}}));
+
+  // Planning a snapshot scan opens its source and sends nothing.
+  before = ClientRpcs(tc.get());
+  auto plan = tc->coordinator->Execute(
+      "EXPLAIN SELECT count(*) FROM snapshot_orders", serializable);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(RpcsSince(before, ClientRpcs(tc.get())),
+            (Rpcs{{"point_lookup", 0}, {"resolve_ssid", 0}, {"scan_range", 0}}));
+}
+
+TEST(ClusterNet, ScanPagesSplitARangeWithoutChangingItsBatches) {
+  auto tc = StartCluster();
+  ClusterNode* node = tc->nodes[0].get();
+  const kv::PartitionRange owned = node->server->options().owned;
+  auto source = node->query->OpenTableSource("snapshot_orders", std::nullopt,
+                                             query::QueryOptions{});
+  ASSERT_TRUE(source.ok()) << source.status();
+
+  auto whole = BuildScanPage(**source, owned.begin, owned.end, kScanPageBytes);
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  auto one_page = DecodeScanRangeReply(*whole);
+  ASSERT_TRUE(one_page.ok()) << one_page.status();
+  EXPECT_EQ(one_page->next_partition, owned.end);
+
+  // A budget a few partitions wide: several pages, each ending right after
+  // the partition that took it past the budget, that together hold the
+  // same batches in the same order.
+  constexpr size_t kTinyBudget = 600;
+  ScanRangeReply joined;
+  int32_t pages = 0;
+  for (int32_t begin = owned.begin; begin < owned.end;) {
+    auto body = BuildScanPage(**source, begin, owned.end, kTinyBudget);
+    ASSERT_TRUE(body.ok()) << body.status();
+    auto page = DecodeScanRangeReply(*body);
+    ASSERT_TRUE(page.ok()) << page.status();
+    ASSERT_GT(page->next_partition, begin);
+    if (page->next_partition < owned.end) {
+      EXPECT_GT(body->size(), kTinyBudget);
+      std::string shorter;
+      ScanRangeReply trimmed = *page;
+      trimmed.partitions.pop_back();
+      EncodeScanRangeReply(trimmed, &shorter);
+      EXPECT_LE(shorter.size(), kTinyBudget + sizeof(int32_t));
+    }
+    for (PartitionBatches& p : page->partitions) {
+      joined.partitions.push_back(std::move(p));
+    }
+    begin = page->next_partition;
+    ++pages;
+  }
+  EXPECT_GT(pages, 2);
+  joined.next_partition = owned.end;
+  std::string rejoined;
+  EncodeScanRangeReply(joined, &rejoined);
+  EXPECT_EQ(ToHex(rejoined), ToHex(*whole));
+}
+
+TEST(ClusterNet, OversizedReplyFailsTypedAfterOneAttempt) {
+  auto tc = StartCluster({}, /*load_data=*/false);
+  // Three ~6 MB values in one partition: that partition's page cannot fit
+  // in a frame. Each value goes out in its own delta, so every request fits.
+  const kv::Partitioner& partitioner = tc->client->partitioner();
+  const int32_t partition = partitioner.PartitionOf(kv::Value(int64_t{0}));
+  const std::string big(6u << 20, 'x');
+  int32_t stored = 0;
+  for (int64_t k = 0; stored < 3; ++k) {
+    if (partitioner.PartitionOf(kv::Value(k)) != partition) continue;
+    kv::Object value;
+    value.Set("blob", kv::Value(big));
+    ASSERT_TRUE(
+        tc->client->Apply("orders", 0, {DeltaEntry{kv::Value(k), false, value}})
+            .ok());
+    ++stored;
+  }
+  const int32_t owner = tc->client->OwnerOfPartition(partition);
+
+  auto result = tc->coordinator->Execute("SELECT count(*) FROM orders",
+                                         ReadCommitted());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status();
+  EXPECT_NE(result.status().message().find("exceeds"), std::string::npos)
+      << result.status();
+  // One range RPC per node and no retry: the owner answered the typed error
+  // once.
+  EXPECT_EQ(
+      tc->coord_metrics->GetCounter("net.client.rpcs.scan_range")->Value(),
+      kClusterNodes);
+  EXPECT_EQ(tc->coord_metrics->GetCounter("net.client.retries")->Value(), 0);
+  EXPECT_EQ(tc->nodes[owner]
+                ->metrics->GetCounter("net.server.rpcs.scan_range")
+                ->Value(),
+            1);
+}
+
 // ---------------------------------------------------------------------------
 // Cluster-wide observability: federated system tables, the __nodes health
 // registry, per-type RPC telemetry, and the merged trace export.
@@ -1175,9 +1350,9 @@ TEST(ClusterNet, PerTypeRpcCountersRegisteredForEveryMsgType) {
   const std::vector<std::string> wire_names = {
       "hello",           "point_lookup",       "replication_delta",
       "checkpoint_marker", "resolve_ssid",   "fetch_system_table",
-      "scan_batches",    "hello_reply",        "rows",
+      "scan_range",      "hello_reply",        "rows",
       "ack",             "resolve_ssid_reply", "error",
-      "system_table_reply", "batches",
+      "system_table_reply", "range_batches",
   };
   // sqlint-rpc-metrics-end
   auto names_of = [](MetricsRegistry* m) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "dataflow/checkpoint.h"
 #include "kv/grid.h"
 #include "kv/object.h"
@@ -70,6 +71,26 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
   uint32_t crc = 0;
   for (char c : data) crc = Crc32cExtend(crc, &c, 1);
   EXPECT_EQ(crc, Crc32c(data));
+}
+
+// The SSE4.2 path and the table loop must agree bit for bit: on random
+// bytes, every length up to 4096 (so every 8-byte tail), unaligned starts and
+// nonzero seeds (extending a previous CRC).
+TEST(Crc32cTest, HardwareAndPortablePathsAgree) {
+  if (!internal_crc32c::HasHardware()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this CPU";
+  }
+  Rng rng(0xC5C32Cu);
+  std::string buf(4096 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.NextBounded(256));
+  for (size_t len = 0; len <= 4096; ++len) {
+    const size_t offset = len % 8;
+    const uint32_t seed = len % 3 == 0 ? 0u : static_cast<uint32_t>(rng.Next());
+    const char* data = buf.data() + offset;
+    ASSERT_EQ(internal_crc32c::ExtendHardware(seed, data, len),
+              internal_crc32c::ExtendPortable(seed, data, len))
+        << "len " << len << " offset " << offset << " seed " << seed;
+  }
 }
 
 TEST(Crc32cTest, MaskRoundtripAndDiffers) {

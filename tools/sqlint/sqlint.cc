@@ -271,6 +271,40 @@ std::optional<EnumBlock> ParseEnum(const SourceFile& file,
   return std::nullopt;
 }
 
+/// The values in the initializer of `kRetiredMsgTypes` (which may span
+/// lines); empty when `file` declares no such list.
+std::vector<long> ParseRetiredMsgTypes(const SourceFile& file) {
+  std::vector<long> values;
+  for (size_t i = 0; i < file.lines.size(); ++i) {
+    const std::string& code = file.lines[i].code;
+    const size_t name = code.find("kRetiredMsgTypes");
+    if (name == std::string::npos) continue;
+    const size_t eq = code.find('=', name);
+    if (eq == std::string::npos) continue;
+    std::string init = code.substr(eq + 1);
+    for (size_t j = i + 1;
+         init.find('}') == std::string::npos && j < file.lines.size(); ++j) {
+      init += " " + file.lines[j].code;
+    }
+    const size_t open = init.find('{');
+    const size_t close = init.find('}');
+    if (open == std::string::npos || close == std::string::npos) break;
+    const char* p = init.c_str() + open + 1;
+    const char* const stop = init.c_str() + close;
+    while (p < stop) {
+      if (std::isdigit(static_cast<unsigned char>(*p)) != 0) {
+        char* after = nullptr;
+        values.push_back(std::strtol(p, &after, 0));
+        p = after;
+      } else {
+        ++p;
+      }
+    }
+    break;
+  }
+  return values;
+}
+
 /// [begin, end] line range of the function whose signature contains
 /// `signature`; the body ends at the first subsequent line that is exactly
 /// "}" (column 0, the project's formatting).
@@ -368,9 +402,22 @@ void PassWire(const Tree& tree, std::vector<Finding>* findings) {
         }
       }
 
+      // A retired id comes back only by mistake: a frame from a peer that
+      // still speaks the old message would decode as the new one.
+      const std::vector<long> retired = ParseRetiredMsgTypes(*wire_h);
+
       for (size_t i = 0; i < msg_types->enumerators.size(); ++i) {
         const std::string& e = msg_types->enumerators[i];
         const long value = msg_types->values[i];
+        if (value >= 0 &&
+            std::find(retired.begin(), retired.end(), value) !=
+                retired.end()) {
+          Add(findings, *wire_h, msg_types->begin, "wire",
+              "MsgType::" + e + " reuses retired id " +
+                  std::to_string(value) +
+                  " (kRetiredMsgTypes): an old peer's frame of that id "
+                  "would be misread instead of rejected");
+        }
         if (dispatch.has_value() && value >= 0 && value < 64) {
           bool dispatched = false;
           for (size_t line = dispatch->first; line <= dispatch->second;

@@ -293,6 +293,39 @@ TEST(Wire, UnreferencedMsgTypeIsFlagged) {
             std::string::npos);
 }
 
+TEST(Wire, RetiredIdReuseIsFlagged) {
+  const char kWireHReusesRetired[] =
+      "inline constexpr std::array<uint8_t, 3> kRetiredMsgTypes = {\n"
+      "    7, 2,\n"
+      "    66};\n"
+      "enum class MsgType : uint8_t {\n"
+      "  kHello = 1,\n"
+      "  kError = 2,\n"
+      "};\n";
+  const Tree tree = MakeTree({{"src/net/wire.h", kWireHReusesRetired},
+                              {"src/net/wire.cc", kWireCcComplete},
+                              {"src/net/client.cc", kNetUser},
+                              {"tests/net_test.cc", kNetTestComplete}});
+  const auto findings = RunPass(PassWire, tree);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].message.find("kError"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("retired id 2"), std::string::npos);
+}
+
+TEST(Wire, RetiredIdsNotInUseAreClean) {
+  const char kWireHRetiredElsewhere[] =
+      "inline constexpr std::array<uint8_t, 2> kRetiredMsgTypes = {3, 66};\n"
+      "enum class MsgType : uint8_t {\n"
+      "  kHello = 1,\n"
+      "  kError = 2,\n"
+      "};\n";
+  const Tree tree = MakeTree({{"src/net/wire.h", kWireHRetiredElsewhere},
+                              {"src/net/wire.cc", kWireCcComplete},
+                              {"src/net/client.cc", kNetUser},
+                              {"tests/net_test.cc", kNetTestComplete}});
+  EXPECT_TRUE(RunPass(PassWire, tree).empty());
+}
+
 // Both fixture types have values below 64, so both are request types the
 // node's Dispatch must serve.
 TEST(Wire, DispatchedRequestTypesAreClean) {
