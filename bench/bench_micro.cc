@@ -15,6 +15,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -508,15 +509,18 @@ void RunScanThroughputSection() {
 // free: CI gates the delta on a local `__spans` scan at < 5% so the cluster
 // observability plumbing never taxes single-node deployments.
 // SQ_BENCH_FED_ONLY=1 runs just this section.
-double MeasureSystemScanNanos(query::QueryService* service,
-                              const std::string& sql, int iters) {
+double TimeSystemScanNanos(query::QueryService* service,
+                           const std::string& sql) {
   const int64_t t0 = SystemClock::Default()->NowNanos();
-  for (int i = 0; i < iters; ++i) {
-    auto result = service->Execute(sql);
-    benchmark::DoNotOptimize(result);
-  }
-  return static_cast<double>(SystemClock::Default()->NowNanos() - t0) /
-         iters;
+  auto result = service->Execute(sql);
+  benchmark::DoNotOptimize(result);
+  return static_cast<double>(SystemClock::Default()->NowNanos() - t0);
+}
+
+double Median(std::vector<double> values) {
+  const auto mid = values.begin() + static_cast<ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  return *mid;
 }
 
 void RunFederatedOverheadSection() {
@@ -541,25 +545,40 @@ void RunFederatedOverheadSection() {
   federated.AttachCluster(&client);
 
   const std::string sql = "SELECT COUNT(*) AS n FROM __spans";
-  // Warmup both paths identically.
-  MeasureSystemScanNanos(&fixture.service, sql, iters / 2 + 1);
-  MeasureSystemScanNanos(&federated, sql, iters / 2 + 1);
-
-  // Interleaved best-of-rounds, same rationale as the trace section.
-  double best_local = 1e300;
-  double best_fed = 1e300;
-  for (int round = 0; round < rounds; ++round) {
-    best_local = std::min(
-        best_local, MeasureSystemScanNanos(&fixture.service, sql, iters));
-    best_fed = std::min(best_fed,
-                        MeasureSystemScanNanos(&federated, sql, iters));
+  // Every query adds spans to the journal it scans, so the two services run
+  // in back-to-back pairs, alternating which one goes first: both queries
+  // of a pair scan the same journal. The overhead is the median over pairs
+  // of the attached query's time relative to the local one, which host
+  // noise on single queries does not move. The first pairs warm up both
+  // paths identically.
+  const int warmup = iters / 2 + 1;
+  const int pairs = iters * rounds;
+  std::vector<double> local_nanos;
+  std::vector<double> fed_nanos;
+  std::vector<double> fed_over_local;
+  for (int i = 0; i < warmup + pairs; ++i) {
+    double local = 0;
+    double fed = 0;
+    if (i % 2 == 0) {
+      local = TimeSystemScanNanos(&fixture.service, sql);
+      fed = TimeSystemScanNanos(&federated, sql);
+    } else {
+      fed = TimeSystemScanNanos(&federated, sql);
+      local = TimeSystemScanNanos(&fixture.service, sql);
+    }
+    if (i < warmup) continue;
+    local_nanos.push_back(local);
+    fed_nanos.push_back(fed);
+    fed_over_local.push_back(fed / local);
   }
-  const double overhead_pct = (best_fed - best_local) / best_local * 100.0;
+  const double median_local = Median(local_nanos);
+  const double median_fed = Median(fed_nanos);
+  const double overhead_pct = (Median(fed_over_local) - 1.0) * 100.0;
   std::printf(
-      "\nfederated-scan overhead on '%s' (%d queries x %d rounds):\n"
+      "\nfederated-scan overhead on '%s' (%d query pairs, medians):\n"
       "  local-only:       %10.0f ns/query\n"
-      "  cluster attached: %10.0f ns/query (%+.2f%%)\n",
-      sql.c_str(), iters, rounds, best_local, best_fed, overhead_pct);
+      "  cluster attached: %10.0f ns/query (pairwise %+.2f%%)\n",
+      sql.c_str(), pairs, median_local, median_fed, overhead_pct);
 
   std::FILE* f = std::fopen("BENCH_federation.json", "w");
   if (f == nullptr) return;
@@ -570,7 +589,7 @@ void RunFederatedOverheadSection() {
                "    \"local_nanos\": %.0f,\n"
                "    \"federated_nanos\": %.0f,\n"
                "    \"overhead_pct\": %.3f\n  }\n}\n",
-               sql.c_str(), iters, best_local, best_fed, overhead_pct);
+               sql.c_str(), pairs, median_local, median_fed, overhead_pct);
   std::fclose(f);
   std::printf("wrote BENCH_federation.json\n");
 }

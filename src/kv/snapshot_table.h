@@ -80,8 +80,8 @@ class SnapshotTable {
 
   /// Scans one partition of the view at `ssid`. Rows are emitted in
   /// first-write key order — the deterministic scan order shared with the
-  /// columnar view, so the row and vectorized engines are bit-identical
-  /// (group first-seen order, representatives, ORDER BY tie-breaks).
+  /// columnar view, which this scan is the reference for (group first-seen
+  /// order, representatives and ORDER BY tie-breaks depend on it).
   void ScanPartitionAt(
       int32_t partition, int64_t ssid,
       const std::function<void(const Value&, int64_t, const Object&)>& fn)
@@ -95,7 +95,7 @@ class SnapshotTable {
   /// since (the checkpoint delta) instead of re-encoding every row. Writes at
   /// ssid S invalidate only cached views at S and newer; compaction and drops
   /// invalidate the partition's cache wholesale. The returned batch is
-  /// immutable and safe to use without holding any table lock.
+  /// never null, immutable, and safe to use without holding any table lock.
   std::shared_ptr<const ColumnBatch> ColumnarPartitionAt(int32_t partition,
                                                          int64_t ssid) const;
 

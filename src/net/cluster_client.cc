@@ -50,19 +50,6 @@ class ClusterTableSource : public sql::TableSource {
     return client_->partitioner().PartitionOf(key);
   }
 
-  /// The row engine's view of the same batches the columnar engine reads.
-  Status ScanPartition(int32_t partition, const RowFn& fn) const override {
-    SQ_ASSIGN_OR_RETURN(const std::vector<sql::ScanBatch>* batches,
-                        Batches(partition));
-    for (const sql::ScanBatch& batch : *batches) {
-      const kv::Value* ssid = batch.ssid.has_value() ? &*batch.ssid : nullptr;
-      for (size_t r = 0; r < batch.rows->row_count(); ++r) {
-        fn(batch.rows->keys()[r], ssid, batch.rows->MaterializeRow(r));
-      }
-    }
-    return Status::OK();
-  }
-
   Status ScanKeys(const std::vector<kv::Value>& keys,
                   const RowFn& fn) const override {
     // Scatter the key set by owning node, then replay replies in request-key
@@ -113,8 +100,6 @@ class ClusterTableSource : public sql::TableSource {
       int32_t partition) const override {
     return std::make_unique<RemoteBatchReader>(this, partition);
   }
-
-  bool SupportsBatches() const override { return true; }
 
  private:
   /// Cursor over one remote partition. The fetch runs on the first

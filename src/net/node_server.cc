@@ -29,18 +29,12 @@ Result<std::string> BuildScanPage(const sql::TableSource& source,
          (partition == begin || page.size() <= budget_bytes)) {
     std::unique_ptr<sql::BatchReader> reader =
         source.OpenBatchReader(partition);
-    if (reader == nullptr) {
-      return Status::FailedPrecondition("net: partition " +
-                                        std::to_string(partition) +
-                                        " cannot be served as batches");
-    }
     PartitionBatches served;
     served.partition = partition;
     sql::ScanBatch batch;
     for (;;) {
       SQ_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch));
       if (!more) break;
-      if (batch.rows == nullptr) continue;
       WireBatch wire;
       if (batch.ssid.has_value()) {
         wire.has_ssid = true;

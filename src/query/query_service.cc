@@ -53,7 +53,6 @@ class SingleBatchReader : public sql::BatchReader {
   Result<bool> NextBatch(sql::ScanBatch* out) override {
     if (done_) return false;
     done_ = true;
-    if (batch_.rows == nullptr) return false;
     *out = std::move(batch_);
     return true;
   }
@@ -74,14 +73,6 @@ class LiveTableSource : public sql::TableSource {
     return live_->partition_count();
   }
 
-  Status ScanPartition(int32_t partition, const RowFn& fn) const override {
-    live_->ForEachInPartition(
-        partition, [&fn](const kv::Value& key, const kv::Object& value) {
-          fn(key, /*ssid=*/nullptr, value);
-        });
-    return Status::OK();
-  }
-
   Status ScanKeys(const std::vector<kv::Value>& keys,
                   const RowFn& fn) const override {
     for (const kv::Value& key : keys) {
@@ -99,8 +90,7 @@ class LiveTableSource : public sql::TableSource {
   std::unique_ptr<sql::BatchReader> OpenBatchReader(
       int32_t partition) const override {
     // Live maps have no maintained columnar view (they mutate per record);
-    // the batch is built here, under the same partition iteration the row
-    // scan uses, so both engines see identical rows in identical order.
+    // the batch is built here, per read, in partition iteration order.
     auto batch = std::make_shared<kv::ColumnBatch>();
     live_->ForEachInPartition(
         partition, [&batch](const kv::Value& key, const kv::Object& value) {
@@ -110,15 +100,13 @@ class LiveTableSource : public sql::TableSource {
         sql::ScanBatch{std::move(batch), std::nullopt});
   }
 
-  bool SupportsBatches() const override { return true; }
-
  private:
   const kv::LiveMap* live_;
 };
 
 /// Partition-addressable scan of the reconstructed snapshot view at one
 /// resolved version. Every row reports the *resolved* ssid (not the possibly
-/// older entry that supplied the value), matching the materializing scan.
+/// older entry that supplied the value), matching the point lookups.
 class SnapshotTableSource : public sql::TableSource {
  public:
   SnapshotTableSource(const kv::SnapshotTable* snap, int64_t ssid)
@@ -126,14 +114,6 @@ class SnapshotTableSource : public sql::TableSource {
 
   int32_t partition_count() const override {
     return snap_->partition_count();
-  }
-
-  Status ScanPartition(int32_t partition, const RowFn& fn) const override {
-    snap_->ScanPartitionAt(
-        partition, ssid_,
-        [this, &fn](const kv::Value& key, int64_t /*entry_ssid*/,
-                    const kv::Object& value) { fn(key, &ssid_value_, value); });
-    return Status::OK();
   }
 
   Status ScanKeys(const std::vector<kv::Value>& keys,
@@ -154,14 +134,9 @@ class SnapshotTableSource : public sql::TableSource {
       int32_t partition) const override {
     // The incrementally maintained columnar view of this partition at the
     // resolved version (cached across queries; see SnapshotTable).
-    std::shared_ptr<const kv::ColumnBatch> view =
-        snap_->ColumnarPartitionAt(partition, ssid_);
-    if (view == nullptr) return nullptr;
-    return std::make_unique<SingleBatchReader>(
-        sql::ScanBatch{std::move(view), ssid_value_});
+    return std::make_unique<SingleBatchReader>(sql::ScanBatch{
+        snap_->ColumnarPartitionAt(partition, ssid_), ssid_value_});
   }
-
-  bool SupportsBatches() const override { return true; }
 
  private:
   const kv::SnapshotTable* snap_;
@@ -187,18 +162,6 @@ class VersionsTableSource : public sql::TableSource {
     return snap_->partition_count();
   }
 
-  Status ScanPartition(int32_t partition, const RowFn& fn) const override {
-    for (const kv::Value& version : version_values_) {
-      snap_->ScanPartitionAt(
-          partition, version.int64_value(),
-          [&fn, &version](const kv::Value& key, int64_t /*entry_ssid*/,
-                          const kv::Object& value) {
-            fn(key, &version, value);
-          });
-    }
-    return Status::OK();
-  }
-
   Status ScanKeys(const std::vector<kv::Value>& keys,
                   const RowFn& fn) const override {
     // Keys outermost, versions innermost: the order the cluster's scattered
@@ -220,8 +183,8 @@ class VersionsTableSource : public sql::TableSource {
 
   std::unique_ptr<sql::BatchReader> OpenBatchReader(
       int32_t partition) const override {
-    // One batch per retained version, in pinned version order — the same
-    // (version-major, key order) sequence the row scan emits.
+    // One batch per retained version with rows, in pinned version order:
+    // version-major, key order within a version.
     class Reader : public sql::BatchReader {
      public:
       Reader(const kv::SnapshotTable* snap, int32_t partition,
@@ -233,7 +196,7 @@ class VersionsTableSource : public sql::TableSource {
           const kv::Value& version = (*versions_)[next_++];
           std::shared_ptr<const kv::ColumnBatch> view =
               snap_->ColumnarPartitionAt(partition_, version.int64_value());
-          if (view == nullptr || view->row_count() == 0) continue;
+          if (view->row_count() == 0) continue;
           *out = sql::ScanBatch{std::move(view), version};
           return true;
         }
@@ -248,8 +211,6 @@ class VersionsTableSource : public sql::TableSource {
     };
     return std::make_unique<Reader>(snap_, partition, &version_values_);
   }
-
-  bool SupportsBatches() const override { return true; }
 
  private:
   const kv::SnapshotTable* snap_;
@@ -435,24 +396,10 @@ QueryService::QueryService(kv::Grid* grid, state::SnapshotRegistry* registry,
   catalog_.RegisterVirtualTable(
       "__spans", [this]() -> Result<std::vector<kv::Object>> {
         const int64_t node = node_id();
+        const std::vector<trace::TraceSpan> spans = trace::SnapshotSpans();
         std::vector<kv::Object> rows;
-        for (const trace::TraceSpan& s : trace::SnapshotSpans()) {
-          kv::Object row;
-          const std::string key = std::to_string(s.trace_id) + "/" +
-                                  std::to_string(s.span_id);
-          row.Set("key", kv::Value(key));
-          row.Set("partitionKey", kv::Value(key));
-          row.Set("node", kv::Value(node));
-          row.Set("trace_id", kv::Value(static_cast<int64_t>(s.trace_id)));
-          row.Set("span_id", kv::Value(static_cast<int64_t>(s.span_id)));
-          row.Set("parent_id", kv::Value(static_cast<int64_t>(s.parent_id)));
-          row.Set("category",
-                  kv::Value(std::string(trace::CategoryToString(s.category))));
-          row.Set("name", kv::Value(std::string(s.name)));
-          row.Set("start_nanos", kv::Value(s.start_nanos));
-          row.Set("duration_nanos", kv::Value(s.duration_nanos()));
-          row.Set("start_micros", kv::Value(SteadyToUnixMicros(s.start_nanos)));
-          row.Set("thread", kv::Value(static_cast<int64_t>(s.tid)));
+        rows.reserve(spans.size());
+        for (const trace::TraceSpan& s : spans) {
           std::string attrs;
           for (const trace::Attr& attr : s.attrs) {
             if (!attrs.empty()) attrs += " ";
@@ -460,7 +407,24 @@ QueryService::QueryService(kv::Grid* grid, state::SnapshotRegistry* registry,
             attrs += "=";
             attrs += attr.value;
           }
+          kv::Value key(std::to_string(s.trace_id) + "/" +
+                        std::to_string(s.span_id));
+          // Set in name order, so each field appends to the sorted Object.
+          kv::Object row;
           row.Set("attrs", kv::Value(std::move(attrs)));
+          row.Set("category",
+                  kv::Value(std::string(trace::CategoryToString(s.category))));
+          row.Set("duration_nanos", kv::Value(s.duration_nanos()));
+          row.Set("key", key);
+          row.Set("name", kv::Value(std::string(s.name)));
+          row.Set("node", kv::Value(node));
+          row.Set("parent_id", kv::Value(static_cast<int64_t>(s.parent_id)));
+          row.Set("partitionKey", std::move(key));
+          row.Set("span_id", kv::Value(static_cast<int64_t>(s.span_id)));
+          row.Set("start_micros", kv::Value(SteadyToUnixMicros(s.start_nanos)));
+          row.Set("start_nanos", kv::Value(s.start_nanos));
+          row.Set("thread", kv::Value(static_cast<int64_t>(s.tid)));
+          row.Set("trace_id", kv::Value(static_cast<int64_t>(s.trace_id)));
           rows.push_back(std::move(row));
         }
         return rows;
@@ -603,20 +567,21 @@ void QueryService::RegisterEngineIntrospection(dataflow::Job* job,
           const int64_t node = node_id();
           std::vector<kv::Object> rows;
           for (const MetricSample& s : metrics->Collect()) {
+            // Set in name order, so each field appends to the sorted Object.
             kv::Object row;
-            row.Set("key", kv::Value(s.name));
-            row.Set("partitionKey", kv::Value(s.name));
-            row.Set("node", kv::Value(node));
-            row.Set("name", kv::Value(s.name));
-            row.Set("kind", kv::Value(MetricKindToString(s.kind)));
-            row.Set("value", kv::Value(s.value));
             row.Set("count", kv::Value(s.summary.count));
+            row.Set("key", kv::Value(s.name));
+            row.Set("kind", kv::Value(MetricKindToString(s.kind)));
+            row.Set("max", kv::Value(s.summary.max));
             row.Set("mean", kv::Value(s.summary.mean));
+            row.Set("name", kv::Value(s.name));
+            row.Set("node", kv::Value(node));
             row.Set("p50", kv::Value(s.summary.p50));
             row.Set("p90", kv::Value(s.summary.p90));
             row.Set("p99", kv::Value(s.summary.p99));
             row.Set("p999", kv::Value(s.summary.p999));
-            row.Set("max", kv::Value(s.summary.max));
+            row.Set("partitionKey", kv::Value(s.name));
+            row.Set("value", kv::Value(s.value));
             rows.push_back(std::move(row));
           }
           return rows;
@@ -770,12 +735,14 @@ Result<std::unique_ptr<sql::TableSource>> QueryService::OpenTableSource(
                                  ? cluster_.load(std::memory_order_acquire)
                                  : nullptr;
     return std::unique_ptr<sql::TableSource>(new sql::ScanFnSource(
-        [this, table, cluster](const sql::TableSource::RowFn& fn) -> Status {
+        [this, table,
+         cluster]() -> Result<std::shared_ptr<const kv::ColumnBatch>> {
           SQ_ASSIGN_OR_RETURN(std::vector<kv::Object> rows,
                               catalog_.ScanVirtualTable(table));
           if (cluster != nullptr) AppendFederatedRows(cluster, table, &rows);
-          return sql::EmitKeyedRows(rows, fn);
-        }));
+          return sql::BatchOfKeyedRows(rows);
+        },
+        /*ssid=*/std::nullopt));
   }
 
   const bool snapshot = IsSnapshotTableName(table);
@@ -841,19 +808,22 @@ std::unique_ptr<sql::TableSource> QueryService::OpenDurableSource(
     return nullptr;
   }
   return std::make_unique<sql::ScanFnSource>(
-      [this, log, table, ssid = kv::Value(*id)](
-          const sql::TableSource::RowFn& fn) -> Status {
+      [this, log, table,
+       ssid = *id]() -> Result<std::shared_ptr<const kv::ColumnBatch>> {
         if (metrics_ != nullptr) {
           metrics_->GetCounter(metric_names::kQueryDurableFallbacks)
               ->Increment();
         }
-        return log->ScanSnapshot(
-            table, ssid.int64_value(),
-            [&fn, &ssid](int32_t /*partition*/, const kv::Value& key,
-                         int64_t /*entry_ssid*/, const kv::Object& value) {
-              fn(key, &ssid, value);
-            });
-      });
+        auto rows = std::make_shared<kv::ColumnBatch>();
+        SQ_RETURN_IF_ERROR(log->ScanSnapshot(
+            table, ssid,
+            [&rows](int32_t /*partition*/, const kv::Value& key,
+                    int64_t /*entry_ssid*/, const kv::Object& value) {
+              rows->AppendRow(key, /*ssid=*/0, value);
+            }));
+        return std::shared_ptr<const kv::ColumnBatch>(std::move(rows));
+      },
+      *id);
 }
 
 Result<std::unique_ptr<sql::TableSource>> QueryService::OpenClusterSource(

@@ -52,8 +52,8 @@ struct QueryOptions {
   /// that fail are never copied) and route `key = <literal>` / IN-list
   /// restrictions to point lookups. Off = materialize-then-filter.
   bool pushdown = true;
-  /// Disable the vectorized (columnar-batch) scan engine for this query and
-  /// stream rows instead. Results are identical either way; this is an
+  /// Evaluate this query's scanned batches with the row evaluator instead of
+  /// the vectorized engine. Results are identical either way; this is an
   /// escape hatch for debugging and A/B measurement.
   bool force_row_scan = false;
 };

@@ -49,8 +49,7 @@ struct ScanRowView {
 /// The tuple a scan row materializes to: the state object plus the
 /// pseudo-columns `key` and `partitionKey` (both the state key) and, when
 /// `ssid` is non-null, `ssid`. The one definition of the tuple shape, shared
-/// by local scans and the node servers' remote folds, and in lockstep with
-/// ScanRowView's resolution.
+/// by both engines, and in lockstep with ScanRowView's resolution.
 kv::Object MaterializeRow(const kv::Value& key, const kv::Value* ssid,
                           const kv::Object& value);
 

@@ -200,7 +200,7 @@ struct PartitionOutcome {
   Status status;
   int64_t scanned = 0;
   int64_t returned = 0;
-  int64_t batches = 0;     // columnar batches consumed (0 = row engine)
+  int64_t batches = 0;     // batches the vectorized engine evaluated
   int64_t batch_rows = 0;  // rows those batches carried
 };
 
@@ -211,40 +211,88 @@ Status FirstError(const std::vector<PartitionOutcome>& outcomes,
     stats->rows_returned += outcome.returned;
     stats->batches_scanned += outcome.batches;
     stats->batch_rows += outcome.batch_rows;
-    if (outcome.batches > 0) stats->used_vectorized = true;
     if (!outcome.status.ok()) return outcome.status;
   }
   return Status::OK();
 }
 
-/// Drains one partition's batch reader through `consume_batch`. Returns
-/// false (leaving the outcome untouched) when the source declines to serve
-/// this partition as batches — the caller then streams rows instead.
-template <typename BatchConsumer>
-bool ScanPartitionBatches(const TableSource& source, int32_t partition,
-                          const ExecOptions& options,
-                          PartitionOutcome* outcome,
-                          const BatchConsumer& consume_batch) {
-  if (!options.enable_vectorized) return false;
-  std::unique_ptr<BatchReader> reader = source.OpenBatchReader(partition);
-  if (reader == nullptr) return false;
-  ScanBatch batch;
-  while (outcome->status.ok()) {
-    Result<bool> more = reader->NextBatch(&batch);
-    if (!more.ok()) {
-      outcome->status = more.status();
-      break;
-    }
-    if (!*more) break;
-    if (batch.rows == nullptr) continue;
-    const int64_t rows = static_cast<int64_t>(batch.rows->row_count());
-    outcome->scanned += rows;
-    ++outcome->batches;
-    outcome->batch_rows += rows;
-    outcome->status = consume_batch(batch);
-    batch = ScanBatch{};
+/// The row evaluator: runs the pushed predicate over one unmaterialized row
+/// and hands the row to `consume` if it passes.
+template <typename RowConsumer>
+Status EvaluateRow(const ScanRowView& row, const CompiledScan& scan,
+                   const EvalContext& ctx, int64_t* returned,
+                   const RowConsumer& consume) {
+  if (scan.has_predicate()) {
+    SQ_ASSIGN_OR_RETURN(const bool pass, scan.PredicatePasses(row, ctx));
+    if (!pass) return Status::OK();
   }
-  return true;
+  ++*returned;
+  return consume(row);
+}
+
+/// Reads every partition of `source` as batches, fanned out over the pool,
+/// into one `Local` per partition. The vectorized engine hands each batch to
+/// `fold_batch(batch, &local, &returned)`; the row engine materializes each
+/// row of it and runs it through the row evaluator into
+/// `fold_row(row, &local)`. Records one `span_name` span per partition and
+/// folds the outcomes into `stats`.
+template <typename Local, typename BatchFold, typename RowFold>
+Result<std::vector<Local>> ScanPartitions(
+    const TableSource& source, const char* span_name,
+    const CompiledScan& scan, const EvalContext& ctx,
+    const ExecOptions& options, ExecStats* stats,
+    const BatchFold& fold_batch, const RowFold& fold_row) {
+  const int32_t partitions = source.partition_count();
+  const int32_t workers = ScanWorkers(options, partitions);
+  std::vector<Local> per_partition(partitions);
+  std::vector<PartitionOutcome> outcomes(partitions);
+  // Captured before the fan-out: ParallelFor workers have no thread-local
+  // scope, so per-partition spans parent on the scan span explicitly.
+  const trace::SpanContext scan_ctx = trace::CurrentContext();
+  RunPartitioned(options, partitions, workers, [&](int32_t p) {
+    const int64_t span_t0 = trace::NowNanos();
+    PartitionOutcome& outcome = outcomes[p];
+    Local& local = per_partition[p];
+    std::unique_ptr<BatchReader> reader = source.OpenBatchReader(p);
+    ScanBatch batch;
+    while (outcome.status.ok()) {
+      Result<bool> more = reader->NextBatch(&batch);
+      if (!more.ok()) {
+        outcome.status = more.status();
+        break;
+      }
+      if (!*more) break;
+      const auto rows = static_cast<int64_t>(batch.rows->row_count());
+      outcome.scanned += rows;
+      if (options.enable_vectorized) {
+        ++outcome.batches;
+        outcome.batch_rows += rows;
+        outcome.status = fold_batch(batch, &local, &outcome.returned);
+        continue;
+      }
+      const Value* ssid = batch.ssid.has_value() ? &*batch.ssid : nullptr;
+      for (size_t r = 0; r < batch.rows->row_count() && outcome.status.ok();
+           ++r) {
+        const Object value = batch.rows->MaterializeRow(r);
+        outcome.status = EvaluateRow(
+            ScanRowView{&batch.rows->keys()[r], ssid, &value}, scan, ctx,
+            &outcome.returned,
+            [&](const ScanRowView& row) { return fold_row(row, &local); });
+      }
+    }
+    trace::RecordSpan(trace::Category::kQuery, span_name, scan_ctx, span_t0,
+                      trace::NowNanos(),
+                      {{"partition", p},
+                       {"columnar", options.enable_vectorized},
+                       {"scanned", outcome.scanned},
+                       {"returned", outcome.returned}});
+  });
+  stats->partitions_scanned += partitions;
+  stats->parallelism = std::max(stats->parallelism, workers);
+  stats->used_pushdown = stats->used_pushdown || scan.has_predicate();
+  stats->used_vectorized = stats->used_vectorized || options.enable_vectorized;
+  SQ_RETURN_IF_ERROR(FirstError(outcomes, stats));
+  return per_partition;
 }
 
 /// Point-lookup scan (pushed-down key equalities): visits only `keys`,
@@ -264,17 +312,8 @@ Status ScanByKeys(const TableSource& source, const std::vector<Value>& keys,
         if (!status.ok()) return;
         ++stats->rows_scanned;
         partitions.insert(source.PartitionOfKey(key));
-        const ScanRowView row{&key, ssid, &value};
-        if (scan.has_predicate()) {
-          Result<bool> pass = scan.PredicatePasses(row, ctx);
-          if (!pass.ok()) {
-            status = pass.status();
-            return;
-          }
-          if (!*pass) return;
-        }
-        ++stats->rows_returned;
-        status = consume(row);
+        status = EvaluateRow(ScanRowView{&key, ssid, &value}, scan, ctx,
+                             &stats->rows_returned, consume);
       });
   if (status.ok() && !scan_status.ok()) status = std::move(scan_status);
   stats->partitions_scanned += static_cast<int32_t>(partitions.size());
@@ -284,7 +323,7 @@ Status ScanByKeys(const TableSource& source, const std::vector<Value>& keys,
 }
 
 /// Partition-parallel materializing scan with predicate/key pushdown. Rows
-/// rejected by the pushed predicate are never copied out of the store.
+/// rejected by the pushed predicate are never copied out.
 Result<std::vector<Object>> MaterializeFromSource(
     const TableSource& source, const Expr* predicate,
     const std::vector<Value>* keys, const EvalContext& ctx,
@@ -293,69 +332,26 @@ Result<std::vector<Object>> MaterializeFromSource(
   // predicate's column references at plan time instead of per row.
   const CompiledScan scan(predicate, {}, {});
   std::vector<Object> tuples;
+  const auto materialize = [](const ScanRowView& row,
+                              std::vector<Object>* out) {
+    out->push_back(MaterializeRow(*row.key, row.ssid, *row.value));
+    return Status::OK();
+  };
   if (keys != nullptr) {
     SQ_RETURN_IF_ERROR(ScanByKeys(
         source, *keys, scan, ctx, stats,
-        [&tuples](const ScanRowView& row) {
-          tuples.push_back(MaterializeRow(*row.key, row.ssid, *row.value));
-          return Status::OK();
-        }));
+        [&](const ScanRowView& row) { return materialize(row, &tuples); }));
     return tuples;
   }
-  const int32_t partitions = source.partition_count();
-  const int32_t workers = ScanWorkers(options, partitions);
-  std::vector<std::vector<Object>> per_partition(partitions);
-  std::vector<PartitionOutcome> outcomes(partitions);
-  // Captured before the fan-out: ParallelFor workers have no thread-local
-  // scope, so per-partition spans parent on the scan span explicitly.
-  const trace::SpanContext scan_ctx = trace::CurrentContext();
-  RunPartitioned(options, partitions, workers, [&](int32_t p) {
-    const int64_t span_t0 = trace::NowNanos();
-    PartitionOutcome& outcome = outcomes[p];
-    std::vector<Object>& local = per_partition[p];
-    if (ScanPartitionBatches(source, p, options, &outcome,
-                             [&](const ScanBatch& batch) {
-                               return scan.FilterBatch(batch, ctx, &local,
-                                                       &outcome.returned);
-                             })) {
-      trace::RecordSpan(trace::Category::kQuery, "partition_scan", scan_ctx,
-                        span_t0, trace::NowNanos(),
-                        {{"partition", p},
-                         {"columnar", true},
-                         {"scanned", outcome.scanned},
-                         {"returned", outcome.returned}});
-      return;
-    }
-    Status scan_status =
-        source.ScanPartition(p, [&](const Value& key, const Value* ssid,
-                                    const Object& value) {
-          if (!outcome.status.ok()) return;
-          ++outcome.scanned;
-          if (scan.has_predicate()) {
-            const ScanRowView row{&key, ssid, &value};
-            Result<bool> pass = scan.PredicatePasses(row, ctx);
-            if (!pass.ok()) {
-              outcome.status = pass.status();
-              return;
-            }
-            if (!*pass) return;
-          }
-          ++outcome.returned;
-          local.push_back(MaterializeRow(key, ssid, value));
-        });
-    if (outcome.status.ok() && !scan_status.ok()) {
-      outcome.status = std::move(scan_status);
-    }
-    trace::RecordSpan(trace::Category::kQuery, "partition_scan", scan_ctx,
-                      span_t0, trace::NowNanos(),
-                      {{"partition", p},
-                       {"scanned", outcome.scanned},
-                       {"returned", outcome.returned}});
-  });
-  stats->partitions_scanned += partitions;
-  stats->parallelism = std::max(stats->parallelism, workers);
-  stats->used_pushdown = stats->used_pushdown || predicate != nullptr;
-  SQ_RETURN_IF_ERROR(FirstError(outcomes, stats));
+  SQ_ASSIGN_OR_RETURN(
+      std::vector<std::vector<Object>> per_partition,
+      ScanPartitions<std::vector<Object>>(
+          source, "partition_scan", scan, ctx, options, stats,
+          [&](const ScanBatch& batch, std::vector<Object>* local,
+              int64_t* returned) {
+            return scan.FilterBatch(batch, ctx, local, returned);
+          },
+          materialize));
   size_t total = 0;
   for (const auto& local : per_partition) total += local.size();
   tuples.reserve(total);
@@ -386,85 +382,30 @@ Status ScanAggregate(const TableSource& source, const Expr* predicate,
     aggregate_calls.push_back(agg.call);
   }
   const CompiledScan scan(predicate, group_by_exprs, aggregate_calls);
+  const auto accumulate = [&](const ScanRowView& row, GroupTable* groups) {
+    return AccumulateRow(
+        stmt, aggregates, row,
+        [&row] { return MaterializeRow(*row.key, row.ssid, *row.value); },
+        ctx, groups);
+  };
   if (keys != nullptr) {
-    return ScanByKeys(source, *keys, scan, ctx, stats,
-                      [&](const ScanRowView& row) {
-                        return AccumulateRow(
-                            stmt, aggregates, row,
-                            [&row] {
-                              return MaterializeRow(*row.key, row.ssid,
-                                                    *row.value);
-                            },
-                            ctx, out);
-                      });
+    return ScanByKeys(
+        source, *keys, scan, ctx, stats,
+        [&](const ScanRowView& row) { return accumulate(row, out); });
   }
-  const int32_t partitions = source.partition_count();
-  const int32_t workers = ScanWorkers(options, partitions);
-  std::vector<GroupTable> per_partition(partitions);
-  std::vector<PartitionOutcome> outcomes(partitions);
-  const trace::SpanContext scan_ctx = trace::CurrentContext();
-  RunPartitioned(options, partitions, workers, [&](int32_t p) {
-    const int64_t span_t0 = trace::NowNanos();
-    PartitionOutcome& outcome = outcomes[p];
-    GroupTable& local = per_partition[p];
-    if (ScanPartitionBatches(source, p, options, &outcome,
-                             [&](const ScanBatch& batch) {
-                               return scan.AccumulateBatch(batch, ctx, &local,
-                                                           &outcome.returned);
-                             })) {
-      trace::RecordSpan(trace::Category::kQuery, "partition_aggregate",
-                        scan_ctx, span_t0, trace::NowNanos(),
-                        {{"partition", p},
-                         {"columnar", true},
-                         {"scanned", outcome.scanned},
-                         {"returned", outcome.returned},
-                         {"groups",
-                          static_cast<int64_t>(local.groups.size())}});
-      return;
-    }
-    Status scan_status =
-        source.ScanPartition(p, [&](const Value& key, const Value* ssid,
-                                    const Object& value) {
-          if (!outcome.status.ok()) return;
-          ++outcome.scanned;
-          const ScanRowView row{&key, ssid, &value};
-          if (scan.has_predicate()) {
-            Result<bool> pass = scan.PredicatePasses(row, ctx);
-            if (!pass.ok()) {
-              outcome.status = pass.status();
-              return;
-            }
-            if (!*pass) return;
-          }
-          ++outcome.returned;
-          outcome.status = AccumulateRow(
-              stmt, aggregates, row,
-              [&key, ssid, &value] {
-                return MaterializeRow(key, ssid, value);
-              },
-              ctx, &local);
-        });
-    if (outcome.status.ok() && !scan_status.ok()) {
-      outcome.status = std::move(scan_status);
-    }
-    trace::RecordSpan(trace::Category::kQuery, "partition_aggregate",
-                      scan_ctx, span_t0, trace::NowNanos(),
-                      {{"partition", p},
-                       {"scanned", outcome.scanned},
-                       {"returned", outcome.returned},
-                       {"groups", static_cast<int64_t>(local.groups.size())}});
-  });
-  stats->partitions_scanned += partitions;
-  stats->parallelism = std::max(stats->parallelism, workers);
-  stats->used_pushdown = stats->used_pushdown || predicate != nullptr;
-  SQ_RETURN_IF_ERROR(FirstError(outcomes, stats));
-  {
-    trace::ScopedSpan merge_span(trace::Category::kQuery, "merge");
-    for (GroupTable& local : per_partition) {
-      MergeGroupTables(aggregates, std::move(local), out);
-    }
-    merge_span.AddAttr("groups", static_cast<int64_t>(out->groups.size()));
+  SQ_ASSIGN_OR_RETURN(
+      std::vector<GroupTable> per_partition,
+      ScanPartitions<GroupTable>(
+          source, "partition_aggregate", scan, ctx, options, stats,
+          [&](const ScanBatch& batch, GroupTable* local, int64_t* returned) {
+            return scan.AccumulateBatch(batch, ctx, local, returned);
+          },
+          accumulate));
+  trace::ScopedSpan merge_span(trace::Category::kQuery, "merge");
+  for (GroupTable& local : per_partition) {
+    MergeGroupTables(aggregates, std::move(local), out);
   }
+  merge_span.AddAttr("groups", static_cast<int64_t>(out->groups.size()));
   return Status::OK();
 }
 
@@ -479,6 +420,54 @@ Result<std::vector<Object>> MaterializeTable(
                                stats);
 }
 
+/// What ExecuteSelect decides before it reads a row, and EXPLAIN renders:
+/// the version pins, the aggregates, the pushdown plan and whether the FROM
+/// scan fuses with aggregation.
+struct SelectAnalysis {
+  std::map<std::string, int64_t> ssid_by_table;
+  std::optional<int64_t> global_ssid;
+  std::vector<AggregateSpec> aggregates;
+  bool aggregating = false;
+  ScanPlan plan;
+  /// The FROM scan folds rows into per-partition partial aggregates.
+  bool fused = false;
+
+  std::optional<int64_t> SsidFor(const TableRef& ref) const {
+    auto it = ssid_by_table.find(ref.effective_name());
+    if (it != ssid_by_table.end()) return it->second;
+    return global_ssid;
+  }
+};
+
+Result<SelectAnalysis> AnalyzeSelect(const SelectStatement& stmt,
+                                     const ExecOptions& options) {
+  SelectAnalysis analysis;
+  CollectSsidFilters(stmt.where.get(), &analysis.ssid_by_table,
+                     &analysis.global_ssid);
+  for (const SelectItem& item : stmt.items) {
+    CollectAggregates(item.expr.get(), &analysis.aggregates);
+  }
+  for (const auto& [expr, desc] : stmt.order_by) {
+    CollectAggregates(expr.get(), &analysis.aggregates);
+  }
+  CollectAggregates(stmt.having.get(), &analysis.aggregates);
+  analysis.aggregating =
+      !analysis.aggregates.empty() || !stmt.group_by.empty();
+  if (stmt.having != nullptr && !analysis.aggregating) {
+    return Status::InvalidArgument("HAVING requires aggregation");
+  }
+  if (analysis.aggregating && stmt.select_star) {
+    return Status::InvalidArgument("SELECT * cannot be combined with "
+                                   "aggregation");
+  }
+  // Pushdown applies to join-free statements only.
+  analysis.plan = BuildScanPlan(stmt, options.enable_pushdown);
+  analysis.fused =
+      analysis.aggregating && stmt.joins.empty() &&
+      (stmt.where == nullptr || analysis.plan.predicate != nullptr);
+  return analysis;
+}
+
 }  // namespace
 
 Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
@@ -490,37 +479,12 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
   ExecStats* stats = options.stats != nullptr ? options.stats : &local_stats;
   *stats = ExecStats{};
 
-  // --- Resolve snapshot-version pins from the WHERE clause.
-  std::map<std::string, int64_t> ssid_by_table;
-  std::optional<int64_t> global_ssid;
-  CollectSsidFilters(stmt.where.get(), &ssid_by_table, &global_ssid);
-  auto ssid_for = [&](const TableRef& ref) -> std::optional<int64_t> {
-    auto it = ssid_by_table.find(ref.effective_name());
-    if (it != ssid_by_table.end()) return it->second;
-    return global_ssid;
-  };
-
-  // --- Aggregation analysis.
-  std::vector<AggregateSpec> aggregates;
-  for (const SelectItem& item : stmt.items) {
-    CollectAggregates(item.expr.get(), &aggregates);
-  }
-  for (const auto& [expr, desc] : stmt.order_by) {
-    CollectAggregates(expr.get(), &aggregates);
-  }
-  CollectAggregates(stmt.having.get(), &aggregates);
-  const bool aggregating = !aggregates.empty() || !stmt.group_by.empty();
-  if (stmt.having != nullptr && !aggregating) {
-    return Status::InvalidArgument("HAVING requires aggregation");
-  }
-  if (aggregating && stmt.select_star) {
-    return Status::InvalidArgument("SELECT * cannot be combined with "
-                                   "aggregation");
-  }
-
-  // --- Pushdown plan (join-free statements only).
   const int64_t plan_t0 = trace::NowNanos();
-  const ScanPlan plan = BuildScanPlan(stmt, options.enable_pushdown);
+  SQ_ASSIGN_OR_RETURN(const SelectAnalysis analysis,
+                      AnalyzeSelect(stmt, options));
+  const ScanPlan& plan = analysis.plan;
+  const std::vector<AggregateSpec>& aggregates = analysis.aggregates;
+  const bool aggregating = analysis.aggregating;
   trace::RecordSpan(trace::Category::kQuery, "plan", trace::CurrentContext(),
                     plan_t0, trace::NowNanos(),
                     {{"pushdown", plan.predicate != nullptr},
@@ -533,32 +497,27 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
   // per-partition partial aggregation.
   GroupTable groups;
   std::vector<Object> tuples;
-  bool where_applied = false;
-  bool partial_aggregated = false;
 
   {
     trace::ScopedSpan scan_span(trace::Category::kQuery, "scan");
     scan_span.AddAttr("table", stmt.from.name);
     SQ_ASSIGN_OR_RETURN(
         std::unique_ptr<TableSource> source,
-        resolver->OpenTableSource(stmt.from.name, ssid_for(stmt.from)));
+        resolver->OpenTableSource(stmt.from.name,
+                                  analysis.SsidFor(stmt.from)));
     const Expr* pushed = plan.predicate;
     const std::vector<Value>* keys =
         plan.keys.has_value() ? &*plan.keys : nullptr;
     scan_span.AddAttr("pushdown", pushed != nullptr);
     scan_span.AddAttr("point_lookup", keys != nullptr);
-    if (aggregating && stmt.joins.empty() &&
-        (stmt.where == nullptr || pushed != nullptr)) {
+    if (analysis.fused) {
       SQ_RETURN_IF_ERROR(ScanAggregate(*source, pushed, keys, stmt,
                                        aggregates, ctx, options, stats,
                                        &groups));
-      where_applied = true;
-      partial_aggregated = true;
     } else {
       SQ_ASSIGN_OR_RETURN(tuples,
                           MaterializeFromSource(*source, pushed, keys, ctx,
                                                 options, stats));
-      where_applied = pushed != nullptr;
     }
   }
   for (const JoinClause& join : stmt.joins) {
@@ -567,7 +526,8 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
     join_span.AddAttr("using", join.using_column);
     SQ_ASSIGN_OR_RETURN(
         std::vector<Object> right,
-        MaterializeTable(resolver, join.table.name, ssid_for(join.table),
+        MaterializeTable(resolver, join.table.name,
+                         analysis.SsidFor(join.table),
                          ctx, options, stats));
     // Build side: hash the (smaller, typically right) input on the USING
     // column; S-QUERY's extension of the IMDG SQL interface (Section VI-A).
@@ -595,8 +555,9 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
     tuples = std::move(joined);
   }
 
-  // --- Filter (unless already evaluated inside the scan).
-  if (stmt.where != nullptr && !where_applied) {
+  // --- Filter (unless already evaluated inside the scan; a fused scan
+  // implies a pushed or absent WHERE).
+  if (stmt.where != nullptr && plan.predicate == nullptr) {
     trace::ScopedSpan filter_span(trace::Category::kQuery, "filter");
     filter_span.AddAttr("input_rows", static_cast<int64_t>(tuples.size()));
     std::vector<Object> kept;
@@ -678,8 +639,8 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
     }
   } else {
     trace::ScopedSpan agg_span(trace::Category::kQuery, "aggregate");
-    agg_span.AddAttr("fused", partial_aggregated);
-    if (!partial_aggregated) {
+    agg_span.AddAttr("fused", analysis.fused);
+    if (!analysis.fused) {
       for (const Object& tuple : tuples) {
         SQ_RETURN_IF_ERROR(AccumulateRow(
             stmt, aggregates, tuple, [&tuple] { return tuple; }, ctx,
@@ -782,35 +743,14 @@ Result<std::vector<std::string>> ExplainPlanLines(
     const ExecOptions& options) {
   std::vector<std::string> lines;
 
-  // Mirror ExecuteSelect's analysis exactly, without scanning anything.
-  std::map<std::string, int64_t> ssid_by_table;
-  std::optional<int64_t> global_ssid;
-  CollectSsidFilters(stmt.where.get(), &ssid_by_table, &global_ssid);
-  auto ssid_for = [&](const TableRef& ref) -> std::optional<int64_t> {
-    auto it = ssid_by_table.find(ref.effective_name());
-    if (it != ssid_by_table.end()) return it->second;
-    return global_ssid;
-  };
-
-  std::vector<AggregateSpec> aggregates;
-  for (const SelectItem& item : stmt.items) {
-    CollectAggregates(item.expr.get(), &aggregates);
-  }
-  for (const auto& [expr, desc] : stmt.order_by) {
-    CollectAggregates(expr.get(), &aggregates);
-  }
-  CollectAggregates(stmt.having.get(), &aggregates);
-  const bool aggregating = !aggregates.empty() || !stmt.group_by.empty();
-
-  const ScanPlan plan = BuildScanPlan(stmt, options.enable_pushdown);
-
-  SQ_ASSIGN_OR_RETURN(
-      std::unique_ptr<TableSource> source,
-      resolver->OpenTableSource(stmt.from.name, ssid_for(stmt.from)));
+  SQ_ASSIGN_OR_RETURN(const SelectAnalysis analysis,
+                      AnalyzeSelect(stmt, options));
+  const ScanPlan& plan = analysis.plan;
+  const std::optional<int64_t> pin = analysis.SsidFor(stmt.from);
+  SQ_ASSIGN_OR_RETURN(std::unique_ptr<TableSource> source,
+                      resolver->OpenTableSource(stmt.from.name, pin));
   const bool pushed = plan.predicate != nullptr;
   const bool point = plan.keys.has_value();
-  const bool fused =
-      aggregating && stmt.joins.empty() && (stmt.where == nullptr || pushed);
 
   std::string scan;
   if (point) {
@@ -830,16 +770,15 @@ Result<std::vector<std::string>> ExplainPlanLines(
            std::to_string(partitions) + " partitions, " +
            std::to_string(workers) + " workers)";
   }
-  if (std::optional<int64_t> pin = ssid_for(stmt.from); pin.has_value()) {
-    scan += " @ ssid=" + std::to_string(*pin);
-  }
+  if (pin.has_value()) scan += " @ ssid=" + std::to_string(*pin);
   lines.push_back(std::move(scan));
-  if (!point && options.enable_vectorized && source->SupportsBatches()) {
+  if (!point && options.enable_vectorized) {
     lines.push_back("  engine: vectorized (columnar batches)");
   }
-  if (fused) {
+  if (analysis.fused) {
     lines.push_back("  fused per-partition partial aggregation (" +
-                    std::to_string(aggregates.size()) + " aggregates)");
+                    std::to_string(analysis.aggregates.size()) +
+                    " aggregates)");
   }
   if (pushed) {
     lines.push_back("  pushed filter: " + plan.predicate->ToString());
@@ -852,8 +791,9 @@ Result<std::vector<std::string>> ExplainPlanLines(
   if (stmt.where != nullptr && !pushed && !point) {
     lines.push_back("Filter: " + stmt.where->ToString());
   }
-  if (aggregating) {
-    std::string agg = "Aggregate: " + std::to_string(aggregates.size()) +
+  if (analysis.aggregating) {
+    std::string agg = "Aggregate: " +
+                      std::to_string(analysis.aggregates.size()) +
                       " aggregates";
     if (!stmt.group_by.empty()) {
       agg += ", GROUP BY " + std::to_string(stmt.group_by.size()) + " exprs";

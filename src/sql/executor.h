@@ -25,12 +25,11 @@ namespace sq::sql {
 /// One columnar batch of scan rows: the column-chunked rows plus how the
 /// `ssid` pseudo-column resolves for them. Live scans carry no ssid;
 /// snapshot (and versions) scans report one constant resolved version per
-/// batch, matching what the row callbacks would have passed per row.
+/// batch.
 struct ScanBatch {
   std::shared_ptr<const kv::ColumnBatch> rows;
   /// The `ssid` pseudo-column value of every row, or nullopt for live scans
-  /// (the pseudo-column then falls through to a stored field of that name,
-  /// exactly like the row path).
+  /// (the pseudo-column then falls through to a stored field of that name).
   std::optional<kv::Value> ssid;
 };
 
@@ -41,36 +40,31 @@ class BatchReader {
  public:
   virtual ~BatchReader() = default;
 
-  /// Fills `*out` with the next batch and returns true, or returns false at
-  /// end of partition. Batches must cover exactly the rows `ScanPartition`
-  /// would emit, in the same order — the vectorized engine's results are
-  /// differentially tested against the row engine row for row.
+  /// Fills `*out` with the next batch (its rows never null) and returns
+  /// true, or returns false at end of partition. A non-OK status (e.g. an
+  /// unreachable cluster node) fails the scan; rows already read from other
+  /// partitions are discarded.
   virtual Result<bool> NextBatch(ScanBatch* out) = 0;
 };
 
 /// Partition-addressable access to one base table, opened for one scan. The
-/// executor fans partitions out over a thread pool, evaluates pushed-down
-/// predicates inside the row callbacks (rows that fail are never copied),
-/// and routes pushed-down key equalities to point lookups.
+/// executor fans partitions out over a thread pool and reads each one as
+/// columnar batches, which both engines evaluate: the vectorized engine with
+/// typed-column loops, the row engine one materialized row at a time.
+/// Pushed-down key equalities route to point lookups instead.
 class TableSource {
  public:
   virtual ~TableSource() = default;
 
-  /// Row callback: the state key, the snapshot version the row is served at
-  /// (null on live-table scans), and the stored object. The references are
-  /// only valid for the duration of the call; the row is copied only if it
-  /// survives the pushed-down filter.
+  /// Point-lookup row callback: the state key, the snapshot version the row
+  /// is served at (null on live-table reads), and the stored object. The
+  /// references are only valid for the duration of the call.
   using RowFn = std::function<void(const kv::Value& key,
                                    const kv::Value* ssid,
                                    const kv::Object& value)>;
 
   /// Number of scannable partitions.
   virtual int32_t partition_count() const = 0;
-
-  /// Scans one partition. Thread-safe: distinct partitions may be scanned
-  /// concurrently. A non-OK status (e.g. an unreachable cluster node) fails
-  /// the scan; rows already emitted for other partitions are discarded.
-  virtual Status ScanPartition(int32_t partition, const RowFn& fn) const = 0;
 
   /// Point lookups for pushed-down `key = <literal>` / IN-list conjuncts.
   /// Emits at most one row per (key, version); missing keys are skipped.
@@ -80,16 +74,12 @@ class TableSource {
   /// Partition a key routes to (scan metrics only).
   virtual int32_t PartitionOfKey(const kv::Value& key) const = 0;
 
-  /// Serves `partition` as columnar batches instead of row callbacks, or
-  /// returns null when this source (or this partition) cannot — the
-  /// executor then streams rows through `ScanPartition`. Like ScanPartition,
-  /// readers for distinct partitions may run concurrently.
+  /// Serves `partition` as columnar batches, in the source's deterministic
+  /// scan order (both engines read them, so their results agree row for
+  /// row). Never null. Thread-safe: readers for distinct partitions may run
+  /// concurrently.
   virtual std::unique_ptr<BatchReader> OpenBatchReader(
       int32_t partition) const = 0;
-
-  /// True if OpenBatchReader may return non-null (plan/EXPLAIN probing
-  /// without building a batch).
-  virtual bool SupportsBatches() const = 0;
 };
 
 /// The executor's only way to read a table. The query layer implements this
@@ -131,10 +121,12 @@ struct ExecStats {
   bool used_pushdown = false;
   /// True if a key-equality restriction routed to point lookups.
   bool used_point_lookup = false;
-  /// True if at least one partition was scanned as columnar batches.
+  /// True if a partitioned scan ran on the vectorized engine, including one
+  /// whose partitions held no batches (EXPLAIN's engine line).
   bool used_vectorized = false;
-  /// Columnar batches consumed, and the rows they carried (those rows are
-  /// also counted in rows_scanned).
+  /// Batches the vectorized engine evaluated, and the rows they carried
+  /// (those rows are also counted in rows_scanned). The row engine reads
+  /// the same batches but counts none here.
   int64_t batches_scanned = 0;
   int64_t batch_rows = 0;
 };
@@ -151,9 +143,9 @@ struct ExecOptions {
   /// Push the WHERE clause (and key equalities) into base-table scans of
   /// join-free statements. Off = filter after materialization, as before.
   bool enable_pushdown = true;
-  /// Scan sources that offer columnar batches through the vectorized engine
-  /// (typed-column filter and aggregate loops). Off = row callbacks
-  /// everywhere; results are identical either way.
+  /// Evaluate scanned batches with the vectorized engine (typed-column
+  /// filter and aggregate loops). Off = the row evaluator, one materialized
+  /// row at a time; results are identical either way.
   bool enable_vectorized = true;
 
   /// Optional out-param for scan instrumentation.

@@ -4,29 +4,78 @@
 
 namespace sq::sql {
 
-Status ScanFnSource::ScanPartition(int32_t partition, const RowFn& fn) const {
-  if (partition != 0) {
-    return Status::OutOfRange("partition " + std::to_string(partition) +
-                              " of a single-partition table");
-  }
-  return scan_(fn);
+ScanFnSource::ScanFnSource(TableBatchFn build, std::optional<int64_t> ssid)
+    : build_(std::move(build)) {
+  if (ssid.has_value()) ssid_ = kv::Value(*ssid);
 }
 
 Status ScanFnSource::ScanKeys(const std::vector<kv::Value>& keys,
                               const RowFn& fn) const {
+  SQ_ASSIGN_OR_RETURN(const std::shared_ptr<const kv::ColumnBatch> rows,
+                      build_());
   const std::set<kv::Value> wanted(keys.begin(), keys.end());
-  return scan_([&wanted, &fn](const kv::Value& key, const kv::Value* ssid,
-                              const kv::Object& value) {
-    if (wanted.count(key) != 0) fn(key, ssid, value);
-  });
-}
-
-Status EmitKeyedRows(const std::vector<kv::Object>& rows,
-                     const TableSource::RowFn& fn) {
-  for (const kv::Object& row : rows) {
-    fn(row.Get("key"), /*ssid=*/nullptr, row);
+  const kv::Value* ssid = ssid_.has_value() ? &*ssid_ : nullptr;
+  for (size_t r = 0; r < rows->row_count(); ++r) {
+    const kv::Value& key = rows->keys()[r];
+    if (wanted.count(key) != 0) fn(key, ssid, rows->MaterializeRow(r));
   }
   return Status::OK();
+}
+
+std::unique_ptr<BatchReader> ScanFnSource::OpenBatchReader(
+    int32_t partition) const {
+  /// Builds the table on the first NextBatch, so its errors come back
+  /// through the Result, and yields it as one batch.
+  class Reader : public BatchReader {
+   public:
+    Reader(const ScanFnSource* source, int32_t partition)
+        : source_(source), partition_(partition) {}
+
+    Result<bool> NextBatch(ScanBatch* out) override {
+      if (done_) return false;
+      done_ = true;
+      if (partition_ != 0) {
+        return Status::OutOfRange("partition " + std::to_string(partition_) +
+                                  " of a single-partition table");
+      }
+      SQ_ASSIGN_OR_RETURN(std::shared_ptr<const kv::ColumnBatch> rows,
+                          source_->build_());
+      *out = ScanBatch{std::move(rows), source_->ssid_};
+      return true;
+    }
+
+   private:
+    const ScanFnSource* source_;
+    const int32_t partition_;
+    bool done_ = false;
+  };
+  return std::make_unique<Reader>(this, partition);
+}
+
+std::shared_ptr<const kv::ColumnBatch> BatchOfKeyedRows(
+    const std::vector<kv::Object>& rows) {
+  auto batch = std::make_shared<kv::ColumnBatch>();
+  // All rows first, then their cells: each column is created once at full
+  // length instead of every row padding every column.
+  static const kv::Object kNoFields;
+  batch->Reserve(rows.size());
+  for (const kv::Object& row : rows) {
+    batch->AppendRow(row.Get("key"), /*ssid=*/0, kNoFields);
+  }
+  for (size_t r = 0; r < rows.size(); ++r) {
+    // Fields and columns are both sorted by name: one forward walk pairs
+    // them, and only a name the batch lacks is looked up.
+    size_t col = 0;
+    for (const auto& [name, value] : rows[r].fields()) {
+      const std::vector<std::string>& names = batch->names();
+      while (col < names.size() && names[col] < name) ++col;
+      if (col == names.size() || names[col] != name) {
+        col = batch->EnsureColumn(name);
+      }
+      batch->SetCell(col++, r, value);
+    }
+  }
+  return batch;
 }
 
 Result<std::unique_ptr<TableSource>> MemoryResolver::OpenTableSource(
@@ -35,10 +84,11 @@ Result<std::unique_ptr<TableSource>> MemoryResolver::OpenTableSource(
   auto it = tables.find(table);
   if (it == tables.end()) return Status::NotFound("no table " + table);
   const std::vector<kv::Object>* rows = &it->second;
-  return std::unique_ptr<TableSource>(
-      new ScanFnSource([rows](const TableSource::RowFn& fn) {
-        return EmitKeyedRows(*rows, fn);
-      }));
+  return std::unique_ptr<TableSource>(new ScanFnSource(
+      [rows]() -> Result<std::shared_ptr<const kv::ColumnBatch>> {
+        return BatchOfKeyedRows(*rows);
+      },
+      /*ssid=*/std::nullopt));
 }
 
 }  // namespace sq::sql

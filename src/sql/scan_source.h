@@ -11,49 +11,52 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "kv/columnar.h"
 #include "kv/object.h"
 #include "kv/value.h"
 #include "sql/executor.h"
 
 namespace sq::sql {
 
-/// Visits every row of a whole table, in table order.
-using TableScanFn = std::function<Status(const TableSource::RowFn& fn)>;
+/// Builds a whole table as one ColumnBatch, in table order (the batch's
+/// per-row ssids are unused; see ScanFnSource).
+using TableBatchFn =
+    std::function<Result<std::shared_ptr<const kv::ColumnBatch>>()>;
 
-/// A one-partition TableSource over a whole-table scan function, for tables
-/// without partitioned storage: virtual (catalog) tables, snapshots read back
-/// from the durable log, and in-memory test tables. Opening it does no work;
-/// each ScanPartition / ScanKeys call runs the scan function once.
+/// A one-partition TableSource over a function that builds the whole table,
+/// for tables without partitioned storage: virtual (catalog) tables,
+/// snapshots read back from the durable log, and in-memory test tables.
+/// Opening it does no work; each batch read or ScanKeys call builds the
+/// table once, and a read serves it as one batch.
 class ScanFnSource final : public TableSource {
  public:
-  explicit ScanFnSource(TableScanFn scan) : scan_(std::move(scan)) {}
+  /// `ssid` is the version every row is served at (the `ssid`
+  /// pseudo-column), or nullopt for rows without one.
+  ScanFnSource(TableBatchFn build, std::optional<int64_t> ssid);
 
   int32_t partition_count() const override { return 1; }
-  Status ScanPartition(int32_t partition, const RowFn& fn) const override;
   /// Keeps table order and emits only the rows whose key is in `keys`.
   Status ScanKeys(const std::vector<kv::Value>& keys,
                   const RowFn& fn) const override;
   int32_t PartitionOfKey(const kv::Value& /*key*/) const override {
     return 0;
   }
-  /// Row-only: the executor streams every scan through ScanPartition.
   std::unique_ptr<BatchReader> OpenBatchReader(
-      int32_t /*partition*/) const override {
-    return nullptr;
-  }
-  bool SupportsBatches() const override { return false; }
+      int32_t partition) const override;
 
  private:
-  TableScanFn scan_;
+  TableBatchFn build_;
+  std::optional<kv::Value> ssid_;
 };
 
-/// Emits `rows` in order as live (ssid-less) rows, each keyed by its own
-/// `key` field (null when the row has none).
-Status EmitKeyedRows(const std::vector<kv::Object>& rows,
-                     const TableSource::RowFn& fn);
+/// `rows` as one batch, in order, each keyed by its own `key` field (null
+/// when the row has none).
+std::shared_ptr<const kv::ColumnBatch> BatchOfKeyedRows(
+    const std::vector<kv::Object>& rows);
 
-/// A TableResolver over in-memory tables of keyed rows (see EmitKeyedRows),
-/// for executor tests and micro benchmarks. Unknown tables are NotFound.
+/// A TableResolver over in-memory tables of keyed live rows (see
+/// BatchOfKeyedRows), for executor tests and micro benchmarks. Unknown tables
+/// are NotFound.
 class MemoryResolver final : public TableResolver {
  public:
   Result<std::unique_ptr<TableSource>> OpenTableSource(

@@ -56,9 +56,9 @@ class CompiledScan {
                                const EvalContext& ctx) const;
 
   /// Columnar path for aggregating scans: filters `batch` and folds the
-  /// survivors into `groups` (the same GroupTable the row fold uses, so one
-  /// partition may mix engines). `rows_returned` is incremented by the
-  /// number of rows passing the filter.
+  /// survivors into `groups` (the same GroupTable the row fold uses).
+  /// `rows_returned` is incremented by the number of rows passing the
+  /// filter.
   Status AccumulateBatch(const ScanBatch& batch, const EvalContext& ctx,
                          GroupTable* groups, int64_t* rows_returned) const;
 

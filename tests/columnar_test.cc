@@ -1,16 +1,19 @@
 // Columnar batch layout, serde and SnapshotTable view-cache tests: the
-// invariants the vectorized engine leans on (MaterializeRow rebuilds the
-// exact source object, incremental view patching equals a full rebuild,
-// writes invalidate only the views they can change) plus the encoding
-// round-trip the durable log's columnar delta records use.
+// invariants both query engines lean on (MaterializeRow rebuilds the exact
+// source object, incremental view patching equals a full rebuild, writes
+// invalidate only the views they can change, and under random histories
+// every view equals the version map's row scan) plus the encoding round-trip
+// the durable log's columnar delta records use.
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "kv/columnar.h"
 #include "kv/object.h"
 #include "kv/partitioner.h"
@@ -199,8 +202,7 @@ TEST(ColumnarSerdeTest, TruncatedOrCorruptInputIsRejected) {
 
 Object Row(int64_t n) { return Object{{"n", Value(n)}}; }
 
-// All rows of every partition's columnar view at `ssid`, flattened in
-// partition order as (key, entry ssid, object).
+// One view row as (key, entry ssid, object).
 struct ViewRow {
   Value key;
   int64_t ssid;
@@ -210,14 +212,41 @@ struct ViewRow {
   }
 };
 
+void PrintTo(const ViewRow& row, std::ostream* os) {
+  *os << "{" << row.key.ToString() << " @" << row.ssid << " "
+      << row.value.ToString() << "}";
+}
+
+// The rows of one partition's columnar view at `ssid`.
+std::vector<ViewRow> PartitionViewRows(const SnapshotTable& table,
+                                       int32_t partition, int64_t ssid) {
+  std::vector<ViewRow> rows;
+  auto view = table.ColumnarPartitionAt(partition, ssid);
+  for (size_t r = 0; r < view->row_count(); ++r) {
+    rows.push_back(
+        {view->keys()[r], view->ssids()[r], view->MaterializeRow(r)});
+  }
+  return rows;
+}
+
+// The rows ScanPartitionAt emits for one partition at `ssid`.
+std::vector<ViewRow> PartitionScanRows(const SnapshotTable& table,
+                                       int32_t partition, int64_t ssid) {
+  std::vector<ViewRow> rows;
+  table.ScanPartitionAt(partition, ssid,
+                        [&](const Value& key, int64_t s, const Object& v) {
+                          rows.push_back({key, s, v});
+                        });
+  return rows;
+}
+
+// All rows of every partition's columnar view at `ssid`, flattened in
+// partition order.
 std::vector<ViewRow> ColumnarRows(const SnapshotTable& table, int64_t ssid) {
   std::vector<ViewRow> rows;
   for (int32_t p = 0; p < table.partition_count(); ++p) {
-    auto view = table.ColumnarPartitionAt(p, ssid);
-    if (view == nullptr) continue;
-    for (size_t r = 0; r < view->row_count(); ++r) {
-      rows.push_back(
-          {view->keys()[r], view->ssids()[r], view->MaterializeRow(r)});
+    for (ViewRow& row : PartitionViewRows(table, p, ssid)) {
+      rows.push_back(std::move(row));
     }
   }
   return rows;
@@ -226,10 +255,9 @@ std::vector<ViewRow> ColumnarRows(const SnapshotTable& table, int64_t ssid) {
 std::vector<ViewRow> ScanRows(const SnapshotTable& table, int64_t ssid) {
   std::vector<ViewRow> rows;
   for (int32_t p = 0; p < table.partition_count(); ++p) {
-    table.ScanPartitionAt(p, ssid,
-                          [&](const Value& key, int64_t s, const Object& v) {
-                            rows.push_back({key, s, v});
-                          });
+    for (ViewRow& row : PartitionScanRows(table, p, ssid)) {
+      rows.push_back(std::move(row));
+    }
   }
   return rows;
 }
@@ -308,23 +336,116 @@ TEST(SnapshotTableColumnarTest, ViewsAreCachedAndInvalidatedByNewerWrites) {
   EXPECT_EQ(ColumnarRows(table, 2), ScanRows(table, 2));
 }
 
-TEST(SnapshotTableColumnarTest, MissingVersionYieldsEmptyOrNullView) {
+TEST(SnapshotTableColumnarTest, MissingVersionYieldsEmptyView) {
   Partitioner part(1);
   SnapshotTable table("snapshot_t", &part);
   auto empty = table.ColumnarPartitionAt(0, 5);
-  if (empty != nullptr) {
-    EXPECT_EQ(empty->row_count(), 0u);
-  }
+  ASSERT_NE(empty, nullptr);
+  EXPECT_EQ(empty->row_count(), 0u);
   table.Write(7, Value(int64_t{1}), Row(1));
   // A version before the first write sees nothing.
   auto before = table.ColumnarPartitionAt(0, 6);
-  if (before != nullptr) {
-    EXPECT_EQ(before->row_count(), 0u);
-  }
+  ASSERT_NE(before, nullptr);
+  EXPECT_EQ(before->row_count(), 0u);
   auto at = table.ColumnarPartitionAt(0, 7);
   ASSERT_NE(at, nullptr);
   EXPECT_EQ(at->row_count(), 1u);
 }
+
+// ---------------------------------------------------------------------------
+// Randomized differential: every view against the version map
+//
+// Both query engines read the columnar views, so this is what checks the
+// incrementally built views themselves. Each seed applies random writes,
+// tombstones, snapshot drops, compactions and primary failovers; between
+// them it reads views at random ssids, so later builds patch different
+// cached bases. After every step each partition's view at a random ssid
+// must equal ScanPartitionAt row for row. A failure names its seed and
+// step; `--gtest_filter='*ColumnarViewDifferential*seed<n>'` replays it.
+
+constexpr int32_t kDiffPartitions = 4;
+
+// A row with a few fields of varying types, some absent and some explicitly
+// NULL, so views hold typed, mixed and sparse columns.
+Object RandomRow(Rng* rng) {
+  Object o;
+  o.Set("n", Value(static_cast<int64_t>(rng->NextBounded(1000))));
+  switch (rng->NextBounded(4)) {
+    case 0:
+      o.Set("x", Value(rng->NextDouble()));
+      break;
+    case 1:
+      o.Set("x", Value("s" + std::to_string(rng->NextBounded(50))));
+      break;
+    case 2:
+      o.Set("x", Value());
+      break;
+    default:
+      break;  // absent
+  }
+  if (rng->NextBool(0.3)) o.Set("flag", Value(rng->NextBool(0.5)));
+  return o;
+}
+
+class ColumnarViewDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ColumnarViewDifferential, ViewsMatchRowScanAfterEveryStep) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed);
+  Partitioner part(kDiffPartitions);
+  SnapshotTable table("snapshot_t", &part, /*backup_count=*/1);
+  int64_t latest = 1;  // the checkpoint being written
+  const auto any_ssid = [&] { return rng.NextInRange(0, latest + 1); };
+  const auto any_partition = [&] {
+    return static_cast<int32_t>(rng.NextBounded(kDiffPartitions));
+  };
+  for (int step = 0; step < 400; ++step) {
+    const Value key(static_cast<int64_t>(rng.NextBounded(40)));
+    // Mostly the checkpoint being written, sometimes an older one.
+    const int64_t ssid =
+        rng.NextBool(0.8) ? latest : rng.NextInRange(1, latest);
+    const uint64_t op = rng.NextBounded(100);
+    std::string what;
+    if (op < 45) {
+      table.Write(ssid, key, RandomRow(&rng));
+      what = "Write";
+    } else if (op < 60) {
+      table.WriteTombstone(ssid, key);
+      what = "WriteTombstone";
+    } else if (op < 72) {
+      ++latest;
+      what = "next checkpoint";
+    } else if (op < 78) {
+      table.DropSnapshot(ssid);
+      what = "DropSnapshot";
+    } else if (op < 84) {
+      table.Compact(ssid);
+      what = "Compact";
+    } else if (op < 88) {
+      table.FailPartitionPrimary(any_partition());
+      what = "FailPartitionPrimary";
+    } else {
+      for (int i = 0; i < 3; ++i) {
+        table.ColumnarPartitionAt(any_partition(), any_ssid());
+      }
+      what = "view reads";
+    }
+    what += " at ssid " + std::to_string(ssid);
+    for (int32_t p = 0; p < kDiffPartitions; ++p) {
+      const int64_t at = any_ssid();
+      ASSERT_EQ(PartitionViewRows(table, p, at),
+                PartitionScanRows(table, p, at))
+          << "seed " << seed << ", step " << step << " (" << what
+          << "): partition " << p << " at ssid " << at;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ColumnarViewDifferential, ::testing::Range<uint64_t>(1, 33),
+    [](const ::testing::TestParamInfo<uint64_t>& info) {
+      return "seed" + std::to_string(info.param);
+    });
 
 }  // namespace
 }  // namespace sq

@@ -1,6 +1,7 @@
 // Differential tests for partition-parallel query execution: every query in
 // the matrix must produce identical results at parallelism 1 / 2 / 8, with
-// pushdown on and off, and with the row and columnar engines. Also covers
+// pushdown on and off, and with the row and columnar engines, and its
+// EXPLAIN must agree with what running it reports. Also covers
 // the pushdown instrumentation (rows_scanned / point lookups) and a concurrent
 // writer+query hammer for the sanitizer jobs.
 
@@ -54,7 +55,8 @@ class ParallelQueryTest : public ::testing::Test {
         registry_(&grid_, {.retained_versions = 3, .async_prune = false}),
         service_(&grid_, &registry_),
         store_(&grid_, "metrics", 0, state::SQueryConfig{.parallelism = 1}),
-        dims_(&grid_, "dims", 0, state::SQueryConfig{.parallelism = 1}) {
+        dims_(&grid_, "dims", 0, state::SQueryConfig{.parallelism = 1}),
+        empty_(&grid_, "empty", 0, state::SQueryConfig{.parallelism = 1}) {
     // Deterministic pseudo-random table: integer columns only, so SUM/AVG
     // are exact under every accumulation order.
     std::mt19937_64 rng(20260806);
@@ -67,6 +69,7 @@ class ParallelQueryTest : public ::testing::Test {
         store_.Put(Value(key), std::move(o));
       }
       EXPECT_TRUE(store_.SnapshotTo(ckpt).ok());
+      EXPECT_TRUE(empty_.SnapshotTo(ckpt).ok());
       registry_.OnCheckpointCommitted(ckpt);
     }
     for (int64_t g = 0; g < 8; ++g) {
@@ -77,21 +80,45 @@ class ParallelQueryTest : public ::testing::Test {
     }
   }
 
-  sql::ResultSet MustExecute(const std::string& sql,
-                             const QueryOptions& options) {
-    auto result = service_.Execute(sql, options);
+  QueryResult MustExecute(const std::string& sql,
+                          const QueryOptions& options) {
+    auto result = service_.ExecuteWithStats(sql, options);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
-    return result.ok() ? *result : sql::ResultSet{};
+    return result.ok() ? *result : QueryResult{};
+  }
+
+  /// EXPLAIN and execution share one analysis, so the plan must agree with
+  /// the stats of running the query: the engine line with used_vectorized,
+  /// the point-lookup line with used_point_lookup, the pushed-filter line
+  /// with used_pushdown.
+  void CheckExplainAgrees(const std::string& sql, const QueryOptions& options,
+                          const sql::ExecStats& stats,
+                          const std::string& variant) {
+    auto plan = service_.Execute("EXPLAIN " + sql, options);
+    ASSERT_TRUE(plan.ok()) << sql << variant << ": " << plan.status();
+    bool engine = false;
+    bool point = false;
+    bool pushed = false;
+    for (const sql::Row& row : plan->rows) {
+      const std::string& line = row[0].string_value();
+      engine = engine || line.find("engine: vectorized") != std::string::npos;
+      point = point || line.rfind("Scan: point lookup", 0) == 0;
+      pushed = pushed || line.find("pushed filter:") != std::string::npos;
+    }
+    EXPECT_EQ(engine, stats.used_vectorized) << sql << variant;
+    EXPECT_EQ(point, stats.used_point_lookup) << sql << variant;
+    EXPECT_EQ(pushed, stats.used_pushdown) << sql << variant;
   }
 
   /// Runs `sql` across the whole execution matrix and checks every variant
-  /// against the (parallelism=1, pushdown=on) baseline.
+  /// against the (parallelism=1, pushdown=on) baseline, and its EXPLAIN
+  /// against its stats.
   void CheckDifferential(const std::string& sql,
                          state::IsolationLevel isolation) {
     QueryOptions base;
     base.isolation = isolation;
     base.parallelism = 1;
-    const sql::ResultSet expected = MustExecute(sql, base);
+    const sql::ResultSet expected = MustExecute(sql, base).result;
     const bool ordered = HasOrderBy(sql);
     const auto expected_rows = SortedRows(expected);
     for (int32_t parallelism : {1, 2, 8}) {
@@ -99,7 +126,8 @@ class ParallelQueryTest : public ::testing::Test {
         QueryOptions options = base;
         options.parallelism = parallelism;
         options.pushdown = pushdown;
-        const sql::ResultSet got = MustExecute(sql, options);
+        const QueryResult run = MustExecute(sql, options);
+        const sql::ResultSet& got = run.result;
         ASSERT_EQ(got.columns, expected.columns)
             << sql << " [parallelism=" << parallelism
             << " pushdown=" << pushdown << "]";
@@ -114,18 +142,25 @@ class ParallelQueryTest : public ::testing::Test {
         }
         // Columnar/row differential: the same variant with the vectorized
         // engine forced off must be *bit-identical*, row for row, unsorted —
-        // both engines share one deterministic scan order per partition, so
+        // both engines read the same batches in the same order, so
         // representatives, group first-seen order and ORDER BY tie-breaks
         // must all agree exactly.
         QueryOptions row_options = options;
         row_options.force_row_scan = true;
-        const sql::ResultSet row_engine = MustExecute(sql, row_options);
+        const QueryResult row_run = MustExecute(sql, row_options);
+        const sql::ResultSet& row_engine = row_run.result;
         ASSERT_EQ(row_engine.columns, got.columns)
             << sql << " [parallelism=" << parallelism
             << " pushdown=" << pushdown << " row-engine]";
         ASSERT_EQ(row_engine.rows, got.rows)
             << sql << " [parallelism=" << parallelism
             << " pushdown=" << pushdown << " row-engine]";
+        const std::string variant =
+            " [parallelism=" + std::to_string(parallelism) +
+            " pushdown=" + std::to_string(pushdown) + "]";
+        CheckExplainAgrees(sql, options, run.stats, variant);
+        CheckExplainAgrees(sql, row_options, row_run.stats,
+                           variant + " row-engine");
       }
     }
   }
@@ -135,6 +170,8 @@ class ParallelQueryTest : public ::testing::Test {
   QueryService service_;
   state::SQueryStateStore store_;
   state::SQueryStateStore dims_;
+  /// Checkpointed with no rows: its scans read no batches.
+  state::SQueryStateStore empty_;
 };
 
 TEST_F(ParallelQueryTest, LiveQueriesMatchAcrossMatrix) {
@@ -176,6 +213,10 @@ TEST_F(ParallelQueryTest, SnapshotQueriesMatchAcrossMatrix) {
       "SELECT v, ssid FROM snapshot_metrics__versions WHERE key = 11",
       "SELECT key, v, ssid FROM snapshot_metrics__versions "
       "WHERE key IN (3, 6)",
+      "SELECT COUNT(*) AS n FROM snapshot_empty",
+      "SELECT key, ssid FROM snapshot_empty__versions",
+      "SELECT ssid, COUNT(*) AS n FROM snapshot_empty__versions "
+      "GROUP BY ssid",
   };
   for (const auto& level : {state::IsolationLevel::kSnapshotIsolation,
                             state::IsolationLevel::kSerializable}) {

@@ -512,6 +512,35 @@ TEST_F(TimeTravelTest, SqlQueryFallsThroughToDiskForPrunedSsid) {
   EXPECT_FALSE(missing.ok());
 }
 
+TEST_F(TimeTravelTest, PrunedSsidFromDiskAgreesAcrossEngines) {
+  service_.AttachDurableStorage(log_.get());
+  for (const std::string& sql :
+       {std::string("SELECT key, v, ssid FROM snapshot_counts WHERE ssid = 2"),
+        std::string("SELECT SUM(v) AS s, COUNT(*) AS n FROM snapshot_counts "
+                    "WHERE ssid = 1 AND v > 10")}) {
+    auto vectorized = service_.ExecuteWithStats(sql);
+    ASSERT_TRUE(vectorized.ok()) << sql << ": " << vectorized.status();
+    query::QueryOptions row_options;
+    row_options.force_row_scan = true;
+    auto row = service_.ExecuteWithStats(sql, row_options);
+    ASSERT_TRUE(row.ok()) << sql << ": " << row.status();
+    EXPECT_EQ(vectorized->result.columns, row->result.columns) << sql;
+    EXPECT_EQ(vectorized->result.rows, row->result.rows) << sql;
+    // The log's snapshot is served as a batch: the default engine reports
+    // the typed loops, the forced row engine does not.
+    EXPECT_TRUE(vectorized->stats.used_vectorized) << sql;
+    EXPECT_FALSE(row->stats.used_vectorized) << sql;
+    EXPECT_EQ(vectorized->stats.rows_scanned, row->stats.rows_scanned) << sql;
+  }
+  auto rows = service_.Execute(
+      "SELECT key, v, ssid FROM snapshot_counts WHERE ssid = 2");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->RowCount(), 2u);
+  EXPECT_EQ(rows->rows[0], (sql::Row{kv::Value(int64_t{0}),
+                                     kv::Value(int64_t{20}),
+                                     kv::Value(int64_t{2})}));
+}
+
 TEST_F(TimeTravelTest, PointLookupPastRetentionReadsOnlyTheKeyFromDisk) {
   service_.AttachDurableStorage(log_.get());
   auto result = service_.ExecuteWithStats(

@@ -135,10 +135,47 @@ class ExecutorTest : public ::testing::Test {
                   Value(k < 4 ? "VENDOR_ACCEPTED" : "DELIVERED")},
                  {"lateTimestamp", Value(int64_t{500})}}));
     }
+    // Hand-built rows with absent fields, explicit NULLs and columns (and
+    // keys) of mixed types: typed, mixed and sparse columns in one batch.
+    resolver_.tables["mixed"] = {
+        Tuple({{"key", Value(int64_t{1})},
+               {"a", Value(int64_t{5})},
+               {"b", Value("x")}}),
+        Tuple({{"key", Value(int64_t{2})},
+               {"a", Value(2.5)},
+               {"c", Value(true)}}),
+        Tuple({{"key", Value(int64_t{3})},
+               {"a", Value("str")},
+               {"b", Value()}}),
+        Tuple({{"key", Value(int64_t{4})}}),
+        Tuple({{"key", Value("k5")},
+               {"a", Value(int64_t{7})},
+               {"b", Value("y")},
+               {"c", Value(false)}})};
+  }
+
+  /// Runs `sql` on the vectorized and the row engine and checks that they
+  /// agree: identical result sets, or the same status code and message.
+  /// Returns the vectorized run.
+  Result<ResultSet> ExecuteBoth(const std::string& sql) {
+    ExecOptions row_options = options_;
+    row_options.enable_vectorized = false;
+    auto vectorized = ExecuteSql(sql, &resolver_, options_);
+    auto row = ExecuteSql(sql, &resolver_, row_options);
+    EXPECT_EQ(vectorized.ok(), row.ok()) << sql;
+    if (vectorized.ok() && row.ok()) {
+      EXPECT_EQ(vectorized->columns, row->columns) << sql;
+      EXPECT_EQ(vectorized->rows, row->rows) << sql;
+    } else if (!vectorized.ok() && !row.ok()) {
+      EXPECT_EQ(vectorized.status().code(), row.status().code()) << sql;
+      EXPECT_EQ(vectorized.status().message(), row.status().message())
+          << sql;
+    }
+    return vectorized;
   }
 
   ResultSet MustExecute(const std::string& sql) {
-    auto result = ExecuteSql(sql, &resolver_, options_);
+    auto result = ExecuteBoth(sql);
     EXPECT_TRUE(result.ok()) << result.status();
     return result.ok() ? *result : ResultSet{};
   }
@@ -257,31 +294,72 @@ TEST_F(ExecutorTest, DistinctDeduplicates) {
 TEST_F(ExecutorTest, SsidEqualityConjunctIsExtracted) {
   MustExecute("SELECT count FROM average WHERE key=1");
   EXPECT_FALSE(resolver_.last_requested_ssid.has_value());
-  auto result = ExecuteSql("SELECT count FROM average WHERE ssid=9 AND key=2",
-                           &resolver_, options_);
+  auto result = ExecuteBoth("SELECT count FROM average WHERE ssid=9 AND key=2");
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_TRUE(resolver_.last_requested_ssid.has_value());
   EXPECT_EQ(*resolver_.last_requested_ssid, 9);
 }
 
 TEST_F(ExecutorTest, SsidInsideOrIsNotAVersionPin) {
-  auto result = ExecuteSql(
-      "SELECT count FROM average WHERE ssid=9 OR key=2", &resolver_,
-      options_);
+  auto result = ExecuteBoth("SELECT count FROM average WHERE ssid=9 OR key=2");
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(resolver_.last_requested_ssid.has_value());
 }
 
 TEST_F(ExecutorTest, ErrorsSurfaceCleanly) {
-  EXPECT_FALSE(ExecuteSql("SELECT x FROM missing_table", &resolver_,
-                          options_)
-                   .ok());
-  EXPECT_FALSE(
-      ExecuteSql("SELECT * FROM average GROUP BY key", &resolver_, options_)
-          .ok());
-  EXPECT_FALSE(ExecuteSql("SELECT NOSUCHFUNC(x) FROM average", &resolver_,
-                          options_)
-                   .ok());
+  // ExecuteBoth also checks that both engines fail with the same code and
+  // message.
+  EXPECT_FALSE(ExecuteBoth("SELECT x FROM missing_table").ok());
+  EXPECT_FALSE(ExecuteBoth("SELECT * FROM average GROUP BY key").ok());
+  EXPECT_FALSE(ExecuteBoth("SELECT NOSUCHFUNC(x) FROM average").ok());
+  // Errors raised inside the scan: a pushed predicate and an aggregate
+  // argument that fail on a string cell.
+  EXPECT_FALSE(ExecuteBoth("SELECT key FROM mixed WHERE a * 2 > 1").ok());
+  EXPECT_FALSE(ExecuteBoth("SELECT SUM(a - 1) AS s FROM mixed").ok());
+}
+
+TEST_F(ExecutorTest, AbsentFieldsAndMixedTypesAgreeAcrossEngines) {
+  ResultSet all = MustExecute("SELECT key, a, b, c FROM mixed");
+  ASSERT_EQ(all.RowCount(), 5u);
+  EXPECT_TRUE(all.At(3, "a").is_null());  // absent reads as NULL
+  EXPECT_EQ(all.At(4, "key").ToString(), "k5");
+  EXPECT_EQ(MustExecute("SELECT * FROM mixed").RowCount(), 5u);
+  MustExecute("SELECT key FROM mixed WHERE a > 3");
+  MustExecute("SELECT key, a FROM mixed WHERE b IS NULL");
+  MustExecute("SELECT key FROM mixed WHERE c OR a = 'str'");
+  MustExecute("SELECT key FROM mixed WHERE key IN (2, 'k5', 9)");
+  MustExecute(
+      "SELECT COUNT(*) AS n, COUNT(a) AS na, MIN(a) AS lo, MAX(a) AS hi, "
+      "MIN(b) AS mb FROM mixed");
+  MustExecute("SELECT b, COUNT(*) AS n FROM mixed GROUP BY b");
+  MustExecute("SELECT c, MAX(key) AS k FROM mixed GROUP BY c ORDER BY k");
+}
+
+/// BatchOfKeyedRows appends all keys before any cell; its batch must equal
+/// the row-at-a-time AppendRow build of the same rows: same keys, same
+/// columns in the same representation, and every row materializes back to
+/// its object.
+TEST_F(ExecutorTest, BatchOfKeyedRowsMatchesAppendRow) {
+  for (const auto& [table, rows] : resolver_.tables) {
+    const std::shared_ptr<const kv::ColumnBatch> batch =
+        BatchOfKeyedRows(rows);
+    kv::ColumnBatch expected;
+    for (const Object& row : rows) {
+      expected.AppendRow(row.Get("key"), /*ssid=*/0, row);
+    }
+    ASSERT_EQ(batch->row_count(), rows.size()) << table;
+    EXPECT_EQ(batch->keys(), expected.keys()) << table;
+    ASSERT_EQ(batch->names(), expected.names()) << table;
+    for (size_t c = 0; c < batch->column_count(); ++c) {
+      EXPECT_EQ(batch->column(c).type(), expected.column(c).type())
+          << table << "." << batch->names()[c];
+      EXPECT_EQ(batch->column(c).mixed(), expected.column(c).mixed())
+          << table << "." << batch->names()[c];
+    }
+    for (size_t r = 0; r < rows.size(); ++r) {
+      EXPECT_EQ(batch->MaterializeRow(r), rows[r]) << table << " row " << r;
+    }
+  }
 }
 
 TEST_F(ExecutorTest, LocalTimestampIsBound) {
