@@ -63,6 +63,7 @@ int main() {
       {"Query 4 — deliveries in transit per area", sq::dh::Query4()},
   };
 
+  bool failed = false;
   for (int round = 0; round < 2; ++round) {
     std::printf("\n===== monitoring round %d (snapshot %lld) =====\n",
                 round + 1,
@@ -72,6 +73,7 @@ int main() {
       if (!result.ok()) {
         std::fprintf(stderr, "%s failed: %s\n", nq.title,
                      result.status().ToString().c_str());
+        failed = true;
         continue;
       }
       std::printf("\n%s\n%s", nq.title, result->ToString(8).c_str());
@@ -80,7 +82,11 @@ int main() {
     auto riders = query.GetSnapshotObjects(
         "riderlocation",
         {sq::kv::Value(int64_t{1}), sq::kv::Value(int64_t{2})});
-    if (riders.ok()) {
+    if (!riders.ok()) {
+      std::fprintf(stderr, "rider lookup failed: %s\n",
+                   riders.status().ToString().c_str());
+      failed = true;
+    } else {
       std::printf("\nrider positions (direct object interface):\n");
       for (const auto& [key, obj] : *riders) {
         std::printf("  rider %s -> lat=%.4f lon=%.4f\n",
@@ -93,5 +99,5 @@ int main() {
 
   (void)(*job)->Stop();
   std::printf("\nstopped.\n");
-  return 0;
+  return failed ? 1 : 0;
 }

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
 
 #include "dataflow/execution.h"
@@ -52,44 +53,42 @@ int main() {
   std::printf("NEXMark q6 pipeline running...\n");
   registry.WaitForCommit(2, 5000);
 
+  // Runs one query and prints its result under `title`; a failed query is
+  // reported and fails the run.
+  bool failed = false;
+  const auto show = [&](const char* title, const std::string& sql) {
+    auto result = query.Execute(sql);
+    if (!result.ok()) {
+      std::fprintf(stderr, "%s failed: %s\n", title,
+                   result.status().ToString().c_str());
+      failed = true;
+      return;
+    }
+    std::printf("\n%s:\n%s", title, result->ToString().c_str());
+  };
+
   // Top sellers by average selling price — the "10 latest auction prices"
   // state of the scalability experiment (Section IX-E).
-  auto top = query.Execute(
-      "SELECT key AS seller, average, count FROM snapshot_q6avg "
-      "ORDER BY average DESC LIMIT 5");
-  if (top.ok()) {
-    std::printf("\ntop sellers by q6 average selling price:\n%s",
-                top->ToString().c_str());
-  }
+  show("top sellers by q6 average selling price",
+       "SELECT key AS seller, average, count FROM snapshot_q6avg "
+       "ORDER BY average DESC LIMIT 5");
 
   // Global statistics over all sellers (never computed by the job itself).
-  auto stats = query.Execute(
-      "SELECT COUNT(*) AS sellers, AVG(average) AS global_avg, "
-      "MIN(average) AS lo, MAX(average) AS hi FROM snapshot_q6avg");
-  if (stats.ok()) {
-    std::printf("\nglobal selling-price statistics:\n%s",
-                stats->ToString().c_str());
-  }
+  show("global selling-price statistics",
+       "SELECT COUNT(*) AS sellers, AVG(average) AS global_avg, "
+       "MIN(average) AS lo, MAX(average) AS hi FROM snapshot_q6avg");
 
   // Auctions still in flight inside the winning-bids operator: debugging
   // internal state that is normally a black box (Section III, Debugging).
-  auto open_auctions = query.Execute(
-      "SELECT COUNT(*) AS open_auctions, AVG(maxPrice) AS avg_leading_bid "
-      "FROM snapshot_winningbids");
-  if (open_auctions.ok()) {
-    std::printf("\nin-flight auctions (internal operator state!):\n%s",
-                open_auctions->ToString().c_str());
-  }
+  show("in-flight auctions (internal operator state!)",
+       "SELECT COUNT(*) AS open_auctions, AVG(maxPrice) AS avg_leading_bid "
+       "FROM snapshot_winningbids");
 
   // Join the two operators' states: sellers whose *leading* in-flight bid
   // exceeds their historical average.
-  auto join = query.Execute(
-      "SELECT COUNT(*) AS hot FROM snapshot_winningbids w JOIN "
-      "snapshot_q6avg a USING(seller) WHERE maxPrice > average");
-  if (join.ok()) {
-    std::printf("\nin-flight auctions leading above the seller's average:\n%s",
-                join->ToString().c_str());
-  }
+  show("in-flight auctions leading above the seller's average",
+       "SELECT COUNT(*) AS hot FROM snapshot_winningbids w JOIN "
+       "snapshot_q6avg a USING(seller) WHERE maxPrice > average");
 
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   const sq::Histogram::Summary s = latency.Summarize();
@@ -99,5 +98,5 @@ int main() {
               static_cast<double>(s.p99) / 1e6,
               static_cast<long long>(s.count));
   (void)(*job)->Stop();
-  return 0;
+  return failed ? 1 : 0;
 }

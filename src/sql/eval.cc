@@ -178,4 +178,17 @@ kv::Object MaterializeRow(const kv::Value& key, const kv::Value* ssid,
   return tuple;
 }
 
+kv::Object MergeTuples(const kv::Object& left, const kv::Object& right,
+                       const std::string& right_name) {
+  kv::Object out = left;
+  for (const auto& [name, value] : right.fields()) {
+    if (out.Has(name)) {
+      out.Set(right_name + "." + name, value);
+    } else {
+      out.Set(name, value);
+    }
+  }
+  return out;
+}
+
 }  // namespace sq::sql

@@ -2,6 +2,7 @@
 #define SQUERY_SQL_EVAL_H_
 
 #include <cstdint>
+#include <string>
 
 #include "common/result.h"
 #include "kv/object.h"
@@ -52,6 +53,15 @@ struct ScanRowView {
 /// by both engines, and in lockstep with ScanRowView's resolution.
 kv::Object MaterializeRow(const kv::Value& key, const kv::Value* ssid,
                           const kv::Object& value);
+
+/// The tuple a JOIN ... USING builds from a left and a right tuple: the left
+/// tuple plus every right field; on a name conflict the left value wins and
+/// the right value is kept as "<right_name>.<field>" (which a qualified
+/// reference `right_name.field` then finds). Both engines join through this
+/// definition: the row engine calls it per pair, the vectorized engine
+/// resolves fields as it would and calls it only for rows it emits.
+kv::Object MergeTuples(const kv::Object& left, const kv::Object& right,
+                       const std::string& right_name);
 
 /// EvalScalar over an unmaterialized scan row (predicate pushdown). SQL
 /// three-valued logic is simplified to two-valued here: NULL compares

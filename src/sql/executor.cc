@@ -56,22 +56,6 @@ void CollectSsidFilters(const Expr* where,
   }
 }
 
-/// Merges a joined tuple: right-side fields are added; on a name conflict
-/// the left value wins and the right value is preserved under
-/// "<right alias>.<field>".
-Object MergeTuples(const Object& left, const Object& right,
-                   const std::string& right_name) {
-  Object out = left;
-  for (const auto& [name, value] : right.fields()) {
-    if (out.Has(name)) {
-      out.Set(right_name + "." + name, value);
-    } else {
-      out.Set(name, value);
-    }
-  }
-  return out;
-}
-
 struct AggregateSpec {
   const Expr* call = nullptr;  // points into the statement
   std::string id;              // canonical text, used as substitution key
@@ -230,6 +214,21 @@ Status EvaluateRow(const ScanRowView& row, const CompiledScan& scan,
   return consume(row);
 }
 
+/// Reads partition `p` of `source` batch by batch into `fn(batch)`, adding
+/// each batch's rows to `*scanned`. Stops at the first error.
+template <typename Fn>
+Status ReadPartition(const TableSource& source, int32_t p, int64_t* scanned,
+                     const Fn& fn) {
+  std::unique_ptr<BatchReader> reader = source.OpenBatchReader(p);
+  ScanBatch batch;
+  while (true) {
+    SQ_ASSIGN_OR_RETURN(const bool more, reader->NextBatch(&batch));
+    if (!more) return Status::OK();
+    *scanned += static_cast<int64_t>(batch.rows->row_count());
+    SQ_RETURN_IF_ERROR(fn(batch));
+  }
+}
+
 /// Reads every partition of `source` as batches, fanned out over the pool,
 /// into one `Local` per partition. The vectorized engine hands each batch to
 /// `fold_batch(batch, &local, &returned)`; the row engine materializes each
@@ -253,33 +252,24 @@ Result<std::vector<Local>> ScanPartitions(
     const int64_t span_t0 = trace::NowNanos();
     PartitionOutcome& outcome = outcomes[p];
     Local& local = per_partition[p];
-    std::unique_ptr<BatchReader> reader = source.OpenBatchReader(p);
-    ScanBatch batch;
-    while (outcome.status.ok()) {
-      Result<bool> more = reader->NextBatch(&batch);
-      if (!more.ok()) {
-        outcome.status = more.status();
-        break;
-      }
-      if (!*more) break;
-      const auto rows = static_cast<int64_t>(batch.rows->row_count());
-      outcome.scanned += rows;
-      if (options.enable_vectorized) {
-        ++outcome.batches;
-        outcome.batch_rows += rows;
-        outcome.status = fold_batch(batch, &local, &outcome.returned);
-        continue;
-      }
-      const Value* ssid = batch.ssid.has_value() ? &*batch.ssid : nullptr;
-      for (size_t r = 0; r < batch.rows->row_count() && outcome.status.ok();
-           ++r) {
-        const Object value = batch.rows->MaterializeRow(r);
-        outcome.status = EvaluateRow(
-            ScanRowView{&batch.rows->keys()[r], ssid, &value}, scan, ctx,
-            &outcome.returned,
-            [&](const ScanRowView& row) { return fold_row(row, &local); });
-      }
-    }
+    outcome.status = ReadPartition(
+        source, p, &outcome.scanned, [&](const ScanBatch& batch) -> Status {
+          if (options.enable_vectorized) {
+            ++outcome.batches;
+            outcome.batch_rows +=
+                static_cast<int64_t>(batch.rows->row_count());
+            return fold_batch(batch, &local, &outcome.returned);
+          }
+          const Value* ssid = batch.ssid.has_value() ? &*batch.ssid : nullptr;
+          for (size_t r = 0; r < batch.rows->row_count(); ++r) {
+            const Object value = batch.rows->MaterializeRow(r);
+            SQ_RETURN_IF_ERROR(EvaluateRow(
+                ScanRowView{&batch.rows->keys()[r], ssid, &value}, scan, ctx,
+                &outcome.returned,
+                [&](const ScanRowView& row) { return fold_row(row, &local); }));
+          }
+          return Status::OK();
+        });
     trace::RecordSpan(trace::Category::kQuery, span_name, scan_ctx, span_t0,
                       trace::NowNanos(),
                       {{"partition", p},
@@ -322,6 +312,44 @@ Status ScanByKeys(const TableSource& source, const std::vector<Value>& keys,
   return status;
 }
 
+/// Concatenates per-partition row lists in partition order.
+std::vector<Object> ConcatPartitions(
+    std::vector<std::vector<Object>>&& per_partition) {
+  size_t total = 0;
+  for (const auto& local : per_partition) total += local.size();
+  std::vector<Object> tuples;
+  tuples.reserve(total);
+  for (auto& local : per_partition) {
+    for (Object& tuple : local) tuples.push_back(std::move(tuple));
+  }
+  return tuples;
+}
+
+/// Merges per-partition partial group tables into `out` in partition order.
+void MergePartials(const std::vector<AggregateSpec>& aggregates,
+                   std::vector<GroupTable>&& per_partition, GroupTable* out) {
+  trace::ScopedSpan merge_span(trace::Category::kQuery, "merge");
+  for (GroupTable& local : per_partition) {
+    MergeGroupTables(aggregates, std::move(local), out);
+  }
+  merge_span.AddAttr("groups", static_cast<int64_t>(out->groups.size()));
+}
+
+std::vector<const Expr*> GroupByExprs(const SelectStatement& stmt) {
+  std::vector<const Expr*> exprs;
+  exprs.reserve(stmt.group_by.size());
+  for (const auto& expr : stmt.group_by) exprs.push_back(expr.get());
+  return exprs;
+}
+
+std::vector<const Expr*> AggregateCalls(
+    const std::vector<AggregateSpec>& aggregates) {
+  std::vector<const Expr*> calls;
+  calls.reserve(aggregates.size());
+  for (const AggregateSpec& agg : aggregates) calls.push_back(agg.call);
+  return calls;
+}
+
 /// Partition-parallel materializing scan with predicate/key pushdown. Rows
 /// rejected by the pushed predicate are never copied out.
 Result<std::vector<Object>> MaterializeFromSource(
@@ -331,13 +359,13 @@ Result<std::vector<Object>> MaterializeFromSource(
   // Compiled once per scan, shared read-only by all workers: resolves the
   // predicate's column references at plan time instead of per row.
   const CompiledScan scan(predicate, {}, {});
-  std::vector<Object> tuples;
   const auto materialize = [](const ScanRowView& row,
                               std::vector<Object>* out) {
     out->push_back(MaterializeRow(*row.key, row.ssid, *row.value));
     return Status::OK();
   };
   if (keys != nullptr) {
+    std::vector<Object> tuples;
     SQ_RETURN_IF_ERROR(ScanByKeys(
         source, *keys, scan, ctx, stats,
         [&](const ScanRowView& row) { return materialize(row, &tuples); }));
@@ -352,13 +380,7 @@ Result<std::vector<Object>> MaterializeFromSource(
             return scan.FilterBatch(batch, ctx, local, returned);
           },
           materialize));
-  size_t total = 0;
-  for (const auto& local : per_partition) total += local.size();
-  tuples.reserve(total);
-  for (auto& local : per_partition) {
-    for (Object& tuple : local) tuples.push_back(std::move(tuple));
-  }
-  return tuples;
+  return ConcatPartitions(std::move(per_partition));
 }
 
 /// Fused scan + partial aggregation: each worker filters and folds its
@@ -371,17 +393,8 @@ Status ScanAggregate(const TableSource& source, const Expr* predicate,
                      const std::vector<AggregateSpec>& aggregates,
                      const EvalContext& ctx, const ExecOptions& options,
                      ExecStats* stats, GroupTable* out) {
-  std::vector<const Expr*> group_by_exprs;
-  group_by_exprs.reserve(stmt.group_by.size());
-  for (const auto& expr : stmt.group_by) {
-    group_by_exprs.push_back(expr.get());
-  }
-  std::vector<const Expr*> aggregate_calls;
-  aggregate_calls.reserve(aggregates.size());
-  for (const AggregateSpec& agg : aggregates) {
-    aggregate_calls.push_back(agg.call);
-  }
-  const CompiledScan scan(predicate, group_by_exprs, aggregate_calls);
+  const CompiledScan scan(predicate, GroupByExprs(stmt),
+                          AggregateCalls(aggregates));
   const auto accumulate = [&](const ScanRowView& row, GroupTable* groups) {
     return AccumulateRow(
         stmt, aggregates, row,
@@ -401,23 +414,8 @@ Status ScanAggregate(const TableSource& source, const Expr* predicate,
             return scan.AccumulateBatch(batch, ctx, local, returned);
           },
           accumulate));
-  trace::ScopedSpan merge_span(trace::Category::kQuery, "merge");
-  for (GroupTable& local : per_partition) {
-    MergeGroupTables(aggregates, std::move(local), out);
-  }
-  merge_span.AddAttr("groups", static_cast<int64_t>(out->groups.size()));
+  MergePartials(aggregates, std::move(per_partition), out);
   return Status::OK();
-}
-
-/// Opens one table and copies out every row (a join input).
-Result<std::vector<Object>> MaterializeTable(
-    TableResolver* resolver, const std::string& table,
-    std::optional<int64_t> requested_ssid, const EvalContext& ctx,
-    const ExecOptions& options, ExecStats* stats) {
-  SQ_ASSIGN_OR_RETURN(std::unique_ptr<TableSource> source,
-                      resolver->OpenTableSource(table, requested_ssid));
-  return MaterializeFromSource(*source, nullptr, nullptr, ctx, options,
-                               stats);
 }
 
 /// What ExecuteSelect decides before it reads a row, and EXPLAIN renders:
@@ -429,7 +427,8 @@ struct SelectAnalysis {
   std::vector<AggregateSpec> aggregates;
   bool aggregating = false;
   ScanPlan plan;
-  /// The FROM scan folds rows into per-partition partial aggregates.
+  /// The FROM scan (with its joins) folds rows into per-partition partial
+  /// aggregates.
   bool fused = false;
 
   std::optional<int64_t> SsidFor(const TableRef& ref) const {
@@ -460,12 +459,391 @@ Result<SelectAnalysis> AnalyzeSelect(const SelectStatement& stmt,
     return Status::InvalidArgument("SELECT * cannot be combined with "
                                    "aggregation");
   }
-  // Pushdown applies to join-free statements only.
   analysis.plan = BuildScanPlan(stmt, options.enable_pushdown);
   analysis.fused =
-      analysis.aggregating && stmt.joins.empty() &&
+      analysis.aggregating &&
       (stmt.where == nullptr || analysis.plan.predicate != nullptr);
   return analysis;
+}
+
+/// One JOIN of the statement with its table opened. A colocated join runs
+/// partition p of the FROM table against partition p of the JOIN table
+/// only: its USING column is the state key, both tables split keys over the
+/// same number of partitions, and every source places key k in
+/// kv::Partitioner(partition_count()).PartitionOf(k) (TableSource's
+/// contract). Any other join builds over the whole JOIN table once.
+struct OpenedJoin {
+  const JoinClause* clause = nullptr;
+  std::unique_ptr<TableSource> source;
+  bool colocated = false;
+};
+
+Result<std::vector<OpenedJoin>> OpenJoins(const SelectStatement& stmt,
+                                          const SelectAnalysis& analysis,
+                                          const TableSource& from,
+                                          TableResolver* resolver) {
+  std::vector<OpenedJoin> joins;
+  joins.reserve(stmt.joins.size());
+  for (const JoinClause& clause : stmt.joins) {
+    OpenedJoin join;
+    join.clause = &clause;
+    SQ_ASSIGN_OR_RETURN(join.source,
+                        resolver->OpenTableSource(
+                            clause.table.name, analysis.SsidFor(clause.table)));
+    join.colocated = (clause.using_column == "key" ||
+                      clause.using_column == "partitionKey") &&
+                     join.source->partition_count() == from.partition_count();
+    joins.push_back(std::move(join));
+  }
+  return joins;
+}
+
+/// The build side of one JOIN: rows of the JOIN table (one partition of it,
+/// or all of them) chained by USING value in scan order, as joined-row
+/// cells. NULL USING values match nothing and are left out. Every batch is
+/// added before the first probe: cells point into the bound batches.
+class JoinBuild {
+ public:
+  /// Adds the rows of `batch`, the build side of join `join` of `scan`. The
+  /// row engine takes each row's USING value from its materialized tuple.
+  void Add(const CompiledScan& scan, size_t join,
+           const std::string& using_column, const ScanBatch& batch,
+           bool vectorized) {
+    const kv::ColumnBatch& rows = *batch.rows;
+    const auto batch_index = static_cast<uint32_t>(batches_.size());
+    batches_.push_back(scan.BindJoinInput(join + 1, batch));
+    const Value* ssid = batch.ssid.has_value() ? &*batch.ssid : nullptr;
+    for (uint32_t r = 0; r < rows.row_count(); ++r) {
+      if (rows.tombstone(r)) continue;
+      Value key = vectorized
+                      ? scan.BuildKey(join, batches_.back(), r)
+                      : MaterializeRow(rows.keys()[r], ssid,
+                                       rows.MaterializeRow(r))
+                            .Get(using_column);
+      if (key.is_null()) continue;
+      const auto entry = static_cast<int32_t>(entries_.size());
+      entries_.push_back(Entry{batch_index, r, -1});
+      auto [it, inserted] =
+          chains_.try_emplace(std::move(key), Chain{entry, entry});
+      if (!inserted) {
+        entries_[static_cast<size_t>(it->second.last)].next = entry;
+        it->second.last = entry;
+      }
+    }
+  }
+
+  /// Calls `fn(cell)` for every row whose USING value equals `key`, in scan
+  /// order.
+  template <typename Fn>
+  Status ForEachMatch(const Value& key, const Fn& fn) const {
+    const auto it = chains_.find(key);
+    if (it == chains_.end()) return Status::OK();
+    for (int32_t e = it->second.first; e >= 0;) {
+      const Entry& entry = entries_[static_cast<size_t>(e)];
+      SQ_RETURN_IF_ERROR(
+          fn(CompiledScan::JoinCell{&batches_[entry.batch], entry.row}));
+      e = entry.next;
+    }
+    return Status::OK();
+  }
+
+ private:
+  struct Entry {
+    uint32_t batch;
+    uint32_t row;
+    int32_t next;  // next entry with the same USING value, or -1
+  };
+  struct Chain {
+    int32_t first;
+    int32_t last;
+  };
+  std::vector<CompiledScan::JoinBatch> batches_;
+  std::vector<Entry> entries_;
+  // sq-lint: unordered-ok(probe-only; matches follow the build's scan order)
+  std::unordered_map<Value, Chain, kv::ValueHash> chains_;
+};
+
+/// Builds a non-colocated join's side over every partition of its table, in
+/// partition order.
+Status BuildWholeTable(const OpenedJoin& join, size_t index,
+                       const CompiledScan& scan, const ExecOptions& options,
+                       ExecStats* stats, JoinBuild* build) {
+  const TableSource& source = *join.source;
+  for (int32_t p = 0; p < source.partition_count(); ++p) {
+    SQ_RETURN_IF_ERROR(ReadPartition(
+        source, p, &stats->rows_scanned, [&](const ScanBatch& batch) {
+          if (options.enable_vectorized) {
+            ++stats->batches_scanned;
+            stats->batch_rows +=
+                static_cast<int64_t>(batch.rows->row_count());
+          }
+          build->Add(scan, index, join.clause->using_column, batch,
+                     options.enable_vectorized);
+          return Status::OK();
+        }));
+  }
+  stats->partitions_scanned += source.partition_count();
+  return Status::OK();
+}
+
+/// Point lookups of a join's FROM table: the rows of `keys`, grouped into
+/// batches by the partition they live in (consecutive rows that share a
+/// version share a batch), so each partition joins them like scanned rows.
+Result<std::vector<std::vector<ScanBatch>>> LookUpByPartition(
+    const TableSource& source, const std::vector<Value>& keys,
+    ExecStats* stats) {
+  trace::ScopedSpan span(trace::Category::kQuery, "point_lookup");
+  span.AddAttr("keys", static_cast<int64_t>(keys.size()));
+  struct Building {
+    std::shared_ptr<kv::ColumnBatch> rows;
+    std::optional<Value> ssid;
+  };
+  std::vector<std::vector<Building>> building(
+      static_cast<size_t>(source.partition_count()));
+  SQ_RETURN_IF_ERROR(source.ScanKeys(
+      keys, [&](const Value& key, const Value* ssid, const Object& value) {
+        ++stats->rows_scanned;
+        std::vector<Building>& batches =
+            building[static_cast<size_t>(source.PartitionOfKey(key))];
+        const std::optional<Value> version =
+            ssid != nullptr ? std::optional<Value>(*ssid) : std::nullopt;
+        if (batches.empty() || batches.back().ssid != version) {
+          batches.push_back(
+              Building{std::make_shared<kv::ColumnBatch>(), version});
+        }
+        batches.back().rows->AppendRow(key, /*ssid=*/0, value);
+      }));
+  std::vector<std::vector<ScanBatch>> out(building.size());
+  for (size_t p = 0; p < building.size(); ++p) {
+    if (!building[p].empty()) ++stats->partitions_scanned;
+    for (Building& batch : building[p]) {
+      out[p].push_back(ScanBatch{std::move(batch.rows), batch.ssid});
+    }
+  }
+  stats->used_point_lookup = true;
+  return out;
+}
+
+/// Runs a statement's joins partition by partition. Partition p builds each
+/// colocated join from that join table's partition p (other joins share
+/// `whole[j]`), then reads the FROM table's partition p (or the rows point
+/// lookups found in it, `looked_up[p]`) and probes the joins in turn, left
+/// order first, each row's matches in build scan order. Every complete
+/// joined row that passes `predicate` (the pushed WHERE, or null) goes into
+/// p's `Local`: the vectorized engine evaluates it in place and calls
+/// `fold_joined(row, &local)`; the row engine merges the materialized rows
+/// with MergeTuples, runs the row evaluator, and calls
+/// `fold_merged(tuple, &local)`. Records one `partition_join` span per
+/// partition; returns the Locals in partition order.
+template <typename Local, typename JoinedFold, typename MergedFold>
+Result<std::vector<Local>> JoinPartitions(
+    const TableSource& from,
+    const std::vector<std::vector<ScanBatch>>* looked_up,
+    const std::vector<OpenedJoin>& joins, const std::vector<JoinBuild>& whole,
+    const CompiledScan& scan, const Expr* predicate, const EvalContext& ctx,
+    const ExecOptions& options, ExecStats* stats,
+    const JoinedFold& fold_joined, const MergedFold& fold_merged) {
+  const bool vectorized = options.enable_vectorized;
+  std::vector<int32_t> partitions;
+  for (int32_t p = 0; p < from.partition_count(); ++p) {
+    if (looked_up == nullptr || !(*looked_up)[static_cast<size_t>(p)].empty()) {
+      partitions.push_back(p);
+    }
+  }
+  const auto count = static_cast<int32_t>(partitions.size());
+  const int32_t workers = ScanWorkers(options, count);
+  std::vector<Local> per_partition(partitions.size());
+  std::vector<PartitionOutcome> outcomes(partitions.size());
+  const trace::SpanContext join_ctx = trace::CurrentContext();
+  RunPartitioned(options, count, workers, [&](int32_t i) {
+    const int64_t span_t0 = trace::NowNanos();
+    const int32_t p = partitions[static_cast<size_t>(i)];
+    PartitionOutcome& outcome = outcomes[static_cast<size_t>(i)];
+    Local& local = per_partition[static_cast<size_t>(i)];
+    int64_t left_scanned = 0;
+    int64_t right_scanned = 0;
+    int64_t matched = 0;
+    const auto count_batch = [&](const ScanBatch& batch) {
+      if (!vectorized) return;
+      ++outcome.batches;
+      outcome.batch_rows += static_cast<int64_t>(batch.rows->row_count());
+    };
+
+    std::vector<JoinBuild> own(joins.size());
+    std::vector<const JoinBuild*> builds(joins.size());
+    for (size_t j = 0; j < joins.size() && outcome.status.ok(); ++j) {
+      builds[j] = &whole[j];
+      if (!joins[j].colocated) continue;
+      builds[j] = &own[j];
+      outcome.status = ReadPartition(
+          *joins[j].source, p, &right_scanned, [&](const ScanBatch& batch) {
+            count_batch(batch);
+            own[j].Add(scan, j, joins[j].clause->using_column, batch,
+                       vectorized);
+            return Status::OK();
+          });
+    }
+
+    const auto fold = [&](const CompiledScan::JoinRow& row) -> Status {
+      ++matched;
+      if (vectorized) {
+        if (predicate != nullptr) {
+          SQ_ASSIGN_OR_RETURN(const bool pass, scan.JoinedPasses(row, ctx));
+          if (!pass) return Status::OK();
+        }
+        ++outcome.returned;
+        return fold_joined(row, &local);
+      }
+      const Object merged = scan.MaterializeJoined(row, row.size());
+      if (predicate != nullptr) {
+        SQ_ASSIGN_OR_RETURN(const Value pass,
+                            EvalScalar(*predicate, merged, ctx));
+        if (!pass.Truthy()) return Status::OK();
+      }
+      ++outcome.returned;
+      return fold_merged(merged, &local);
+    };
+    // Probes joins j.. for a joined row whose inputs 0..j are set.
+    const auto probe = [&](const auto& self, size_t j,
+                           CompiledScan::JoinRow* row) -> Status {
+      if (j == joins.size()) return fold(*row);
+      const Value key =
+          vectorized ? scan.ProbeKey(j, *row)
+                     : scan.MaterializeJoined(*row, j + 1)
+                           .Get(joins[j].clause->using_column);
+      if (key.is_null()) return Status::OK();
+      return builds[j]->ForEachMatch(
+          key, [&](const CompiledScan::JoinCell& cell) {
+            (*row)[j + 1] = cell;
+            return self(self, j + 1, row);
+          });
+    };
+    const auto probe_batch = [&](const ScanBatch& batch) -> Status {
+      const CompiledScan::JoinBatch left = scan.BindJoinInput(0, batch);
+      CompiledScan::JoinRow row(joins.size() + 1);
+      for (uint32_t r = 0; r < batch.rows->row_count(); ++r) {
+        if (batch.rows->tombstone(r)) continue;
+        row[0] = CompiledScan::JoinCell{&left, r};
+        SQ_RETURN_IF_ERROR(probe(probe, 0, &row));
+      }
+      return Status::OK();
+    };
+
+    if (outcome.status.ok()) {
+      if (looked_up != nullptr) {
+        for (const ScanBatch& batch : (*looked_up)[static_cast<size_t>(p)]) {
+          left_scanned += static_cast<int64_t>(batch.rows->row_count());
+          outcome.status = probe_batch(batch);
+          if (!outcome.status.ok()) break;
+        }
+      } else {
+        outcome.status = ReadPartition(
+            from, p, &left_scanned, [&](const ScanBatch& batch) {
+              count_batch(batch);
+              return probe_batch(batch);
+            });
+      }
+    }
+    // Looked-up rows were counted by the lookup.
+    outcome.scanned =
+        (looked_up == nullptr ? left_scanned : 0) + right_scanned;
+    trace::RecordSpan(trace::Category::kQuery, "partition_join", join_ctx,
+                      span_t0, trace::NowNanos(),
+                      {{"partition", p},
+                       {"columnar", vectorized},
+                       {"left_scanned", left_scanned},
+                       {"right_scanned", right_scanned},
+                       {"matched", matched}});
+  });
+  int32_t colocated = 0;
+  for (const OpenedJoin& join : joins) colocated += join.colocated ? 1 : 0;
+  stats->partitions_scanned +=
+      count * (colocated + (looked_up == nullptr ? 1 : 0));
+  stats->parallelism = std::max(stats->parallelism, workers);
+  stats->used_pushdown = stats->used_pushdown || predicate != nullptr;
+  stats->used_vectorized = stats->used_vectorized || vectorized;
+  SQ_RETURN_IF_ERROR(FirstError(outcomes, stats));
+  return per_partition;
+}
+
+/// The FROM scan of a statement with joins: opens the JOIN tables, builds
+/// the non-colocated ones whole, and joins partition by partition
+/// (JoinPartitions), evaluating the pushed WHERE on every joined row. A
+/// fused statement folds joined rows into per-partition partial aggregates
+/// merged into `groups`; any other collects the merged tuples into `tuples`.
+Status ScanJoins(const SelectStatement& stmt, const SelectAnalysis& analysis,
+                 const TableSource& from, TableResolver* resolver,
+                 const EvalContext& ctx, const ExecOptions& options,
+                 ExecStats* stats, GroupTable* groups,
+                 std::vector<Object>* tuples) {
+  SQ_ASSIGN_OR_RETURN(const std::vector<OpenedJoin> joins,
+                      OpenJoins(stmt, analysis, from, resolver));
+  trace::ScopedSpan join_span(trace::Category::kQuery, "join");
+  CompiledScan::JoinInputs inputs;
+  inputs.names.push_back(stmt.from.effective_name());
+  std::string tables;
+  std::string columns;
+  for (const OpenedJoin& join : joins) {
+    inputs.names.push_back(join.clause->table.effective_name());
+    inputs.using_columns.push_back(join.clause->using_column);
+    tables += (tables.empty() ? "" : ",") + join.clause->table.name;
+    columns += (columns.empty() ? "" : ",") + join.clause->using_column;
+  }
+  join_span.AddAttr("table", tables);
+  join_span.AddAttr("using", columns);
+  const ScanPlan& plan = analysis.plan;
+  const std::vector<AggregateSpec>& aggregates = analysis.aggregates;
+  const CompiledScan scan(
+      plan.predicate,
+      analysis.fused ? GroupByExprs(stmt) : std::vector<const Expr*>{},
+      analysis.fused ? AggregateCalls(aggregates) : std::vector<const Expr*>{},
+      &inputs);
+
+  std::vector<JoinBuild> whole(joins.size());
+  for (size_t j = 0; j < joins.size(); ++j) {
+    if (joins[j].colocated) continue;
+    SQ_RETURN_IF_ERROR(
+        BuildWholeTable(joins[j], j, scan, options, stats, &whole[j]));
+  }
+  std::optional<std::vector<std::vector<ScanBatch>>> looked_up;
+  if (plan.keys.has_value()) {
+    SQ_ASSIGN_OR_RETURN(looked_up,
+                        LookUpByPartition(from, *plan.keys, stats));
+  }
+  const std::vector<std::vector<ScanBatch>>* lookups =
+      looked_up.has_value() ? &*looked_up : nullptr;
+  if (analysis.fused) {
+    SQ_ASSIGN_OR_RETURN(
+        std::vector<GroupTable> per_partition,
+        JoinPartitions<GroupTable>(
+            from, lookups, joins, whole, scan, plan.predicate, ctx, options,
+            stats,
+            [&](const CompiledScan::JoinRow& row, GroupTable* local) {
+              return scan.FoldJoined(row, ctx, local);
+            },
+            [&](const Object& tuple, GroupTable* local) {
+              return AccumulateRow(
+                  stmt, aggregates, tuple, [&tuple] { return tuple; }, ctx,
+                  local);
+            }));
+    MergePartials(aggregates, std::move(per_partition), groups);
+    return Status::OK();
+  }
+  SQ_ASSIGN_OR_RETURN(
+      std::vector<std::vector<Object>> per_partition,
+      JoinPartitions<std::vector<Object>>(
+          from, lookups, joins, whole, scan, plan.predicate, ctx, options,
+          stats,
+          [&](const CompiledScan::JoinRow& row, std::vector<Object>* local) {
+            local->push_back(scan.MaterializeJoined(row, row.size()));
+            return Status::OK();
+          },
+          [](const Object& tuple, std::vector<Object>* local) {
+            local->push_back(tuple);
+            return Status::OK();
+          }));
+  *tuples = ConcatPartitions(std::move(per_partition));
+  return Status::OK();
 }
 
 }  // namespace
@@ -493,8 +871,9 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
   // --- Scan + joins. The FROM scan goes through the table's source:
   // partitions fan out over the pool, the pushed-down predicate filters rows
   // before they are copied, and pushed-down key equalities route to point
-  // lookups. Aggregating join-free statements fuse the scan with
-  // per-partition partial aggregation.
+  // lookups. Joins run inside the same partition fan-out, evaluating the
+  // pushed predicate on each joined row. Aggregating statements fuse the
+  // scan with per-partition partial aggregation.
   GroupTable groups;
   std::vector<Object> tuples;
 
@@ -510,7 +889,10 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
         plan.keys.has_value() ? &*plan.keys : nullptr;
     scan_span.AddAttr("pushdown", pushed != nullptr);
     scan_span.AddAttr("point_lookup", keys != nullptr);
-    if (analysis.fused) {
+    if (!stmt.joins.empty()) {
+      SQ_RETURN_IF_ERROR(ScanJoins(stmt, analysis, *source, resolver, ctx,
+                                   options, stats, &groups, &tuples));
+    } else if (analysis.fused) {
       SQ_RETURN_IF_ERROR(ScanAggregate(*source, pushed, keys, stmt,
                                        aggregates, ctx, options, stats,
                                        &groups));
@@ -519,40 +901,6 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
                           MaterializeFromSource(*source, pushed, keys, ctx,
                                                 options, stats));
     }
-  }
-  for (const JoinClause& join : stmt.joins) {
-    trace::ScopedSpan join_span(trace::Category::kQuery, "join");
-    join_span.AddAttr("table", join.table.name);
-    join_span.AddAttr("using", join.using_column);
-    SQ_ASSIGN_OR_RETURN(
-        std::vector<Object> right,
-        MaterializeTable(resolver, join.table.name,
-                         analysis.SsidFor(join.table),
-                         ctx, options, stats));
-    // Build side: hash the (smaller, typically right) input on the USING
-    // column; S-QUERY's extension of the IMDG SQL interface (Section VI-A).
-    // sq-lint: unordered-ok(probe-only; output order follows the left input)
-    std::unordered_map<Value, std::vector<const Object*>, kv::ValueHash>
-        index;
-    index.reserve(right.size());
-    for (const Object& tuple : right) {
-      const Value& key = tuple.Get(join.using_column);
-      if (key.is_null()) continue;
-      index[key].push_back(&tuple);
-    }
-    std::vector<Object> joined;
-    joined.reserve(tuples.size());
-    for (const Object& left : tuples) {
-      const Value& key = left.Get(join.using_column);
-      if (key.is_null()) continue;
-      auto it = index.find(key);
-      if (it == index.end()) continue;
-      for (const Object* match : it->second) {
-        joined.push_back(
-            MergeTuples(left, *match, join.table.effective_name()));
-      }
-    }
-    tuples = std::move(joined);
   }
 
   // --- Filter (unless already evaluated inside the scan; a fused scan
@@ -772,7 +1120,9 @@ Result<std::vector<std::string>> ExplainPlanLines(
   }
   if (pin.has_value()) scan += " @ ssid=" + std::to_string(*pin);
   lines.push_back(std::move(scan));
-  if (!point && options.enable_vectorized) {
+  // Point lookups of a join-free scan evaluate the looked-up rows with the
+  // row evaluator; a join evaluates its joined rows with the chosen engine.
+  if (options.enable_vectorized && (!point || !stmt.joins.empty())) {
     lines.push_back("  engine: vectorized (columnar batches)");
   }
   if (analysis.fused) {
@@ -784,9 +1134,20 @@ Result<std::vector<std::string>> ExplainPlanLines(
     lines.push_back("  pushed filter: " + plan.predicate->ToString());
   }
 
-  for (const JoinClause& join : stmt.joins) {
-    lines.push_back("Join: hash join " + join.table.name + " USING (" +
-                    join.using_column + ")");
+  SQ_ASSIGN_OR_RETURN(const std::vector<OpenedJoin> joins,
+                      OpenJoins(stmt, analysis, *source, resolver));
+  for (const OpenedJoin& join : joins) {
+    const JoinClause& clause = *join.clause;
+    lines.push_back(
+        std::string(join.colocated ? "Join: colocated hash join "
+                                   : "Join: hash join ") +
+        clause.table.name + " USING (" + clause.using_column + "), " +
+        (join.colocated
+             ? "per partition (" +
+                   std::to_string(source->partition_count()) + ")"
+             : "build over " +
+                   std::to_string(join.source->partition_count()) +
+                   " partitions"));
   }
   if (stmt.where != nullptr && !pushed && !point) {
     lines.push_back("Filter: " + stmt.where->ToString());

@@ -71,7 +71,11 @@ class TableSource {
   virtual Status ScanKeys(const std::vector<kv::Value>& keys,
                           const RowFn& fn) const = 0;
 
-  /// Partition a key routes to (scan metrics only).
+  /// The partition that holds `key`. Contract: every source places key k
+  /// in `kv::Partitioner(partition_count()).PartitionOf(k)`, and
+  /// OpenBatchReader(p) serves only keys placed in p. Colocated joins rely
+  /// on it (partition p of one table joins partition p of another on the
+  /// state key), and point lookups group their rows by it.
   virtual int32_t PartitionOfKey(const kv::Value& key) const = 0;
 
   /// Serves `partition` as columnar batches, in the source's deterministic
@@ -107,11 +111,13 @@ class TableResolver {
 /// Per-query scan instrumentation, filled in by the executor (the paper's
 /// query-impact story needs "how much state did this query actually touch").
 struct ExecStats {
-  /// Rows visited by base-table scans (before pushed-down filters).
+  /// Rows visited by base-table scans (before pushed-down filters),
+  /// counting every input of a join.
   int64_t rows_scanned = 0;
   /// Rows surviving pushed-down filters (for non-aggregated scans these are
   /// exactly the rows materialized; fused aggregation folds them without
-  /// materializing).
+  /// materializing). For a join: the joined rows that pass the pushed
+  /// filter, or every joined row when nothing is pushed.
   int64_t rows_returned = 0;
   /// Partitions swept by fan-out scans, or partitions hit by point lookups.
   int32_t partitions_scanned = 0;
@@ -140,8 +146,9 @@ struct ExecOptions {
   /// Maximum workers (including the calling thread) per scan; <= 1 keeps
   /// the scan on the calling thread.
   int32_t parallelism = 1;
-  /// Push the WHERE clause (and key equalities) into base-table scans of
-  /// join-free statements. Off = filter after materialization, as before.
+  /// Push the WHERE clause into the scan (with joins: into each
+  /// partition's join, on every joined row) and route key equalities to
+  /// point lookups. Off = filter after materialization.
   bool enable_pushdown = true;
   /// Evaluate scanned batches with the vectorized engine (typed-column
   /// filter and aggregate loops). Off = the row evaluator, one materialized
@@ -153,9 +160,11 @@ struct ExecOptions {
 };
 
 /// Executes a parsed SELECT against the resolver: scan (partition-parallel,
-/// with predicate/key pushdown and per-partition partial aggregation) → hash
-/// join (USING) → filter → group/aggregate → project → distinct → order →
-/// limit.
+/// with predicate/key pushdown; each JOIN ... USING hash-joins inside the
+/// partition fan-out, per partition when colocated on the state key; the
+/// pushed WHERE runs on scanned or joined rows, which fold into
+/// per-partition partial aggregates) → filter (when not pushed) →
+/// group/aggregate → project → distinct → order → limit.
 Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
                                 TableResolver* resolver,
                                 const ExecOptions& options);
@@ -166,10 +175,11 @@ Result<ResultSet> ExecuteSql(const std::string& sql, TableResolver* resolver,
 
 /// Renders the plan `ExecuteSelect` would pick for `stmt` as indented text
 /// lines (the body of `EXPLAIN`): scan strategy (partitioned fan-out or
-/// point lookup), engine, pushed-down predicate, parallelism, joins,
-/// aggregation, and tail operators. Read-only: opens the FROM table's source
-/// to learn its shape but scans nothing; an error opening it (the one
-/// ExecuteSelect would hit) is returned as is.
+/// point lookup), engine, pushed-down predicate, parallelism, joins (each
+/// with its scope: colocated per partition, or built over the whole JOIN
+/// table), aggregation, and tail operators. Read-only: opens the FROM and
+/// JOIN tables' sources to learn their shape but scans nothing; an error
+/// opening one (the one ExecuteSelect would hit) is returned as is.
 Result<std::vector<std::string>> ExplainPlanLines(const SelectStatement& stmt,
                                                   TableResolver* resolver,
                                                   const ExecOptions& options);

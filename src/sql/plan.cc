@@ -11,8 +11,11 @@ namespace {
 using kv::Value;
 
 /// True if `expr` is a reference to the state-key pseudo-column of the
-/// scanned table: `key` / `partitionKey`, unqualified or qualified with the
-/// FROM table's effective name.
+/// scanned table: `key` / `partitionKey`, unqualified, or qualified with the
+/// FROM table's effective name (`from_name`; empty when a JOIN table shares
+/// that name, since its conflicting key then answers to the qualified
+/// name). In a joined row the unqualified key is the FROM table's: on a
+/// name conflict the left value wins.
 bool IsKeyColumnRef(const Expr& expr, const std::string& from_name) {
   if (expr.kind != ExprKind::kColumnRef) return false;
   if (!expr.table.empty() && expr.table != from_name) return false;
@@ -63,14 +66,15 @@ void ForEachConjunct(const Expr& expr,
 
 ScanPlan BuildScanPlan(const SelectStatement& stmt, bool enable_pushdown) {
   ScanPlan plan;
-  if (!enable_pushdown || !stmt.joins.empty() || stmt.where == nullptr) {
-    return plan;
-  }
+  if (!enable_pushdown || stmt.where == nullptr) return plan;
   plan.predicate = stmt.where.get();
 
   // Intersect the key sets of every key-restricting conjunct.
   std::optional<std::set<Value>> keys;
-  const std::string& from_name = stmt.from.effective_name();
+  std::string from_name = stmt.from.effective_name();
+  for (const JoinClause& join : stmt.joins) {
+    if (join.table.effective_name() == from_name) from_name.clear();
+  }
   ForEachConjunct(*stmt.where, [&](const Expr& conjunct) {
     std::set<Value> restriction;
     if (!CollectKeyRestriction(conjunct, from_name, &restriction)) return;

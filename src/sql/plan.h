@@ -10,27 +10,26 @@
 namespace sq::sql {
 
 /// The push-down portion of a SELECT's base-table scan, computed once per
-/// query. Pushdown applies only to join-free statements: after a join, an
-/// unqualified column may resolve against either input, so a conjunct cannot
-/// be attributed to the scanned table without a schema.
+/// query.
 struct ScanPlan {
   /// Filter to evaluate inside the scan callbacks (points into the
   /// statement's WHERE tree; null = nothing pushed). When set it is the
-  /// *entire* WHERE clause, so the executor skips its post-scan filter.
+  /// *entire* WHERE clause, so the executor skips its post-scan filter. With
+  /// joins it runs on each joined row, inside the partition that joins it.
   const Expr* predicate = nullptr;
 
   /// When set, the scan degenerates to point lookups of exactly these keys
   /// (routed through the partitioner — the paper's direct-object fast path
   /// for SQL). Extracted from `key = <literal>` / `partitionKey = <literal>`
-  /// conjuncts and IN-lists of literals (parsed as OR-chains of equalities);
-  /// several such conjuncts intersect. Deduplicated and sorted; may be empty
+  /// conjuncts and IN-lists of literals (parsed as OR-chains of equalities)
+  /// on the FROM table's key; several such conjuncts intersect. Deduplicated and sorted; may be empty
   /// (provably no matching row). The conjuncts stay in `predicate`, so mixed
   /// value types still compare exactly as a full scan would.
   std::optional<std::vector<kv::Value>> keys;
 };
 
-/// Analyzes `stmt` for pushdown. Returns an empty plan when the statement
-/// has joins or `enable_pushdown` is false.
+/// Analyzes `stmt` for pushdown. Returns an empty plan when
+/// `enable_pushdown` is false.
 ScanPlan BuildScanPlan(const SelectStatement& stmt, bool enable_pushdown);
 
 }  // namespace sq::sql

@@ -191,13 +191,15 @@ struct CompiledScan::BatchCtx {
     return rows->column(br.field_col).At(row);
   }
 
+  /// Eval environment over one row of the batch.
+  struct CellEnv {
+    const BatchCtx* b;
+    size_t row;
+    Result<Value> Resolve(int slot) const { return b->Resolve(slot, row); }
+  };
+
   Result<Value> Eval(const Node& node, size_t row,
                      const EvalContext& ctx) const {
-    struct CellEnv {
-      const BatchCtx* b;
-      size_t row;
-      Result<Value> Resolve(int slot) const { return b->Resolve(slot, row); }
-    };
     return node.Eval(CellEnv{this, row}, ctx);
   }
 
@@ -339,7 +341,8 @@ struct CompiledScan::BatchCtx {
 
 CompiledScan::CompiledScan(const Expr* predicate,
                            const std::vector<const Expr*>& group_by,
-                           const std::vector<const Expr*>& aggregates) {
+                           const std::vector<const Expr*>& aggregates,
+                           const JoinInputs* join) {
   if (predicate != nullptr) {
     // Flatten the top-level AND tree, preserving left-to-right order (the
     // order short-circuit evaluation visits conjuncts in).
@@ -399,9 +402,58 @@ CompiledScan::CompiledScan(const Expr* predicate,
     }
     aggs_.push_back(std::move(agg));
   }
+  if (join == nullptr) return;
+  join_names_ = join->names;
+  using_columns_ = join->using_columns;
+  binding_names_.resize(join_names_.size());
+  const size_t last = join_names_.size() - 1;
+  slot_lookups_.reserve(refs_.size());
+  for (const RefInfo& info : refs_) {
+    const int qualified =
+        info.qualified.empty() ? -1 : Lookup(last, info.qualified);
+    slot_lookups_.emplace_back(qualified, Lookup(last, info.field));
+  }
+  for (size_t j = 0; j < using_columns_.size(); ++j) {
+    probe_key_lookups_.push_back(Lookup(j, using_columns_[j]));
+    build_key_bindings_.push_back(BindingOf(j + 1, using_columns_[j]));
+  }
 }
 
 CompiledScan::~CompiledScan() = default;
+
+int CompiledScan::BindingOf(size_t input, const std::string& name) {
+  std::vector<std::string>& names = binding_names_[input];
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (names[i] == name) return static_cast<int>(i);
+  }
+  names.push_back(name);
+  return static_cast<int>(names.size() - 1);
+}
+
+int CompiledScan::Lookup(size_t input, const std::string& name) {
+  // MergeTuples(merged of inputs 0..input-1, input, right_name): a name the
+  // left side has keeps the left value, a name only the right side has
+  // takes the right value, and "right_name.f" is the right value of a
+  // field f both sides have. The last overwrites a left field of that name.
+  std::vector<Candidate> candidates;
+  const int self = static_cast<int>(input);
+  if (input > 0) {
+    const std::string& right_name = join_names_[input];
+    if (name.size() > right_name.size() + 1 &&
+        name.compare(0, right_name.size(), right_name) == 0 &&
+        name[right_name.size()] == '.') {
+      const std::string field = name.substr(right_name.size() + 1);
+      const int guard = Lookup(input - 1, field);
+      candidates.push_back(Candidate{self, BindingOf(input, field), guard});
+    }
+    const int prior = Lookup(input - 1, name);
+    const std::vector<Candidate> left = lookups_[prior];
+    candidates.insert(candidates.end(), left.begin(), left.end());
+  }
+  candidates.push_back(Candidate{self, BindingOf(input, name), -1});
+  lookups_.push_back(std::move(candidates));
+  return static_cast<int>(lookups_.size() - 1);
+}
 
 std::unique_ptr<CompiledScan::Node> CompiledScan::CompileNode(
     const Expr& expr, bool* can_error) {
@@ -475,7 +527,12 @@ Result<bool> CompiledScan::PredicatePasses(const ScanRowView& row,
       return row->value->Get(info.field);
     }
   };
-  const RowEnv env{&refs_, &row};
+  return PassesWith(RowEnv{&refs_, &row}, ctx);
+}
+
+template <typename Env>
+Result<bool> CompiledScan::PassesWith(const Env& env,
+                                      const EvalContext& ctx) const {
   for (const Conjunct& c : conjuncts_) {
     SQ_ASSIGN_OR_RETURN(Value v, c.node->Eval(env, ctx));
     if (!v.Truthy()) return false;
@@ -525,14 +582,8 @@ Status CompiledScan::FilterRows(const BatchCtx& b, const EvalContext& ctx,
     // exactly that.
     size_t kept = 0;
     for (const uint32_t r : *sel) {
-      bool pass = true;
-      for (const Conjunct& c : conjuncts_) {
-        SQ_ASSIGN_OR_RETURN(Value v, b.Eval(*c.node, r, ctx));
-        if (!v.Truthy()) {
-          pass = false;
-          break;
-        }
-      }
+      SQ_ASSIGN_OR_RETURN(const bool pass,
+                          PassesWith(BatchCtx::CellEnv{&b, r}, ctx));
       if (pass) (*sel)[kept++] = r;
     }
     sel->resize(kept);
@@ -555,37 +606,48 @@ Status CompiledScan::FilterRows(const BatchCtx& b, const EvalContext& ctx,
   return Status::OK();
 }
 
+template <typename Env, typename MaterializeFn>
+Status CompiledScan::FoldWith(const Env& env, const EvalContext& ctx,
+                              const MaterializeFn& materialize,
+                              GroupTable* groups) const {
+  static const Value kCountStarArg(int64_t{1});
+  // Reused across rows, so a row of an existing group allocates no key.
+  thread_local std::vector<Value> key;
+  key.clear();
+  for (const auto& expr : group_by_) {
+    SQ_ASSIGN_OR_RETURN(Value v, expr->Eval(env, ctx));
+    key.push_back(std::move(v));
+  }
+  auto it = groups->index.find(key);
+  if (it == groups->index.end()) {
+    it = groups->index.emplace(key, groups->groups.size()).first;
+    GroupData group;
+    group.key = key;
+    group.representative = materialize();
+    group.aggs.resize(aggs_.size());
+    groups->groups.push_back(std::move(group));
+  }
+  GroupData& group = groups->groups[it->second];
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    const Agg& agg = aggs_[a];
+    if (agg.call->star || agg.call->children.empty()) {
+      SQ_RETURN_IF_ERROR(
+          AccumulateAggregate(*agg.call, kCountStarArg, &group.aggs[a]));
+      continue;
+    }
+    SQ_ASSIGN_OR_RETURN(Value v, agg.arg->Eval(env, ctx));
+    SQ_RETURN_IF_ERROR(AccumulateAggregate(*agg.call, v, &group.aggs[a]));
+  }
+  return Status::OK();
+}
+
 Status CompiledScan::FoldRowMajor(const BatchCtx& b, const EvalContext& ctx,
                                   const std::vector<uint32_t>& sel,
                                   GroupTable* groups) const {
-  static const Value kCountStarArg(int64_t{1});
   for (const uint32_t r : sel) {
-    std::vector<Value> key;
-    key.reserve(group_by_.size());
-    for (const auto& expr : group_by_) {
-      SQ_ASSIGN_OR_RETURN(Value v, b.Eval(*expr, r, ctx));
-      key.push_back(std::move(v));
-    }
-    auto [it, inserted] = groups->index.try_emplace(key,
-                                                    groups->groups.size());
-    if (inserted) {
-      GroupData group;
-      group.key = std::move(key);
-      group.representative = b.MaterializeTuple(r);
-      group.aggs.resize(aggs_.size());
-      groups->groups.push_back(std::move(group));
-    }
-    GroupData& group = groups->groups[it->second];
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      const Agg& agg = aggs_[a];
-      if (agg.call->star || agg.call->children.empty()) {
-        SQ_RETURN_IF_ERROR(
-            AccumulateAggregate(*agg.call, kCountStarArg, &group.aggs[a]));
-        continue;
-      }
-      SQ_ASSIGN_OR_RETURN(Value v, b.Eval(*agg.arg, r, ctx));
-      SQ_RETURN_IF_ERROR(AccumulateAggregate(*agg.call, v, &group.aggs[a]));
-    }
+    SQ_RETURN_IF_ERROR(FoldWith(BatchCtx::CellEnv{&b, r}, ctx,
+                                [&] { return b.MaterializeTuple(r); },
+                                groups));
   }
   return Status::OK();
 }
@@ -817,6 +879,158 @@ Status CompiledScan::FilterBatch(const ScanBatch& batch,
     out->push_back(b.MaterializeTuple(r));
   }
   return Status::OK();
+}
+
+// --- Joined rows.
+
+/// Eval environment over a materialized tuple, resolving column references
+/// exactly as EvalScalar does (a qualified name first, then the bare one).
+struct CompiledScan::TupleEnv {
+  const std::vector<RefInfo>* refs;
+  const Object* tuple;
+
+  Result<Value> Resolve(int slot) const {
+    const RefInfo& info = (*refs)[slot];
+    if (!info.qualified.empty() && tuple->Has(info.qualified)) {
+      return tuple->Get(info.qualified);
+    }
+    return tuple->Get(info.field);
+  }
+};
+
+/// Eval environment over a joined row whose right inputs hold no dotted
+/// field names: each reference resolves through its compiled lookups.
+struct CompiledScan::JoinEnv {
+  const CompiledScan* scan;
+  const JoinRow* row;
+
+  Result<Value> Resolve(int slot) const {
+    const auto [qualified, field] = scan->slot_lookups_[slot];
+    Value v;
+    if (qualified >= 0 && scan->FindJoined(qualified, *row, &v)) return v;
+    if (scan->FindJoined(field, *row, &v)) return v;
+    return Value::Null();
+  }
+};
+
+bool CompiledScan::JoinBatch::Find(const Binding& b, uint32_t row,
+                                   Value* out) const {
+  switch (b.kind) {
+    case Binding::Kind::kAbsent:
+      return false;
+    case Binding::Kind::kKey:
+      if (out != nullptr) *out = batch_.rows->keys()[row];
+      return true;
+    case Binding::Kind::kSsid:
+      if (out != nullptr) *out = *batch_.ssid;
+      return true;
+    case Binding::Kind::kColumn: {
+      const Column& col = batch_.rows->column(static_cast<size_t>(b.column));
+      if (!col.present(row)) return false;
+      if (out != nullptr) *out = col.At(row);
+      return true;
+    }
+  }
+  return false;
+}
+
+CompiledScan::JoinBatch CompiledScan::BindJoinInput(size_t input,
+                                                    ScanBatch batch) const {
+  JoinBatch out;
+  out.batch_ = std::move(batch);
+  const ColumnBatch& rows = *out.batch_.rows;
+  using Kind = JoinBatch::Binding::Kind;
+  for (const std::string& name : binding_names_[input]) {
+    JoinBatch::Binding b;
+    if (name == "key" || name == "partitionKey") {
+      b.kind = Kind::kKey;
+    } else if (name == "ssid" && out.batch_.ssid.has_value()) {
+      b.kind = Kind::kSsid;
+    } else {
+      b.column = rows.FindColumn(name);
+      b.kind = b.column >= 0 ? Kind::kColumn : Kind::kAbsent;
+    }
+    out.bindings_.push_back(b);
+  }
+  if (input > 0) {
+    for (const std::string& name : rows.names()) {
+      if (name.find('.') != std::string::npos) out.dotted_ = true;
+    }
+  }
+  return out;
+}
+
+bool CompiledScan::FindJoined(int lookup, const JoinRow& row,
+                              Value* out) const {
+  for (const Candidate& c : lookups_[static_cast<size_t>(lookup)]) {
+    const JoinCell& cell = row[static_cast<size_t>(c.input)];
+    const JoinBatch::Binding& b =
+        cell.batch->bindings_[static_cast<size_t>(c.binding)];
+    if (!cell.batch->Find(b, cell.row, nullptr)) continue;
+    if (c.guard >= 0 && !FindJoined(c.guard, row, nullptr)) continue;
+    if (out != nullptr) cell.batch->Find(b, cell.row, out);
+    return true;
+  }
+  return false;
+}
+
+bool CompiledScan::HasDottedRight(const JoinRow& row, size_t inputs) const {
+  for (size_t i = 1; i < inputs; ++i) {
+    if (row[i].batch->dotted_) return true;
+  }
+  return false;
+}
+
+Value CompiledScan::BuildKey(size_t join, const JoinBatch& batch,
+                             uint32_t row) const {
+  Value v;
+  const JoinBatch::Binding& b =
+      batch.bindings_[static_cast<size_t>(build_key_bindings_[join])];
+  return batch.Find(b, row, &v) ? v : Value::Null();
+}
+
+Value CompiledScan::ProbeKey(size_t join, const JoinRow& row) const {
+  if (HasDottedRight(row, join + 1)) {
+    return MaterializeJoined(row, join + 1).Get(using_columns_[join]);
+  }
+  Value v;
+  return FindJoined(probe_key_lookups_[join], row, &v) ? v : Value::Null();
+}
+
+Result<bool> CompiledScan::JoinedPasses(const JoinRow& row,
+                                        const EvalContext& ctx) const {
+  if (HasDottedRight(row, row.size())) {
+    const Object merged = MaterializeJoined(row, row.size());
+    return PassesWith(TupleEnv{&refs_, &merged}, ctx);
+  }
+  return PassesWith(JoinEnv{this, &row}, ctx);
+}
+
+Status CompiledScan::FoldJoined(const JoinRow& row, const EvalContext& ctx,
+                                GroupTable* groups) const {
+  if (HasDottedRight(row, row.size())) {
+    const Object merged = MaterializeJoined(row, row.size());
+    return FoldWith(TupleEnv{&refs_, &merged}, ctx, [&] { return merged; },
+                    groups);
+  }
+  return FoldWith(JoinEnv{this, &row}, ctx,
+                  [&] { return MaterializeJoined(row, row.size()); }, groups);
+}
+
+Object CompiledScan::MaterializeJoined(const JoinRow& row,
+                                       size_t inputs) const {
+  Object merged;
+  for (size_t i = 0; i < inputs; ++i) {
+    const ScanBatch& batch = row[i].batch->batch_;
+    const uint32_t r = row[i].row;
+    Object tuple = MaterializeRow(batch.rows->keys()[r],
+                                  batch.ssid.has_value() ? &*batch.ssid
+                                                         : nullptr,
+                                  batch.rows->MaterializeRow(r));
+    merged = i == 0 ? std::move(tuple)
+                    : MergeTuples(merged, tuple, join_names_[i]);
+  }
+  return merged;
 }
 
 }  // namespace sq::sql

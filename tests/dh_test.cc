@@ -123,15 +123,34 @@ TEST(DeliveryPipelineTest, Queries1To4MatchReference) {
       {Query3(), &ref.q3_preparing_per_zone, "deliveryZone"},
       {Query4(), &ref.q4_transit_per_zone, "deliveryZone"},
   };
+  // Every variant of the execution matrix must equal the model, and the
+  // row engine must match the vectorized one row for row.
   for (const Case& c : cases) {
-    auto result = service.Execute(c.sql);
-    ASSERT_TRUE(result.ok()) << result.status() << "\n" << c.sql;
-    std::map<std::string, int64_t> actual;
-    for (size_t i = 0; i < result->RowCount(); ++i) {
-      actual[result->At(i, c.group_column).ToString()] =
-          result->At(i, "COUNT(*)").AsInt64();
+    for (const int32_t parallelism : {1, 2, 8}) {
+      for (const bool pushdown : {true, false}) {
+        query::QueryOptions options;
+        options.parallelism = parallelism;
+        options.pushdown = pushdown;
+        const std::string label = c.sql + " [parallelism=" +
+                                  std::to_string(parallelism) +
+                                  " pushdown=" + std::to_string(pushdown) +
+                                  "]";
+        auto result = service.Execute(c.sql, options);
+        ASSERT_TRUE(result.ok()) << result.status() << "\n" << label;
+        std::map<std::string, int64_t> actual;
+        for (size_t i = 0; i < result->RowCount(); ++i) {
+          actual[result->At(i, c.group_column).ToString()] =
+              result->At(i, "COUNT(*)").AsInt64();
+        }
+        EXPECT_EQ(actual, *c.expected) << label;
+
+        options.force_row_scan = true;
+        auto row_engine = service.Execute(c.sql, options);
+        ASSERT_TRUE(row_engine.ok()) << row_engine.status() << "\n" << label;
+        EXPECT_EQ(row_engine->columns, result->columns) << label;
+        EXPECT_EQ(row_engine->rows, result->rows) << label << " row-engine";
+      }
     }
-    EXPECT_EQ(actual, *c.expected) << c.sql;
   }
 
   // Rider state is queryable too (used by the Fig. 14 experiment).

@@ -41,6 +41,7 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "query/query_service.h"
+#include "sql/executor.h"
 #include "sql/result_set.h"
 #include "state/isolation.h"
 #include "state/snapshot_registry.h"
@@ -956,6 +957,18 @@ TEST(ClusterNet, DifferentialLiveQueries) {
   ExpectSameResults(tc.get(),
                     "SELECT key, total FROM orders WHERE key IN (11, 3, 97)",
                     ReadCommitted());
+  // Live state joined with snapshot state, partition by partition on both
+  // paths.
+  ExpectSameResults(tc.get(),
+                    "SELECT region, count(*), sum(s.total) FROM orders "
+                    "JOIN snapshot_orders AS s USING(key) "
+                    "WHERE s.total >= 5000 OR total < 300 GROUP BY region",
+                    ReadCommitted());
+  ExpectSameResults(tc.get(),
+                    "SELECT key, total, s.total FROM orders "
+                    "JOIN snapshot_orders AS s USING(partitionKey) "
+                    "WHERE s.total > total",
+                    ReadCommitted());
 }
 
 TEST(ClusterNet, DifferentialSnapshotQueries) {
@@ -999,6 +1012,57 @@ TEST(ClusterNet, DifferentialSnapshotQueries) {
                     "SELECT key, ssid FROM snapshot_orders__versions "
                     "WHERE key IN (3, 6)",
                     serializable);
+  // Joins, with no ORDER BY to hide a difference: an aggregating self-join
+  // and a multi-match join with the multi-version view.
+  ExpectSameResults(tc.get(),
+                    "SELECT a.region, count(*), sum(b.total), min(b.total) "
+                    "FROM snapshot_orders a JOIN snapshot_orders b "
+                    "USING(partitionKey) WHERE b.total > 100 "
+                    "GROUP BY a.region",
+                    serializable);
+  ExpectSameResults(tc.get(),
+                    "SELECT key, total, v.ssid, v.total FROM snapshot_orders "
+                    "JOIN snapshot_orders__versions AS v USING(key) "
+                    "WHERE key < 40",
+                    serializable);
+}
+
+/// The cluster source places key k where kv::Partitioner places it, like
+/// every local source: colocated joins read partition p of both inputs.
+TEST(ClusterNet, ClusterSourcePlacesKeysByThePartitioner) {
+  auto tc = StartCluster();
+  std::vector<DeltaEntry> rows;
+  for (int64_t k = 0; k < 400; ++k) {
+    rows.push_back(DeltaEntry{kv::Value(k), false, OrderValue(k)});
+  }
+  ASSERT_TRUE(tc->client->Apply("placed", 0, rows).ok());
+  for (const std::string table :
+       {"placed", "snapshot_orders", "snapshot_orders__versions"}) {
+    auto source = tc->coordinator->OpenTableSource(
+        table, std::nullopt, table == "placed" ? ReadCommitted()
+                                               : query::QueryOptions{});
+    ASSERT_TRUE(source.ok()) << table << ": " << source.status();
+    const kv::Partitioner partitioner((*source)->partition_count());
+    int64_t seen = 0;
+    for (int32_t p = 0; p < (*source)->partition_count(); ++p) {
+      std::unique_ptr<sql::BatchReader> reader =
+          (*source)->OpenBatchReader(p);
+      sql::ScanBatch batch;
+      while (true) {
+        Result<bool> more = reader->NextBatch(&batch);
+        ASSERT_TRUE(more.ok()) << table << ": " << more.status();
+        if (!*more) break;
+        for (const kv::Value& key : batch.rows->keys()) {
+          ASSERT_EQ((*source)->PartitionOfKey(key), p)
+              << table << " key " << key.ToString();
+          ASSERT_EQ(partitioner.PartitionOf(key), p)
+              << table << " key " << key.ToString();
+          ++seen;
+        }
+      }
+    }
+    EXPECT_GE(seen, kClusterKeys) << table;
+  }
 }
 
 TEST(ClusterNet, LiveTableNeedsWeakIsolationOnBothPaths) {

@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "kv/grid.h"
+#include "kv/partitioner.h"
+#include "sql/scan_source.h"
 #include "query/query_service.h"
 #include "sql/executor.h"
 #include "state/isolation.h"
@@ -55,6 +57,7 @@ class ParallelQueryTest : public ::testing::Test {
         registry_(&grid_, {.retained_versions = 3, .async_prune = false}),
         service_(&grid_, &registry_),
         store_(&grid_, "metrics", 0, state::SQueryConfig{.parallelism = 1}),
+        extras_(&grid_, "extras", 0, state::SQueryConfig{.parallelism = 1}),
         dims_(&grid_, "dims", 0, state::SQueryConfig{.parallelism = 1}),
         empty_(&grid_, "empty", 0, state::SQueryConfig{.parallelism = 1}) {
     // Deterministic pseudo-random table: integer columns only, so SUM/AVG
@@ -68,7 +71,18 @@ class ParallelQueryTest : public ::testing::Test {
         o.Set("zone", Value("zone-" + std::to_string(key % 5)));
         store_.Put(Value(key), std::move(o));
       }
+      // `extras` shares most of `metrics`' keys (every seventh is missing,
+      // and it has keys `metrics` lacks), conflicts on `v`, and has a field
+      // of its own, `w`, that every fourth row lacks.
+      for (int64_t key = 0; key < kKeys + 100; ++key) {
+        if (key % 7 == 3) continue;
+        Object o;
+        o.Set("v", Value(static_cast<int64_t>(rng() % 1000)));
+        if (key % 4 != 0) o.Set("w", Value((key * ckpt) % 97));
+        extras_.Put(Value(key), std::move(o));
+      }
       EXPECT_TRUE(store_.SnapshotTo(ckpt).ok());
+      EXPECT_TRUE(extras_.SnapshotTo(ckpt).ok());
       EXPECT_TRUE(empty_.SnapshotTo(ckpt).ok());
       registry_.OnCheckpointCommitted(ckpt);
     }
@@ -77,6 +91,13 @@ class ParallelQueryTest : public ::testing::Test {
       o.Set("g", Value(g));
       o.Set("name", Value("group-" + std::to_string(g)));
       dims_.Put(Value(g), std::move(o));
+    }
+    // Dimension rows whose join column is NULL join nothing.
+    for (int64_t k = 8; k < 10; ++k) {
+      Object o;
+      o.Set("g", Value::Null());
+      o.Set("name", Value("orphan-" + std::to_string(k)));
+      dims_.Put(Value(k), std::move(o));
     }
   }
 
@@ -165,10 +186,39 @@ class ParallelQueryTest : public ::testing::Test {
     }
   }
 
+  /// Runs `sql` in every variant of the matrix and requires each to fail
+  /// with the same status code and message.
+  void CheckSameError(const std::string& sql,
+                      state::IsolationLevel isolation) {
+    QueryOptions base;
+    base.isolation = isolation;
+    const Result<sql::ResultSet> expected = service_.Execute(sql, base);
+    ASSERT_FALSE(expected.ok()) << sql;
+    for (int32_t parallelism : {1, 2, 8}) {
+      for (bool pushdown : {true, false}) {
+        for (bool force_row_scan : {false, true}) {
+          QueryOptions options = base;
+          options.parallelism = parallelism;
+          options.pushdown = pushdown;
+          options.force_row_scan = force_row_scan;
+          const Result<sql::ResultSet> got = service_.Execute(sql, options);
+          ASSERT_FALSE(got.ok()) << sql;
+          EXPECT_EQ(got.status().code(), expected.status().code())
+              << sql << " [parallelism=" << parallelism
+              << " pushdown=" << pushdown << " row=" << force_row_scan << "]";
+          EXPECT_EQ(got.status().message(), expected.status().message())
+              << sql << " [parallelism=" << parallelism
+              << " pushdown=" << pushdown << " row=" << force_row_scan << "]";
+        }
+      }
+    }
+  }
+
   kv::Grid grid_;
   state::SnapshotRegistry registry_;
   QueryService service_;
   state::SQueryStateStore store_;
+  state::SQueryStateStore extras_;
   state::SQueryStateStore dims_;
   /// Checkpointed with no rows: its scans read no batches.
   state::SQueryStateStore empty_;
@@ -192,6 +242,37 @@ TEST_F(ParallelQueryTest, LiveQueriesMatchAcrossMatrix) {
       "HAVING COUNT(*) > 10 ORDER BY s LIMIT 3",
       "SELECT m.key, m.v, d.name FROM metrics AS m JOIN dims AS d USING(g) "
       "WHERE m.v < 100",
+      // Colocated key joins: a WHERE on the right-only field, GROUP BY and
+      // aggregates over both sides.
+      "SELECT g, COUNT(*) AS n, SUM(w) AS sw, MIN(x.v) AS mn, MAX(v) AS mx "
+      "FROM metrics JOIN extras AS x USING(key) WHERE w > 10 GROUP BY g",
+      "SELECT COUNT(*) AS n, SUM(w) AS sw FROM metrics "
+      "JOIN extras USING(partitionKey)",
+      // The conflicting field: unqualified is the left's, qualified by the
+      // right alias the right's, qualified by the FROM name the left's.
+      "SELECT key, v, x.v AS xv, metrics.v AS mv, w FROM metrics "
+      "JOIN extras AS x USING(key) WHERE x.v < 200 AND v > 100",
+      "SELECT * FROM metrics JOIN extras AS x USING(key) WHERE w < 5",
+      "SELECT key, w, x.v FROM metrics JOIN extras x USING(partitionKey) "
+      "ORDER BY w DESC, x.v, key LIMIT 7",
+      // Key restrictions route the FROM table to point lookups; a
+      // restriction on the right's key does not.
+      "SELECT key, v, x.v, w FROM metrics JOIN extras x USING(key) "
+      "WHERE key IN (1, 3, 10, 2999, 3050)",
+      "SELECT key, v, d.name FROM metrics JOIN dims d USING(g) "
+      "WHERE key = 5",
+      "SELECT m.key, d.name FROM metrics m JOIN dims d USING(g) "
+      "WHERE d.key = 5 AND m.v < 500",
+      // A self-join without aliases: the right's conflicting fields answer
+      // to the shared name.
+      "SELECT COUNT(*) AS n, SUM(metrics.v) AS s FROM metrics "
+      "JOIN metrics USING(key)",
+      // Two joins in turn, the second on a field of the first's left input.
+      "SELECT m.key, d.name, x.w FROM metrics m JOIN extras x USING(key) "
+      "JOIN dims d USING(g) WHERE x.w IS NOT NULL AND m.v < 300",
+      // Live against snapshot state.
+      "SELECT g, COUNT(*) AS n, SUM(s.v) AS sv FROM metrics "
+      "JOIN snapshot_extras AS s USING(key) WHERE s.w > 50 GROUP BY g",
   };
   for (const auto& level : {state::IsolationLevel::kReadUncommitted,
                             state::IsolationLevel::kReadCommittedNoFailures}) {
@@ -217,6 +298,17 @@ TEST_F(ParallelQueryTest, SnapshotQueriesMatchAcrossMatrix) {
       "SELECT key, ssid FROM snapshot_empty__versions",
       "SELECT ssid, COUNT(*) AS n FROM snapshot_empty__versions "
       "GROUP BY ssid",
+      "SELECT g, COUNT(*) AS n, SUM(w) AS sw, MAX(x.v) AS xv "
+      "FROM snapshot_metrics JOIN snapshot_extras AS x USING(partitionKey) "
+      "WHERE w >= 5 GROUP BY g",
+      // Multi-match: each key joins every retained version.
+      "SELECT key, ssid, s.ssid AS version, s.v FROM snapshot_extras "
+      "JOIN snapshot_metrics__versions AS s USING(key) WHERE key < 40",
+      "SELECT s.ssid, COUNT(*) AS n, SUM(s.v) AS sv FROM snapshot_metrics "
+      "JOIN snapshot_metrics__versions AS s USING(key) GROUP BY s.ssid "
+      "ORDER BY s.ssid",
+      "SELECT COUNT(*) AS n FROM snapshot_metrics JOIN snapshot_empty "
+      "USING(key)",
   };
   for (const auto& level : {state::IsolationLevel::kSnapshotIsolation,
                             state::IsolationLevel::kSerializable}) {
@@ -224,6 +316,64 @@ TEST_F(ParallelQueryTest, SnapshotQueriesMatchAcrossMatrix) {
       CheckDifferential(sql, level);
     }
   }
+}
+
+/// A join whose WHERE errors fails with the same first error in every
+/// variant: errors surface in partition order, each partition's in joined-
+/// row order, whichever engine, parallelism or pushdown setting runs it.
+TEST_F(ParallelQueryTest, JoinErrorsMatchAcrossMatrix) {
+  CheckSameError(
+      "SELECT key FROM metrics JOIN extras AS x USING(key) "
+      "WHERE (x.v > 500 AND zone + 1 > 0) OR (x.v <= 500 AND -zone > 0)",
+      state::IsolationLevel::kReadCommittedNoFailures);
+  CheckSameError(
+      "SELECT g, COUNT(*) AS n FROM snapshot_metrics "
+      "JOIN snapshot_extras AS x USING(key) WHERE w + zone > 1 GROUP BY g",
+      state::IsolationLevel::kSerializable);
+}
+
+/// Every source places key k in partition
+/// kv::Partitioner(partition_count()).PartitionOf(k) and reports it through
+/// PartitionOfKey: colocated joins read partition p of both inputs only.
+void ExpectPartitionedByKey(const sql::TableSource& source,
+                            const std::string& label) {
+  const kv::Partitioner partitioner(source.partition_count());
+  int64_t rows = 0;
+  for (int32_t p = 0; p < source.partition_count(); ++p) {
+    std::unique_ptr<sql::BatchReader> reader = source.OpenBatchReader(p);
+    sql::ScanBatch batch;
+    while (true) {
+      Result<bool> more = reader->NextBatch(&batch);
+      ASSERT_TRUE(more.ok()) << label << ": " << more.status();
+      if (!*more) break;
+      for (const Value& key : batch.rows->keys()) {
+        ASSERT_EQ(source.PartitionOfKey(key), p) << label << " key " << key.ToString();
+        ASSERT_EQ(partitioner.PartitionOf(key), p) << label << " key " << key.ToString();
+        ++rows;
+      }
+    }
+  }
+  EXPECT_GE(rows, 300) << label;
+}
+
+TEST_F(ParallelQueryTest, EverySourcePlacesKeysByThePartitioner) {
+  QueryOptions options;
+  options.isolation = state::IsolationLevel::kReadCommittedNoFailures;
+  for (const std::string table :
+       {"metrics", "snapshot_metrics", "snapshot_metrics__versions"}) {
+    auto source = service_.OpenTableSource(table, std::nullopt, options);
+    ASSERT_TRUE(source.ok()) << table << ": " << source.status();
+    ExpectPartitionedByKey(**source, table);
+  }
+  sql::MemoryResolver resolver;
+  for (int64_t k = 0; k < 400; ++k) {
+    Object o;
+    o.Set("key", Value(k));
+    resolver.tables["mem"].push_back(std::move(o));
+  }
+  auto source = resolver.OpenTableSource("mem", std::nullopt);
+  ASSERT_TRUE(source.ok()) << source.status();
+  ExpectPartitionedByKey(**source, "ScanFnSource");
 }
 
 /// The vectorized engine must report itself, and the force-row knob must

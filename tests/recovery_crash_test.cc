@@ -555,6 +555,69 @@ TEST_F(TimeTravelTest, PointLookupPastRetentionReadsOnlyTheKeyFromDisk) {
   EXPECT_EQ(result->stats.rows_scanned, 1);
 }
 
+/// The grid's snapshot at ssid 5 (8 partitions) joined on its key with the
+/// log's read of pruned ssid 1 (one partition): the partition counts differ,
+/// so the log side is built once and every grid partition probes it.
+TEST_F(TimeTravelTest, KeyJoinAcrossPartitionCountsAgreesAcrossEngines) {
+  service_.AttachDurableStorage(log_.get());
+  // What the fixture wrote: key k holds ckpt * 10 + k at checkpoint ckpt.
+  int64_t then_sum = 0;
+  int64_t now_sum = 0;
+  for (int64_t key = 0; key < 2; ++key) {
+    then_sum += 1 * 10 + key;
+    now_sum += 5 * 10 + key;
+  }
+  const std::string rows_sql =
+      "SELECT key, v, old.v AS then_v, old.ssid AS then_ssid FROM "
+      "snapshot_counts AS now JOIN snapshot_counts AS old USING(key) "
+      "WHERE now.ssid = 5 AND old.ssid = 1";
+  const std::string count_sql =
+      "SELECT COUNT(*) AS n, SUM(v) AS now_s, SUM(old.v) AS then_s FROM "
+      "snapshot_counts AS now JOIN snapshot_counts AS old USING(key) "
+      "WHERE now.ssid = 5 AND old.ssid = 1";
+  for (const int32_t parallelism : {1, 4}) {
+    for (const bool pushdown : {true, false}) {
+      query::QueryOptions options;
+      options.parallelism = parallelism;
+      options.pushdown = pushdown;
+      query::QueryOptions row_options = options;
+      row_options.force_row_scan = true;
+      for (const std::string& sql : {rows_sql, count_sql}) {
+        auto vectorized = service_.Execute(sql, options);
+        ASSERT_TRUE(vectorized.ok()) << sql << ": " << vectorized.status();
+        auto row = service_.Execute(sql, row_options);
+        ASSERT_TRUE(row.ok()) << sql << ": " << row.status();
+        EXPECT_EQ(vectorized->columns, row->columns) << sql;
+        EXPECT_EQ(vectorized->rows, row->rows) << sql;
+      }
+      auto count = service_.Execute(count_sql, options);
+      ASSERT_TRUE(count.ok()) << count.status();
+      EXPECT_EQ(count->At(0, "n").AsInt64(), 2);
+      EXPECT_EQ(count->At(0, "now_s").AsInt64(), now_sum);
+      EXPECT_EQ(count->At(0, "then_s").AsInt64(), then_sum);
+      auto rows = service_.Execute(rows_sql, options);
+      ASSERT_TRUE(rows.ok()) << rows.status();
+      ASSERT_EQ(rows->RowCount(), 2u);
+      for (size_t i = 0; i < rows->RowCount(); ++i) {
+        const int64_t key = rows->At(i, "key").AsInt64();
+        EXPECT_EQ(rows->At(i, "v").AsInt64(), 50 + key);
+        EXPECT_EQ(rows->At(i, "then_v").AsInt64(), 10 + key);
+        EXPECT_EQ(rows->At(i, "then_ssid").AsInt64(), 1);
+      }
+    }
+  }
+  auto plan = service_.Execute("EXPLAIN " + count_sql);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  bool whole_build = false;
+  for (const sql::Row& line : plan->rows) {
+    whole_build = whole_build ||
+                  line[0].string_value() ==
+                      "Join: hash join snapshot_counts USING (key), build "
+                      "over 1 partitions";
+  }
+  EXPECT_TRUE(whole_build) << plan->ToString();
+}
+
 TEST_F(TimeTravelTest, DirectObjectInterfaceFallsThroughToDisk) {
   service_.AttachDurableStorage(log_.get());
   auto rows = service_.GetSnapshotObjects("counts",

@@ -231,6 +231,73 @@ TEST_F(ExecutorTest, JoinUsingMergesRows) {
   EXPECT_NE(r.ColumnIndex("orderState"), -1);
 }
 
+/// When a JOIN table shares the FROM table's name, `name.key` is the JOIN
+/// table's key (its conflicting field answers to the shared name), so it
+/// must not route the FROM table to point lookups.
+TEST_F(ExecutorTest, SharedNameKeyRestrictionIsNotAPointLookup) {
+  for (int64_t k = 0; k < 4; ++k) {
+    resolver_.tables["t"].push_back(
+        Tuple({{"key", Value(k)}, {"g", Value(k % 2)}}));
+  }
+  ExecStats stats;
+  options_.stats = &stats;
+  ResultSet r = MustExecute(
+      "SELECT COUNT(*) AS n FROM t JOIN t USING(g) WHERE t.key = 1");
+  ASSERT_EQ(r.RowCount(), 1u);
+  EXPECT_EQ(r.At(0, "n").AsInt64(), 2);  // left keys 1 and 3
+  EXPECT_FALSE(stats.used_point_lookup);
+  r = MustExecute("SELECT COUNT(*) AS n FROM t a JOIN t USING(g) "
+                  "WHERE a.key = 1");
+  EXPECT_EQ(r.At(0, "n").AsInt64(), 2);  // right keys 1 and 3
+  EXPECT_TRUE(stats.used_point_lookup);
+}
+
+/// A join emits left rows in scan order, each with its matches in the JOIN
+/// table's scan order; NULL join values match nothing.
+TEST_F(ExecutorTest, JoinFollowsLeftThenRightScanOrder) {
+  for (int64_t k = 0; k < 5; ++k) {
+    resolver_.tables["t"].push_back(Tuple(
+        {{"key", Value(k)}, {"g", k == 4 ? Value::Null() : Value(k % 2)}}));
+  }
+  ResultSet r = MustExecute("SELECT key, u.key AS rk FROM t JOIN t AS u "
+                            "USING(g)");
+  std::vector<Row> expected;
+  for (const auto& [left, right] : std::vector<std::pair<int64_t, int64_t>>{
+           {0, 0}, {0, 2}, {1, 1}, {1, 3}, {2, 0}, {2, 2}, {3, 1}, {3, 3}}) {
+    expected.push_back({Value(left), Value(right)});
+  }
+  EXPECT_EQ(r.rows, expected);
+}
+
+/// Field names with dots on either side of a join resolve exactly as in
+/// the tuple MergeTuples builds, in the WHERE too (which the vectorized
+/// engine evaluates without building it). On the right: the conflicting `f`
+/// is renamed "r.f", so the right's own "r.f" moves to "r.r.f".
+TEST_F(ExecutorTest, JoinWithDottedFieldsMatchesMergedTuple) {
+  resolver_.tables["l"].push_back(
+      Tuple({{"key", Value(int64_t{1})}, {"f", Value(int64_t{1})}}));
+  resolver_.tables["r"].push_back(Tuple({{"key", Value(int64_t{1})},
+                                         {"f", Value(int64_t{2})},
+                                         {"r.f", Value(int64_t{3})}}));
+  ResultSet r = MustExecute(
+      "SELECT f, r.f AS rf, \"r.r.f\" AS rrf FROM l JOIN r USING(key) "
+      "WHERE \"r.r.f\" = 3");
+  ASSERT_EQ(r.RowCount(), 1u);
+  EXPECT_EQ(r.rows[0], (Row{Value(int64_t{1}), Value(int64_t{2}),
+                            Value(int64_t{3})}));
+
+  // A left field literally named "r.g": the right's `g` does not conflict
+  // (the left has no `g`), so `r.g` is the left's "r.g".
+  resolver_.tables["l2"].push_back(
+      Tuple({{"key", Value(int64_t{1})}, {"r.g", Value(int64_t{5})}}));
+  resolver_.tables["r2"].push_back(
+      Tuple({{"key", Value(int64_t{1})}, {"g", Value(int64_t{6})}}));
+  r = MustExecute("SELECT r.g AS rg, g FROM l2 JOIN r2 AS r USING(key) "
+                  "WHERE r.g = 5 AND g = 6");
+  ASSERT_EQ(r.RowCount(), 1u);
+  EXPECT_EQ(r.rows[0], (Row{Value(int64_t{5}), Value(int64_t{6})}));
+}
+
 TEST_F(ExecutorTest, PaperQuery1ShapeRuns) {
   ResultSet r = MustExecute(
       "SELECT COUNT(*), deliveryZone FROM \"snapshot_orderinfo\" JOIN "
