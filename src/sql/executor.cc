@@ -107,9 +107,10 @@ Result<Value> EvalWithAggregates(
   return EvalScalar(*clone, tuple, ctx);
 }
 
-/// Folds one row into `table`: evaluates the group key and every aggregate
-/// argument against the (possibly unmaterialized) row. `materialize` is
-/// called once, on the first row of a new group.
+/// The row engine's fold of one row into `table`: evaluates the group key
+/// and every aggregate argument against the (possibly unmaterialized) row.
+/// `materialize` is called once, on the first row of a new group, for its
+/// representative.
 template <typename TupleT, typename MaterializeFn>
 Status AccumulateRow(const SelectStatement& stmt,
                      const std::vector<AggregateSpec>& aggregates,
@@ -121,46 +122,22 @@ Status AccumulateRow(const SelectStatement& stmt,
     SQ_ASSIGN_OR_RETURN(Value v, EvalScalar(*expr, row, ctx));
     key.push_back(std::move(v));
   }
-  auto [it, inserted] = table->index.try_emplace(key, table->groups.size());
-  if (inserted) {
-    GroupData group;
-    group.key = std::move(key);
-    group.representative = materialize();
-    group.aggs.resize(aggregates.size());
-    table->groups.push_back(std::move(group));
-  }
-  GroupData& group = table->groups[it->second];
+  const auto [group, inserted] =
+      table->FindOrInsert(key.data(), key.size(), aggregates.size());
+  if (inserted) table->SetRepresentative(group, materialize());
+  AggState* states = table->aggs(group);
   static const Value kCountStarArg(int64_t{1});
   for (size_t a = 0; a < aggregates.size(); ++a) {
     const Expr& call = *aggregates[a].call;
     if (call.star || call.children.empty()) {
       SQ_RETURN_IF_ERROR(
-          AccumulateAggregate(call, kCountStarArg, &group.aggs[a]));
+          AccumulateAggregate(call, kCountStarArg, &states[a]));
       continue;
     }
     SQ_ASSIGN_OR_RETURN(Value v, EvalScalar(*call.children[0], row, ctx));
-    SQ_RETURN_IF_ERROR(AccumulateAggregate(call, v, &group.aggs[a]));
+    SQ_RETURN_IF_ERROR(AccumulateAggregate(call, v, &states[a]));
   }
   return Status::OK();
-}
-
-/// Merges per-partition group tables into `dst` in partition order, so
-/// representatives and MIN/MAX ties resolve exactly as a sequential
-/// partition-major scan would.
-void MergeGroupTables(const std::vector<AggregateSpec>& aggregates,
-                      GroupTable&& src, GroupTable* dst) {
-  for (GroupData& group : src.groups) {
-    auto [it, inserted] = dst->index.try_emplace(group.key,
-                                                 dst->groups.size());
-    if (inserted) {
-      dst->groups.push_back(std::move(group));
-      continue;
-    }
-    GroupData& into = dst->groups[it->second];
-    for (size_t a = 0; a < aggregates.size(); ++a) {
-      MergeAggregate(*aggregates[a].call, group.aggs[a], &into.aggs[a]);
-    }
-  }
 }
 
 /// Concurrent executors for a fan-out over `partitions`.
@@ -312,27 +289,26 @@ Status ScanByKeys(const TableSource& source, const std::vector<Value>& keys,
   return status;
 }
 
+/// Materialized rows in partition order, with the end of each partition's
+/// run (a point lookup's rows are one run).
+struct PartitionedTuples {
+  std::vector<Object> rows;
+  std::vector<size_t> ends;
+};
+
 /// Concatenates per-partition row lists in partition order.
-std::vector<Object> ConcatPartitions(
+PartitionedTuples ConcatPartitions(
     std::vector<std::vector<Object>>&& per_partition) {
   size_t total = 0;
   for (const auto& local : per_partition) total += local.size();
-  std::vector<Object> tuples;
-  tuples.reserve(total);
+  PartitionedTuples tuples;
+  tuples.rows.reserve(total);
+  tuples.ends.reserve(per_partition.size());
   for (auto& local : per_partition) {
-    for (Object& tuple : local) tuples.push_back(std::move(tuple));
+    for (Object& tuple : local) tuples.rows.push_back(std::move(tuple));
+    tuples.ends.push_back(tuples.rows.size());
   }
   return tuples;
-}
-
-/// Merges per-partition partial group tables into `out` in partition order.
-void MergePartials(const std::vector<AggregateSpec>& aggregates,
-                   std::vector<GroupTable>&& per_partition, GroupTable* out) {
-  trace::ScopedSpan merge_span(trace::Category::kQuery, "merge");
-  for (GroupTable& local : per_partition) {
-    MergeGroupTables(aggregates, std::move(local), out);
-  }
-  merge_span.AddAttr("groups", static_cast<int64_t>(out->groups.size()));
 }
 
 std::vector<const Expr*> GroupByExprs(const SelectStatement& stmt) {
@@ -350,9 +326,25 @@ std::vector<const Expr*> AggregateCalls(
   return calls;
 }
 
+/// Merges per-partition partial group tables into `out` in partition order,
+/// so representatives and MIN/MAX ties resolve exactly as a sequential
+/// partition-major scan would.
+void MergePartials(const std::vector<AggregateSpec>& aggregates,
+                   std::vector<GroupTable>&& per_partition, GroupTable* out) {
+  trace::ScopedSpan merge_span(trace::Category::kQuery, "merge");
+  const std::vector<const Expr*> calls = AggregateCalls(aggregates);
+  int64_t partials = 0;
+  for (GroupTable& local : per_partition) {
+    partials += static_cast<int64_t>(local.size());
+    out->MergeFrom(std::move(local), calls);
+  }
+  merge_span.AddAttr("partials", partials);
+  merge_span.AddAttr("groups", static_cast<int64_t>(out->size()));
+}
+
 /// Partition-parallel materializing scan with predicate/key pushdown. Rows
 /// rejected by the pushed predicate are never copied out.
-Result<std::vector<Object>> MaterializeFromSource(
+Result<PartitionedTuples> MaterializeFromSource(
     const TableSource& source, const Expr* predicate,
     const std::vector<Value>* keys, const EvalContext& ctx,
     const ExecOptions& options, ExecStats* stats) {
@@ -365,10 +357,12 @@ Result<std::vector<Object>> MaterializeFromSource(
     return Status::OK();
   };
   if (keys != nullptr) {
-    std::vector<Object> tuples;
-    SQ_RETURN_IF_ERROR(ScanByKeys(
-        source, *keys, scan, ctx, stats,
-        [&](const ScanRowView& row) { return materialize(row, &tuples); }));
+    PartitionedTuples tuples;
+    SQ_RETURN_IF_ERROR(ScanByKeys(source, *keys, scan, ctx, stats,
+                                  [&](const ScanRowView& row) {
+                                    return materialize(row, &tuples.rows);
+                                  }));
+    tuples.ends.push_back(tuples.rows.size());
     return tuples;
   }
   SQ_ASSIGN_OR_RETURN(
@@ -385,8 +379,9 @@ Result<std::vector<Object>> MaterializeFromSource(
 
 /// Fused scan + partial aggregation: each worker filters and folds its
 /// partitions into a local group table; partials merge on the coordinating
-/// thread. Rows are never materialized (except one representative per
-/// group), so full-scan aggregates scale with cores.
+/// thread. The vectorized engine materializes no row: a group keeps its
+/// first row as a reference, built into a tuple only if the group reaches
+/// the output. Full-scan aggregates therefore scale with cores.
 Status ScanAggregate(const TableSource& source, const Expr* predicate,
                      const std::vector<Value>* keys,
                      const SelectStatement& stmt,
@@ -775,7 +770,7 @@ Status ScanJoins(const SelectStatement& stmt, const SelectAnalysis& analysis,
                  const TableSource& from, TableResolver* resolver,
                  const EvalContext& ctx, const ExecOptions& options,
                  ExecStats* stats, GroupTable* groups,
-                 std::vector<Object>* tuples) {
+                 PartitionedTuples* tuples) {
   SQ_ASSIGN_OR_RETURN(const std::vector<OpenedJoin> joins,
                       OpenJoins(stmt, analysis, from, resolver));
   trace::ScopedSpan join_span(trace::Category::kQuery, "join");
@@ -875,7 +870,7 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
   // pushed predicate on each joined row. Aggregating statements fuse the
   // scan with per-partition partial aggregation.
   GroupTable groups;
-  std::vector<Object> tuples;
+  PartitionedTuples tuples;
 
   {
     trace::ScopedSpan scan_span(trace::Category::kQuery, "scan");
@@ -907,22 +902,30 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
   // implies a pushed or absent WHERE).
   if (stmt.where != nullptr && plan.predicate == nullptr) {
     trace::ScopedSpan filter_span(trace::Category::kQuery, "filter");
-    filter_span.AddAttr("input_rows", static_cast<int64_t>(tuples.size()));
+    filter_span.AddAttr("input_rows",
+                        static_cast<int64_t>(tuples.rows.size()));
     std::vector<Object> kept;
-    kept.reserve(tuples.size());
-    for (Object& tuple : tuples) {
-      SQ_ASSIGN_OR_RETURN(Value pass, EvalScalar(*stmt.where, tuple, ctx));
-      if (pass.Truthy()) kept.push_back(std::move(tuple));
+    kept.reserve(tuples.rows.size());
+    size_t begin = 0;
+    for (size_t& end : tuples.ends) {
+      for (size_t i = begin; i < end; ++i) {
+        SQ_ASSIGN_OR_RETURN(Value pass,
+                            EvalScalar(*stmt.where, tuples.rows[i], ctx));
+        if (pass.Truthy()) kept.push_back(std::move(tuples.rows[i]));
+      }
+      begin = end;
+      end = kept.size();
     }
-    tuples = std::move(kept);
-    filter_span.AddAttr("output_rows", static_cast<int64_t>(tuples.size()));
+    tuples.rows = std::move(kept);
+    filter_span.AddAttr("output_rows",
+                        static_cast<int64_t>(tuples.rows.size()));
   }
 
   // --- Build output column list.
   std::vector<std::string> columns;
   if (stmt.select_star) {
     std::set<std::string> names;
-    for (const Object& tuple : tuples) {
+    for (const Object& tuple : tuples.rows) {
       for (const auto& [name, value] : tuple.fields()) {
         names.insert(name);
       }
@@ -982,42 +985,53 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
   };
 
   if (!aggregating) {
-    for (const Object& tuple : tuples) {
+    for (const Object& tuple : tuples.rows) {
       SQ_RETURN_IF_ERROR(emit_row(tuple, {}));
     }
   } else {
     trace::ScopedSpan agg_span(trace::Category::kQuery, "aggregate");
     agg_span.AddAttr("fused", analysis.fused);
     if (!analysis.fused) {
-      for (const Object& tuple : tuples) {
-        SQ_RETURN_IF_ERROR(AccumulateRow(
-            stmt, aggregates, tuple, [&tuple] { return tuple; }, ctx,
-            &groups));
+      // Partition by partition into partials merged in order, like the fused
+      // scan, so float sums add up in the same association either way.
+      std::vector<GroupTable> per_partition(tuples.ends.size());
+      size_t begin = 0;
+      for (size_t p = 0; p < tuples.ends.size(); ++p) {
+        for (size_t i = begin; i < tuples.ends[p]; ++i) {
+          const Object& tuple = tuples.rows[i];
+          SQ_RETURN_IF_ERROR(AccumulateRow(
+              stmt, aggregates, tuple, [&tuple] { return tuple; }, ctx,
+              &per_partition[p]));
+        }
+        begin = tuples.ends[p];
       }
+      MergePartials(aggregates, std::move(per_partition), &groups);
     }
-    // An aggregate without GROUP BY yields one row even over no input.
-    if (stmt.group_by.empty() && groups.groups.empty()) {
-      GroupData empty;
-      empty.aggs.resize(aggregates.size());
-      groups.groups.push_back(std::move(empty));
+    // An aggregate without GROUP BY yields one row even over no input (its
+    // representative is the empty tuple).
+    if (stmt.group_by.empty() && groups.size() == 0) {
+      groups.FindOrInsert(nullptr, 0, aggregates.size());
     }
-    for (GroupData& group : groups.groups) {
-      // sq-lint: unordered-ok(lookup-only; rows follow groups vector order)
+    for (uint32_t g = 0; g < groups.size(); ++g) {
+      // sq-lint: unordered-ok(lookup-only; rows follow group id order)
       std::unordered_map<std::string, Value> agg_values;
       for (size_t a = 0; a < aggregates.size(); ++a) {
         SQ_ASSIGN_OR_RETURN(
-            Value v, FinalizeAggregate(*aggregates[a].call, group.aggs[a]));
+            Value v, FinalizeAggregate(*aggregates[a].call, groups.aggs(g)[a]));
         agg_values[aggregates[a].id] = std::move(v);
       }
+      // Only groups that survive the merge build their representative.
+      const Object representative = groups.TakeRepresentative(g);
       if (stmt.having != nullptr) {
         SQ_ASSIGN_OR_RETURN(
-            Value keep, EvalWithAggregates(*stmt.having, group.representative,
+            Value keep, EvalWithAggregates(*stmt.having, representative,
                                            agg_values, ctx));
         if (!keep.Truthy()) continue;
       }
-      SQ_RETURN_IF_ERROR(emit_row(group.representative, agg_values));
+      SQ_RETURN_IF_ERROR(emit_row(representative, agg_values));
     }
-    agg_span.AddAttr("groups", static_cast<int64_t>(groups.groups.size()));
+    agg_span.AddAttr("groups", static_cast<int64_t>(groups.size()));
+    agg_span.AddAttr("materialized", groups.materialized());
   }
 
   // --- DISTINCT.

@@ -1,10 +1,12 @@
 #include "sql/vectorized.h"
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <utility>
 
+#include "common/hash.h"
 #include "kv/columnar.h"
 
 namespace sq::sql {
@@ -201,18 +203,6 @@ struct CompiledScan::BatchCtx {
   Result<Value> Eval(const Node& node, size_t row,
                      const EvalContext& ctx) const {
     return node.Eval(CellEnv{this, row}, ctx);
-  }
-
-  /// The tuple a scan row materializes to — byte-identical to the row
-  /// engine's MaterializeRow (pseudo-columns shadow stored fields).
-  Object MaterializeTuple(size_t row) const {
-    Object tuple = rows->MaterializeRow(row);
-    tuple.Set("key", rows->keys()[row]);
-    tuple.Set("partitionKey", rows->keys()[row]);
-    if (ssid != nullptr) {
-      tuple.Set("ssid", *ssid);
-    }
-    return tuple;
   }
 
   /// `column <cmp> literal` over the selection vector as a tight typed loop.
@@ -606,9 +596,9 @@ Status CompiledScan::FilterRows(const BatchCtx& b, const EvalContext& ctx,
   return Status::OK();
 }
 
-template <typename Env, typename MaterializeFn>
+template <typename Env, typename RepresentFn>
 Status CompiledScan::FoldWith(const Env& env, const EvalContext& ctx,
-                              const MaterializeFn& materialize,
+                              const RepresentFn& represent,
                               GroupTable* groups) const {
   static const Value kCountStarArg(int64_t{1});
   // Reused across rows, so a row of an existing group allocates no key.
@@ -618,47 +608,238 @@ Status CompiledScan::FoldWith(const Env& env, const EvalContext& ctx,
     SQ_ASSIGN_OR_RETURN(Value v, expr->Eval(env, ctx));
     key.push_back(std::move(v));
   }
-  auto it = groups->index.find(key);
-  if (it == groups->index.end()) {
-    it = groups->index.emplace(key, groups->groups.size()).first;
-    GroupData group;
-    group.key = key;
-    group.representative = materialize();
-    group.aggs.resize(aggs_.size());
-    groups->groups.push_back(std::move(group));
-  }
-  GroupData& group = groups->groups[it->second];
+  const auto [group, inserted] =
+      groups->FindOrInsert(key.data(), key.size(), aggs_.size());
+  if (inserted) represent(group);
+  AggState* states = groups->aggs(group);
   for (size_t a = 0; a < aggs_.size(); ++a) {
     const Agg& agg = aggs_[a];
     if (agg.call->star || agg.call->children.empty()) {
       SQ_RETURN_IF_ERROR(
-          AccumulateAggregate(*agg.call, kCountStarArg, &group.aggs[a]));
+          AccumulateAggregate(*agg.call, kCountStarArg, &states[a]));
       continue;
     }
     SQ_ASSIGN_OR_RETURN(Value v, agg.arg->Eval(env, ctx));
-    SQ_RETURN_IF_ERROR(AccumulateAggregate(*agg.call, v, &group.aggs[a]));
+    SQ_RETURN_IF_ERROR(AccumulateAggregate(*agg.call, v, &states[a]));
   }
   return Status::OK();
 }
 
-Status CompiledScan::FoldRowMajor(const BatchCtx& b, const EvalContext& ctx,
+Status CompiledScan::FoldRowMajor(const ScanBatch& batch, const BatchCtx& b,
+                                  const EvalContext& ctx,
                                   const std::vector<uint32_t>& sel,
                                   GroupTable* groups) const {
   for (const uint32_t r : sel) {
-    SQ_RETURN_IF_ERROR(FoldWith(BatchCtx::CellEnv{&b, r}, ctx,
-                                [&] { return b.MaterializeTuple(r); },
-                                groups));
+    SQ_RETURN_IF_ERROR(FoldWith(
+        BatchCtx::CellEnv{&b, r}, ctx,
+        [&](uint32_t group) { groups->SetRepresentative(group, batch, r); },
+        groups));
   }
   return Status::OK();
 }
 
-Status CompiledScan::FoldColumnMajor(const Agg& agg, const BatchCtx& b,
+/// The group ids of one batch's selected rows. `codes[i]` numbers the
+/// distinct keys among the selected rows in first-seen order; `first[c]` is
+/// the selection index of key c's first row, and `groups[c]` its group in
+/// the partition's GroupTable. Buffers are reused from batch to batch.
+struct CompiledScan::GroupIds {
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  std::vector<uint32_t> codes;
+  std::vector<uint32_t> first;
+  std::vector<uint32_t> groups;
+  // Recode's scratch: its hash table of new codes, and per new code the
+  // first row, the code it refines and its hash.
+  std::vector<uint32_t> table;
+  std::vector<uint32_t> next_first;
+  std::vector<uint32_t> prior;
+  std::vector<uint64_t> hashes;
+
+  /// Every selected row starts with the same (empty) key.
+  void Start(size_t rows) {
+    codes.assign(rows, 0);
+    first.assign(1, 0);
+  }
+
+  /// Refines the codes by one more key column: rows keep one code iff they
+  /// had one code and `eq` holds for their cells. `hash` must agree with
+  /// `eq`; a cell unequal to itself (NaN) gets a code of its own.
+  template <typename Hash, typename Eq>
+  void Recode(const std::vector<uint32_t>& sel, const Hash& hash,
+              const Eq& eq) {
+    const size_t n = codes.size();
+    size_t capacity = 16;
+    while (capacity < 2 * n) capacity *= 2;
+    table.assign(capacity, kEmpty);
+    next_first.clear();
+    prior.clear();
+    hashes.clear();
+    const size_t mask = capacity - 1;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = sel[i];
+      const uint32_t old = codes[i];
+      const uint64_t h = sq::CombineHashes(hash(r), old);
+      for (size_t s = h & mask;; s = (s + 1) & mask) {
+        uint32_t c = table[s];
+        if (c == kEmpty) {
+          c = static_cast<uint32_t>(next_first.size());
+          table[s] = c;
+          next_first.push_back(static_cast<uint32_t>(i));
+          prior.push_back(old);
+          hashes.push_back(h);
+        } else if (hashes[c] != h || prior[c] != old ||
+                   !eq(sel[next_first[c]], r)) {
+          continue;
+        }
+        codes[i] = c;
+        break;
+      }
+    }
+    first.swap(next_first);
+  }
+};
+
+namespace {
+
+constexpr uint64_t kAbsentCellHash = 0x9e3779b97f4a7c15ULL;
+
+/// Refines `ids` by a typed column: absent cells (NULL) form one key, and
+/// present cells compare with `==`, as Value equality does within one type.
+template <typename Ids, typename T, typename CellHash>
+void RecodeTyped(const std::vector<uint8_t>& present, const std::vector<T>& v,
+                 const CellHash& cell_hash, const std::vector<uint32_t>& sel,
+                 Ids* ids) {
+  ids->Recode(
+      sel,
+      [&](uint32_t r) {
+        return present[r] != 0 ? cell_hash(v[r]) : kAbsentCellHash;
+      },
+      [&](uint32_t x, uint32_t y) {
+        const bool px = present[x] != 0;
+        return px == (present[y] != 0) && (!px || v[x] == v[y]);
+      });
+}
+
+template <typename Ids>
+void RecodeColumn(const Column& col, const std::vector<uint32_t>& sel,
+                  Ids* ids) {
+  const std::vector<uint8_t>& present = col.presence();
+  switch (col.type()) {
+    case ValueType::kNull:
+      return;  // every cell absent: one key
+    case ValueType::kBool:
+      RecodeTyped(present, col.bools(),
+                  [](uint8_t x) { return sq::HashInt64(x != 0 ? 1 : 0); },
+                  sel, ids);
+      return;
+    case ValueType::kInt64:
+      RecodeTyped(present, col.ints(),
+                  [](int64_t x) { return sq::HashInt64(x); }, sel, ids);
+      return;
+    case ValueType::kDouble:
+      RecodeTyped(present, col.doubles(),
+                  [](double x) {
+                    if (x == 0.0) return sq::HashInt64(0);  // -0.0 == 0.0
+                    int64_t bits;
+                    std::memcpy(&bits, &x, sizeof(bits));
+                    return sq::HashInt64(bits);
+                  },
+                  sel, ids);
+      return;
+    case ValueType::kString:
+      RecodeTyped(present, col.strings(),
+                  [](const std::string& x) { return sq::HashString(x); }, sel,
+                  ids);
+      return;
+  }
+}
+
+/// Folds a batch's best MIN/MAX cell per key into its group's state. Within
+/// the batch the first of equal cells wins, as in a sequential scan; against
+/// the state, the state (earlier rows) wins ties.
+template <typename T>
+void FoldBest(bool min, const std::vector<T>& v,
+              const std::vector<uint8_t>& present,
+              const std::vector<uint32_t>& sel,
+              const std::vector<uint32_t>& codes,
+              const std::vector<AggState*>& states) {
+  constexpr int64_t kNone = -1;
+  thread_local std::vector<int64_t> best;
+  best.assign(states.size(), kNone);
+  for (size_t i = 0; i < sel.size(); ++i) {
+    const uint32_t r = sel[i];
+    if (present[r] == 0) continue;
+    ++states[codes[i]]->count;
+    int64_t& b = best[codes[i]];
+    if (b == kNone || (min ? v[r] < v[static_cast<size_t>(b)]
+                           : v[static_cast<size_t>(b)] < v[r])) {
+      b = r;
+    }
+  }
+  for (size_t c = 0; c < states.size(); ++c) {
+    if (best[c] == kNone) continue;
+    const Value bv(v[static_cast<size_t>(best[c])]);
+    AggState& state = *states[c];
+    if (!state.has_best || (min ? bv < state.best : state.best < bv)) {
+      state.best = bv;
+    }
+    state.has_best = true;
+  }
+}
+
+}  // namespace
+
+void CompiledScan::AssignGroupIds(const ScanBatch& batch, const BatchCtx& b,
+                                  const std::vector<uint32_t>& sel,
+                                  GroupTable* groups, GroupIds* ids) const {
+  ids->Start(sel.size());
+  for (const auto& node : group_by_) {
+    const RefInfo& info = refs_[node->slot];
+    if (info.kind == RefInfo::Kind::kKey) {
+      const std::vector<Value>& keys = b.rows->keys();
+      ids->Recode(
+          sel, [&](uint32_t r) { return keys[r].Hash(); },
+          [&](uint32_t x, uint32_t y) { return keys[x] == keys[y]; });
+      continue;
+    }
+    if (info.kind == RefInfo::Kind::kSsid && b.ssid != nullptr) {
+      continue;  // constant per batch
+    }
+    const int col = b.refs[node->slot].field_col;
+    if (col >= 0) RecodeColumn(b.rows->column(col), sel, ids);
+  }
+  // One lookup per distinct key, in first-seen order: a new group's first
+  // row is the batch's first selected row with that key.
+  thread_local std::vector<Value> key;
+  ids->groups.clear();
+  for (const uint32_t i : ids->first) {
+    const uint32_t r = sel[i];
+    key.clear();
+    for (const auto& node : group_by_) {
+      key.push_back(b.Resolve(node->slot, r).value());
+    }
+    const auto [group, inserted] =
+        groups->FindOrInsert(key.data(), key.size(), aggs_.size());
+    if (inserted) groups->SetRepresentative(group, batch, r);
+    ids->groups.push_back(group);
+  }
+}
+
+Status CompiledScan::FoldColumnMajor(const Agg& agg, size_t index,
+                                     const BatchCtx& b,
                                      const EvalContext& ctx,
                                      const std::vector<uint32_t>& sel,
-                                     AggState* state) const {
+                                     const GroupIds& ids,
+                                     GroupTable* groups) const {
   static const Value kCountStarArg(int64_t{1});
+  thread_local std::vector<AggState*> states;
+  states.clear();
+  for (const uint32_t group : ids.groups) {
+    states.push_back(groups->aggs(group) + index);
+  }
+  const std::vector<uint32_t>& codes = ids.codes;
   if (agg.call->star) {
-    state->count += static_cast<int64_t>(sel.size());
+    for (size_t i = 0; i < sel.size(); ++i) ++states[codes[i]]->count;
     return Status::OK();
   }
   const std::string& fn = agg.call->column;
@@ -675,146 +856,96 @@ Status CompiledScan::FoldColumnMajor(const Agg& agg, const BatchCtx& b,
       if (!col.mixed()) {
         const std::vector<uint8_t>& present = col.presence();
         if (col.type() == ValueType::kNull) return Status::OK();
+        const bool min = fn == "MIN";
         if (fn == "COUNT") {
-          for (const uint32_t r : sel) {
-            state->count += present[r] != 0 ? 1 : 0;
+          for (size_t i = 0; i < sel.size(); ++i) {
+            states[codes[i]]->count += present[sel[i]] != 0 ? 1 : 0;
           }
           return Status::OK();
         }
         if (col.type() == ValueType::kInt64) {
           const std::vector<int64_t>& v = col.ints();
           if (fn == "SUM" || fn == "AVG") {
-            for (const uint32_t r : sel) {
+            for (size_t i = 0; i < sel.size(); ++i) {
+              const uint32_t r = sel[i];
               if (present[r] == 0) continue;
-              ++state->count;
-              state->isum += v[r];
-              state->sum += static_cast<double>(v[r]);
+              AggState& state = *states[codes[i]];
+              ++state.count;
+              state.isum += v[r];
+              state.sum += static_cast<double>(v[r]);
             }
             return Status::OK();
           }
-          if (fn == "MIN" || fn == "MAX") {
-            const bool min = fn == "MIN";
-            bool has = false;
-            int64_t best = 0;
-            for (const uint32_t r : sel) {
-              if (present[r] == 0) continue;
-              ++state->count;
-              if (!has || (min ? v[r] < best : best < v[r])) {
-                best = v[r];
-                has = true;
-              }
-            }
-            if (has) {
-              const Value bv(best);
-              if (!state->has_best ||
-                  (min ? bv < state->best : state->best < bv)) {
-                state->best = bv;
-              }
-              state->has_best = true;
-            }
+          if (min || fn == "MAX") {
+            FoldBest(min, v, present, sel, codes, states);
             return Status::OK();
           }
         }
         if (col.type() == ValueType::kDouble) {
           const std::vector<double>& v = col.doubles();
           if (fn == "SUM" || fn == "AVG") {
-            for (const uint32_t r : sel) {
+            for (size_t i = 0; i < sel.size(); ++i) {
+              const uint32_t r = sel[i];
               if (present[r] == 0) continue;
-              ++state->count;
-              state->all_int = false;
-              state->sum += v[r];
+              AggState& state = *states[codes[i]];
+              ++state.count;
+              state.all_int = false;
+              state.sum += v[r];
             }
             return Status::OK();
           }
-          if (fn == "MIN" || fn == "MAX") {
-            const bool min = fn == "MIN";
-            bool has = false;
-            double best = 0.0;
-            for (const uint32_t r : sel) {
-              if (present[r] == 0) continue;
-              ++state->count;
-              if (!has || (min ? v[r] < best : best < v[r])) {
-                best = v[r];
-                has = true;
-              }
-            }
-            if (has) {
-              const Value bv(best);
-              if (!state->has_best ||
-                  (min ? bv < state->best : state->best < bv)) {
-                state->best = bv;
-              }
-              state->has_best = true;
-            }
+          if (min || fn == "MAX") {
+            FoldBest(min, v, present, sel, codes, states);
             return Status::OK();
           }
         }
-        if (col.type() == ValueType::kString &&
-            (fn == "MIN" || fn == "MAX")) {
-          const std::vector<std::string>& v = col.strings();
-          const bool min = fn == "MIN";
-          bool has = false;
-          size_t best = 0;
-          for (const uint32_t r : sel) {
-            if (present[r] == 0) continue;
-            ++state->count;
-            if (!has || (min ? v[r] < v[best] : v[best] < v[r])) {
-              best = r;
-              has = true;
-            }
-          }
-          if (has) {
-            const Value bv(v[best]);
-            if (!state->has_best ||
-                (min ? bv < state->best : state->best < bv)) {
-              state->best = bv;
-            }
-            state->has_best = true;
-          }
+        if (col.type() == ValueType::kString && (min || fn == "MAX")) {
+          FoldBest(min, col.strings(), present, sel, codes, states);
           return Status::OK();
         }
       }
     }
   }
   // Generic cell loop (mixed columns, DISTINCT, computed arguments). Only
-  // reached for folds classified error-free; within-aggregate row order is
+  // reached for folds classified error-free; within-group row order is
   // preserved, which is what float summation and MIN/MAX ties need.
-  for (const uint32_t r : sel) {
+  for (size_t i = 0; i < sel.size(); ++i) {
     Value v = kCountStarArg;
     if (agg.arg != nullptr) {
-      SQ_ASSIGN_OR_RETURN(v, b.Eval(*agg.arg, r, ctx));
+      SQ_ASSIGN_OR_RETURN(v, b.Eval(*agg.arg, sel[i], ctx));
     }
-    SQ_RETURN_IF_ERROR(AccumulateAggregate(*agg.call, v, state));
+    SQ_RETURN_IF_ERROR(AccumulateAggregate(*agg.call, v, states[codes[i]]));
   }
   return Status::OK();
 }
 
-Status CompiledScan::AccumulateBatch(const ScanBatch& batch,
-                                     const EvalContext& ctx,
-                                     GroupTable* groups,
-                                     int64_t* rows_returned) const {
-  const BatchCtx b = Bind(batch);
-  std::vector<uint32_t> sel;
-  SQ_RETURN_IF_ERROR(FilterRows(b, ctx, &sel));
-  *rows_returned += static_cast<int64_t>(sel.size());
-  if (sel.empty()) return Status::OK();
-  // Column-major folds reorder evaluation across rows and aggregates, which
-  // is only safe when no fold can error (an error's row/aggregate position
-  // must match the row engine). GROUP BY always folds row-major: group
-  // assignment is inherently per-row.
-  bool row_major = !group_by_.empty() || group_by_can_error_;
+bool CompiledScan::FoldsByGroupId(const BatchCtx& b) const {
+  // Group keys: one column each, typed across the batch (a mixed column
+  // would need a Value per row anyway), or a pseudo-column. A qualified
+  // field present in the batch shadows the bare one row by row.
+  for (const auto& node : group_by_) {
+    if (node->kind != ExprKind::kColumnRef) return false;
+    const RefInfo& info = refs_[node->slot];
+    const BatchCtx::Ref& br = b.refs[node->slot];
+    if (br.qual_col >= 0) return false;
+    if (info.kind == RefInfo::Kind::kKey ||
+        (info.kind == RefInfo::Kind::kSsid && b.ssid != nullptr)) {
+      continue;
+    }
+    if (br.field_col >= 0 && b.rows->column(br.field_col).mixed()) {
+      return false;
+    }
+  }
+  // Aggregates: folding a column at a time reorders evaluation across rows
+  // and aggregates, which is only safe when no fold can error (an error's
+  // row/aggregate position must match the row engine).
   for (const Agg& agg : aggs_) {
-    if (row_major) break;
     if (agg.call->star) continue;
     if (agg.call->children.empty() ||
         (agg.call->column != "COUNT" && agg.call->children.size() != 1)) {
-      row_major = true;  // malformed call: per-row arity errors
-      break;
+      return false;  // malformed call: per-row arity errors
     }
-    if (agg.arg_can_error) {
-      row_major = true;
-      break;
-    }
+    if (agg.arg_can_error) return false;
     if ((agg.call->column == "SUM" || agg.call->column == "AVG") &&
         !agg.call->distinct_arg) {
       // SUM/AVG error on non-numeric input; prove the argument is
@@ -841,27 +972,31 @@ Status CompiledScan::AccumulateBatch(const ScanBatch& batch,
           }
         }
       }
-      if (!numeric) {
-        row_major = true;
-        break;
-      }
+      if (!numeric) return false;
     }
   }
-  if (row_major) {
-    return FoldRowMajor(b, ctx, sel, groups);
+  return true;
+}
+
+Status CompiledScan::AccumulateBatch(const ScanBatch& batch,
+                                     const EvalContext& ctx,
+                                     GroupTable* groups,
+                                     int64_t* rows_returned) const {
+  const BatchCtx b = Bind(batch);
+  std::vector<uint32_t> sel;
+  SQ_RETURN_IF_ERROR(FilterRows(b, ctx, &sel));
+  *rows_returned += static_cast<int64_t>(sel.size());
+  if (sel.empty()) return Status::OK();
+  if (!FoldsByGroupId(b)) {
+    return FoldRowMajor(batch, b, ctx, sel, groups);
   }
-  auto [it, inserted] =
-      groups->index.try_emplace(std::vector<Value>{}, groups->groups.size());
-  if (inserted) {
-    GroupData group;
-    group.representative = b.MaterializeTuple(sel[0]);
-    group.aggs.resize(aggs_.size());
-    groups->groups.push_back(std::move(group));
-  }
-  GroupData& group = groups->groups[it->second];
+  // By group id: keys first, a column at a time, then each aggregate over
+  // the whole selection into its rows' groups.
+  thread_local GroupIds ids;
+  AssignGroupIds(batch, b, sel, groups, &ids);
   for (size_t a = 0; a < aggs_.size(); ++a) {
-    SQ_RETURN_IF_ERROR(FoldColumnMajor(aggs_[a], b, ctx, sel,
-                                       &group.aggs[a]));
+    SQ_RETURN_IF_ERROR(
+        FoldColumnMajor(aggs_[a], a, b, ctx, sel, ids, groups));
   }
   return Status::OK();
 }
@@ -876,7 +1011,8 @@ Status CompiledScan::FilterBatch(const ScanBatch& batch,
   *rows_returned += static_cast<int64_t>(sel.size());
   out->reserve(out->size() + sel.size());
   for (const uint32_t r : sel) {
-    out->push_back(b.MaterializeTuple(r));
+    out->push_back(
+        MaterializeRow(b.rows->keys()[r], b.ssid, b.rows->MaterializeRow(r)));
   }
   return Status::OK();
 }
@@ -1010,11 +1146,17 @@ Status CompiledScan::FoldJoined(const JoinRow& row, const EvalContext& ctx,
                                 GroupTable* groups) const {
   if (HasDottedRight(row, row.size())) {
     const Object merged = MaterializeJoined(row, row.size());
-    return FoldWith(TupleEnv{&refs_, &merged}, ctx, [&] { return merged; },
-                    groups);
+    return FoldWith(
+        TupleEnv{&refs_, &merged}, ctx,
+        [&](uint32_t group) { groups->SetRepresentative(group, merged); },
+        groups);
   }
-  return FoldWith(JoinEnv{this, &row}, ctx,
-                  [&] { return MaterializeJoined(row, row.size()); }, groups);
+  return FoldWith(
+      JoinEnv{this, &row}, ctx,
+      [&](uint32_t group) {
+        groups->SetRepresentative(group, MaterializeJoined(row, row.size()));
+      },
+      groups);
 }
 
 Object CompiledScan::MaterializeJoined(const JoinRow& row,

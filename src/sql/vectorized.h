@@ -82,8 +82,12 @@ class CompiledScan {
 
   /// Columnar path for aggregating scans: filters `batch` and folds the
   /// survivors into `groups` (the same GroupTable the row fold uses).
-  /// `rows_returned` is incremented by the number of rows passing the
-  /// filter.
+  /// When every GROUP BY expression reads a pseudo-column or one column that
+  /// is typed across the batch, and no aggregate can error, the survivors
+  /// fold by group id: a column at a time, each distinct key of the batch
+  /// looked up once, with a new group's first row kept as a reference, not
+  /// materialized. Otherwise they fold row-major. `rows_returned` is
+  /// incremented by the number of rows passing the filter.
   Status AccumulateBatch(const ScanBatch& batch, const EvalContext& ctx,
                          GroupTable* groups, int64_t* rows_returned) const;
 
@@ -141,7 +145,8 @@ class CompiledScan {
   Result<bool> JoinedPasses(const JoinRow& row, const EvalContext& ctx) const;
 
   /// Folds a complete joined row into `groups`, exactly as the row engine's
-  /// fold of the merged tuple would.
+  /// fold of the merged tuple would; a new group's representative is the
+  /// merged tuple.
   Status FoldJoined(const JoinRow& row, const EvalContext& ctx,
                     GroupTable* groups) const;
 
@@ -151,6 +156,7 @@ class CompiledScan {
  private:
   struct Node;      // compiled expression node
   struct BatchCtx;  // per-batch ordinal bindings
+  struct GroupIds;  // per-batch group ids of the selected rows
   struct JoinEnv;   // joined-row resolution
   struct TupleEnv;  // resolution over a materialized tuple
 
@@ -192,24 +198,30 @@ class CompiledScan {
   BatchCtx Bind(const ScanBatch& batch) const;
   Status FilterRows(const BatchCtx& b, const EvalContext& ctx,
                     std::vector<uint32_t>* sel) const;
-  Status FoldRowMajor(const BatchCtx& b, const EvalContext& ctx,
+  Status FoldRowMajor(const ScanBatch& batch, const BatchCtx& b,
+                      const EvalContext& ctx,
                       const std::vector<uint32_t>& sel,
                       GroupTable* groups) const;
+  bool FoldsByGroupId(const BatchCtx& b) const;
+  void AssignGroupIds(const ScanBatch& batch, const BatchCtx& b,
+                      const std::vector<uint32_t>& sel, GroupTable* groups,
+                      GroupIds* ids) const;
   template <typename Env>
   Result<bool> PassesWith(const Env& env, const EvalContext& ctx) const;
-  template <typename Env, typename MaterializeFn>
+  /// Folds one row; `represent(group)` sets a new group's representative.
+  template <typename Env, typename RepresentFn>
   Status FoldWith(const Env& env, const EvalContext& ctx,
-                  const MaterializeFn& materialize, GroupTable* groups) const;
+                  const RepresentFn& represent, GroupTable* groups) const;
 
   // Joined-row name resolution, compiled once (see JoinInputs).
   int Lookup(size_t input, const std::string& name);
   int BindingOf(size_t input, const std::string& name);
   bool FindJoined(int lookup, const JoinRow& row, kv::Value* out) const;
   bool HasDottedRight(const JoinRow& row, size_t inputs) const;
-  Status FoldColumnMajor(const Agg& agg, const BatchCtx& b,
+  Status FoldColumnMajor(const Agg& agg, size_t index, const BatchCtx& b,
                          const EvalContext& ctx,
                          const std::vector<uint32_t>& sel,
-                         AggState* state) const;
+                         const GroupIds& ids, GroupTable* groups) const;
 
   std::vector<RefInfo> refs_;  // slot table, indexed by Node::slot
   std::vector<Conjunct> conjuncts_;

@@ -952,6 +952,16 @@ TEST(ClusterNet, DifferentialLiveQueries) {
                     "SELECT region, count(*), sum(total) FROM orders "
                     "GROUP BY region ORDER BY region",
                     ReadCommitted());
+  // Grouped folds: a composite key, and HAVING under ORDER BY ... LIMIT.
+  ExpectSameResults(tc.get(),
+                    "SELECT region, total, count(*), sum(total) FROM orders "
+                    "WHERE total < 500 GROUP BY region, total",
+                    ReadCommitted());
+  ExpectSameResults(tc.get(),
+                    "SELECT region, count(*) AS n, max(total) AS mx, key "
+                    "FROM orders GROUP BY region HAVING count(*) > 37 "
+                    "ORDER BY mx DESC LIMIT 2",
+                    ReadCommitted());
   ExpectSameResults(tc.get(), "SELECT key, total FROM orders WHERE key = 7",
                     ReadCommitted());
   ExpectSameResults(tc.get(),
@@ -990,6 +1000,22 @@ TEST(ClusterNet, DifferentialSnapshotQueries) {
                     serializable);
   ExpectSameResults(tc.get(),
                     "SELECT count(DISTINCT region) FROM snapshot_orders",
+                    serializable);
+  // Grouped folds: composite keys (one of them the per-batch ssid), and
+  // HAVING under ORDER BY ... LIMIT.
+  ExpectSameResults(tc.get(),
+                    "SELECT region, ssid, count(*), sum(total), key "
+                    "FROM snapshot_orders__versions GROUP BY region, ssid",
+                    serializable);
+  ExpectSameResults(tc.get(),
+                    "SELECT region, total, count(*) AS n FROM snapshot_orders "
+                    "GROUP BY region, total HAVING count(*) >= 1 "
+                    "ORDER BY total DESC, region LIMIT 6",
+                    serializable);
+  ExpectSameResults(tc.get(),
+                    "SELECT region, count(*) AS n, min(total) AS mn, key "
+                    "FROM snapshot_orders GROUP BY region "
+                    "HAVING count(*) > 37 ORDER BY mn LIMIT 1",
                     serializable);
   // Explicit version pins: the ssid conjunct and the option both must
   // resolve over the wire (the coordinator's own registry is empty).

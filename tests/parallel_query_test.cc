@@ -10,10 +10,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cinttypes>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kv/grid.h"
@@ -25,6 +30,7 @@
 #include "state/snapshot_registry.h"
 #include "state/squery_state_store.h"
 #include "storage/snapshot_log.h"
+#include "trace/trace.h"
 
 namespace sq::query {
 namespace {
@@ -34,12 +40,43 @@ using kv::Value;
 
 constexpr int32_t kPartitions = 32;
 constexpr int64_t kKeys = 3000;
+constexpr int64_t kKindsKeys = 900;
+
+/// One cell with its type and exact contents, so that rows compare
+/// bit-identically: 2 and 2.0 differ, as do 0.0 and -0.0, while a NaN equals
+/// a NaN of the same bits (Value equality would say otherwise for all
+/// three).
+std::string ExactCell(const Value& v) {
+  if (v.is_double()) {
+    const double d = v.double_value();
+    uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "double:%016" PRIx64, bits);
+    return buf;
+  }
+  const std::string text = v.ToString();
+  return std::string(kv::ValueTypeToString(v.type())) + ":" +
+         std::to_string(text.size()) + ":" + text;
+}
+
+/// Each row as one string of its exact cells.
+std::vector<std::string> ExactRows(const std::vector<sql::Row>& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const sql::Row& row : rows) {
+    std::string line;
+    for (const Value& v : row) line += ExactCell(v) + " ";
+    out.push_back(std::move(line));
+  }
+  return out;
+}
 
 /// Rows ordered for multiset comparison. SQL row order without ORDER BY is
 /// unspecified (and the point-lookup, full-scan and hash-grouping paths
 /// genuinely order differently), so unordered queries compare sorted.
-std::vector<sql::Row> SortedRows(const sql::ResultSet& result) {
-  std::vector<sql::Row> rows = result.rows;
+std::vector<std::string> SortedRows(const sql::ResultSet& result) {
+  std::vector<std::string> rows = ExactRows(result.rows);
   std::sort(rows.begin(), rows.end());
   return rows;
 }
@@ -59,10 +96,12 @@ class ParallelQueryTest : public ::testing::Test {
         store_(&grid_, "metrics", 0, state::SQueryConfig{.parallelism = 1}),
         extras_(&grid_, "extras", 0, state::SQueryConfig{.parallelism = 1}),
         dims_(&grid_, "dims", 0, state::SQueryConfig{.parallelism = 1}),
-        empty_(&grid_, "empty", 0, state::SQueryConfig{.parallelism = 1}) {
+        empty_(&grid_, "empty", 0, state::SQueryConfig{.parallelism = 1}),
+        kinds_(&grid_, "kinds", 0, state::SQueryConfig{.parallelism = 1}) {
     // Deterministic pseudo-random table: integer columns only, so SUM/AVG
     // are exact under every accumulation order.
     std::mt19937_64 rng(20260806);
+    std::mt19937_64 kinds_rng(20261018);
     for (int64_t ckpt = 1; ckpt <= 2; ++ckpt) {
       for (int64_t key = 0; key < kKeys; ++key) {
         Object o;
@@ -81,9 +120,13 @@ class ParallelQueryTest : public ::testing::Test {
         if (key % 4 != 0) o.Set("w", Value((key * ckpt) % 97));
         extras_.Put(Value(key), std::move(o));
       }
+      for (int64_t key = 0; key < kKindsKeys; ++key) {
+        kinds_.Put(Value(key), KindsRow(key, ckpt, &kinds_rng));
+      }
       EXPECT_TRUE(store_.SnapshotTo(ckpt).ok());
       EXPECT_TRUE(extras_.SnapshotTo(ckpt).ok());
       EXPECT_TRUE(empty_.SnapshotTo(ckpt).ok());
+      EXPECT_TRUE(kinds_.SnapshotTo(ckpt).ok());
       registry_.OnCheckpointCommitted(ckpt);
     }
     for (int64_t g = 0; g < 8; ++g) {
@@ -99,6 +142,62 @@ class ParallelQueryTest : public ::testing::Test {
       o.Set("name", Value("orphan-" + std::to_string(k)));
       dims_.Put(Value(k), std::move(o));
     }
+  }
+
+  /// One row of `kinds`. Its group column `k` changes type with the
+  /// partition: int64 (some cells absent), doubles equal to those ints (with
+  /// -0.0 and a few NaN), strings, bools, and partitions where every kind
+  /// shares the column (explicit NULL and absent cells included). `f` is a
+  /// double whose sums depend on the order they are added in; `z` is a
+  /// string that some rows lack.
+  static Object KindsRow(int64_t key, int64_t ckpt, std::mt19937_64* rng) {
+    Object o;
+    const int64_t i = key % 5;
+    switch (kv::Partitioner(kPartitions).PartitionOf(Value(key)) % 5) {
+      case 0:
+        if (key % 7 != 0) o.Set("k", Value(i));
+        break;
+      case 1:
+        if (key % 13 == 0) {
+          o.Set("k", Value(std::nan("")));
+        } else if (i == 0 && key % 2 == 1) {
+          o.Set("k", Value(-0.0));
+        } else {
+          o.Set("k", Value(static_cast<double>(i)));
+        }
+        break;
+      case 2:
+        o.Set("k", Value("s" + std::to_string(key % 3)));
+        break;
+      case 3:
+        o.Set("k", Value(key % 3 == 0));
+        break;
+      default:
+        switch (key % 6) {
+          case 0:
+            o.Set("k", Value(i));
+            break;
+          case 1:
+            o.Set("k", Value(static_cast<double>(i)));
+            break;
+          case 2:
+            o.Set("k", Value("s" + std::to_string(key % 3)));
+            break;
+          case 3:
+            o.Set("k", Value(key % 3 == 0));
+            break;
+          case 4:
+            o.Set("k", Value::Null());
+            break;
+          default:
+            break;  // absent
+        }
+    }
+    o.Set("f", Value(static_cast<double>((*rng)() % 100000) / 7.0));
+    if (key % 11 != 0) {
+      o.Set("z", Value("z" + std::to_string((key + ckpt) % 4)));
+    }
+    return o;
   }
 
   QueryResult MustExecute(const std::string& sql,
@@ -153,7 +252,7 @@ class ParallelQueryTest : public ::testing::Test {
             << sql << " [parallelism=" << parallelism
             << " pushdown=" << pushdown << "]";
         if (ordered) {
-          ASSERT_EQ(got.rows, expected.rows)
+          ASSERT_EQ(ExactRows(got.rows), ExactRows(expected.rows))
               << sql << " [parallelism=" << parallelism
               << " pushdown=" << pushdown << "]";
         } else {
@@ -173,7 +272,7 @@ class ParallelQueryTest : public ::testing::Test {
         ASSERT_EQ(row_engine.columns, got.columns)
             << sql << " [parallelism=" << parallelism
             << " pushdown=" << pushdown << " row-engine]";
-        ASSERT_EQ(row_engine.rows, got.rows)
+        ASSERT_EQ(ExactRows(row_engine.rows), ExactRows(got.rows))
             << sql << " [parallelism=" << parallelism
             << " pushdown=" << pushdown << " row-engine]";
         const std::string variant =
@@ -222,6 +321,8 @@ class ParallelQueryTest : public ::testing::Test {
   state::SQueryStateStore dims_;
   /// Checkpointed with no rows: its scans read no batches.
   state::SQueryStateStore empty_;
+  /// Group keys of every type (see KindsRow).
+  state::SQueryStateStore kinds_;
 };
 
 TEST_F(ParallelQueryTest, LiveQueriesMatchAcrossMatrix) {
@@ -273,6 +374,17 @@ TEST_F(ParallelQueryTest, LiveQueriesMatchAcrossMatrix) {
       // Live against snapshot state.
       "SELECT g, COUNT(*) AS n, SUM(s.v) AS sv FROM metrics "
       "JOIN snapshot_extras AS s USING(key) WHERE s.w > 50 GROUP BY g",
+      // Group keys of every type: `z` comes from the representative.
+      "SELECT k, z, COUNT(*) AS n, SUM(f) AS sf, MIN(z) AS mz, MAX(f) AS xf "
+      "FROM kinds GROUP BY k",
+      "SELECT k, z, COUNT(*) AS n, SUM(f) AS sf FROM kinds GROUP BY k, z",
+      "SELECT k, COUNT(*) AS n, SUM(f) AS sf FROM kinds GROUP BY k "
+      "HAVING COUNT(*) > 5 ORDER BY n DESC, sf LIMIT 4",
+      // A WHERE that keeps no row in some partitions.
+      "SELECT k, z, COUNT(*) AS n, MIN(f) AS mf FROM kinds WHERE f > 13000 "
+      "GROUP BY k, z",
+      "SELECT COUNT(*) AS n, SUM(f) AS sf, MIN(k) AS mk, MAX(z) AS xz, "
+      "key, z FROM kinds WHERE f > 13000",
   };
   for (const auto& level : {state::IsolationLevel::kReadUncommitted,
                             state::IsolationLevel::kReadCommittedNoFailures}) {
@@ -309,6 +421,19 @@ TEST_F(ParallelQueryTest, SnapshotQueriesMatchAcrossMatrix) {
       "ORDER BY s.ssid",
       "SELECT COUNT(*) AS n FROM snapshot_metrics JOIN snapshot_empty "
       "USING(key)",
+      // Group keys of every type (see KindsRow).
+      "SELECT k, z, COUNT(*) AS n, SUM(f) AS sf, MIN(z) AS mz, MAX(f) AS xf "
+      "FROM snapshot_kinds GROUP BY k",
+      "SELECT k, z, COUNT(*) AS n, SUM(f) AS sf FROM snapshot_kinds "
+      "GROUP BY k, z",
+      "SELECT ssid, COUNT(*) AS n, SUM(f) AS sf, MIN(k) AS mk, z "
+      "FROM snapshot_kinds__versions GROUP BY ssid",
+      "SELECT key, k, COUNT(*) AS n, MAX(f) AS xf, MIN(z) AS mz "
+      "FROM snapshot_kinds__versions GROUP BY key",
+      "SELECT k, ssid, COUNT(*) AS n FROM snapshot_kinds__versions "
+      "GROUP BY k, ssid HAVING COUNT(*) > 3 ORDER BY n DESC, ssid LIMIT 5",
+      "SELECT k, COUNT(*) AS n, MIN(f) AS mf FROM snapshot_kinds "
+      "WHERE f > 13000 GROUP BY k",
   };
   for (const auto& level : {state::IsolationLevel::kSnapshotIsolation,
                             state::IsolationLevel::kSerializable}) {
@@ -330,6 +455,15 @@ TEST_F(ParallelQueryTest, JoinErrorsMatchAcrossMatrix) {
       "SELECT g, COUNT(*) AS n FROM snapshot_metrics "
       "JOIN snapshot_extras AS x USING(key) WHERE w + zone > 1 GROUP BY g",
       state::IsolationLevel::kSerializable);
+}
+
+/// A group expression that errors fails with the same first error in every
+/// variant.
+TEST_F(ParallelQueryTest, GroupKeyErrorsMatchAcrossMatrix) {
+  CheckSameError("SELECT COUNT(*) AS n FROM kinds GROUP BY z + 1",
+                 state::IsolationLevel::kReadCommittedNoFailures);
+  CheckSameError("SELECT COUNT(*) AS n FROM snapshot_kinds GROUP BY z + 1",
+                 state::IsolationLevel::kSerializable);
 }
 
 /// Every source places key k in partition
@@ -585,6 +719,95 @@ TEST_F(ParallelQueryTest, ConcurrentWritesAndParallelQueries) {
   }
   stop.store(true);
   writer.join();
+}
+
+/// The integer attribute `key` of span `name` in trace `trace_id`, or -1.
+int64_t SpanAttr(uint64_t trace_id, const std::string& name,
+                 const std::string& key) {
+  for (const trace::TraceSpan& span : trace::SnapshotSpans()) {
+    if (span.trace_id != trace_id || name != span.name) continue;
+    for (const trace::Attr& attr : span.attrs) {
+      if (key == attr.key) return std::stoll(attr.value);
+    }
+  }
+  return -1;
+}
+
+/// A grouped scan over 271 partitions that each hold all 8 groups: the
+/// merge takes 271 x 8 partial groups, and the vectorized engine builds a
+/// representative tuple only for the 8 groups that reach the output (or
+/// fewer). The row engine, the reference, builds one per partial group.
+TEST(GroupedFoldTest, OnlyOutputGroupsMaterializeRepresentatives) {
+  constexpr int32_t kManyPartitions = 271;
+  constexpr int64_t kGroups = 8;
+  kv::Grid grid(kv::GridConfig{.node_count = 1,
+                               .partition_count = kManyPartitions,
+                               .backup_count = 0});
+  state::SnapshotRegistry registry(
+      &grid, {.retained_versions = 2, .async_prune = false});
+  QueryService service(&grid, &registry);
+  state::SQueryStateStore store(&grid, "orders", 0,
+                                state::SQueryConfig{.parallelism = 1});
+  // Each partition's rows cycle through the regions.
+  const kv::Partitioner partitioner(kManyPartitions);
+  std::vector<int64_t> rows(kManyPartitions, 0);
+  for (int64_t key = 0; key < 10000; ++key) {
+    int64_t& row = rows[static_cast<size_t>(partitioner.PartitionOf(Value(key)))];
+    Object o;
+    o.Set("region", Value("region-" + std::to_string(row++ % kGroups)));
+    o.Set("total", Value(key % 100));
+    store.Put(Value(key), std::move(o));
+  }
+  ASSERT_GE(*std::min_element(rows.begin(), rows.end()), kGroups);
+  ASSERT_TRUE(store.SnapshotTo(1).ok());
+  registry.OnCheckpointCommitted(1);
+  trace::SetConfig(trace::TraceConfig{});
+
+  struct Fold {
+    size_t rows = 0;
+    int64_t partials = -1;
+    int64_t materialized = -1;
+  };
+  const auto run = [&](const std::string& sql, bool row_engine) {
+    QueryOptions options;
+    options.force_row_scan = row_engine;
+    auto result = service.ExecuteWithStats(sql, options);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
+    Fold fold;
+    if (!result.ok()) return fold;
+    EXPECT_NE(result->trace_id, 0u);
+    fold.rows = result->result.rows.size();
+    fold.partials = SpanAttr(result->trace_id, "merge", "partials");
+    fold.materialized =
+        SpanAttr(result->trace_id, "aggregate", "materialized");
+    return fold;
+  };
+
+  const std::string grouped =
+      "SELECT region, COUNT(*) AS n, SUM(total) AS s FROM snapshot_orders "
+      "GROUP BY region";
+  Fold fold = run(grouped, /*row_engine=*/false);
+  EXPECT_EQ(fold.rows, static_cast<size_t>(kGroups));
+  EXPECT_EQ(fold.partials, kManyPartitions * kGroups);
+  EXPECT_EQ(fold.materialized, kGroups);
+
+  fold = run(grouped, /*row_engine=*/true);
+  EXPECT_EQ(fold.partials, kManyPartitions * kGroups);
+  EXPECT_EQ(fold.materialized, kManyPartitions * kGroups);
+
+  // HAVING drops the regions with fewer rows than average.
+  fold = run(grouped + " HAVING COUNT(*) > 1250", /*row_engine=*/false);
+  EXPECT_GT(fold.rows, 0u);
+  EXPECT_LT(fold.rows, static_cast<size_t>(kGroups));
+  EXPECT_EQ(fold.partials, kManyPartitions * kGroups);
+  EXPECT_GE(fold.materialized, 0);
+  EXPECT_LE(fold.materialized, kGroups);
+
+  // Without GROUP BY: one representative, not one per partition.
+  fold = run("SELECT COUNT(*) AS n, region FROM snapshot_orders",
+             /*row_engine=*/false);
+  EXPECT_EQ(fold.partials, kManyPartitions);
+  EXPECT_EQ(fold.materialized, 1);
 }
 
 }  // namespace
