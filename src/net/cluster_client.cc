@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -29,7 +28,8 @@ namespace {
 /// so the nodes serve the scan at once. The decoded batches stay with the
 /// source for its lifetime, and each partition's reader gets copies of
 /// their shared pointers, so the executor's partition fan-out and merge
-/// work as they do on a local table.
+/// work as they do on a local table. Point lookups go out the same way, as
+/// keyed range requests to the nodes that own the keys.
 class ClusterTableSource : public sql::TableSource {
  public:
   ClusterTableSource(ClusterClient* client, TableRead read,
@@ -50,50 +50,40 @@ class ClusterTableSource : public sql::TableSource {
     return client_->partitioner().PartitionOf(key);
   }
 
-  Status ScanKeys(const std::vector<kv::Value>& keys,
-                  const RowFn& fn) const override {
-    // Scatter the key set by owning node, then replay replies in request-key
-    // order — the exact emission order of the local point-lookup path (keys
-    // outermost, versions innermost), so multi-version lookups stay
-    // bit-identical.
-    std::map<int32_t, PointLookupRequest> by_node;
-    // sq-lint: unordered-ok(lookups only; rows are ordered by request index)
-    std::unordered_map<kv::Value, size_t, kv::ValueHash> first_index;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      first_index.emplace(keys[i], i);
-      by_node[client_->OwnerOfPartition(PartitionOfKey(keys[i]))]
-          .keys.push_back(keys[i]);
+  Result<std::vector<sql::PartitionLookup>> ScanKeys(
+      const std::vector<kv::Value>& keys) const override {
+    // A keyed range request per owning node, spanning the partitions its
+    // keys hit, all sent at once like a scan's.
+    const ClusterTopology& topology = client_->topology();
+    std::map<int32_t, PendingRange> by_owner;
+    for (const kv::Value& key : keys) {
+      const int32_t partition = PartitionOfKey(key);
+      const int32_t owner = client_->OwnerOfPartition(partition);
+      auto [it, inserted] = by_owner.try_emplace(
+          owner, PendingRange{topology.nodes[owner].node_id, partition,
+                              partition + 1, {}});
+      PendingRange& range = it->second;
+      range.begin = std::min(range.begin, partition);
+      range.end = std::max(range.end, partition + 1);
+      range.keys.push_back(key);
     }
-    SQ_ASSIGN_OR_RETURN(const TableRead read, ReadFor(by_node.size()));
-    std::vector<std::pair<size_t, WireRow>> collected;
-    for (auto& [node, req] : by_node) {
-      req.read = read;
-      std::string body;
-      EncodePointLookupRequest(req, &body);
-      std::string reply_body;
-      SQ_RETURN_IF_ERROR(client_->Call(node, MsgType::kPointLookup, body,
-                                       MsgType::kRows, &reply_body, ctx_,
-                                       /*idempotent=*/true));
-      SQ_ASSIGN_OR_RETURN(RowsReply reply, DecodeRowsReply(reply_body));
-      for (WireRow& row : reply.rows) {
-        const auto it = first_index.find(row.key);
-        const size_t index = it == first_index.end() ? keys.size() : it->second;
-        collected.emplace_back(index, std::move(row));
-      }
-    }
-    std::stable_sort(collected.begin(), collected.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    for (const auto& [index, row] : collected) {
-      if (row.has_ssid) {
-        const kv::Value ssid(row.ssid);
-        fn(row.key, &ssid, row.value);
-      } else {
-        fn(row.key, nullptr, row.value);
-      }
-    }
-    return Status::OK();
+    std::vector<PendingRange> pending;
+    pending.reserve(by_owner.size());
+    for (auto& [owner, range] : by_owner) pending.push_back(std::move(range));
+    std::vector<sql::PartitionLookup> found;
+    SQ_RETURN_IF_ERROR(Fetch(
+        std::move(pending),
+        [&found](int32_t partition, std::vector<sql::ScanBatch> batches) {
+          if (!batches.empty()) {
+            found.push_back({partition, std::move(batches)});
+          }
+        }));
+    // Pages of several rounds interleave their nodes' partitions.
+    std::sort(found.begin(), found.end(),
+              [](const sql::PartitionLookup& a, const sql::PartitionLookup& b) {
+                return a.partition < b.partition;
+              });
+    return found;
   }
 
   std::unique_ptr<sql::BatchReader> OpenBatchReader(
@@ -146,15 +136,16 @@ class ClusterTableSource : public sql::TableSource {
     return &partitions_[partition];
   }
 
-  /// One owning node's part of the scan still to fetch.
+  /// One owning node's part of a read still to fetch: a range of its
+  /// partitions, restricted to `keys` when they are given.
   struct PendingRange {
     int32_t node_id;
     int32_t begin;
     int32_t end;
+    std::vector<kv::Value> keys;
   };
 
-  /// Sends every owning node its range at once, then asks again from
-  /// `next_partition` for each node that answered with a partial page.
+  /// Fetches every partition of the table into `partitions_`.
   Status FetchAll() const {
     const ClusterTopology& topology = client_->topology();
     const auto node_count = static_cast<int32_t>(topology.nodes.size());
@@ -164,17 +155,30 @@ class ClusterTableSource : public sql::TableSource {
       const kv::PartitionRange owned =
           kv::PartitionRangeOf(i, node_count, topology.partition_count);
       if (owned.begin < owned.end) {
-        pending.push_back({topology.nodes[i].node_id, owned.begin, owned.end});
+        pending.push_back(
+            {topology.nodes[i].node_id, owned.begin, owned.end, {}});
       }
     }
+    return Fetch(std::move(pending),
+                 [this](int32_t partition, std::vector<sql::ScanBatch> batches) {
+                   partitions_[partition] = std::move(batches);
+                 });
+  }
+
+  /// Sends every pending range at once, hands each partition of the pages
+  /// to `file(partition, batches)`, then asks again from `next_partition`
+  /// for each node that answered with a partial page.
+  template <typename File>
+  Status Fetch(std::vector<PendingRange> pending, const File& file) const {
     SQ_ASSIGN_OR_RETURN(const TableRead read, ReadFor(pending.size()));
     while (!pending.empty()) {
       std::vector<ClusterClient::ScatterCall> calls(pending.size());
       for (size_t i = 0; i < pending.size(); ++i) {
         calls[i].node_id = pending[i].node_id;
-        EncodeScanRangeRequest(
-            ScanRangeRequest{read, pending[i].begin, pending[i].end},
-            &calls[i].body);
+        EncodeScanRangeRequest(ScanRangeRequest{read, pending[i].begin,
+                                                pending[i].end,
+                                                pending[i].keys},
+                               &calls[i].body);
       }
       client_->Scatter(MsgType::kScanRange, MsgType::kRangeBatches, &calls,
                        ctx_);
@@ -183,10 +187,10 @@ class ClusterTableSource : public sql::TableSource {
         SQ_RETURN_IF_ERROR(calls[i].status);
         SQ_ASSIGN_OR_RETURN(ScanRangeReply page,
                             DecodeScanRangeReply(calls[i].reply_body));
-        SQ_RETURN_IF_ERROR(Store(pending[i], &page));
+        SQ_RETURN_IF_ERROR(Store(pending[i], &page, file));
         if (page.next_partition < pending[i].end) {
-          unfinished.push_back(
-              {pending[i].node_id, page.next_partition, pending[i].end});
+          pending[i].begin = page.next_partition;
+          unfinished.push_back(std::move(pending[i]));
         }
       }
       pending = std::move(unfinished);
@@ -194,9 +198,11 @@ class ClusterTableSource : public sql::TableSource {
     return Status::OK();
   }
 
-  /// Files one page's batches under their partitions. A page must cover
-  /// consecutive partitions from the range's start and make progress.
-  Status Store(const PendingRange& range, ScanRangeReply* page) const {
+  /// Hands one page's partitions to `file(partition, batches)`. A page must
+  /// cover consecutive partitions from the range's start and make progress.
+  template <typename File>
+  static Status Store(const PendingRange& range, ScanRangeReply* page,
+                      const File& file) {
     const auto served = static_cast<int32_t>(page->partitions.size());
     bool consecutive = served > 0 && page->next_partition <= range.end &&
                        page->next_partition - range.begin == served;
@@ -211,7 +217,7 @@ class ClusterTableSource : public sql::TableSource {
                               ") with a page that does not follow them");
     }
     for (PartitionBatches& partition : page->partitions) {
-      std::vector<sql::ScanBatch>& batches = partitions_[partition.partition];
+      std::vector<sql::ScanBatch> batches;
       batches.reserve(partition.batches.size());
       for (WireBatch& batch : partition.batches) {
         std::optional<kv::Value> ssid;
@@ -219,6 +225,7 @@ class ClusterTableSource : public sql::TableSource {
         batches.push_back(
             sql::ScanBatch{std::move(batch.rows), std::move(ssid)});
       }
+      file(partition.partition, std::move(batches));
     }
     return Status::OK();
   }

@@ -19,30 +19,50 @@ constexpr int64_t kSendDeadlineNanos = int64_t{30} * 1000 * 1000 * 1000;
 
 Result<std::string> BuildScanPage(const sql::TableSource& source,
                                   int32_t begin, int32_t end,
+                                  const std::vector<kv::Value>& keys,
                                   size_t budget_bytes) {
-  // The node serves the batches its own reader yields and nothing else: the
+  // The node serves the batches its own source yields and nothing else: the
   // coordinator filters and folds them with the code it runs on local ones.
+  std::vector<sql::PartitionLookup> looked_up;
+  if (!keys.empty()) {
+    std::vector<kv::Value> in_range;
+    for (const kv::Value& key : keys) {
+      const int32_t p = source.PartitionOfKey(key);
+      if (p >= begin && p < end) in_range.push_back(key);
+    }
+    SQ_ASSIGN_OR_RETURN(looked_up, source.ScanKeys(in_range));
+  }
+  auto next_found = looked_up.begin();
   ScanRangeReplyWriter page;
   int32_t partition = begin;
   // Every page carries at least one partition, so a scan always progresses.
   while (partition < end &&
          (partition == begin || page.size() <= budget_bytes)) {
-    std::unique_ptr<sql::BatchReader> reader =
-        source.OpenBatchReader(partition);
     PartitionBatches served;
     served.partition = partition;
-    sql::ScanBatch batch;
-    for (;;) {
-      SQ_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch));
-      if (!more) break;
+    const auto serve = [&served](sql::ScanBatch* batch) {
       WireBatch wire;
-      if (batch.ssid.has_value()) {
+      if (batch->ssid.has_value()) {
         wire.has_ssid = true;
-        wire.ssid = batch.ssid->AsInt64();
+        wire.ssid = batch->ssid->AsInt64();
       }
-      wire.rows = std::move(batch.rows);
+      wire.rows = std::move(batch->rows);
       served.batches.push_back(std::move(wire));
-      batch = sql::ScanBatch{};
+    };
+    if (keys.empty()) {
+      std::unique_ptr<sql::BatchReader> reader =
+          source.OpenBatchReader(partition);
+      sql::ScanBatch batch;
+      for (;;) {
+        SQ_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch));
+        if (!more) break;
+        serve(&batch);
+        batch = sql::ScanBatch{};
+      }
+    } else if (next_found != looked_up.end() &&
+               next_found->partition == partition) {
+      for (sql::ScanBatch& batch : next_found->batches) serve(&batch);
+      ++next_found;
     }
     page.Add(served);
     ++partition;
@@ -238,9 +258,6 @@ Result<std::string> NodeServer::Dispatch(const Frame& request,
       *reply_type = MsgType::kHelloReply;
       return body;
     }
-    case MsgType::kPointLookup:
-      *reply_type = MsgType::kRows;
-      return HandlePointLookup(request.body);
     case MsgType::kScanRange:
       *reply_type = MsgType::kRangeBatches;
       return HandleScanRange(request.body);
@@ -309,35 +326,12 @@ Result<std::unique_ptr<sql::TableSource>> NodeServer::OpenSource(
   return source;
 }
 
-Result<std::string> NodeServer::HandlePointLookup(std::string_view body) {
-  SQ_ASSIGN_OR_RETURN(PointLookupRequest req, DecodePointLookupRequest(body));
-  SQ_ASSIGN_OR_RETURN(std::unique_ptr<sql::TableSource> source,
-                      OpenSource(req.read));
-  RowsReply reply;
-  SQ_RETURN_IF_ERROR(source->ScanKeys(
-      req.keys, [&reply](const kv::Value& key, const kv::Value* ssid,
-                         const kv::Object& value) {
-        WireRow row;
-        row.key = key;
-        if (ssid != nullptr) {
-          row.has_ssid = true;
-          row.ssid = ssid->AsInt64();
-        }
-        row.value = value;
-        reply.rows.push_back(std::move(row));
-      }));
-  reply.rows_scanned = static_cast<int64_t>(reply.rows.size());
-  std::string out;
-  EncodeRowsReply(reply, &out);
-  return out;
-}
-
 Result<std::string> NodeServer::HandleScanRange(std::string_view body) {
   SQ_ASSIGN_OR_RETURN(ScanRangeRequest req, DecodeScanRangeRequest(body));
   SQ_RETURN_IF_ERROR(CheckOwnedRange(req.begin, req.end));
   SQ_ASSIGN_OR_RETURN(std::unique_ptr<sql::TableSource> source,
                       OpenSource(req.read));
-  return BuildScanPage(*source, req.begin, req.end, kScanPageBytes);
+  return BuildScanPage(*source, req.begin, req.end, req.keys, kScanPageBytes);
 }
 
 Result<std::string> NodeServer::HandleReplicationDelta(

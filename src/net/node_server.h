@@ -33,7 +33,7 @@ struct NodeServerOptions {
   kv::PartitionRange owned;
   /// Total cluster partition space (must match every peer and client).
   int32_t partition_count = kv::kDefaultPartitionCount;
-  /// Serves point lookups and partition scans. Required.
+  /// Serves partition scans and point lookups. Required.
   query::QueryService* query = nullptr;
   /// Target of replication deltas (live maps and snapshot tables). May be
   /// null on a read-only node; deltas then fail with kFailedPrecondition.
@@ -54,11 +54,13 @@ struct NodeServerOptions {
 inline constexpr size_t kScanPageBytes = kMaxFrameBytes / 2;
 
 /// Builds one page of a range scan over `source`: partitions from `begin`
-/// on, in order, each with the batches its OpenBatchReader yields, up to
+/// on, in order, each with the batches its OpenBatchReader yields (with
+/// `keys`, the batches ScanKeys returns for the keys in [begin, end)), up to
 /// `end` or through the partition that takes the body past `budget_bytes`.
 /// Returns the encoded ScanRangeReply body. Nodes pass kScanPageBytes.
 Result<std::string> BuildScanPage(const sql::TableSource& source,
                                   int32_t begin, int32_t end,
+                                  const std::vector<kv::Value>& keys,
                                   size_t budget_bytes);
 
 /// One cluster node: a TCP server answering the wire protocol against the
@@ -93,7 +95,6 @@ class NodeServer {
   Frame Handle(const Frame& request, bool* handled_ok);
   Result<std::string> Dispatch(const Frame& request, MsgType* reply_type);
 
-  Result<std::string> HandlePointLookup(std::string_view body);
   Result<std::string> HandleScanRange(std::string_view body);
   Result<std::string> HandleReplicationDelta(std::string_view body);
   Result<std::string> HandleCheckpointMarker(std::string_view body);

@@ -67,14 +67,12 @@ bool ReadTableRead(Reader* r, TableRead* out) {
 bool IsKnownMsgType(uint8_t type) {
   switch (static_cast<MsgType>(type)) {
     case MsgType::kHello:
-    case MsgType::kPointLookup:
     case MsgType::kReplicationDelta:
     case MsgType::kCheckpointMarker:
     case MsgType::kResolveSsid:
     case MsgType::kFetchSystemTable:
     case MsgType::kScanRange:
     case MsgType::kHelloReply:
-    case MsgType::kRows:
     case MsgType::kAck:
     case MsgType::kResolveSsidReply:
     case MsgType::kError:
@@ -88,14 +86,12 @@ bool IsKnownMsgType(uint8_t type) {
 const char* MsgTypeToString(MsgType type) {
   switch (type) {
     case MsgType::kHello: return "hello";
-    case MsgType::kPointLookup: return "point_lookup";
     case MsgType::kReplicationDelta: return "replication_delta";
     case MsgType::kCheckpointMarker: return "checkpoint_marker";
     case MsgType::kResolveSsid: return "resolve_ssid";
     case MsgType::kFetchSystemTable: return "fetch_system_table";
     case MsgType::kScanRange: return "scan_range";
     case MsgType::kHelloReply: return "hello_reply";
-    case MsgType::kRows: return "rows";
     case MsgType::kAck: return "ack";
     case MsgType::kResolveSsidReply: return "resolve_ssid_reply";
     case MsgType::kError: return "error";
@@ -183,75 +179,31 @@ Result<HelloReply> DecodeHelloReply(std::string_view body) {
   return Finish(r, std::move(msg), "bad hello reply");
 }
 
-void EncodePointLookupRequest(const PointLookupRequest& msg,
-                              std::string* body) {
+void EncodeScanRangeRequest(const ScanRangeRequest& msg, std::string* body) {
   PutTableRead(body, msg.read);
+  PutI32(body, msg.begin);
+  PutI32(body, msg.end);
   PutU32(body, static_cast<uint32_t>(msg.keys.size()));
   for (const kv::Value& key : msg.keys) {
     storage::PutValue(body, key);
   }
 }
 
-Result<PointLookupRequest> DecodePointLookupRequest(std::string_view body) {
+Result<ScanRangeRequest> DecodeScanRangeRequest(std::string_view body) {
   Reader r(body);
-  PointLookupRequest msg;
+  ScanRangeRequest msg;
   uint32_t count = 0;
-  if (!ReadTableRead(&r, &msg.read) || !ReadCount(&r, &count)) {
-    return Corrupt("bad point lookup");
+  if (!ReadTableRead(&r, &msg.read) || !r.ReadI32(&msg.begin) ||
+      !r.ReadI32(&msg.end) || !ReadCount(&r, &count)) {
+    return Corrupt("bad scan range request");
   }
   msg.keys.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     kv::Value key;
-    if (!r.ReadValue(&key)) return Corrupt("bad point lookup");
+    if (!r.ReadValue(&key)) return Corrupt("bad scan range request");
     msg.keys.push_back(std::move(key));
   }
-  return Finish(r, std::move(msg), "bad point lookup");
-}
-
-void EncodeScanRangeRequest(const ScanRangeRequest& msg, std::string* body) {
-  PutTableRead(body, msg.read);
-  PutI32(body, msg.begin);
-  PutI32(body, msg.end);
-}
-
-Result<ScanRangeRequest> DecodeScanRangeRequest(std::string_view body) {
-  Reader r(body);
-  ScanRangeRequest msg;
-  if (!ReadTableRead(&r, &msg.read) || !r.ReadI32(&msg.begin) ||
-      !r.ReadI32(&msg.end)) {
-    return Corrupt("bad scan range request");
-  }
   return Finish(r, std::move(msg), "bad scan range request");
-}
-
-void EncodeRowsReply(const RowsReply& msg, std::string* body) {
-  PutI64(body, msg.rows_scanned);
-  PutU32(body, static_cast<uint32_t>(msg.rows.size()));
-  for (const WireRow& row : msg.rows) {
-    storage::PutValue(body, row.key);
-    PutBool(body, row.has_ssid);
-    PutI64(body, row.ssid);
-    PutObject(body, row.value);
-  }
-}
-
-Result<RowsReply> DecodeRowsReply(std::string_view body) {
-  Reader r(body);
-  RowsReply msg;
-  uint32_t count = 0;
-  if (!r.ReadI64(&msg.rows_scanned) || !ReadCount(&r, &count)) {
-    return Corrupt("bad rows reply");
-  }
-  msg.rows.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    WireRow row;
-    if (!r.ReadValue(&row.key) || !ReadBool(&r, &row.has_ssid) ||
-        !r.ReadI64(&row.ssid) || !r.ReadObject(&row.value)) {
-      return Corrupt("bad rows reply");
-    }
-    msg.rows.push_back(std::move(row));
-  }
-  return Finish(r, std::move(msg), "bad rows reply");
 }
 
 ScanRangeReplyWriter::ScanRangeReplyWriter() { PutU32(&body_, 0); }

@@ -43,26 +43,26 @@ inline constexpr size_t kPayloadPrefixBytes = 1 + 1 + 8 + 8;
 inline constexpr size_t kMaxBodyBytes = kMaxFrameBytes - kPayloadPrefixBytes;
 
 /// Message-type values that are retired and never reused, so a frame from an
-/// old peer can only be rejected as an unknown type, never misread: 3 (a row
-/// scan with a pushed predicate), 4 (a partition fold into partial
-/// aggregates), 66 (its reply), 9 (one partition as columnar batches) and 71
-/// (its reply). The lint tool's `wire` pass rejects a MsgType that takes
-/// one.
-inline constexpr std::array<uint8_t, 5> kRetiredMsgTypes = {3, 4, 66, 9, 71};
+/// old peer can only be rejected as an unknown type, never misread: 2 (rows
+/// for an explicit key set, now a keyed kScanRange) and 65 (its reply of
+/// materialized rows), 3 (a row scan with a pushed predicate), 4 (a
+/// partition fold into partial aggregates), 66 (its reply), 9 (one partition
+/// as columnar batches) and 71 (its reply). The lint tool's `wire` pass
+/// rejects a MsgType that takes one.
+inline constexpr std::array<uint8_t, 7> kRetiredMsgTypes = {
+    2, 3, 4, 9, 65, 66, 71};
 
 enum class MsgType : uint8_t {
   // Requests.
   kHello = 1,              ///< who are you / which partitions do you own
-  kPointLookup = 2,        ///< rows for an explicit key set
   kReplicationDelta = 5,   ///< primary→backup entry batch (live or snapshot)
   kCheckpointMarker = 6,   ///< 2PC marker exchange (prepare/commit/abort)
   kResolveSsid = 7,        ///< resolve "latest"/explicit id cluster-wide
   kFetchSystemTable = 8,   ///< one node's rows of a virtual system table
-  kScanRange = 10,         ///< a range of partitions as columnar batches
+  kScanRange = 10,         ///< a range of partitions (or its keys) as batches
 
   // Responses.
   kHelloReply = 64,
-  kRows = 65,
   kAck = 67,
   kResolveSsidReply = 68,
   kError = 69,
@@ -118,36 +118,19 @@ struct TableRead {
   bool all_versions = false;
 };
 
-struct PointLookupRequest {
-  TableRead read;
-  std::vector<kv::Value> keys;
-};
-void EncodePointLookupRequest(const PointLookupRequest& msg,
-                              std::string* body);
-Result<PointLookupRequest> DecodePointLookupRequest(std::string_view body);
-
 /// Asks a node for partitions [begin, end) of its owned range, answered
-/// with one ScanRangeReply page.
+/// with one ScanRangeReply page. A keyed request (non-empty `keys`, a point
+/// lookup) reads only the rows of those keys that lie in the range, as the
+/// batches the node's TableSource::ScanKeys returns; its range spans the
+/// partitions the keys hit.
 struct ScanRangeRequest {
   TableRead read;
   int32_t begin = 0;
   int32_t end = 0;
+  std::vector<kv::Value> keys;
 };
 void EncodeScanRangeRequest(const ScanRangeRequest& msg, std::string* body);
 Result<ScanRangeRequest> DecodeScanRangeRequest(std::string_view body);
-
-struct WireRow {
-  kv::Value key;
-  bool has_ssid = false;
-  int64_t ssid = 0;
-  kv::Object value;
-};
-struct RowsReply {
-  std::vector<WireRow> rows;
-  int64_t rows_scanned = 0;  // pre-filter count, for client ExecStats
-};
-void EncodeRowsReply(const RowsReply& msg, std::string* body);
-Result<RowsReply> DecodeRowsReply(std::string_view body);
 
 /// One columnar scan batch: the `ssid` pseudo-column value of its rows
 /// (absent on live scans) and the rows, in storage::PutColumnBatch encoding.

@@ -73,14 +73,15 @@ class LiveTableSource : public sql::TableSource {
     return live_->partition_count();
   }
 
-  Status ScanKeys(const std::vector<kv::Value>& keys,
-                  const RowFn& fn) const override {
+  Result<std::vector<sql::PartitionLookup>> ScanKeys(
+      const std::vector<kv::Value>& keys) const override {
+    sql::LookupBatchBuilder found;
     for (const kv::Value& key : keys) {
       if (auto value = live_->Get(key); value.has_value()) {
-        fn(key, /*ssid=*/nullptr, *value);
+        found.Add(PartitionOfKey(key), key, /*ssid=*/nullptr, *value);
       }
     }
-    return Status::OK();
+    return std::move(found).Finish();
   }
 
   int32_t PartitionOfKey(const kv::Value& key) const override {
@@ -116,14 +117,15 @@ class SnapshotTableSource : public sql::TableSource {
     return snap_->partition_count();
   }
 
-  Status ScanKeys(const std::vector<kv::Value>& keys,
-                  const RowFn& fn) const override {
+  Result<std::vector<sql::PartitionLookup>> ScanKeys(
+      const std::vector<kv::Value>& keys) const override {
+    sql::LookupBatchBuilder found;
     for (const kv::Value& key : keys) {
       if (auto value = snap_->GetAt(key, ssid_); value.has_value()) {
-        fn(key, &ssid_value_, *value);
+        found.Add(PartitionOfKey(key), key, &ssid_value_, *value);
       }
     }
-    return Status::OK();
+    return std::move(found).Finish();
   }
 
   int32_t PartitionOfKey(const kv::Value& key) const override {
@@ -162,19 +164,20 @@ class VersionsTableSource : public sql::TableSource {
     return snap_->partition_count();
   }
 
-  Status ScanKeys(const std::vector<kv::Value>& keys,
-                  const RowFn& fn) const override {
-    // Keys outermost, versions innermost: the order the cluster's scattered
-    // lookups are replayed in, so both paths agree row for row.
+  Result<std::vector<sql::PartitionLookup>> ScanKeys(
+      const std::vector<kv::Value>& keys) const override {
+    // Keys outermost, versions innermost.
+    sql::LookupBatchBuilder found;
     for (const kv::Value& key : keys) {
+      const int32_t partition = PartitionOfKey(key);
       for (const kv::Value& version : version_values_) {
         if (auto value = snap_->GetAt(key, version.int64_value());
             value.has_value()) {
-          fn(key, &version, *value);
+          found.Add(partition, key, &version, *value);
         }
       }
     }
-    return Status::OK();
+    return std::move(found).Finish();
   }
 
   int32_t PartitionOfKey(const kv::Value& key) const override {
@@ -905,9 +908,15 @@ QueryService::GetSnapshotObjects(const std::string& operator_name,
     return Status::NotFound("no snapshot table for operator " +
                             operator_name);
   }
-  SQ_RETURN_IF_ERROR(durable->ScanKeys(
-      keys, [&out](const kv::Value& key, const kv::Value* /*ssid*/,
-                   const kv::Object& value) { out.emplace_back(key, value); }));
+  SQ_ASSIGN_OR_RETURN(const std::vector<sql::PartitionLookup> found,
+                      durable->ScanKeys(keys));
+  for (const sql::PartitionLookup& partition : found) {
+    for (const sql::ScanBatch& batch : partition.batches) {
+      for (size_t r = 0; r < batch.rows->row_count(); ++r) {
+        out.emplace_back(batch.rows->keys()[r], batch.rows->MaterializeRow(r));
+      }
+    }
+  }
   return out;
 }
 

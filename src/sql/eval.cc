@@ -1,5 +1,7 @@
 #include "sql/eval.h"
 
+#include <utility>
+
 namespace sq::sql {
 
 namespace detail {
@@ -168,8 +170,8 @@ Result<kv::Value> EvalScalar(const Expr& expr, const ScanRowView& row,
 }
 
 kv::Object MaterializeRow(const kv::Value& key, const kv::Value* ssid,
-                          const kv::Object& value) {
-  kv::Object tuple = value;
+                          kv::Object value) {
+  kv::Object tuple = std::move(value);
   tuple.Set("key", key);
   tuple.Set("partitionKey", key);
   if (ssid != nullptr) {

@@ -52,7 +52,7 @@ struct ScanRowView {
 /// `ssid` is non-null, `ssid`. The one definition of the tuple shape, shared
 /// by both engines, and in lockstep with ScanRowView's resolution.
 kv::Object MaterializeRow(const kv::Value& key, const kv::Value* ssid,
-                          const kv::Object& value);
+                          kv::Object value);
 
 /// The tuple a JOIN ... USING builds from a left and a right tuple: the left
 /// tuple plus every right field; on a name conflict the left value wins and

@@ -206,7 +206,55 @@ Status ReadPartition(const TableSource& source, int32_t p, int64_t* scanned,
   }
 }
 
-/// Reads every partition of `source` as batches, fanned out over the pool,
+/// The partitions of the FROM table a fan-out visits: every partition, or
+/// under a key restriction only those where point lookups found rows, read
+/// from the batches the lookups returned.
+class FromPartitions {
+ public:
+  /// Visits every partition of `source`, or with `keys` looks them up
+  /// first (recording a `point_lookup` span) and visits the partitions hit.
+  static Result<FromPartitions> Open(const TableSource& source,
+                                     const std::vector<Value>* keys,
+                                     ExecStats* stats) {
+    FromPartitions from(source);
+    if (keys == nullptr) return from;
+    trace::ScopedSpan span(trace::Category::kQuery, "point_lookup");
+    span.AddAttr("keys", static_cast<int64_t>(keys->size()));
+    SQ_ASSIGN_OR_RETURN(from.looked_up_, source.ScanKeys(*keys));
+    from.lookup_ = true;
+    stats->used_point_lookup = true;
+    return from;
+  }
+
+  int32_t count() const {
+    return lookup_ ? static_cast<int32_t>(looked_up_.size())
+                   : source_->partition_count();
+  }
+  int32_t partition(int32_t i) const {
+    return lookup_ ? looked_up_[static_cast<size_t>(i)].partition : i;
+  }
+
+  /// Reads the `i`-th visited partition batch by batch into `fn(batch)`,
+  /// adding each batch's rows to `*scanned`. Stops at the first error.
+  template <typename Fn>
+  Status Read(int32_t i, int64_t* scanned, const Fn& fn) const {
+    if (!lookup_) return ReadPartition(*source_, i, scanned, fn);
+    for (const ScanBatch& batch : looked_up_[static_cast<size_t>(i)].batches) {
+      *scanned += static_cast<int64_t>(batch.rows->row_count());
+      SQ_RETURN_IF_ERROR(fn(batch));
+    }
+    return Status::OK();
+  }
+
+ private:
+  explicit FromPartitions(const TableSource& source) : source_(&source) {}
+
+  const TableSource* source_;
+  bool lookup_ = false;
+  std::vector<PartitionLookup> looked_up_;
+};
+
+/// Reads the partitions `from` visits as batches, fanned out over the pool,
 /// into one `Local` per partition. The vectorized engine hands each batch to
 /// `fold_batch(batch, &local, &returned)`; the row engine materializes each
 /// row of it and runs it through the row evaluator into
@@ -214,23 +262,23 @@ Status ReadPartition(const TableSource& source, int32_t p, int64_t* scanned,
 /// folds the outcomes into `stats`.
 template <typename Local, typename BatchFold, typename RowFold>
 Result<std::vector<Local>> ScanPartitions(
-    const TableSource& source, const char* span_name,
+    const FromPartitions& from, const char* span_name,
     const CompiledScan& scan, const EvalContext& ctx,
     const ExecOptions& options, ExecStats* stats,
     const BatchFold& fold_batch, const RowFold& fold_row) {
-  const int32_t partitions = source.partition_count();
+  const int32_t partitions = from.count();
   const int32_t workers = ScanWorkers(options, partitions);
   std::vector<Local> per_partition(partitions);
   std::vector<PartitionOutcome> outcomes(partitions);
   // Captured before the fan-out: ParallelFor workers have no thread-local
   // scope, so per-partition spans parent on the scan span explicitly.
   const trace::SpanContext scan_ctx = trace::CurrentContext();
-  RunPartitioned(options, partitions, workers, [&](int32_t p) {
+  RunPartitioned(options, partitions, workers, [&](int32_t i) {
     const int64_t span_t0 = trace::NowNanos();
-    PartitionOutcome& outcome = outcomes[p];
-    Local& local = per_partition[p];
-    outcome.status = ReadPartition(
-        source, p, &outcome.scanned, [&](const ScanBatch& batch) -> Status {
+    PartitionOutcome& outcome = outcomes[i];
+    Local& local = per_partition[i];
+    outcome.status = from.Read(
+        i, &outcome.scanned, [&](const ScanBatch& batch) -> Status {
           if (options.enable_vectorized) {
             ++outcome.batches;
             outcome.batch_rows +=
@@ -249,7 +297,7 @@ Result<std::vector<Local>> ScanPartitions(
         });
     trace::RecordSpan(trace::Category::kQuery, span_name, scan_ctx, span_t0,
                       trace::NowNanos(),
-                      {{"partition", p},
+                      {{"partition", from.partition(i)},
                        {"columnar", options.enable_vectorized},
                        {"scanned", outcome.scanned},
                        {"returned", outcome.returned}});
@@ -262,35 +310,8 @@ Result<std::vector<Local>> ScanPartitions(
   return per_partition;
 }
 
-/// Point-lookup scan (pushed-down key equalities): visits only `keys`,
-/// still applying the pushed predicate so the result matches a full scan
-/// exactly.
-template <typename RowConsumer>
-Status ScanByKeys(const TableSource& source, const std::vector<Value>& keys,
-                  const CompiledScan& scan, const EvalContext& ctx,
-                  ExecStats* stats, const RowConsumer& consume) {
-  trace::ScopedSpan span(trace::Category::kQuery, "point_lookup");
-  span.AddAttr("keys", static_cast<int64_t>(keys.size()));
-  Status status;
-  std::set<int32_t> partitions;
-  Status scan_status =
-      source.ScanKeys(keys, [&](const Value& key, const Value* ssid,
-                                const Object& value) {
-        if (!status.ok()) return;
-        ++stats->rows_scanned;
-        partitions.insert(source.PartitionOfKey(key));
-        status = EvaluateRow(ScanRowView{&key, ssid, &value}, scan, ctx,
-                             &stats->rows_returned, consume);
-      });
-  if (status.ok() && !scan_status.ok()) status = std::move(scan_status);
-  stats->partitions_scanned += static_cast<int32_t>(partitions.size());
-  stats->used_point_lookup = true;
-  stats->used_pushdown = stats->used_pushdown || scan.has_predicate();
-  return status;
-}
-
 /// Materialized rows in partition order, with the end of each partition's
-/// run (a point lookup's rows are one run).
+/// run.
 struct PartitionedTuples {
   std::vector<Object> rows;
   std::vector<size_t> ends;
@@ -344,36 +365,26 @@ void MergePartials(const std::vector<AggregateSpec>& aggregates,
 
 /// Partition-parallel materializing scan with predicate/key pushdown. Rows
 /// rejected by the pushed predicate are never copied out.
-Result<PartitionedTuples> MaterializeFromSource(
-    const TableSource& source, const Expr* predicate,
-    const std::vector<Value>* keys, const EvalContext& ctx,
-    const ExecOptions& options, ExecStats* stats) {
+Result<PartitionedTuples> MaterializeFromSource(const FromPartitions& from,
+                                                const Expr* predicate,
+                                                const EvalContext& ctx,
+                                                const ExecOptions& options,
+                                                ExecStats* stats) {
   // Compiled once per scan, shared read-only by all workers: resolves the
   // predicate's column references at plan time instead of per row.
   const CompiledScan scan(predicate, {}, {});
-  const auto materialize = [](const ScanRowView& row,
-                              std::vector<Object>* out) {
-    out->push_back(MaterializeRow(*row.key, row.ssid, *row.value));
-    return Status::OK();
-  };
-  if (keys != nullptr) {
-    PartitionedTuples tuples;
-    SQ_RETURN_IF_ERROR(ScanByKeys(source, *keys, scan, ctx, stats,
-                                  [&](const ScanRowView& row) {
-                                    return materialize(row, &tuples.rows);
-                                  }));
-    tuples.ends.push_back(tuples.rows.size());
-    return tuples;
-  }
   SQ_ASSIGN_OR_RETURN(
       std::vector<std::vector<Object>> per_partition,
       ScanPartitions<std::vector<Object>>(
-          source, "partition_scan", scan, ctx, options, stats,
+          from, "partition_scan", scan, ctx, options, stats,
           [&](const ScanBatch& batch, std::vector<Object>* local,
               int64_t* returned) {
             return scan.FilterBatch(batch, ctx, local, returned);
           },
-          materialize));
+          [](const ScanRowView& row, std::vector<Object>* local) {
+            local->push_back(MaterializeRow(*row.key, row.ssid, *row.value));
+            return Status::OK();
+          }));
   return ConcatPartitions(std::move(per_partition));
 }
 
@@ -382,33 +393,28 @@ Result<PartitionedTuples> MaterializeFromSource(
 /// thread. The vectorized engine materializes no row: a group keeps its
 /// first row as a reference, built into a tuple only if the group reaches
 /// the output. Full-scan aggregates therefore scale with cores.
-Status ScanAggregate(const TableSource& source, const Expr* predicate,
-                     const std::vector<Value>* keys,
+Status ScanAggregate(const FromPartitions& from, const Expr* predicate,
                      const SelectStatement& stmt,
                      const std::vector<AggregateSpec>& aggregates,
                      const EvalContext& ctx, const ExecOptions& options,
                      ExecStats* stats, GroupTable* out) {
   const CompiledScan scan(predicate, GroupByExprs(stmt),
                           AggregateCalls(aggregates));
-  const auto accumulate = [&](const ScanRowView& row, GroupTable* groups) {
-    return AccumulateRow(
-        stmt, aggregates, row,
-        [&row] { return MaterializeRow(*row.key, row.ssid, *row.value); },
-        ctx, groups);
-  };
-  if (keys != nullptr) {
-    return ScanByKeys(
-        source, *keys, scan, ctx, stats,
-        [&](const ScanRowView& row) { return accumulate(row, out); });
-  }
   SQ_ASSIGN_OR_RETURN(
       std::vector<GroupTable> per_partition,
       ScanPartitions<GroupTable>(
-          source, "partition_aggregate", scan, ctx, options, stats,
+          from, "partition_aggregate", scan, ctx, options, stats,
           [&](const ScanBatch& batch, GroupTable* local, int64_t* returned) {
             return scan.AccumulateBatch(batch, ctx, local, returned);
           },
-          accumulate));
+          [&](const ScanRowView& row, GroupTable* local) {
+            return AccumulateRow(
+                stmt, aggregates, row,
+                [&row] {
+                  return MaterializeRow(*row.key, row.ssid, *row.value);
+                },
+                ctx, local);
+          }));
   MergePartials(aggregates, std::move(per_partition), out);
   return Status::OK();
 }
@@ -581,48 +587,10 @@ Status BuildWholeTable(const OpenedJoin& join, size_t index,
   return Status::OK();
 }
 
-/// Point lookups of a join's FROM table: the rows of `keys`, grouped into
-/// batches by the partition they live in (consecutive rows that share a
-/// version share a batch), so each partition joins them like scanned rows.
-Result<std::vector<std::vector<ScanBatch>>> LookUpByPartition(
-    const TableSource& source, const std::vector<Value>& keys,
-    ExecStats* stats) {
-  trace::ScopedSpan span(trace::Category::kQuery, "point_lookup");
-  span.AddAttr("keys", static_cast<int64_t>(keys.size()));
-  struct Building {
-    std::shared_ptr<kv::ColumnBatch> rows;
-    std::optional<Value> ssid;
-  };
-  std::vector<std::vector<Building>> building(
-      static_cast<size_t>(source.partition_count()));
-  SQ_RETURN_IF_ERROR(source.ScanKeys(
-      keys, [&](const Value& key, const Value* ssid, const Object& value) {
-        ++stats->rows_scanned;
-        std::vector<Building>& batches =
-            building[static_cast<size_t>(source.PartitionOfKey(key))];
-        const std::optional<Value> version =
-            ssid != nullptr ? std::optional<Value>(*ssid) : std::nullopt;
-        if (batches.empty() || batches.back().ssid != version) {
-          batches.push_back(
-              Building{std::make_shared<kv::ColumnBatch>(), version});
-        }
-        batches.back().rows->AppendRow(key, /*ssid=*/0, value);
-      }));
-  std::vector<std::vector<ScanBatch>> out(building.size());
-  for (size_t p = 0; p < building.size(); ++p) {
-    if (!building[p].empty()) ++stats->partitions_scanned;
-    for (Building& batch : building[p]) {
-      out[p].push_back(ScanBatch{std::move(batch.rows), batch.ssid});
-    }
-  }
-  stats->used_point_lookup = true;
-  return out;
-}
-
 /// Runs a statement's joins partition by partition. Partition p builds each
 /// colocated join from that join table's partition p (other joins share
 /// `whole[j]`), then reads the FROM table's partition p (or the rows point
-/// lookups found in it, `looked_up[p]`) and probes the joins in turn, left
+/// lookups found in it; see FromPartitions) and probes the joins in turn, left
 /// order first, each row's matches in build scan order. Every complete
 /// joined row that passes `predicate` (the pushed WHERE, or null) goes into
 /// p's `Local`: the vectorized engine evaluates it in place and calls
@@ -632,27 +600,20 @@ Result<std::vector<std::vector<ScanBatch>>> LookUpByPartition(
 /// partition; returns the Locals in partition order.
 template <typename Local, typename JoinedFold, typename MergedFold>
 Result<std::vector<Local>> JoinPartitions(
-    const TableSource& from,
-    const std::vector<std::vector<ScanBatch>>* looked_up,
-    const std::vector<OpenedJoin>& joins, const std::vector<JoinBuild>& whole,
-    const CompiledScan& scan, const Expr* predicate, const EvalContext& ctx,
-    const ExecOptions& options, ExecStats* stats,
-    const JoinedFold& fold_joined, const MergedFold& fold_merged) {
+    const FromPartitions& from, const std::vector<OpenedJoin>& joins,
+    const std::vector<JoinBuild>& whole, const CompiledScan& scan,
+    const Expr* predicate, const EvalContext& ctx, const ExecOptions& options,
+    ExecStats* stats, const JoinedFold& fold_joined,
+    const MergedFold& fold_merged) {
   const bool vectorized = options.enable_vectorized;
-  std::vector<int32_t> partitions;
-  for (int32_t p = 0; p < from.partition_count(); ++p) {
-    if (looked_up == nullptr || !(*looked_up)[static_cast<size_t>(p)].empty()) {
-      partitions.push_back(p);
-    }
-  }
-  const auto count = static_cast<int32_t>(partitions.size());
+  const int32_t count = from.count();
   const int32_t workers = ScanWorkers(options, count);
-  std::vector<Local> per_partition(partitions.size());
-  std::vector<PartitionOutcome> outcomes(partitions.size());
+  std::vector<Local> per_partition(static_cast<size_t>(count));
+  std::vector<PartitionOutcome> outcomes(static_cast<size_t>(count));
   const trace::SpanContext join_ctx = trace::CurrentContext();
   RunPartitioned(options, count, workers, [&](int32_t i) {
     const int64_t span_t0 = trace::NowNanos();
-    const int32_t p = partitions[static_cast<size_t>(i)];
+    const int32_t p = from.partition(i);
     PartitionOutcome& outcome = outcomes[static_cast<size_t>(i)];
     Local& local = per_partition[static_cast<size_t>(i)];
     int64_t left_scanned = 0;
@@ -725,23 +686,13 @@ Result<std::vector<Local>> JoinPartitions(
     };
 
     if (outcome.status.ok()) {
-      if (looked_up != nullptr) {
-        for (const ScanBatch& batch : (*looked_up)[static_cast<size_t>(p)]) {
-          left_scanned += static_cast<int64_t>(batch.rows->row_count());
-          outcome.status = probe_batch(batch);
-          if (!outcome.status.ok()) break;
-        }
-      } else {
-        outcome.status = ReadPartition(
-            from, p, &left_scanned, [&](const ScanBatch& batch) {
-              count_batch(batch);
-              return probe_batch(batch);
-            });
-      }
+      outcome.status =
+          from.Read(i, &left_scanned, [&](const ScanBatch& batch) {
+            count_batch(batch);
+            return probe_batch(batch);
+          });
     }
-    // Looked-up rows were counted by the lookup.
-    outcome.scanned =
-        (looked_up == nullptr ? left_scanned : 0) + right_scanned;
+    outcome.scanned = left_scanned + right_scanned;
     trace::RecordSpan(trace::Category::kQuery, "partition_join", join_ctx,
                       span_t0, trace::NowNanos(),
                       {{"partition", p},
@@ -752,8 +703,7 @@ Result<std::vector<Local>> JoinPartitions(
   });
   int32_t colocated = 0;
   for (const OpenedJoin& join : joins) colocated += join.colocated ? 1 : 0;
-  stats->partitions_scanned +=
-      count * (colocated + (looked_up == nullptr ? 1 : 0));
+  stats->partitions_scanned += count * (colocated + 1);
   stats->parallelism = std::max(stats->parallelism, workers);
   stats->used_pushdown = stats->used_pushdown || predicate != nullptr;
   stats->used_vectorized = stats->used_vectorized || vectorized;
@@ -800,18 +750,15 @@ Status ScanJoins(const SelectStatement& stmt, const SelectAnalysis& analysis,
     SQ_RETURN_IF_ERROR(
         BuildWholeTable(joins[j], j, scan, options, stats, &whole[j]));
   }
-  std::optional<std::vector<std::vector<ScanBatch>>> looked_up;
-  if (plan.keys.has_value()) {
-    SQ_ASSIGN_OR_RETURN(looked_up,
-                        LookUpByPartition(from, *plan.keys, stats));
-  }
-  const std::vector<std::vector<ScanBatch>>* lookups =
-      looked_up.has_value() ? &*looked_up : nullptr;
+  SQ_ASSIGN_OR_RETURN(
+      const FromPartitions partitions,
+      FromPartitions::Open(from, plan.keys.has_value() ? &*plan.keys : nullptr,
+                           stats));
   if (analysis.fused) {
     SQ_ASSIGN_OR_RETURN(
         std::vector<GroupTable> per_partition,
         JoinPartitions<GroupTable>(
-            from, lookups, joins, whole, scan, plan.predicate, ctx, options,
+            partitions, joins, whole, scan, plan.predicate, ctx, options,
             stats,
             [&](const CompiledScan::JoinRow& row, GroupTable* local) {
               return scan.FoldJoined(row, ctx, local);
@@ -827,7 +774,7 @@ Status ScanJoins(const SelectStatement& stmt, const SelectAnalysis& analysis,
   SQ_ASSIGN_OR_RETURN(
       std::vector<std::vector<Object>> per_partition,
       JoinPartitions<std::vector<Object>>(
-          from, lookups, joins, whole, scan, plan.predicate, ctx, options,
+          partitions, joins, whole, scan, plan.predicate, ctx, options,
           stats,
           [&](const CompiledScan::JoinRow& row, std::vector<Object>* local) {
             local->push_back(scan.MaterializeJoined(row, row.size()));
@@ -887,14 +834,16 @@ Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
     if (!stmt.joins.empty()) {
       SQ_RETURN_IF_ERROR(ScanJoins(stmt, analysis, *source, resolver, ctx,
                                    options, stats, &groups, &tuples));
-    } else if (analysis.fused) {
-      SQ_RETURN_IF_ERROR(ScanAggregate(*source, pushed, keys, stmt,
-                                       aggregates, ctx, options, stats,
-                                       &groups));
     } else {
-      SQ_ASSIGN_OR_RETURN(tuples,
-                          MaterializeFromSource(*source, pushed, keys, ctx,
-                                                options, stats));
+      SQ_ASSIGN_OR_RETURN(const FromPartitions from,
+                          FromPartitions::Open(*source, keys, stats));
+      if (analysis.fused) {
+        SQ_RETURN_IF_ERROR(ScanAggregate(from, pushed, stmt, aggregates, ctx,
+                                         options, stats, &groups));
+      } else {
+        SQ_ASSIGN_OR_RETURN(tuples, MaterializeFromSource(from, pushed, ctx,
+                                                          options, stats));
+      }
     }
   }
 
@@ -1134,9 +1083,7 @@ Result<std::vector<std::string>> ExplainPlanLines(
   }
   if (pin.has_value()) scan += " @ ssid=" + std::to_string(*pin);
   lines.push_back(std::move(scan));
-  // Point lookups of a join-free scan evaluate the looked-up rows with the
-  // row evaluator; a join evaluates its joined rows with the chosen engine.
-  if (options.enable_vectorized && (!point || !stmt.joins.empty())) {
+  if (options.enable_vectorized) {
     lines.push_back("  engine: vectorized (columnar batches)");
   }
   if (analysis.fused) {

@@ -2,7 +2,6 @@
 #define SQUERY_SQL_EXECUTOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -11,7 +10,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "kv/object.h"
 #include "kv/value.h"
 #include "sql/ast.h"
 #include "sql/result_set.h"
@@ -33,6 +31,12 @@ struct ScanBatch {
   std::optional<kv::Value> ssid;
 };
 
+/// The rows point lookups found in one partition (see TableSource::ScanKeys).
+struct PartitionLookup {
+  int32_t partition = 0;
+  std::vector<ScanBatch> batches;  // never empty
+};
+
 /// Pull cursor over one partition's columnar batches. Obtained per partition
 /// from `TableSource::OpenBatchReader`; distinct partitions may be read
 /// concurrently.
@@ -51,25 +55,25 @@ class BatchReader {
 /// executor fans partitions out over a thread pool and reads each one as
 /// columnar batches, which both engines evaluate: the vectorized engine with
 /// typed-column loops, the row engine one materialized row at a time.
-/// Pushed-down key equalities route to point lookups instead.
+/// Pushed-down key equalities read only the partitions their keys hit, as
+/// the batches ScanKeys returns.
 class TableSource {
  public:
   virtual ~TableSource() = default;
 
-  /// Point-lookup row callback: the state key, the snapshot version the row
-  /// is served at (null on live-table reads), and the stored object. The
-  /// references are only valid for the duration of the call.
-  using RowFn = std::function<void(const kv::Value& key,
-                                   const kv::Value* ssid,
-                                   const kv::Object& value)>;
-
   /// Number of scannable partitions.
   virtual int32_t partition_count() const = 0;
 
-  /// Point lookups for pushed-down `key = <literal>` / IN-list conjuncts.
-  /// Emits at most one row per (key, version); missing keys are skipped.
-  virtual Status ScanKeys(const std::vector<kv::Value>& keys,
-                          const RowFn& fn) const = 0;
+  /// Point lookups for pushed-down `key = <literal>` / IN-list conjuncts:
+  /// the rows of `keys` as batches, grouped by the partition that holds
+  /// them, in ascending partition order; a partition holding none of the
+  /// keys is left out. Within a grid table's partition keys keep their
+  /// order in `keys`, each key's versions following in version order, and
+  /// consecutive rows served at the same version share a batch; a
+  /// ScanFnSource keeps table order. At most one row per (key, version);
+  /// missing keys are left out.
+  virtual Result<std::vector<PartitionLookup>> ScanKeys(
+      const std::vector<kv::Value>& keys) const = 0;
 
   /// The partition that holds `key`. Contract: every source places key k
   /// in `kv::Partitioner(partition_count()).PartitionOf(k)`, and

@@ -1,25 +1,55 @@
 #include "sql/scan_source.h"
 
+#include <algorithm>
 #include <set>
 
 namespace sq::sql {
+
+void LookupBatchBuilder::Add(int32_t partition, const kv::Value& key,
+                             const kv::Value* ssid, const kv::Object& value) {
+  const auto it = std::lower_bound(
+      found_.begin(), found_.end(), partition,
+      [](const PartitionLookup& p, int32_t wanted) {
+        return p.partition < wanted;
+      });
+  const auto i = static_cast<size_t>(it - found_.begin());
+  if (it == found_.end() || it->partition != partition) {
+    found_.insert(it, PartitionLookup{partition, {}});
+    tails_.insert(tails_.begin() + static_cast<ptrdiff_t>(i), nullptr);
+  }
+  std::vector<ScanBatch>& batches = found_[i].batches;
+  const bool same_version =
+      !batches.empty() && batches.back().ssid.has_value() == (ssid != nullptr) &&
+      (ssid == nullptr || *batches.back().ssid == *ssid);
+  if (!same_version) {
+    auto rows = std::make_shared<kv::ColumnBatch>();
+    tails_[i] = rows.get();
+    batches.push_back(ScanBatch{
+        std::move(rows),
+        ssid != nullptr ? std::optional<kv::Value>(*ssid) : std::nullopt});
+  }
+  tails_[i]->AppendRow(key, /*ssid=*/0, value);
+}
 
 ScanFnSource::ScanFnSource(TableBatchFn build, std::optional<int64_t> ssid)
     : build_(std::move(build)) {
   if (ssid.has_value()) ssid_ = kv::Value(*ssid);
 }
 
-Status ScanFnSource::ScanKeys(const std::vector<kv::Value>& keys,
-                              const RowFn& fn) const {
+Result<std::vector<PartitionLookup>> ScanFnSource::ScanKeys(
+    const std::vector<kv::Value>& keys) const {
   SQ_ASSIGN_OR_RETURN(const std::shared_ptr<const kv::ColumnBatch> rows,
                       build_());
   const std::set<kv::Value> wanted(keys.begin(), keys.end());
-  const kv::Value* ssid = ssid_.has_value() ? &*ssid_ : nullptr;
+  auto found = std::make_shared<kv::ColumnBatch>();
   for (size_t r = 0; r < rows->row_count(); ++r) {
-    const kv::Value& key = rows->keys()[r];
-    if (wanted.count(key) != 0) fn(key, ssid, rows->MaterializeRow(r));
+    if (wanted.count(rows->keys()[r]) != 0) found->AppendRowFrom(*rows, r);
   }
-  return Status::OK();
+  std::vector<PartitionLookup> out;
+  if (found->row_count() > 0) {
+    out.push_back(PartitionLookup{0, {ScanBatch{std::move(found), ssid_}}});
+  }
+  return out;
 }
 
 std::unique_ptr<BatchReader> ScanFnSource::OpenBatchReader(

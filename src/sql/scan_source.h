@@ -23,6 +23,27 @@ namespace sq::sql {
 using TableBatchFn =
     std::function<Result<std::shared_ptr<const kv::ColumnBatch>>()>;
 
+/// Builds the result of TableSource::ScanKeys from looked-up rows added in
+/// emission order: each row joins the last batch of its partition when it
+/// is served at that batch's version, and starts a new batch otherwise.
+class LookupBatchBuilder {
+ public:
+  /// Adds one looked-up row of `partition`, served at `ssid` (null on live
+  /// reads).
+  void Add(int32_t partition, const kv::Value& key, const kv::Value* ssid,
+           const kv::Object& value);
+
+  /// The partitions with rows, in ascending order; the builder is spent.
+  std::vector<PartitionLookup> Finish() && { return std::move(found_); }
+
+ private:
+  // Only the partitions rows were added to, in ascending order: sized by
+  // the keys found, not the partition count.
+  std::vector<PartitionLookup> found_;
+  // The last batch of each of found_, which rows are appended to.
+  std::vector<kv::ColumnBatch*> tails_;
+};
+
 /// A one-partition TableSource over a function that builds the whole table,
 /// for tables without partitioned storage: virtual (catalog) tables,
 /// snapshots read back from the durable log, and in-memory test tables.
@@ -35,9 +56,9 @@ class ScanFnSource final : public TableSource {
   ScanFnSource(TableBatchFn build, std::optional<int64_t> ssid);
 
   int32_t partition_count() const override { return 1; }
-  /// Keeps table order and emits only the rows whose key is in `keys`.
-  Status ScanKeys(const std::vector<kv::Value>& keys,
-                  const RowFn& fn) const override;
+  /// The table's rows whose key is in `keys`, in table order, as one batch.
+  Result<std::vector<PartitionLookup>> ScanKeys(
+      const std::vector<kv::Value>& keys) const override;
   int32_t PartitionOfKey(const kv::Value& /*key*/) const override {
     return 0;
   }

@@ -53,21 +53,24 @@ namespace {
 // ---------------------------------------------------------------------------
 // Wire codec.
 
-Frame SamplePointLookupFrame() {
+/// A point lookup: a keyed range request.
+Frame SampleKeyedScanFrame() {
   Frame frame;
-  frame.type = MsgType::kPointLookup;
+  frame.type = MsgType::kScanRange;
   frame.request_id = 7;
   frame.trace_id = 9;
-  PointLookupRequest req;
+  ScanRangeRequest req;
   req.read.table = "orders";
   req.read.has_ssid = true;
   req.read.ssid = 3;
+  req.begin = 4;
+  req.end = 6;
   req.keys.push_back(kv::Value(int64_t{1}));
   req.keys.push_back(kv::Value("alpha"));
   req.keys.push_back(kv::Value(2.5));
   req.keys.push_back(kv::Value(true));
   req.keys.push_back(kv::Value::Null());
-  EncodePointLookupRequest(req, &frame.body);
+  EncodeScanRangeRequest(req, &frame.body);
   return frame;
 }
 
@@ -79,7 +82,7 @@ void OverwriteLe32(std::string* buf, size_t pos, uint32_t v) {
 }
 
 TEST(WireCodec, FrameRoundTrip) {
-  const Frame frame = SamplePointLookupFrame();
+  const Frame frame = SampleKeyedScanFrame();
   std::string encoded;
   EncodeFrame(frame, &encoded);
   ASSERT_GT(encoded.size(), kFrameHeaderBytes + kPayloadPrefixBytes);
@@ -89,16 +92,18 @@ TEST(WireCodec, FrameRoundTrip) {
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(consumed, encoded.size());
   EXPECT_EQ(decoded->version, kWireVersion);
-  EXPECT_EQ(decoded->type, MsgType::kPointLookup);
+  EXPECT_EQ(decoded->type, MsgType::kScanRange);
   EXPECT_EQ(decoded->request_id, 7u);
   EXPECT_EQ(decoded->trace_id, 9u);
 
-  auto req = DecodePointLookupRequest(decoded->body);
+  auto req = DecodeScanRangeRequest(decoded->body);
   ASSERT_TRUE(req.ok()) << req.status();
   EXPECT_EQ(req->read.table, "orders");
   EXPECT_TRUE(req->read.has_ssid);
   EXPECT_EQ(req->read.ssid, 3);
   EXPECT_FALSE(req->read.all_versions);
+  EXPECT_EQ(req->begin, 4);
+  EXPECT_EQ(req->end, 6);
   ASSERT_EQ(req->keys.size(), 5u);
   EXPECT_EQ(req->keys[0], kv::Value(int64_t{1}));
   EXPECT_EQ(req->keys[1], kv::Value("alpha"));
@@ -109,9 +114,9 @@ TEST(WireCodec, FrameRoundTrip) {
 
 TEST(WireCodec, DecodeConsumesOneFrameFromAStream) {
   std::string stream;
-  EncodeFrame(SamplePointLookupFrame(), &stream);
+  EncodeFrame(SampleKeyedScanFrame(), &stream);
   const size_t first = stream.size();
-  Frame second = SamplePointLookupFrame();
+  Frame second = SampleKeyedScanFrame();
   second.request_id = 8;
   EncodeFrame(second, &stream);
 
@@ -127,7 +132,7 @@ TEST(WireCodec, DecodeConsumesOneFrameFromAStream) {
 
 TEST(WireCodec, EveryTruncationFailsCleanly) {
   std::string encoded;
-  EncodeFrame(SamplePointLookupFrame(), &encoded);
+  EncodeFrame(SampleKeyedScanFrame(), &encoded);
   for (size_t n = 0; n < encoded.size(); ++n) {
     auto decoded = DecodeFrame(std::string_view(encoded.data(), n));
     EXPECT_FALSE(decoded.ok()) << "prefix of " << n << " bytes decoded";
@@ -136,7 +141,7 @@ TEST(WireCodec, EveryTruncationFailsCleanly) {
 
 TEST(WireCodec, EverySingleBitFlipIsDetected) {
   std::string encoded;
-  EncodeFrame(SamplePointLookupFrame(), &encoded);
+  EncodeFrame(SampleKeyedScanFrame(), &encoded);
   for (size_t byte = 0; byte < encoded.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string corrupt = encoded;
@@ -150,7 +155,7 @@ TEST(WireCodec, EverySingleBitFlipIsDetected) {
 
 TEST(WireCodec, ZeroLengthFrameRejected) {
   std::string encoded;
-  EncodeFrame(SamplePointLookupFrame(), &encoded);
+  EncodeFrame(SampleKeyedScanFrame(), &encoded);
   OverwriteLe32(&encoded, 0, 0);
   auto decoded = DecodeFrame(encoded);
   ASSERT_FALSE(decoded.ok());
@@ -161,7 +166,7 @@ TEST(WireCodec, OversizedLengthRejectedBeforeAllocation) {
   // Only the 8-byte header exists: a hostile length prefix must be rejected
   // from the bounds alone, not by attempting to read (or allocate) 4 GiB.
   std::string encoded;
-  EncodeFrame(SamplePointLookupFrame(), &encoded);
+  EncodeFrame(SampleKeyedScanFrame(), &encoded);
   encoded.resize(kFrameHeaderBytes);
   OverwriteLe32(&encoded, 0, 0xfffffffeu);
   auto decoded = DecodeFrame(encoded);
@@ -170,7 +175,7 @@ TEST(WireCodec, OversizedLengthRejectedBeforeAllocation) {
 }
 
 TEST(WireCodec, UnknownVersionRejected) {
-  Frame frame = SamplePointLookupFrame();
+  Frame frame = SampleKeyedScanFrame();
   frame.version = kWireVersion + 1;
   std::string encoded;
   EncodeFrame(frame, &encoded);
@@ -185,7 +190,7 @@ TEST(WireCodec, UnknownMessageTypeRejected) {
   std::vector<uint8_t> types(kRetiredMsgTypes.begin(), kRetiredMsgTypes.end());
   types.push_back(200);
   for (const uint8_t type : types) {
-    Frame frame = SamplePointLookupFrame();
+    Frame frame = SampleKeyedScanFrame();
     frame.type = static_cast<MsgType>(type);
     std::string encoded;
     EncodeFrame(frame, &encoded);
@@ -196,9 +201,9 @@ TEST(WireCodec, UnknownMessageTypeRejected) {
 }
 
 TEST(WireCodec, BodyTrailingBytesRejected) {
-  Frame frame = SamplePointLookupFrame();
+  Frame frame = SampleKeyedScanFrame();
   frame.body.push_back('\0');
-  auto req = DecodePointLookupRequest(frame.body);
+  auto req = DecodeScanRangeRequest(frame.body);
   EXPECT_FALSE(req.ok());
 }
 
@@ -206,14 +211,39 @@ TEST(WireCodec, HugeElementCountRejected) {
   // A crafted count larger than the remaining bytes must fail the bounds
   // check instead of looping (or reserving) four billion elements. The key
   // count is the last 4 body bytes of a keyless request.
-  PointLookupRequest req;
+  ScanRangeRequest req;
   req.read.table = "orders";
   std::string body;
-  EncodePointLookupRequest(req, &body);
+  EncodeScanRangeRequest(req, &body);
   ASSERT_GE(body.size(), 4u);
   OverwriteLe32(&body, body.size() - 4, 0xffffffffu);
-  auto decoded = DecodePointLookupRequest(body);
-  EXPECT_FALSE(decoded.ok());
+  auto decoded = DecodeScanRangeRequest(body);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status();
+}
+
+TEST(WireCodec, KeyCountBeyondTheBodyIsCorrupt) {
+  // A keyed request whose key count claims more keys than its body holds:
+  // one more than the bytes left, and one more than the keys encoded.
+  ScanRangeRequest req;
+  req.read.table = "orders";
+  req.begin = 4;
+  req.end = 6;
+  req.keys = {kv::Value(int64_t{1}), kv::Value("alpha")};
+  std::string body;
+  EncodeScanRangeRequest(req, &body);
+  std::string keyless;
+  EncodeScanRangeRequest(ScanRangeRequest{req.read, 4, 6, {}}, &keyless);
+  const size_t count_at = keyless.size() - 4;
+  const size_t keys_bytes = body.size() - keyless.size();
+  for (const uint32_t count :
+       {static_cast<uint32_t>(keys_bytes + 1), uint32_t{3}}) {
+    std::string forged = body;
+    OverwriteLe32(&forged, count_at, count);
+    auto decoded = DecodeScanRangeRequest(forged);
+    ASSERT_FALSE(decoded.ok()) << count;
+    EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status();
+  }
 }
 
 TEST(WireCodec, StatusBodyRoundTrip) {
@@ -401,27 +431,9 @@ std::vector<GoldenFrame> GoldenCorpus() {
         return f;
       },
       EmptyBody);
-  add(MsgType::kPointLookup,
-      "3d00000014a713eb01020200000000000000bc0a000000000000060000006f72646572"
-      "7301030000000000000000020000000201000000000000000405000000616c706861",
-      [] {
-        Frame f;
-        f.type = MsgType::kPointLookup;
-        f.request_id = 2;
-        f.trace_id = 0xabc;
-        PointLookupRequest m;
-        m.read.table = "orders";
-        m.read.has_ssid = true;
-        m.read.ssid = 3;
-        m.keys.push_back(kv::Value(int64_t{1}));
-        m.keys.push_back(kv::Value("alpha"));
-        EncodePointLookupRequest(m, &f.body);
-        return f;
-      },
-      Codec(DecodePointLookupRequest, EncodePointLookupRequest));
   add(MsgType::kScanRange,
-      "2e0000004bf25d1b010a03000000000000000000000000000000060000006f72646572"
-      "73000000000000000000000200000005000000",
+      "3200000001e3fd72010a03000000000000000000000000000000060000006f72646572"
+      "7300000000000000000000020000000500000000000000",
       [] {
         Frame f;
         f.type = MsgType::kScanRange;
@@ -430,6 +442,28 @@ std::vector<GoldenFrame> GoldenCorpus() {
         m.read.table = "orders";
         m.begin = 2;
         m.end = 5;
+        EncodeScanRangeRequest(m, &f.body);
+        return f;
+      },
+      Codec(DecodeScanRangeRequest, EncodeScanRangeRequest));
+  // A point lookup: the range its keys hit, and the keys.
+  add(MsgType::kScanRange,
+      "45000000ff94361e010a0200000000000000bc0a000000000000060000006f72646572"
+      "7301030000000000000000010000000300000002000000020100000000000000040500"
+      "0000616c706861",
+      [] {
+        Frame f;
+        f.type = MsgType::kScanRange;
+        f.request_id = 2;
+        f.trace_id = 0xabc;
+        ScanRangeRequest m;
+        m.read.table = "orders";
+        m.read.has_ssid = true;
+        m.read.ssid = 3;
+        m.begin = 1;
+        m.end = 3;
+        m.keys.push_back(kv::Value(int64_t{1}));
+        m.keys.push_back(kv::Value("alpha"));
         EncodeScanRangeRequest(m, &f.body);
         return f;
       },
@@ -505,26 +539,6 @@ std::vector<GoldenFrame> GoldenCorpus() {
         return f;
       },
       Codec(DecodeHelloReply, EncodeHelloReply));
-  add(MsgType::kRows,
-      "460000008bd72d270141020000000000000000000000000000000500000000000000"
-      "0100000002010000000000000001030000000000000001000000050000007072696365"
-      "022a00000000000000",
-      [] {
-        Frame f;
-        f.type = MsgType::kRows;
-        f.request_id = 2;
-        RowsReply m;
-        m.rows_scanned = 5;
-        WireRow r;
-        r.key = kv::Value(int64_t{1});
-        r.has_ssid = true;
-        r.ssid = 3;
-        r.value.Set("price", kv::Value(int64_t{42}));
-        m.rows.push_back(std::move(r));
-        EncodeRowsReply(m, &f.body);
-        return f;
-      },
-      Codec(DecodeRowsReply, EncodeRowsReply));
   add(MsgType::kAck, "1200000010437c08014305000000000000000000000000000000",
       [] {
         Frame f;
@@ -708,7 +722,7 @@ TEST(Socket, FrameRoundTripOverLoopback) {
   ASSERT_TRUE(conn.ok()) << conn.status();
   int64_t bytes_out = 0;
   ASSERT_TRUE(
-      SendFrame(*conn, SamplePointLookupFrame(), deadline, &bytes_out).ok());
+      SendFrame(*conn, SampleKeyedScanFrame(), deadline, &bytes_out).ok());
   EXPECT_GT(bytes_out, 0);
   int64_t bytes_in = 0;
   auto reply = RecvFrame(*conn, deadline, &bytes_in);
@@ -1053,6 +1067,55 @@ TEST(ClusterNet, DifferentialSnapshotQueries) {
                     serializable);
 }
 
+/// Two keys owned by each node, then a key no node holds, as the text of an
+/// IN-list.
+std::string KeysOnEveryNode(TestCluster* tc) {
+  std::vector<int> taken(kClusterNodes, 0);
+  std::string keys;
+  for (int64_t k = 0; k < kClusterKeys; ++k) {
+    const int32_t owner = tc->client->OwnerOfPartition(
+        tc->client->partitioner().PartitionOf(kv::Value(k)));
+    if (taken[owner] == 2) continue;
+    ++taken[owner];
+    keys += std::to_string(k) + ", ";
+  }
+  SQ_CHECK(taken == std::vector<int>(kClusterNodes, 2));
+  return keys + std::to_string(kClusterKeys + 1000);
+}
+
+/// Key lookups whose keys span every node: each node answers its own keys,
+/// and the rows come back as the single process returns them.
+TEST(ClusterNet, DifferentialLookupsAcrossNodes) {
+  auto tc = StartCluster();
+  const std::string in = " IN (" + KeysOnEveryNode(tc.get()) + ")";
+  const query::QueryOptions serializable;
+  ExpectSameResults(tc.get(),
+                    "SELECT key, total, region FROM snapshot_orders "
+                    "WHERE key" + in,
+                    serializable);
+  ExpectSameResults(tc.get(),
+                    "SELECT region, count(*), sum(total) FROM orders "
+                    "WHERE key" + in + " GROUP BY region",
+                    ReadCommitted());
+  // Every retained version of each key.
+  ExpectSameResults(tc.get(),
+                    "SELECT key, ssid, total FROM snapshot_orders__versions "
+                    "WHERE key" + in,
+                    serializable);
+  // A key-restricted join: the FROM rows are looked up, the JOIN table's
+  // partitions read.
+  ExpectSameResults(tc.get(),
+                    "SELECT key, total, v.ssid, v.total FROM snapshot_orders "
+                    "JOIN snapshot_orders__versions AS v USING(key) "
+                    "WHERE key" + in,
+                    serializable);
+  // A pinned lookup: the pin travels to every node as is.
+  ExpectSameResults(tc.get(),
+                    "SELECT key, total, ssid FROM snapshot_orders "
+                    "WHERE ssid = 1 AND key" + in,
+                    serializable);
+}
+
 /// The cluster source places key k where kv::Partitioner places it, like
 /// every local source: colocated joins read partition p of both inputs.
 TEST(ClusterNet, ClusterSourcePlacesKeysByThePartitioner) {
@@ -1274,7 +1337,7 @@ TEST(ClusterNet, RetriesAreCountedAndRecoverAfterReconnect) {
 /// The coordinator's per-type client RPC counters, by wire name.
 std::map<std::string, int64_t> ClientRpcs(TestCluster* tc) {
   std::map<std::string, int64_t> rpcs;
-  for (const char* type : {"point_lookup", "resolve_ssid", "scan_range"}) {
+  for (const char* type : {"resolve_ssid", "scan_range"}) {
     rpcs[type] = tc->coord_metrics
                      ->GetCounter(std::string("net.client.rpcs.") + type)
                      ->Value();
@@ -1296,8 +1359,8 @@ TEST(ClusterNet, OnlyReadsSpanningSeveralNodesResolveTheSsid) {
   const query::QueryOptions serializable;
   using Rpcs = std::map<std::string, int64_t>;
 
-  // A single-key lookup goes to its owner alone, which resolves "latest"
-  // itself: one RPC in all.
+  // A single-key lookup goes to its owner alone, as one keyed range
+  // request, and the owner resolves "latest" itself: one RPC in all.
   Rpcs before = ClientRpcs(tc.get());
   auto lookup = tc->coordinator->Execute(
       "SELECT total FROM snapshot_orders WHERE key = 3", serializable);
@@ -1305,7 +1368,19 @@ TEST(ClusterNet, OnlyReadsSpanningSeveralNodesResolveTheSsid) {
   ASSERT_EQ(lookup->rows.size(), 1u);
   EXPECT_EQ(lookup->rows[0][0], OrderValueV2(3).Get("total"));
   EXPECT_EQ(RpcsSince(before, ClientRpcs(tc.get())),
-            (Rpcs{{"point_lookup", 1}, {"resolve_ssid", 0}, {"scan_range", 0}}));
+            (Rpcs{{"resolve_ssid", 0}, {"scan_range", 1}}));
+
+  // A lookup whose keys span every node resolves once, then sends each node
+  // one keyed range request.
+  before = ClientRpcs(tc.get());
+  auto spread = tc->coordinator->Execute(
+      "SELECT total FROM snapshot_orders WHERE key IN (" +
+          KeysOnEveryNode(tc.get()) + ")",
+      serializable);
+  ASSERT_TRUE(spread.ok()) << spread.status();
+  EXPECT_EQ(spread->rows.size(), 2u * kClusterNodes);
+  EXPECT_EQ(RpcsSince(before, ClientRpcs(tc.get())),
+            (Rpcs{{"resolve_ssid", 1}, {"scan_range", kClusterNodes}}));
 
   // A pinned scan sends its pin as is: one range RPC per node, no resolve.
   before = ClientRpcs(tc.get());
@@ -1313,9 +1388,7 @@ TEST(ClusterNet, OnlyReadsSpanningSeveralNodesResolveTheSsid) {
       "SELECT count(*) FROM snapshot_orders WHERE ssid = 1", serializable);
   ASSERT_TRUE(pinned.ok()) << pinned.status();
   EXPECT_EQ(RpcsSince(before, ClientRpcs(tc.get())),
-            (Rpcs{{"point_lookup", 0},
-                  {"resolve_ssid", 0},
-                  {"scan_range", kClusterNodes}}));
+            (Rpcs{{"resolve_ssid", 0}, {"scan_range", kClusterNodes}}));
 
   // An unpinned scan spans every node: it resolves once, then scatters.
   before = ClientRpcs(tc.get());
@@ -1323,9 +1396,7 @@ TEST(ClusterNet, OnlyReadsSpanningSeveralNodesResolveTheSsid) {
       "SELECT count(*) FROM snapshot_orders", serializable);
   ASSERT_TRUE(latest.ok()) << latest.status();
   EXPECT_EQ(RpcsSince(before, ClientRpcs(tc.get())),
-            (Rpcs{{"point_lookup", 0},
-                  {"resolve_ssid", 1},
-                  {"scan_range", kClusterNodes}}));
+            (Rpcs{{"resolve_ssid", 1}, {"scan_range", kClusterNodes}}));
 
   // Planning a snapshot scan opens its source and sends nothing.
   before = ClientRpcs(tc.get());
@@ -1333,7 +1404,7 @@ TEST(ClusterNet, OnlyReadsSpanningSeveralNodesResolveTheSsid) {
       "EXPLAIN SELECT count(*) FROM snapshot_orders", serializable);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(RpcsSince(before, ClientRpcs(tc.get())),
-            (Rpcs{{"point_lookup", 0}, {"resolve_ssid", 0}, {"scan_range", 0}}));
+            (Rpcs{{"resolve_ssid", 0}, {"scan_range", 0}}));
 }
 
 TEST(ClusterNet, ScanPagesSplitARangeWithoutChangingItsBatches) {
@@ -1344,7 +1415,8 @@ TEST(ClusterNet, ScanPagesSplitARangeWithoutChangingItsBatches) {
                                              query::QueryOptions{});
   ASSERT_TRUE(source.ok()) << source.status();
 
-  auto whole = BuildScanPage(**source, owned.begin, owned.end, kScanPageBytes);
+  auto whole = BuildScanPage(**source, owned.begin, owned.end, {},
+                             kScanPageBytes);
   ASSERT_TRUE(whole.ok()) << whole.status();
   auto one_page = DecodeScanRangeReply(*whole);
   ASSERT_TRUE(one_page.ok()) << one_page.status();
@@ -1357,7 +1429,7 @@ TEST(ClusterNet, ScanPagesSplitARangeWithoutChangingItsBatches) {
   ScanRangeReply joined;
   int32_t pages = 0;
   for (int32_t begin = owned.begin; begin < owned.end;) {
-    auto body = BuildScanPage(**source, begin, owned.end, kTinyBudget);
+    auto body = BuildScanPage(**source, begin, owned.end, {}, kTinyBudget);
     ASSERT_TRUE(body.ok()) << body.status();
     auto page = DecodeScanRangeReply(*body);
     ASSERT_TRUE(page.ok()) << page.status();
@@ -1438,11 +1510,10 @@ TEST(ClusterNet, PerTypeRpcCountersRegisteredForEveryMsgType) {
   auto tc = StartCluster({}, /*load_data=*/false);
   // sqlint-rpc-metrics-begin
   const std::vector<std::string> wire_names = {
-      "hello",           "point_lookup",       "replication_delta",
-      "checkpoint_marker", "resolve_ssid",   "fetch_system_table",
-      "scan_range",      "hello_reply",        "rows",
-      "ack",             "resolve_ssid_reply", "error",
-      "system_table_reply", "range_batches",
+      "hello",           "replication_delta",  "checkpoint_marker",
+      "resolve_ssid",    "fetch_system_table", "scan_range",
+      "hello_reply",     "ack",                "resolve_ssid_reply",
+      "error",           "system_table_reply", "range_batches",
   };
   // sqlint-rpc-metrics-end
   auto names_of = [](MetricsRegistry* m) {

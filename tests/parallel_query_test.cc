@@ -490,7 +490,83 @@ void ExpectPartitionedByKey(const sql::TableSource& source,
   EXPECT_GE(rows, 300) << label;
 }
 
+/// One row of a batch as text: its key, the version it is served at and
+/// its exact fields.
+std::string RowText(const sql::ScanBatch& batch, size_t r) {
+  std::string text = ExactCell(batch.rows->keys()[r]) + " @" +
+                     (batch.ssid.has_value() ? ExactCell(*batch.ssid) : "-");
+  const Object row = batch.rows->MaterializeRow(r);
+  for (const auto& [name, value] : row.fields()) {
+    text += " " + name + "=" + ExactCell(value);
+  }
+  return text;
+}
+
+/// ScanKeys(keys) on `source` files every row it finds under
+/// PartitionOfKey(key), lists partitions in ascending order, and finds in
+/// each partition exactly the rows the full scan of that partition holds
+/// for those keys: missing keys are left out. With `keys_in_order`, each
+/// partition's rows also keep the keys' order in `keys`.
+void ExpectLookupsMatchTheScan(const sql::TableSource& source,
+                               const std::vector<Value>& keys,
+                               bool keys_in_order, const std::string& label) {
+  auto found = source.ScanKeys(keys);
+  ASSERT_TRUE(found.ok()) << label << ": " << found.status();
+  auto next = found->begin();
+  int64_t rows = 0;
+  for (int32_t p = 0; p < source.partition_count(); ++p) {
+    std::vector<std::string> scanned;
+    std::unique_ptr<sql::BatchReader> reader = source.OpenBatchReader(p);
+    sql::ScanBatch batch;
+    while (true) {
+      Result<bool> more = reader->NextBatch(&batch);
+      ASSERT_TRUE(more.ok()) << label << ": " << more.status();
+      if (!*more) break;
+      for (size_t r = 0; r < batch.rows->row_count(); ++r) {
+        const Value& key = batch.rows->keys()[r];
+        if (std::find(keys.begin(), keys.end(), key) != keys.end()) {
+          scanned.push_back(RowText(batch, r));
+        }
+      }
+    }
+    std::vector<std::string> looked_up;
+    size_t last_index = 0;
+    ASSERT_TRUE(next == found->end() || next->partition >= p) << label;
+    static const std::vector<sql::ScanBatch> kNone;
+    const bool hit_here = next != found->end() && next->partition == p;
+    if (hit_here) ASSERT_FALSE(next->batches.empty()) << label;
+    for (const sql::ScanBatch& hit : hit_here ? next->batches : kNone) {
+      ASSERT_GT(hit.rows->row_count(), 0u) << label;
+      for (size_t r = 0; r < hit.rows->row_count(); ++r) {
+        const Value& key = hit.rows->keys()[r];
+        ASSERT_EQ(source.PartitionOfKey(key), p)
+            << label << " key " << key.ToString();
+        const auto index = static_cast<size_t>(
+            std::find(keys.begin(), keys.end(), key) - keys.begin());
+        ASSERT_LT(index, keys.size()) << label << " key " << key.ToString();
+        if (keys_in_order) {
+          ASSERT_GE(index, last_index) << label << " key " << key.ToString();
+        }
+        last_index = index;
+        looked_up.push_back(RowText(hit, r));
+      }
+    }
+    if (hit_here) ++next;
+    std::sort(scanned.begin(), scanned.end());
+    std::sort(looked_up.begin(), looked_up.end());
+    EXPECT_EQ(looked_up, scanned) << label << " partition " << p;
+    rows += static_cast<int64_t>(looked_up.size());
+  }
+  EXPECT_TRUE(next == found->end()) << label << ": partitions out of order";
+  EXPECT_GT(rows, 0) << label;
+}
+
 TEST_F(ParallelQueryTest, EverySourcePlacesKeysByThePartitioner) {
+  // Out of order, with keys no table holds.
+  const std::vector<Value> keys = {Value(int64_t{2999}), Value(int64_t{3}),
+                                   Value(int64_t{5000}), Value(int64_t{42}),
+                                   Value("absent"),      Value(int64_t{777}),
+                                   Value(int64_t{11}),   Value(int64_t{390})};
   QueryOptions options;
   options.isolation = state::IsolationLevel::kReadCommittedNoFailures;
   for (const std::string table :
@@ -498,6 +574,7 @@ TEST_F(ParallelQueryTest, EverySourcePlacesKeysByThePartitioner) {
     auto source = service_.OpenTableSource(table, std::nullopt, options);
     ASSERT_TRUE(source.ok()) << table << ": " << source.status();
     ExpectPartitionedByKey(**source, table);
+    ExpectLookupsMatchTheScan(**source, keys, /*keys_in_order=*/true, table);
   }
   sql::MemoryResolver resolver;
   for (int64_t k = 0; k < 400; ++k) {
@@ -508,6 +585,34 @@ TEST_F(ParallelQueryTest, EverySourcePlacesKeysByThePartitioner) {
   auto source = resolver.OpenTableSource("mem", std::nullopt);
   ASSERT_TRUE(source.ok()) << source.status();
   ExpectPartitionedByKey(**source, "ScanFnSource");
+  // A ScanFnSource keeps table order.
+  ExpectLookupsMatchTheScan(**source, keys, /*keys_in_order=*/false,
+                            "ScanFnSource");
+
+  // A snapshot only the durable log holds.
+  std::string tmpl = "/tmp/sq_durable_lookups_XXXXXX";
+  const std::string dir = ::mkdtemp(tmpl.data());
+  {
+    auto log = storage::SnapshotLog::Open({.dir = dir});
+    ASSERT_TRUE(log.ok()) << log.status();
+    std::vector<storage::SnapshotLog::DeltaEntry> delta;
+    for (int64_t k = 0; k < 400; ++k) {
+      Object o;
+      o.Set("v", Value(k * 3));
+      delta.push_back({Value(k), false, std::move(o)});
+    }
+    ASSERT_TRUE((*log)->AppendDelta("snapshot_logged", 1, 0, delta).ok());
+    ASSERT_TRUE((*log)->Commit(1).ok());
+    service_.AttachDurableStorage(log->get());
+    auto durable = service_.OpenTableSource("snapshot_logged", 1, {});
+    ASSERT_TRUE(durable.ok()) << durable.status();
+    ExpectPartitionedByKey(**durable, "durable log");
+    ExpectLookupsMatchTheScan(**durable, keys, /*keys_in_order=*/false,
+                              "durable log");
+    service_.AttachDurableStorage(nullptr);
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 /// The vectorized engine must report itself, and the force-row knob must
@@ -536,6 +641,27 @@ TEST_F(ParallelQueryTest, VectorizedEngineIsReportedAndCanBeForcedOff) {
                                      options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->stats.used_vectorized);
+
+  // So do point lookups: the batches ScanKeys returns, one row per key
+  // found (7777 is not).
+  const std::string lookup =
+      "SELECT v FROM metrics WHERE key IN (1, 5, 9, 2999, 7777)";
+  result = service_.ExecuteWithStats(lookup, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->stats.used_point_lookup);
+  EXPECT_TRUE(result->stats.used_vectorized);
+  EXPECT_GT(result->stats.batches_scanned, 0);
+  EXPECT_EQ(result->stats.batch_rows, 4);
+  EXPECT_EQ(result->stats.rows_scanned, 4);
+
+  options.force_row_scan = true;
+  result = service_.ExecuteWithStats(lookup, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->stats.used_point_lookup);
+  EXPECT_FALSE(result->stats.used_vectorized);
+  EXPECT_EQ(result->stats.batches_scanned, 0);
+  EXPECT_EQ(result->stats.batch_rows, 0);
+  EXPECT_EQ(result->stats.rows_scanned, 4);
 }
 
 /// A snapshot table recovered from a durable log whose history spans several

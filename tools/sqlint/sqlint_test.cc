@@ -294,22 +294,26 @@ TEST(Wire, UnreferencedMsgTypeIsFlagged) {
 }
 
 TEST(Wire, RetiredIdReuseIsFlagged) {
-  const char kWireHReusesRetired[] =
-      "inline constexpr std::array<uint8_t, 3> kRetiredMsgTypes = {\n"
-      "    7, 2,\n"
-      "    66};\n"
-      "enum class MsgType : uint8_t {\n"
-      "  kHello = 1,\n"
-      "  kError = 2,\n"
-      "};\n";
-  const Tree tree = MakeTree({{"src/net/wire.h", kWireHReusesRetired},
-                              {"src/net/wire.cc", kWireCcComplete},
-                              {"src/net/client.cc", kNetUser},
-                              {"tests/net_test.cc", kNetTestComplete}});
-  const auto findings = RunPass(PassWire, tree);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_NE(findings[0].message.find("kError"), std::string::npos);
-  EXPECT_NE(findings[0].message.find("retired id 2"), std::string::npos);
+  // A retired request id and a retired reply id, from a list that spans
+  // lines.
+  for (const std::string id : {"2", "65"}) {
+    const std::string wire_h =
+        "inline constexpr std::array<uint8_t, 4> kRetiredMsgTypes = {\n"
+        "    7, 2,\n"
+        "    65, 66};\n"
+        "enum class MsgType : uint8_t {\n"
+        "  kHello = 1,\n"
+        "  kError = " + id + ",\n"
+        "};\n";
+    const Tree tree = MakeTree({{"src/net/wire.h", wire_h},
+                                {"src/net/wire.cc", kWireCcComplete},
+                                {"src/net/client.cc", kNetUser},
+                                {"tests/net_test.cc", kNetTestComplete}});
+    const auto findings = RunPass(PassWire, tree);
+    ASSERT_EQ(findings.size(), 1u) << id;
+    EXPECT_NE(findings[0].message.find("kError"), std::string::npos);
+    EXPECT_NE(findings[0].message.find("retired id " + id), std::string::npos);
+  }
 }
 
 TEST(Wire, RetiredIdsNotInUseAreClean) {
