@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "dataflow/record.h"
 
 namespace sq::dataflow {
@@ -38,23 +39,27 @@ class CheckpointListener {
   virtual ~CheckpointListener() = default;
 
   /// Phase 1 complete: every operator instance has written its snapshot
-  /// under `checkpoint_id` (still invisible to queries).
-  virtual void OnCheckpointPrepared(int64_t checkpoint_id) {
+  /// under `checkpoint_id` (still invisible to queries). An error aborts the
+  /// checkpoint: the id is not published and `OnCheckpointAborted` follows.
+  virtual Status OnCheckpointPrepared(int64_t checkpoint_id) {
     (void)checkpoint_id;
+    return Status::OK();
   }
 
   /// Unaligned mode only, called once per worker that logged overtaken
   /// in-flight records for `checkpoint_id`, just before
   /// `OnCheckpointPrepared`. Durable implementations persist the records so
   /// recovery can replay them; the default discards (in-process recovery
-  /// keeps its own copy inside `Job`).
-  virtual void OnChannelLog(int64_t checkpoint_id,
-                            const std::string& vertex_name, int32_t instance,
-                            const std::vector<Record>& records) {
+  /// keeps its own copy inside `Job`). An error aborts the checkpoint.
+  virtual Status OnChannelLog(int64_t checkpoint_id,
+                              const std::string& vertex_name,
+                              int32_t instance,
+                              const std::vector<Record>& records) {
     (void)checkpoint_id;
     (void)vertex_name;
     (void)instance;
     (void)records;
+    return Status::OK();
   }
 
   /// Phase 2 complete: `checkpoint_id` is the new latest committed snapshot.
@@ -70,9 +75,10 @@ class CheckpointListener {
 };
 
 /// Fans each checkpoint event out to several listeners in registration
-/// order. Lets the durable snapshot log observe the 2PC as a sibling of the
-/// SnapshotRegistry: register the log's listener *before* the registry so a
-/// snapshot is on disk before queries can see it as the latest committed id.
+/// order; the phase-1 hooks stop at the first error. Lets the durable
+/// snapshot log observe the 2PC as a sibling of the SnapshotRegistry:
+/// register the log's listener *before* the registry so a snapshot is on
+/// disk before queries can see it as the latest committed id.
 class CheckpointListenerChain : public CheckpointListener {
  public:
   CheckpointListenerChain() = default;
@@ -83,17 +89,20 @@ class CheckpointListenerChain : public CheckpointListener {
   /// Appends `listener` (not owned; may not be null).
   void Add(CheckpointListener* listener) { listeners_.push_back(listener); }
 
-  void OnCheckpointPrepared(int64_t checkpoint_id) override {
+  Status OnCheckpointPrepared(int64_t checkpoint_id) override {
     for (CheckpointListener* l : listeners_) {
-      l->OnCheckpointPrepared(checkpoint_id);
+      SQ_RETURN_IF_ERROR(l->OnCheckpointPrepared(checkpoint_id));
     }
+    return Status::OK();
   }
-  void OnChannelLog(int64_t checkpoint_id, const std::string& vertex_name,
-                    int32_t instance,
-                    const std::vector<Record>& records) override {
+  Status OnChannelLog(int64_t checkpoint_id, const std::string& vertex_name,
+                      int32_t instance,
+                      const std::vector<Record>& records) override {
     for (CheckpointListener* l : listeners_) {
-      l->OnChannelLog(checkpoint_id, vertex_name, instance, records);
+      SQ_RETURN_IF_ERROR(
+          l->OnChannelLog(checkpoint_id, vertex_name, instance, records));
     }
+    return Status::OK();
   }
   void OnCheckpointCommitted(int64_t checkpoint_id) override {
     for (CheckpointListener* l : listeners_) {

@@ -728,93 +728,100 @@ Result<int64_t> Job::TriggerCheckpoint() {
     if (ckpt_cv_.WaitUntil(ckpt_mu_, deadline)) break;
   }
   const bool prepared = abort_.load() || AllPreparedLocked();
-  if (!prepared || abort_.load() || !prepare_error_.ok()) {
-    const Status worker_error = prepare_error_;
-    trace_ckpt_id_.store(0, std::memory_order_release);
+  // Why the checkpoint fails, if it does: a worker's phase-1 error, or a
+  // listener's error appending the prepared checkpoint (durable log).
+  Status failure = prepare_error_;
+  int64_t overtaken_total = 0;
+  if (prepared && !abort_.load() && failure.ok()) {
+    const int64_t t1 = clock_->NowNanos();
+    if (m_phase1_nanos_ != nullptr) m_phase1_nanos_->Record(t1 - t0);
+    trace::RecordSpan(trace::Category::kCheckpoint, "phase1",
+                      ckpt_span.context(), s0, trace::NowNanos());
+    {
+      // The listener chain (durable log append, flush+fsync, registry
+      // commit) runs on this thread, so its storage spans nest under phase2
+      // via the thread-local scope.
+      trace::ScopedSpan phase2_span(trace::Category::kCheckpoint, "phase2",
+                                    ckpt_span.context());
+      // Channel logs first: the overtaken in-flight records are part of the
+      // checkpoint and must be durable before the prepared/commit records.
+      if (auto logs = channel_logs_.find(id); logs != channel_logs_.end()) {
+        for (const auto& [worker_id, records] : logs->second) {
+          overtaken_total += static_cast<int64_t>(records.size());
+          const Worker& w = *workers_[worker_id];
+          if (config_.listener != nullptr && failure.ok()) {
+            failure = config_.listener->OnChannelLog(id, w.vertex_name,
+                                                     w.instance, records);
+          }
+        }
+      }
+      if (config_.listener != nullptr && failure.ok()) {
+        failure = config_.listener->OnCheckpointPrepared(id);
+      }
+      if (failure.ok()) {
+        // Phase 2: atomically publish the new snapshot id (the commit point
+        // that makes the snapshot queryable everywhere at once).
+        latest_committed_.store(id);
+        if (config_.listener != nullptr) {
+          config_.listener->OnCheckpointCommitted(id);
+        }
+      } else {
+        phase2_span.AddAttr("aborted", true);
+      }
+    }
+    if (failure.ok()) {
+      // Only the newest committed checkpoint can be recovered to; older
+      // channel logs (and any stray aborted-id leftovers) are dead weight.
+      for (auto it = channel_logs_.begin(); it != channel_logs_.end();) {
+        it = it->first == id ? std::next(it) : channel_logs_.erase(it);
+      }
+      trace_ckpt_id_.store(0, std::memory_order_release);
+      const int64_t t2 = clock_->NowNanos();
+      if (m_phase2_nanos_ != nullptr) m_phase2_nanos_->Record(t2 - t0);
+      if (m_committed_ != nullptr) m_committed_->Increment();
+      AppendCheckpointRowLocked(CheckpointRow{.id = id,
+                                              .committed = true,
+                                              .phase1_nanos = t1 - t0,
+                                              .phase2_nanos = t2 - t0,
+                                              .started_unix_micros =
+                                                  started_micros,
+                                              .mode = config_.checkpoint_mode,
+                                              .overtaken_records =
+                                                  overtaken_total});
+      pending_checkpoint_ = 0;
+      ckpt_cv_.NotifyAll();
+      return id;
+    }
+  } else {
     trace::RecordSpan(trace::Category::kCheckpoint, "phase1",
                       ckpt_span.context(), s0, trace::NowNanos(),
                       {{"aborted", true}});
-    ckpt_span.AddAttr("aborted", true);
-    pending_checkpoint_ = 0;
-    channel_logs_.erase(id);
-    if (m_aborted_ != nullptr) m_aborted_->Increment();
-    AppendCheckpointRowLocked(CheckpointRow{
-        .id = id,
-        .committed = false,
-        .phase1_nanos = clock_->NowNanos() - t0,
-        .phase2_nanos = 0,
-        .started_unix_micros = started_micros,
-        .mode = config_.checkpoint_mode});
-    lock.Unlock();
-    // Unwedge consumers first (alignment buffers, in-flight captures), then
-    // let listeners discard anything written under this id.
-    BroadcastAbort(id);
-    if (config_.listener != nullptr) {
-      config_.listener->OnCheckpointAborted(id);
-    }
-    if (!worker_error.ok()) {
-      return Status::Aborted("checkpoint " + std::to_string(id) +
-                             " aborted: phase-1 failure: " +
-                             worker_error.message());
-    }
-    return Status::Aborted("checkpoint " + std::to_string(id) +
-                           (prepared ? " aborted" : " timed out"));
-  }
-  const int64_t t1 = clock_->NowNanos();
-  if (m_phase1_nanos_ != nullptr) m_phase1_nanos_->Record(t1 - t0);
-  trace::RecordSpan(trace::Category::kCheckpoint, "phase1",
-                    ckpt_span.context(), s0, trace::NowNanos());
-  int64_t overtaken_total = 0;
-  {
-    // The listener chain (durable log append, flush+fsync, registry commit)
-    // runs on this thread, so its storage spans nest under phase2 via the
-    // thread-local scope.
-    trace::ScopedSpan phase2_span(trace::Category::kCheckpoint, "phase2",
-                                  ckpt_span.context());
-    // Channel logs first: the overtaken in-flight records are part of the
-    // checkpoint and must be durable before the prepared/commit records.
-    auto logs = channel_logs_.find(id);
-    if (logs != channel_logs_.end()) {
-      for (const auto& [worker_id, records] : logs->second) {
-        overtaken_total += static_cast<int64_t>(records.size());
-        if (config_.listener != nullptr) {
-          const Worker& w = *workers_[worker_id];
-          config_.listener->OnChannelLog(id, w.vertex_name, w.instance,
-                                         records);
-        }
-      }
-    }
-    if (config_.listener != nullptr) {
-      config_.listener->OnCheckpointPrepared(id);
-    }
-    // Phase 2: atomically publish the new snapshot id (the commit point that
-    // makes the snapshot queryable everywhere at once).
-    latest_committed_.store(id);
-    if (config_.listener != nullptr) {
-      config_.listener->OnCheckpointCommitted(id);
-    }
-  }
-  // Only the newest committed checkpoint can be recovered to; older channel
-  // logs (and any stray aborted-id leftovers) are dead weight.
-  for (auto it = channel_logs_.begin(); it != channel_logs_.end();) {
-    it = it->first == id ? std::next(it) : channel_logs_.erase(it);
   }
   trace_ckpt_id_.store(0, std::memory_order_release);
-  const int64_t t2 = clock_->NowNanos();
-  if (m_phase2_nanos_ != nullptr) m_phase2_nanos_->Record(t2 - t0);
-  if (m_committed_ != nullptr) m_committed_->Increment();
-  AppendCheckpointRowLocked(CheckpointRow{.id = id,
-                                          .committed = true,
-                                          .phase1_nanos = t1 - t0,
-                                          .phase2_nanos = t2 - t0,
-                                          .started_unix_micros =
-                                              started_micros,
-                                          .mode = config_.checkpoint_mode,
-                                          .overtaken_records =
-                                              overtaken_total});
+  ckpt_span.AddAttr("aborted", true);
   pending_checkpoint_ = 0;
-  ckpt_cv_.NotifyAll();
-  return id;
+  channel_logs_.erase(id);
+  if (m_aborted_ != nullptr) m_aborted_->Increment();
+  AppendCheckpointRowLocked(CheckpointRow{
+      .id = id,
+      .committed = false,
+      .phase1_nanos = clock_->NowNanos() - t0,
+      .phase2_nanos = 0,
+      .started_unix_micros = started_micros,
+      .mode = config_.checkpoint_mode});
+  lock.Unlock();
+  // Unwedge consumers first (alignment buffers, in-flight captures), then
+  // let listeners discard anything written under this id.
+  BroadcastAbort(id);
+  if (config_.listener != nullptr) {
+    config_.listener->OnCheckpointAborted(id);
+  }
+  if (!failure.ok()) {
+    return Status::Aborted("checkpoint " + std::to_string(id) +
+                           " aborted: phase-1 failure: " + failure.message());
+  }
+  return Status::Aborted("checkpoint " + std::to_string(id) +
+                         (prepared ? " aborted" : " timed out"));
 }
 
 void Job::RunCoordinator() {

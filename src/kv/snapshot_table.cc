@@ -6,15 +6,15 @@ namespace sq::kv {
 
 namespace {
 
-// Returns an iterator to the entry with the greatest ssid <= `ssid`, or
-// entries.end() if all entries are newer.
-std::vector<SnapshotTable::Entry>::const_iterator FindAt(
-    const std::vector<SnapshotTable::Entry>& entries, int64_t ssid) {
+// Index of the version with the greatest ssid <= `ssid` in `versions`
+// (sorted by ascending ssid), or versions.size() if all are newer.
+template <typename V>
+size_t NewestAtOrBefore(const std::vector<V>& versions, int64_t ssid) {
   auto it = std::upper_bound(
-      entries.begin(), entries.end(), ssid,
-      [](int64_t s, const SnapshotTable::Entry& e) { return s < e.ssid; });
-  if (it == entries.begin()) return entries.end();
-  return it - 1;
+      versions.begin(), versions.end(), ssid,
+      [](int64_t s, const V& v) { return s < v.ssid; });
+  if (it == versions.begin()) return versions.size();
+  return static_cast<size_t>(it - versions.begin()) - 1;
 }
 
 }  // namespace
@@ -37,62 +37,95 @@ SnapshotTable::SnapshotTable(std::string name, const Partitioner* partitioner,
 
 void SnapshotTable::PruneKeyOrder(PartitionData* part) {
   std::vector<Value> kept;
-  kept.reserve(part->keys.size());
+  kept.reserve(part->index.size());
   for (const Value& key : part->key_order) {
-    if (part->keys.count(key) != 0) kept.push_back(key);
+    if (part->index.count(key) != 0) kept.push_back(key);
   }
   part->key_order = std::move(kept);
 }
 
+void SnapshotTable::MoveLiveRows(PartitionData* part, int64_t from,
+                                 ColumnBatch* to, int64_t to_key) {
+  const ColumnBatch& rows = *part->chunks.at(from).rows;
+  for (size_t r = 0; r < rows.row_count(); ++r) {
+    auto it = part->index.find(rows.keys()[r]);
+    if (it == part->index.end()) continue;
+    for (Version& v : it->second) {
+      if (v.ssid != rows.ssids()[r] || v.chunk != from || v.row != r) continue;
+      v.row = static_cast<uint32_t>(to->row_count());
+      v.chunk = to_key;
+      to->AppendRowFrom(rows, r);
+      break;
+    }
+  }
+}
+
+void SnapshotTable::RebuildChunk(PartitionData* part, int64_t key) {
+  auto kept = std::make_shared<ColumnBatch>();
+  MoveLiveRows(part, key, kept.get(), key);
+  auto chunk = part->chunks.find(key);
+  const size_t live = kept->row_count();
+  if (live == 0) {
+    part->chunks.erase(chunk);
+  } else {
+    chunk->second = Chunk{std::move(kept), live, false};
+  }
+}
+
 void SnapshotTable::WriteInto(PartitionData* part, int64_t ssid,
-                              const Value& key, Object value,
-                              bool tombstone) {
+                              const Value& key, const Object* value) {
   MutexLock lock(&part->mu);
   // A write at `ssid` can only change merged views at `ssid` and newer;
   // older cached columnar views stay valid (that is what makes the next
   // view buildable incrementally from them).
   part->columnar.erase(part->columnar.lower_bound(ssid),
                        part->columnar.end());
-  auto [key_it, inserted] = part->keys.try_emplace(key);
+  auto [key_it, inserted] = part->index.try_emplace(key);
   if (inserted) part->key_order.push_back(key);
-  auto& entries = key_it->second;
-  // Checkpoints are produced in increasing ssid order, so the append fast
-  // path almost always applies; a rewrite of the same ssid replaces it.
-  if (!entries.empty() && entries.back().ssid == ssid) {
-    entries.back().tombstone = tombstone;
-    entries.back().value = std::move(value);
-    return;
+  std::vector<Version>& versions = key_it->second;
+  auto pos = std::lower_bound(
+      versions.begin(), versions.end(), ssid,
+      [](const Version& v, int64_t s) { return v.ssid < s; });
+  if (pos != versions.end() && pos->ssid == ssid) {
+    // A rewrite of this version: its old row leaves its batch, so a delta
+    // keeps one row per key.
+    const int64_t chunk = pos->chunk;
+    pos = versions.erase(pos);
+    RebuildChunk(part, chunk);
   }
-  if (entries.empty() || entries.back().ssid < ssid) {
-    entries.push_back(Entry{ssid, tombstone, std::move(value)});
-    return;
+  // Checkpoints are produced in increasing ssid order, so this is almost
+  // always the newest delta, appended to in place.
+  Chunk& delta = part->chunks[ssid];
+  if (delta.rows == nullptr) {
+    delta.rows = std::make_shared<ColumnBatch>();
+  } else if (delta.shared) {
+    delta.rows = std::make_shared<ColumnBatch>(*delta.rows);
+    delta.shared = false;
   }
-  auto it =
-      std::lower_bound(entries.begin(), entries.end(), ssid,
-                       [](const Entry& e, int64_t s) { return e.ssid < s; });
-  if (it != entries.end() && it->ssid == ssid) {
-    it->tombstone = tombstone;
-    it->value = std::move(value);
+  const auto row = static_cast<uint32_t>(delta.rows->row_count());
+  if (value != nullptr) {
+    delta.rows->AppendRow(key, ssid, *value);
   } else {
-    entries.insert(it, Entry{ssid, tombstone, std::move(value)});
+    delta.rows->AppendTombstone(key, ssid);
   }
+  ++delta.live;
+  versions.insert(pos, Version{ssid, ssid, row, value == nullptr});
 }
 
 void SnapshotTable::Write(int64_t ssid, const Value& key, Object value) {
   const int32_t p = partitioner_->PartitionOf(key);
   for (auto& replica : backups_) {
-    WriteInto(replica[p].get(), ssid, key, value, /*tombstone=*/false);
+    WriteInto(replica[p].get(), ssid, key, &value);
   }
-  WriteInto(partitions_[p].get(), ssid, key, std::move(value),
-            /*tombstone=*/false);
+  WriteInto(partitions_[p].get(), ssid, key, &value);
 }
 
 void SnapshotTable::WriteTombstone(int64_t ssid, const Value& key) {
   const int32_t p = partitioner_->PartitionOf(key);
   for (auto& replica : backups_) {
-    WriteInto(replica[p].get(), ssid, key, Object(), /*tombstone=*/true);
+    WriteInto(replica[p].get(), ssid, key, nullptr);
   }
-  WriteInto(partitions_[p].get(), ssid, key, Object(), /*tombstone=*/true);
+  WriteInto(partitions_[p].get(), ssid, key, nullptr);
 }
 
 void SnapshotTable::DropSnapshotInPartition(PartitionData* part,
@@ -101,19 +134,25 @@ void SnapshotTable::DropSnapshotInPartition(PartitionData* part,
   part->columnar.erase(part->columnar.lower_bound(ssid),
                        part->columnar.end());
   bool erased_keys = false;
-  for (auto it = part->keys.begin(); it != part->keys.end();) {
-    auto& entries = it->second;
-    entries.erase(
-        std::remove_if(entries.begin(), entries.end(),
-                       [ssid](const Entry& e) { return e.ssid == ssid; }),
-        entries.end());
-    if (entries.empty()) {
-      it = part->keys.erase(it);
+  bool in_base = false;  // compaction folded a version at `ssid`
+  for (auto it = part->index.begin(); it != part->index.end();) {
+    std::vector<Version>& versions = it->second;
+    auto drop =
+        std::find_if(versions.begin(), versions.end(),
+                     [ssid](const Version& v) { return v.ssid == ssid; });
+    if (drop != versions.end()) {
+      in_base = in_base || drop->chunk == kBase;
+      versions.erase(drop);
+    }
+    if (versions.empty()) {
+      it = part->index.erase(it);
       erased_keys = true;
     } else {
       ++it;
     }
   }
+  part->chunks.erase(ssid);
+  if (in_base) RebuildChunk(part, kBase);
   if (erased_keys) PruneKeyOrder(part);
 }
 
@@ -128,28 +167,42 @@ void SnapshotTable::DropSnapshot(int64_t ssid) {
   }
 }
 
-std::optional<Object> SnapshotTable::GetAt(const Value& key,
-                                           int64_t ssid) const {
+const SnapshotTable::Version* SnapshotTable::LiveVersionAt(
+    const PartitionData& part, const Value& key, int64_t ssid) {
+  auto it = part.index.find(key);
+  if (it == part.index.end()) return nullptr;
+  const size_t i = NewestAtOrBefore(it->second, ssid);
+  if (i == it->second.size() || it->second[i].tombstone) return nullptr;
+  return &it->second[i];
+}
+
+bool SnapshotTable::VisitRowAt(
+    const Value& key, int64_t ssid,
+    const std::function<void(const ColumnBatch&, size_t)>& fn) const {
   const PartitionData& part = PartitionFor(key);
   MutexLock lock(&part.mu);
-  auto it = part.keys.find(key);
-  if (it == part.keys.end()) return std::nullopt;
-  auto entry = FindAt(it->second, ssid);
-  if (entry == it->second.end() || entry->tombstone) return std::nullopt;
-  return entry->value;
+  const Version* version = LiveVersionAt(part, key, ssid);
+  if (version == nullptr) return false;
+  fn(*part.chunks.at(version->chunk).rows, version->row);
+  return true;
+}
+
+std::optional<Object> SnapshotTable::GetAt(const Value& key,
+                                           int64_t ssid) const {
+  std::optional<Object> value;
+  VisitRowAt(key, ssid, [&value](const ColumnBatch& rows, size_t row) {
+    value = rows.MaterializeRow(row);
+  });
+  return value;
 }
 
 std::optional<Object> SnapshotTable::GetExact(const Value& key,
                                               int64_t ssid) const {
-  const PartitionData& part = PartitionFor(key);
-  MutexLock lock(&part.mu);
-  auto it = part.keys.find(key);
-  if (it == part.keys.end()) return std::nullopt;
-  auto entry = FindAt(it->second, ssid);
-  if (entry == it->second.end() || entry->ssid != ssid || entry->tombstone) {
-    return std::nullopt;
-  }
-  return entry->value;
+  std::optional<Object> value;
+  VisitRowAt(key, ssid, [&](const ColumnBatch& rows, size_t row) {
+    if (rows.ssids()[row] == ssid) value = rows.MaterializeRow(row);
+  });
+  return value;
 }
 
 void SnapshotTable::ScanAt(
@@ -157,21 +210,11 @@ void SnapshotTable::ScanAt(
     const std::function<void(const Value&, int64_t, const Object&)>& fn)
     const {
   for (int32_t p = 0; p < partitioner_->partition_count(); ++p) {
-    ScanPartitionAt(p, ssid, fn);
-  }
-}
-
-void SnapshotTable::ScanPartitionAt(
-    int32_t partition, int64_t ssid,
-    const std::function<void(const Value&, int64_t, const Object&)>& fn)
-    const {
-  const PartitionData& part = *partitions_[partition];
-  MutexLock lock(&part.mu);
-  for (const Value& key : part.key_order) {
-    const auto& entries = part.keys.find(key)->second;
-    auto entry = FindAt(entries, ssid);
-    if (entry == entries.end() || entry->tombstone) continue;
-    fn(key, entry->ssid, entry->value);
+    const std::shared_ptr<const ColumnBatch> view =
+        ColumnarPartitionAt(p, ssid);
+    for (size_t r = 0; r < view->row_count(); ++r) {
+      fn(view->keys()[r], view->ssids()[r], view->MaterializeRow(r));
+    }
   }
 }
 
@@ -183,9 +226,9 @@ std::shared_ptr<const ColumnBatch> SnapshotTable::ColumnarPartitionAt(
   if (hit != part.columnar.end()) return hit->second;
 
   // Incremental build: start from the newest older cached view (still valid
-  // by the invalidation rules) and copy its rows straight across, decoding
-  // only entries written after it — the checkpoint delta. With no base the
-  // whole view is encoded from the version map.
+  // by the invalidation rules) and copy its rows straight across, taking
+  // from the chain only the rows written after it — the checkpoint delta.
+  // With no base every row is copied from the chain.
   std::shared_ptr<const ColumnBatch> base;
   int64_t base_ssid = 0;
   auto older = part.columnar.lower_bound(ssid);
@@ -199,19 +242,20 @@ std::shared_ptr<const ColumnBatch> SnapshotTable::ColumnarPartitionAt(
   batch->Reserve(part.key_order.size());
   size_t base_row = 0;
   for (const Value& key : part.key_order) {
-    const auto& entries = part.keys.find(key)->second;
+    const std::vector<Version>& versions = part.index.find(key)->second;
     // The base view lists its keys in this same order, so one cursor tells
     // us whether it contains the current key.
     const bool in_base = base != nullptr && base_row < base->row_count() &&
                          base->keys()[base_row] == key;
-    auto entry = FindAt(entries, ssid);
-    if (entry != entries.end() && !entry->tombstone) {
-      if (in_base && entry->ssid <= base_ssid) {
-        // Unchanged since the base view; FindAt(base_ssid) returns the same
-        // entry, so the base row is exactly this row.
+    const size_t i = NewestAtOrBefore(versions, ssid);
+    if (i != versions.size() && !versions[i].tombstone) {
+      const Version& version = versions[i];
+      if (in_base && version.ssid <= base_ssid) {
+        // Unchanged since the base view, which holds this same version.
         batch->AppendRowFrom(*base, base_row);
       } else {
-        batch->AppendRow(key, entry->ssid, entry->value);
+        batch->AppendRowFrom(*part.chunks.at(version.chunk).rows,
+                             version.row);
       }
     }
     if (in_base) ++base_row;
@@ -224,88 +268,79 @@ std::shared_ptr<const ColumnBatch> SnapshotTable::ColumnarPartitionAt(
   return batch;
 }
 
-void SnapshotTable::ScanAllVersions(
-    const std::function<void(const Value&, int64_t, const Object&)>& fn)
-    const {
-  for (int32_t p = 0; p < partitioner_->partition_count(); ++p) {
-    ScanAllVersionsInPartition(p, fn);
-  }
-}
-
-void SnapshotTable::ScanAllVersionsInPartition(
-    int32_t partition,
-    const std::function<void(const Value&, int64_t, const Object&)>& fn)
-    const {
+std::shared_ptr<const ColumnBatch> SnapshotTable::DeltaAt(
+    int32_t partition, int64_t ssid) const {
   const PartitionData& part = *partitions_[partition];
   MutexLock lock(&part.mu);
-  for (const Value& key : part.key_order) {
-    for (const auto& entry : part.keys.find(key)->second) {
-      if (entry.tombstone) continue;
-      fn(key, entry.ssid, entry.value);
-    }
-  }
-}
-
-void SnapshotTable::ForEachVersionOfKey(
-    const Value& key,
-    const std::function<void(int64_t, const Object&)>& fn) const {
-  const PartitionData& part = PartitionFor(key);
-  MutexLock lock(&part.mu);
-  auto it = part.keys.find(key);
-  if (it == part.keys.end()) return;
-  for (const auto& entry : it->second) {
-    if (entry.tombstone) continue;
-    fn(entry.ssid, entry.value);
-  }
-}
-
-void SnapshotTable::ForEachEntryAt(
-    int64_t ssid,
-    const std::function<void(int32_t, const Value&, const Entry&)>& fn)
-    const {
-  for (int32_t p = 0; p < partitioner_->partition_count(); ++p) {
-    const PartitionData& part = *partitions_[p];
-    MutexLock lock(&part.mu);
-    for (const Value& key : part.key_order) {
-      const auto& entries = part.keys.find(key)->second;
-      auto entry = FindAt(entries, ssid);
-      if (entry == entries.end() || entry->ssid != ssid) continue;
-      fn(p, key, *entry);
-    }
-  }
+  auto delta = part.chunks.find(ssid);
+  if (delta == part.chunks.end()) return nullptr;
+  Chunk& chunk = delta->second;
+  if (chunk.live < chunk.rows->row_count()) return nullptr;
+  chunk.shared = true;
+  return chunk.rows;
 }
 
 size_t SnapshotTable::CompactPartition(PartitionData* part,
                                        int64_t floor_ssid) {
   size_t removed = 0;
   MutexLock lock(&part->mu);
-  // Compaction only drops entries a view at >= floor never serves, so cached
-  // views at the floor and newer survive; older ones would now read
+  // Compaction only drops versions a view at >= floor never serves, so
+  // cached views at the floor and newer survive; older ones would now read
   // base-shifted results and must go.
   part->columnar.erase(part->columnar.begin(),
                        part->columnar.lower_bound(floor_ssid));
   bool erased_keys = false;
-  for (auto it = part->keys.begin(); it != part->keys.end();) {
-    auto& entries = it->second;
-    auto base = FindAt(entries, floor_ssid);
-    if (base != entries.end()) {
-      // Drop everything older than the base version; a base tombstone means
-      // "absent at the floor", so the tombstone itself is obsolete too.
-      size_t drop = static_cast<size_t>(base - entries.begin());
-      if (base->tombstone) drop += 1;
-      if (drop > 0) {
-        removed += drop;
-        entries.erase(entries.begin(), entries.begin() + drop);
-      }
+  for (auto it = part->index.begin(); it != part->index.end();) {
+    std::vector<Version>& versions = it->second;
+    const size_t base = NewestAtOrBefore(versions, floor_ssid);
+    // Drop everything older than the base version; a base tombstone means
+    // "absent at the floor", so the tombstone itself is obsolete too.
+    const size_t drop = base == versions.size()
+                            ? 0
+                            : base + (versions[base].tombstone ? 1 : 0);
+    removed += drop;
+    for (size_t i = 0; i < drop; ++i) {
+      --part->chunks.at(versions[i].chunk).live;
     }
-    if (entries.empty()) {
-      it = part->keys.erase(it);
+    versions.erase(versions.begin(),
+                   versions.begin() + static_cast<ptrdiff_t>(drop));
+    if (versions.empty()) {
+      it = part->index.erase(it);
       erased_keys = true;
     } else {
       ++it;
     }
   }
   if (erased_keys) PruneKeyOrder(part);
+
+  // The chunks at or below the floor (the base first) without live rows go
+  // as they are: full snapshots supersede every row of the previous delta.
+  // The rest are folded into a new base once there are more than
+  // kFoldChunks of them or most of their rows are dead, which bounds the
+  // chain and its dead rows while copying a live row only every few
+  // checkpoints.
+  size_t folded = 0;
+  size_t rows = 0;
+  size_t live = 0;
+  auto chunk = part->chunks.begin();
+  while (chunk != part->chunks.end() && chunk->first <= floor_ssid) {
+    if (chunk->second.live == 0) {
+      chunk = part->chunks.erase(chunk);
+      continue;
+    }
+    ++folded;
+    rows += chunk->second.rows->row_count();
+    live += chunk->second.live;
+    ++chunk;
+  }
+  if (folded <= kFoldChunks && rows <= 2 * live) return removed;
+  auto base = std::make_shared<ColumnBatch>();
+  base->Reserve(live);
+  for (auto it = part->chunks.begin(); it != chunk; ++it) {
+    MoveLiveRows(part, it->first, base.get(), kBase);
+  }
+  part->chunks.erase(part->chunks.begin(), chunk);
+  part->chunks.emplace(kBase, Chunk{std::move(base), live, false});
   return removed;
 }
 
@@ -326,9 +361,7 @@ size_t SnapshotTable::EntryCount() const {
   size_t total = 0;
   for (const auto& part : partitions_) {
     MutexLock lock(&part->mu);
-    for (const auto& [key, entries] : part->keys) {
-      total += entries.size();
-    }
+    for (const auto& [key, versions] : part->index) total += versions.size();
   }
   return total;
 }
@@ -337,40 +370,9 @@ size_t SnapshotTable::KeyCount() const {
   size_t total = 0;
   for (const auto& part : partitions_) {
     MutexLock lock(&part->mu);
-    total += part->keys.size();
+    total += part->index.size();
   }
   return total;
-}
-
-size_t SnapshotTable::ByteSize() const {
-  size_t total = 0;
-  for (const auto& part : partitions_) {
-    MutexLock lock(&part->mu);
-    for (const auto& [key, entries] : part->keys) {
-      total += key.ByteSize();
-      for (const auto& entry : entries) {
-        total += sizeof(Entry) + entry.value.ByteSize();
-      }
-    }
-  }
-  return total;
-}
-
-void SnapshotTable::Clear() {
-  for (auto& part : partitions_) {
-    MutexLock lock(&part->mu);
-    part->keys.clear();
-    part->key_order.clear();
-    part->columnar.clear();
-  }
-  for (auto& replica : backups_) {
-    for (auto& part : replica) {
-      MutexLock lock(&part->mu);
-      part->keys.clear();
-      part->key_order.clear();
-      part->columnar.clear();
-    }
-  }
 }
 
 void SnapshotTable::FailPartitionPrimary(int32_t partition) {
@@ -378,7 +380,8 @@ void SnapshotTable::FailPartitionPrimary(int32_t partition) {
   if (backups_.empty()) {
     // No replica to promote: the partition's data is simply lost.
     MutexLock lock(&primary.mu);
-    primary.keys.clear();
+    primary.chunks.clear();
+    primary.index.clear();
     primary.key_order.clear();
     primary.columnar.clear();
     return;
@@ -393,7 +396,11 @@ void SnapshotTable::FailPartitionPrimary(int32_t partition) {
   PartitionData& backup = *backups_[0][partition];
   MutexLock backup_lock(&backup.mu);
   MutexLock primary_lock(&primary.mu);
-  primary.keys = backup.keys;
+  // Both copies now hold the same batches; whichever writes one first
+  // copies it.
+  for (auto& [key, chunk] : backup.chunks) chunk.shared = true;
+  primary.chunks = backup.chunks;
+  primary.index = backup.index;
   // Replicas see the same writes in the same order, so their key order is
   // the primary's; promoted data keeps the deterministic scan order.
   primary.key_order = backup.key_order;

@@ -20,21 +20,15 @@
 namespace sq::kv {
 
 /// The `snapshot_<operator>` table of Table II: a multi-version map from
-/// `(key, snapshot id)` to state objects. Supports both *full* snapshots
-/// (every key rewritten each checkpoint) and *incremental* snapshots (only
-/// changed keys written, deletions as tombstones), plus the backward
-/// differential read the paper describes for querying incremental snapshots
-/// (Section VI-A) and pruning/compaction of versions that fell out of the
-/// retention window.
+/// `(key, snapshot id)` to state objects, for *full* snapshots (every key
+/// rewritten each checkpoint) and *incremental* ones (changed keys only,
+/// deletions as tombstones), with the backward differential read of Section
+/// VI-A and compaction of versions outside the retention window. A partition
+/// is a chain of column batches — one delta per snapshot id holding the rows
+/// written at it, plus a base that compaction folds old deltas into — and a
+/// key -> (ssid, row) index over them.
 class SnapshotTable {
  public:
-  /// One version of one key.
-  struct Entry {
-    int64_t ssid = 0;
-    bool tombstone = false;
-    Object value;
-  };
-
   /// With `backup_count` > 0 every mutation is mirrored into backup
   /// replica(s); `FailPartitionPrimary` promotes replica 0 after a simulated
   /// node loss (the paper: snapshots are written locally first and then
@@ -50,112 +44,111 @@ class SnapshotTable {
   int32_t partition_count() const { return partitioner_->partition_count(); }
   const Partitioner& partitioner() const { return *partitioner_; }
 
-  /// Writes the value of `key` as of snapshot `ssid`. Used both by full
-  /// snapshots (all keys) and incremental snapshots (changed keys only).
+  /// Writes the value of `key` as of snapshot `ssid`: appends a row to the
+  /// (partition, ssid) delta, replacing the key's earlier row there. Used
+  /// both by full snapshots (all keys) and incremental snapshots (changed
+  /// keys only).
   void Write(int64_t ssid, const Value& key, Object value);
 
-  /// Records that `key` was deleted as of snapshot `ssid` (incremental mode).
+  /// Records that `key` was deleted as of snapshot `ssid` (incremental mode):
+  /// a tombstone row in the (partition, ssid) delta.
   void WriteTombstone(int64_t ssid, const Value& key);
 
-  /// Drops every entry with the given ssid. Used to roll back an aborted
+  /// Drops every version written at `ssid`: the delta, and any of its rows
+  /// compaction already folded into the base. Used to roll back an aborted
   /// (uncommitted) snapshot during failure recovery.
   void DropSnapshot(int64_t ssid);
 
-  /// Point lookup of `key`'s value at snapshot `ssid`: the entry with the
+  /// Point lookup of `key`'s value at snapshot `ssid`: the version with the
   /// greatest ssid' <= ssid. Returns nullopt if the key did not exist at
-  /// that snapshot (no entry, or tombstone).
+  /// that snapshot (no version, or a tombstone).
   std::optional<Object> GetAt(const Value& key, int64_t ssid) const;
 
-  /// Exact-version lookup: entry written *at* `ssid` (no backward search).
+  /// Exact-version lookup: the version written *at* `ssid` (no backward
+  /// search).
   std::optional<Object> GetExact(const Value& key, int64_t ssid) const;
 
-  /// Scans the reconstructed view at snapshot `ssid`. `fn` receives the key,
-  /// the ssid of the entry that supplied the value (== `ssid` for full
-  /// snapshots, possibly older for incremental), and the value. This is the
-  /// differential query process: it starts from the latest snapshot of
-  /// interest and supplements results with the latest older entry per key.
+  /// GetAt's lookup without building an Object: calls `fn` with the batch
+  /// and row holding `key`'s version at `ssid` and returns true, or returns
+  /// false if the key did not exist there. `fn` runs under the partition
+  /// lock and must not keep the batch.
+  bool VisitRowAt(const Value& key, int64_t ssid,
+                  const std::function<void(const ColumnBatch&, size_t)>& fn)
+      const;
+
+  /// Every partition's `ColumnarPartitionAt(p, ssid)` rows, materialized:
+  /// key, the ssid of the version that supplied the value, value.
   void ScanAt(int64_t ssid,
               const std::function<void(const Value&, int64_t, const Object&)>&
                   fn) const;
 
-  /// Scans one partition of the view at `ssid`. Rows are emitted in
-  /// first-write key order — the deterministic scan order shared with the
-  /// columnar view, which this scan is the reference for (group first-seen
-  /// order, representatives and ORDER BY tie-breaks depend on it).
-  void ScanPartitionAt(
-      int32_t partition, int64_t ssid,
-      const std::function<void(const Value&, int64_t, const Object&)>& fn)
-      const;
-
   /// The merged view of one partition at snapshot `ssid` as a columnar batch:
-  /// same rows, same order as `ScanPartitionAt`, laid out as per-field typed
-  /// column chunks for the vectorized executor. Views are cached per
-  /// (partition, ssid) and built incrementally — a request for a new ssid
-  /// patches the newest older cached view with just the entries that changed
-  /// since (the checkpoint delta) instead of re-encoding every row. Writes at
-  /// ssid S invalidate only cached views at S and newer; compaction and drops
-  /// invalidate the partition's cache wholesale. The returned batch is
-  /// never null, immutable, and safe to use without holding any table lock.
+  /// per key in first-write key order, the row of its newest version at or
+  /// before `ssid` (tombstoned keys left out), copied from the chain. Group
+  /// first-seen order, representatives and ORDER BY tie-breaks depend on
+  /// that order. Views are cached per (partition, ssid) and built
+  /// incrementally — a request for a new ssid patches the newest older
+  /// cached view with just the rows that changed since instead of copying
+  /// every row from the chain. Writes at ssid S invalidate only cached views
+  /// at S and newer; compaction and drops invalidate the partition's cache
+  /// wholesale. The returned batch is never null, immutable, and safe to use
+  /// without holding any table lock.
   std::shared_ptr<const ColumnBatch> ColumnarPartitionAt(int32_t partition,
                                                          int64_t ssid) const;
 
-  /// Scans every retained version of every key (for "result set integrates
-  /// multiple snapshot versions" mode, Section VI-A "Snapshot Versions").
-  void ScanAllVersions(
-      const std::function<void(const Value&, int64_t, const Object&)>& fn)
-      const;
+  /// The rows of `partition` written at exactly `ssid`, one per key,
+  /// tombstones included: the checkpoint's delta the durable log persists.
+  /// Null if there are none, or once compaction retired some. The batch
+  /// stays unchanged while held: a later write to it copies it first.
+  std::shared_ptr<const ColumnBatch> DeltaAt(int32_t partition,
+                                             int64_t ssid) const;
 
-  /// Scans every retained version of every key in one partition. Distinct
-  /// partitions may be scanned concurrently.
-  void ScanAllVersionsInPartition(
-      int32_t partition,
-      const std::function<void(const Value&, int64_t, const Object&)>& fn)
-      const;
-
-  /// Visits every retained (non-tombstone) version of `key`, oldest first.
-  /// Point-lookup counterpart of ScanAllVersions.
-  void ForEachVersionOfKey(
-      const Value& key,
-      const std::function<void(int64_t, const Object&)>& fn) const;
-
-  /// Visits, partition-major, every entry written *at* exactly `ssid` —
-  /// tombstones included. This is the checkpoint's delta as stored (what the
-  /// durable snapshot log persists in phase 1); contrast with `ScanAt`,
-  /// which reconstructs the merged view.
-  void ForEachEntryAt(
-      int64_t ssid,
-      const std::function<void(int32_t partition, const Value& key,
-                               const Entry& entry)>& fn) const;
-
-  /// Prunes obsolete state: for every key, drops all entries strictly older
-  /// than the newest entry with ssid <= `floor_ssid` (that newest one is the
-  /// base the retained versions still need), and drops base tombstones.
-  /// Returns the number of entries removed.
+  /// Prunes obsolete state: for every key, drops all versions strictly older
+  /// than the newest version with ssid <= `floor_ssid` (that newest one is
+  /// the base the retained versions still need), and drops base tombstones;
+  /// folds the batches at or below the floor into the base now and then.
+  /// Returns the number of versions removed.
   size_t Compact(int64_t floor_ssid);
 
   /// Number of (key, version) entries.
   size_t EntryCount() const;
-  /// Number of distinct keys with at least one entry.
+  /// Number of distinct keys with at least one version.
   size_t KeyCount() const;
-  /// Approximate heap footprint.
-  size_t ByteSize() const;
-
-  void Clear();
-
-  int32_t backup_count() const { return static_cast<int32_t>(backups_.size()); }
 
   /// Drops the primary copy of `partition` and restores it from replica 0.
   void FailPartitionPrimary(int32_t partition);
 
  private:
+  // Chunk key of the base, below every ssid.
+  static constexpr int64_t kBase = INT64_MIN;
+
+  // One version of a key: row `row` of chunk `chunk` (`ssid`, or kBase).
+  struct Version {
+    int64_t ssid = 0;
+    int64_t chunk = 0;
+    uint32_t row = 0;
+    bool tombstone = false;
+  };
+
+  // One batch of the chain. Once `shared` (a reader or another replica holds
+  // `rows`), the batch is never modified again: the next write copies it.
+  struct Chunk {
+    std::shared_ptr<ColumnBatch> rows;
+    // Versions pointing into `rows`; compaction leaves the rest dead.
+    size_t live = 0;
+    bool shared = false;
+  };
+
   struct PartitionData {
     mutable Mutex mu{lockrank::kKvPartition, "kv.snapshot.partition"};
+    // The base and each ssid's delta, by chunk key; mutable so a const
+    // DeltaAt can mark a delta shared.
+    mutable std::map<int64_t, Chunk> chunks SQ_GUARDED_BY(mu);
     // Versions per key, sorted by ascending ssid.
-    std::unordered_map<Value, std::vector<Entry>, ValueHash> keys
+    std::unordered_map<Value, std::vector<Version>, ValueHash> index
         SQ_GUARDED_BY(mu);
     // Keys in first-write order; invariant: contains exactly the keys of
-    // `keys`, each once. All scans iterate this so row and columnar reads
-    // agree on order.
+    // `index`, each once. Views iterate this, so their row order is stable.
     std::vector<Value> key_order SQ_GUARDED_BY(mu);
     // Cached merged columnar views by requested ssid.
     mutable std::map<int64_t, std::shared_ptr<const ColumnBatch>> columnar
@@ -165,17 +158,29 @@ class SnapshotTable {
   // Bounds the per-partition view cache (snapshot retention windows are a
   // handful of versions; anything older is an explicit time-travel query).
   static constexpr size_t kMaxCachedViews = 8;
+  // Chunks at or below the compaction floor (base included) kept unfolded.
+  static constexpr size_t kFoldChunks = 4;
 
+  // `value` null writes a tombstone.
   static void WriteInto(PartitionData* part, int64_t ssid, const Value& key,
-                        Object value, bool tombstone);
+                        const Object* value);
   static size_t CompactPartition(PartitionData* part, int64_t floor_ssid);
   static void DropSnapshotInPartition(PartitionData* part, int64_t ssid);
-  // Rebuilds key_order after map erasures, preserving relative order.
+  // Appends the rows of chunk `from` a version still points at to `to`,
+  // re-pointing those versions at their new rows in chunk `to_key`.
+  static void MoveLiveRows(PartitionData* part, int64_t from, ColumnBatch* to,
+                           int64_t to_key) SQ_REQUIRES(part->mu);
+  // Replaces chunk `key` by a fresh copy of its live rows (erasing it when
+  // none are left), so a reader holding the old batch keeps it intact.
+  static void RebuildChunk(PartitionData* part, int64_t key)
+      SQ_REQUIRES(part->mu);
+  // Rebuilds key_order after index erasures, preserving relative order.
   static void PruneKeyOrder(PartitionData* part) SQ_REQUIRES(part->mu);
+  // `key`'s newest version at or before `ssid` if it is not a tombstone.
+  static const Version* LiveVersionAt(const PartitionData& part,
+                                      const Value& key, int64_t ssid)
+      SQ_REQUIRES(part.mu);
 
-  PartitionData& PartitionFor(const Value& key) {
-    return *partitions_[partitioner_->PartitionOf(key)];
-  }
   const PartitionData& PartitionFor(const Value& key) const {
     return *partitions_[partitioner_->PartitionOf(key)];
   }

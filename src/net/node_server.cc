@@ -371,7 +371,9 @@ Result<std::string> NodeServer::HandleCheckpointMarker(
   if (dataflow::CheckpointListener* l = options_.checkpoint; l != nullptr) {
     switch (marker.phase) {
       case CheckpointPhase::kPrepare:
-        l->OnCheckpointPrepared(marker.checkpoint_id);
+        // A failed prepare (e.g. the durable append) goes back in the
+        // reply, and the coordinator aborts the checkpoint.
+        SQ_RETURN_IF_ERROR(l->OnCheckpointPrepared(marker.checkpoint_id));
         break;
       case CheckpointPhase::kCommit:
         l->OnCheckpointCommitted(marker.checkpoint_id);

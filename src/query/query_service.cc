@@ -44,22 +44,21 @@ std::string IsolationSlug(state::IsolationLevel level) {
   return slug;
 }
 
-/// BatchReader over one prebuilt columnar view: yields it once, then ends.
-class SingleBatchReader : public sql::BatchReader {
+/// BatchReader over prebuilt columnar batches: yields each once, in order.
+class BatchListReader : public sql::BatchReader {
  public:
-  explicit SingleBatchReader(sql::ScanBatch batch)
-      : batch_(std::move(batch)) {}
+  explicit BatchListReader(std::vector<sql::ScanBatch> batches)
+      : batches_(std::move(batches)) {}
 
   Result<bool> NextBatch(sql::ScanBatch* out) override {
-    if (done_) return false;
-    done_ = true;
-    *out = std::move(batch_);
+    if (next_ == batches_.size()) return false;
+    *out = std::move(batches_[next_++]);
     return true;
   }
 
  private:
-  sql::ScanBatch batch_;
-  bool done_ = false;
+  std::vector<sql::ScanBatch> batches_;
+  size_t next_ = 0;
 };
 
 /// Partition-addressable scan over a live map. Live scans carry no ssid
@@ -78,7 +77,8 @@ class LiveTableSource : public sql::TableSource {
     sql::LookupBatchBuilder found;
     for (const kv::Value& key : keys) {
       if (auto value = live_->Get(key); value.has_value()) {
-        found.Add(PartitionOfKey(key), key, /*ssid=*/nullptr, *value);
+        found.Row(PartitionOfKey(key), /*ssid=*/nullptr)
+            ->AppendRow(key, /*ssid=*/0, *value);
       }
     }
     return std::move(found).Finish();
@@ -97,61 +97,21 @@ class LiveTableSource : public sql::TableSource {
         partition, [&batch](const kv::Value& key, const kv::Object& value) {
           batch->AppendRow(key, /*ssid=*/0, value);
         });
-    return std::make_unique<SingleBatchReader>(
-        sql::ScanBatch{std::move(batch), std::nullopt});
+    return std::make_unique<BatchListReader>(std::vector<sql::ScanBatch>{
+        sql::ScanBatch{std::move(batch), std::nullopt}});
   }
 
  private:
   const kv::LiveMap* live_;
 };
 
-/// Partition-addressable scan of the reconstructed snapshot view at one
-/// resolved version. Every row reports the *resolved* ssid (not the possibly
-/// older entry that supplied the value), matching the point lookups.
+/// Partition-addressable scan of the snapshot views at pinned versions: the
+/// resolved one of a snapshot read, or every retained one for
+/// `snapshot_<op>__versions`. Every row reports the version it is read at
+/// (not the possibly older entry that supplied the value).
 class SnapshotTableSource : public sql::TableSource {
  public:
-  SnapshotTableSource(const kv::SnapshotTable* snap, int64_t ssid)
-      : snap_(snap), ssid_(ssid), ssid_value_(ssid) {}
-
-  int32_t partition_count() const override {
-    return snap_->partition_count();
-  }
-
-  Result<std::vector<sql::PartitionLookup>> ScanKeys(
-      const std::vector<kv::Value>& keys) const override {
-    sql::LookupBatchBuilder found;
-    for (const kv::Value& key : keys) {
-      if (auto value = snap_->GetAt(key, ssid_); value.has_value()) {
-        found.Add(PartitionOfKey(key), key, &ssid_value_, *value);
-      }
-    }
-    return std::move(found).Finish();
-  }
-
-  int32_t PartitionOfKey(const kv::Value& key) const override {
-    return snap_->partitioner().PartitionOf(key);
-  }
-
-  std::unique_ptr<sql::BatchReader> OpenBatchReader(
-      int32_t partition) const override {
-    // The incrementally maintained columnar view of this partition at the
-    // resolved version (cached across queries; see SnapshotTable).
-    return std::make_unique<SingleBatchReader>(sql::ScanBatch{
-        snap_->ColumnarPartitionAt(partition, ssid_), ssid_value_});
-  }
-
- private:
-  const kv::SnapshotTable* snap_;
-  const int64_t ssid_;
-  const kv::Value ssid_value_;
-};
-
-/// Partition-addressable scan of `snapshot_<op>__versions`: one reconstructed
-/// view per retained version, the `ssid` column telling versions apart. The
-/// version list is pinned at open so every partition scans the same set.
-class VersionsTableSource : public sql::TableSource {
- public:
-  VersionsTableSource(const kv::SnapshotTable* snap,
+  SnapshotTableSource(const kv::SnapshotTable* snap,
                       std::vector<int64_t> versions)
       : snap_(snap) {
     version_values_.reserve(versions.size());
@@ -171,10 +131,11 @@ class VersionsTableSource : public sql::TableSource {
     for (const kv::Value& key : keys) {
       const int32_t partition = PartitionOfKey(key);
       for (const kv::Value& version : version_values_) {
-        if (auto value = snap_->GetAt(key, version.int64_value());
-            value.has_value()) {
-          found.Add(partition, key, &version, *value);
-        }
+        snap_->VisitRowAt(key, version.int64_value(),
+                          [&](const kv::ColumnBatch& rows, size_t row) {
+                            found.Row(partition, &version)
+                                ->AppendRowFrom(rows, row);
+                          });
       }
     }
     return std::move(found).Finish();
@@ -186,33 +147,16 @@ class VersionsTableSource : public sql::TableSource {
 
   std::unique_ptr<sql::BatchReader> OpenBatchReader(
       int32_t partition) const override {
-    // One batch per retained version with rows, in pinned version order:
-    // version-major, key order within a version.
-    class Reader : public sql::BatchReader {
-     public:
-      Reader(const kv::SnapshotTable* snap, int32_t partition,
-             const std::vector<kv::Value>* versions)
-          : snap_(snap), partition_(partition), versions_(versions) {}
-
-      Result<bool> NextBatch(sql::ScanBatch* out) override {
-        while (next_ < versions_->size()) {
-          const kv::Value& version = (*versions_)[next_++];
-          std::shared_ptr<const kv::ColumnBatch> view =
-              snap_->ColumnarPartitionAt(partition_, version.int64_value());
-          if (view->row_count() == 0) continue;
-          *out = sql::ScanBatch{std::move(view), version};
-          return true;
-        }
-        return false;
-      }
-
-     private:
-      const kv::SnapshotTable* snap_;
-      const int32_t partition_;
-      const std::vector<kv::Value>* versions_;  // owned by the source
-      size_t next_ = 0;
-    };
-    return std::make_unique<Reader>(snap_, partition, &version_values_);
+    // One batch per version with rows, in pinned version order: the
+    // incrementally maintained columnar views of this partition (cached
+    // across queries; see SnapshotTable).
+    std::vector<sql::ScanBatch> batches;
+    for (const kv::Value& version : version_values_) {
+      std::shared_ptr<const kv::ColumnBatch> view =
+          snap_->ColumnarPartitionAt(partition, version.int64_value());
+      if (view->row_count() > 0) batches.push_back({std::move(view), version});
+    }
+    return std::make_unique<BatchListReader>(std::move(batches));
   }
 
  private:
@@ -738,12 +682,11 @@ Result<std::unique_ptr<sql::TableSource>> QueryService::OpenTableSource(
                                  ? cluster_.load(std::memory_order_acquire)
                                  : nullptr;
     return std::unique_ptr<sql::TableSource>(new sql::ScanFnSource(
-        [this, table,
-         cluster]() -> Result<std::shared_ptr<const kv::ColumnBatch>> {
+        [this, table, cluster]() -> Result<sql::TableBatches> {
           SQ_ASSIGN_OR_RETURN(std::vector<kv::Object> rows,
                               catalog_.ScanVirtualTable(table));
           if (cluster != nullptr) AppendFederatedRows(cluster, table, &rows);
-          return sql::BatchOfKeyedRows(rows);
+          return sql::TableBatches{sql::BatchOfKeyedRows(rows)};
         },
         /*ssid=*/std::nullopt));
   }
@@ -781,12 +724,12 @@ Result<std::unique_ptr<sql::TableSource>> QueryService::OpenTableSource(
       return Status::NotFound("no snapshot table named " + base);
     }
     return std::unique_ptr<sql::TableSource>(
-        new VersionsTableSource(snap, registry_->RetainedVersions()));
+        new SnapshotTableSource(snap, registry_->RetainedVersions()));
   }
   Result<int64_t> resolved = ResolveSsid(requested_ssid, options);
   if (resolved.ok() && snap != nullptr) {
     return std::unique_ptr<sql::TableSource>(
-        new SnapshotTableSource(snap, *resolved));
+        new SnapshotTableSource(snap, {*resolved}));
   }
   // Time travel beyond the in-memory retention window, or a cold restart
   // before replay (the grid lost the table): the durable log may still hold
@@ -810,23 +753,16 @@ std::unique_ptr<sql::TableSource> QueryService::OpenDurableSource(
   if (log == nullptr || !id.has_value() || !log->IsDurable(*id)) {
     return nullptr;
   }
+  // The log is read once per opened source, in the grid's partitions.
   return std::make_unique<sql::ScanFnSource>(
-      [this, log, table,
-       ssid = *id]() -> Result<std::shared_ptr<const kv::ColumnBatch>> {
+      [this, log, table, ssid = *id]() -> Result<sql::TableBatches> {
         if (metrics_ != nullptr) {
           metrics_->GetCounter(metric_names::kQueryDurableFallbacks)
               ->Increment();
         }
-        auto rows = std::make_shared<kv::ColumnBatch>();
-        SQ_RETURN_IF_ERROR(log->ScanSnapshot(
-            table, ssid,
-            [&rows](int32_t /*partition*/, const kv::Value& key,
-                    int64_t /*entry_ssid*/, const kv::Object& value) {
-              rows->AppendRow(key, /*ssid=*/0, value);
-            }));
-        return std::shared_ptr<const kv::ColumnBatch>(std::move(rows));
+        return log->ReadSnapshot(table, ssid, grid_->partitioner());
       },
-      *id);
+      *id, grid_->partitioner());
 }
 
 Result<std::unique_ptr<sql::TableSource>> QueryService::OpenClusterSource(

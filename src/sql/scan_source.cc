@@ -5,8 +5,8 @@
 
 namespace sq::sql {
 
-void LookupBatchBuilder::Add(int32_t partition, const kv::Value& key,
-                             const kv::Value* ssid, const kv::Object& value) {
+kv::ColumnBatch* LookupBatchBuilder::Row(int32_t partition,
+                                         const kv::Value* ssid) {
   const auto it = std::lower_bound(
       found_.begin(), found_.end(), partition,
       [](const PartitionLookup& p, int32_t wanted) {
@@ -28,26 +28,42 @@ void LookupBatchBuilder::Add(int32_t partition, const kv::Value& key,
         std::move(rows),
         ssid != nullptr ? std::optional<kv::Value>(*ssid) : std::nullopt});
   }
-  tails_[i]->AppendRow(key, /*ssid=*/0, value);
+  return tails_[i];
 }
 
-ScanFnSource::ScanFnSource(TableBatchFn build, std::optional<int64_t> ssid)
-    : build_(std::move(build)) {
+ScanFnSource::ScanFnSource(TableBatchFn build, std::optional<int64_t> ssid,
+                           kv::Partitioner partitioner)
+    : build_(std::move(build)), partitioner_(partitioner) {
   if (ssid.has_value()) ssid_ = kv::Value(*ssid);
+}
+
+Result<const TableBatches*> ScanFnSource::Build() const {
+  std::call_once(built_once_, [this] {
+    Result<TableBatches> built = build_();
+    if (built.ok()) {
+      batches_ = std::move(*built);
+    } else {
+      build_status_ = built.status();
+    }
+  });
+  SQ_RETURN_IF_ERROR(build_status_);
+  return &batches_;
 }
 
 Result<std::vector<PartitionLookup>> ScanFnSource::ScanKeys(
     const std::vector<kv::Value>& keys) const {
-  SQ_ASSIGN_OR_RETURN(const std::shared_ptr<const kv::ColumnBatch> rows,
-                      build_());
+  SQ_ASSIGN_OR_RETURN(const TableBatches* batches, Build());
   const std::set<kv::Value> wanted(keys.begin(), keys.end());
-  auto found = std::make_shared<kv::ColumnBatch>();
-  for (size_t r = 0; r < rows->row_count(); ++r) {
-    if (wanted.count(rows->keys()[r]) != 0) found->AppendRowFrom(*rows, r);
-  }
   std::vector<PartitionLookup> out;
-  if (found->row_count() > 0) {
-    out.push_back(PartitionLookup{0, {ScanBatch{std::move(found), ssid_}}});
+  for (int32_t p = 0; p < partition_count(); ++p) {
+    const kv::ColumnBatch& rows = *(*batches)[p];
+    auto found = std::make_shared<kv::ColumnBatch>();
+    for (size_t r = 0; r < rows.row_count(); ++r) {
+      if (wanted.count(rows.keys()[r]) != 0) found->AppendRowFrom(rows, r);
+    }
+    if (found->row_count() > 0) {
+      out.push_back(PartitionLookup{p, {ScanBatch{std::move(found), ssid_}}});
+    }
   }
   return out;
 }
@@ -55,7 +71,7 @@ Result<std::vector<PartitionLookup>> ScanFnSource::ScanKeys(
 std::unique_ptr<BatchReader> ScanFnSource::OpenBatchReader(
     int32_t partition) const {
   /// Builds the table on the first NextBatch, so its errors come back
-  /// through the Result, and yields it as one batch.
+  /// through the Result, and yields the partition as one batch.
   class Reader : public BatchReader {
    public:
     Reader(const ScanFnSource* source, int32_t partition)
@@ -64,13 +80,13 @@ std::unique_ptr<BatchReader> ScanFnSource::OpenBatchReader(
     Result<bool> NextBatch(ScanBatch* out) override {
       if (done_) return false;
       done_ = true;
-      if (partition_ != 0) {
+      if (partition_ < 0 || partition_ >= source_->partition_count()) {
         return Status::OutOfRange("partition " + std::to_string(partition_) +
-                                  " of a single-partition table");
+                                  " of a table with " +
+                                  std::to_string(source_->partition_count()));
       }
-      SQ_ASSIGN_OR_RETURN(std::shared_ptr<const kv::ColumnBatch> rows,
-                          source_->build_());
-      *out = ScanBatch{std::move(rows), source_->ssid_};
+      SQ_ASSIGN_OR_RETURN(const TableBatches* batches, source_->Build());
+      *out = ScanBatch{(*batches)[partition_], source_->ssid_};
       return true;
     }
 
@@ -115,8 +131,8 @@ Result<std::unique_ptr<TableSource>> MemoryResolver::OpenTableSource(
   if (it == tables.end()) return Status::NotFound("no table " + table);
   const std::vector<kv::Object>* rows = &it->second;
   return std::unique_ptr<TableSource>(new ScanFnSource(
-      [rows]() -> Result<std::shared_ptr<const kv::ColumnBatch>> {
-        return BatchOfKeyedRows(*rows);
+      [rows]() -> Result<TableBatches> {
+        return TableBatches{BatchOfKeyedRows(*rows)};
       },
       /*ssid=*/std::nullopt));
 }

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -13,25 +14,25 @@
 #include "common/status.h"
 #include "kv/columnar.h"
 #include "kv/object.h"
+#include "kv/partitioner.h"
 #include "kv/value.h"
 #include "sql/executor.h"
 
 namespace sq::sql {
 
-/// Builds a whole table as one ColumnBatch, in table order (the batch's
-/// per-row ssids are unused; see ScanFnSource).
-using TableBatchFn =
-    std::function<Result<std::shared_ptr<const kv::ColumnBatch>>()>;
+/// Builds a whole table as one ColumnBatch per partition, each in table
+/// order (the batches' per-row ssids are unused; see ScanFnSource).
+using TableBatches = std::vector<std::shared_ptr<const kv::ColumnBatch>>;
+using TableBatchFn = std::function<Result<TableBatches>()>;
 
 /// Builds the result of TableSource::ScanKeys from looked-up rows added in
 /// emission order: each row joins the last batch of its partition when it
 /// is served at that batch's version, and starts a new batch otherwise.
 class LookupBatchBuilder {
  public:
-  /// Adds one looked-up row of `partition`, served at `ssid` (null on live
-  /// reads).
-  void Add(int32_t partition, const kv::Value& key, const kv::Value* ssid,
-           const kv::Object& value);
+  /// The batch to append one looked-up row of `partition` to, served at
+  /// `ssid` (null on live reads).
+  kv::ColumnBatch* Row(int32_t partition, const kv::Value* ssid);
 
   /// The partitions with rows, in ascending order; the builder is spent.
   std::vector<PartitionLookup> Finish() && { return std::move(found_); }
@@ -44,30 +45,42 @@ class LookupBatchBuilder {
   std::vector<kv::ColumnBatch*> tails_;
 };
 
-/// A one-partition TableSource over a function that builds the whole table,
-/// for tables without partitioned storage: virtual (catalog) tables,
-/// snapshots read back from the durable log, and in-memory test tables.
-/// Opening it does no work; each batch read or ScanKeys call builds the
-/// table once, and a read serves it as one batch.
+/// A TableSource over a function that builds the whole table: virtual
+/// (catalog) and in-memory test tables in one partition, snapshots read back
+/// from the durable log in the grid's. Opening it does no work; the first
+/// batch read or ScanKeys call builds the table, and every reader shares it.
 class ScanFnSource final : public TableSource {
  public:
-  /// `ssid` is the version every row is served at (the `ssid`
-  /// pseudo-column), or nullopt for rows without one.
-  ScanFnSource(TableBatchFn build, std::optional<int64_t> ssid);
+  /// `build` returns one batch per partition of `partitioner`, key k in
+  /// batch `partitioner.PartitionOf(k)`. `ssid` is the version every row is
+  /// served at (the `ssid` pseudo-column), or nullopt for rows without one.
+  ScanFnSource(TableBatchFn build, std::optional<int64_t> ssid,
+               kv::Partitioner partitioner = kv::Partitioner(1));
 
-  int32_t partition_count() const override { return 1; }
-  /// The table's rows whose key is in `keys`, in table order, as one batch.
+  int32_t partition_count() const override {
+    return partitioner_.partition_count();
+  }
+  /// The table's rows whose key is in `keys`, one batch per partition, in
+  /// table order.
   Result<std::vector<PartitionLookup>> ScanKeys(
       const std::vector<kv::Value>& keys) const override;
-  int32_t PartitionOfKey(const kv::Value& /*key*/) const override {
-    return 0;
+  int32_t PartitionOfKey(const kv::Value& key) const override {
+    return partitioner_.PartitionOf(key);
   }
   std::unique_ptr<BatchReader> OpenBatchReader(
       int32_t partition) const override;
 
  private:
+  /// The table, built by the first caller; later callers wait and share it.
+  Result<const TableBatches*> Build() const;
+
   TableBatchFn build_;
   std::optional<kv::Value> ssid_;
+  kv::Partitioner partitioner_;
+  // Written once, inside the call_once, and read-only after it.
+  mutable std::once_flag built_once_;
+  mutable Status build_status_;
+  mutable TableBatches batches_;
 };
 
 /// `rows` as one batch, in order, each keyed by its own `key` field (null

@@ -292,26 +292,28 @@ Status SQueryStateStore::RestoreFromTable(int64_t checkpoint_id) {
   }
   DiscardCapture();
   StateMap restored;
+  const auto restore = [&restored](const kv::ColumnBatch& rows) {
+    for (size_t r = 0; r < rows.row_count(); ++r) {
+      restored[rows.keys()[r]] = rows.MaterializeRow(r);
+    }
+  };
   const int32_t partitions = grid_->partitioner().partition_count();
   for (int32_t p = instance_; p < partitions; p += config_.parallelism) {
-    snap_table_->ScanPartitionAt(
-        p, checkpoint_id,
-        [&restored](const kv::Value& key, int64_t /*entry_ssid*/,
-                    const kv::Object& value) { restored[key] = value; });
+    restore(*snap_table_->ColumnarPartitionAt(p, checkpoint_id));
   }
   if (restored.empty() && config_.durable_log != nullptr &&
       config_.durable_log->IsDurable(checkpoint_id)) {
     // Cold restart: the in-memory table has nothing for this snapshot (the
     // grid itself was lost), so rebuild this instance's partitions from the
     // snapshot log.
-    SQ_RETURN_IF_ERROR(config_.durable_log->ScanSnapshot(
-        SnapshotTableName(operator_name_), checkpoint_id,
-        [&](int32_t partition, const kv::Value& key, int64_t /*entry_ssid*/,
-            const kv::Object& value) {
-          if (partition % config_.parallelism == instance_) {
-            restored[key] = value;
-          }
-        }));
+    SQ_ASSIGN_OR_RETURN(
+        const std::vector<std::shared_ptr<const kv::ColumnBatch>> logged,
+        config_.durable_log->ReadSnapshot(SnapshotTableName(operator_name_),
+                                          checkpoint_id,
+                                          grid_->partitioner()));
+    for (int32_t p = instance_; p < partitions; p += config_.parallelism) {
+      restore(*logged[p]);
+    }
   }
   if (live_map_ != nullptr) {
     for (const auto& [key, value] : local_) {

@@ -9,7 +9,7 @@
 
 namespace sq::storage {
 
-void DurableSnapshotListener::OnChannelLog(
+Status DurableSnapshotListener::OnChannelLog(
     int64_t checkpoint_id, const std::string& vertex_name, int32_t instance,
     const std::vector<dataflow::Record>& records) {
   trace::ScopedSpan span(trace::Category::kStorage, "log_channel");
@@ -23,16 +23,12 @@ void DurableSnapshotListener::OnChannelLog(
         record.key, record.payload, record.source_nanos,
         record.from_instance});
   }
-  Status s = log_->AppendChannelLog(checkpoint_id, vertex_name, instance,
-                                    logged);
-  if (!s.ok()) {
-    write_failures_.fetch_add(1, std::memory_order_relaxed);
-    SQ_LOG(Warning) << "channel log append failed for " << vertex_name << "["
-                    << instance << "]: " << s;
-  }
+  return log_->AppendChannelLog(checkpoint_id, vertex_name, instance, logged)
+      .WithContext("channel log append for " + vertex_name + "[" +
+                   std::to_string(instance) + "]");
 }
 
-void DurableSnapshotListener::OnCheckpointPrepared(int64_t checkpoint_id) {
+Status DurableSnapshotListener::OnCheckpointPrepared(int64_t checkpoint_id) {
   // Runs on the coordinator thread inside the checkpoint span scope, so this
   // nests under the checkpoint's phase2 span.
   trace::ScopedSpan span(trace::Category::kStorage, "log_append");
@@ -42,45 +38,28 @@ void DurableSnapshotListener::OnCheckpointPrepared(int64_t checkpoint_id) {
   for (const std::string& table : grid_->SnapshotTableNames()) {
     const kv::SnapshotTable* snap = grid_->GetSnapshotTable(table);
     if (snap == nullptr) continue;
-    // Gather the delta partition-major and append one record per partition,
-    // matching how RestoreFromTable re-reads it.
-    //
-    // The appends happen strictly *after* the scan: ForEachEntryAt holds the
-    // partition lock while it runs the callback, and SnapshotLog::AppendDelta
-    // takes the log mutex — appending from inside the callback would nest
-    // partition-then-log, the inverse of ReplayInto's log-then-partition
-    // order (a genuine deadlock window, and a lock-rank inversion).
-    std::vector<std::pair<int32_t, std::vector<SnapshotLog::DeltaEntry>>>
-        batches;
-    snap->ForEachEntryAt(
-        checkpoint_id, [&](int32_t partition, const kv::Value& key,
-                           const kv::SnapshotTable::Entry& entry) {
-          if (batches.empty() || batches.back().first != partition) {
-            batches.emplace_back(partition,
-                                 std::vector<SnapshotLog::DeltaEntry>());
-          }
-          batches.back().second.push_back(
-              SnapshotLog::DeltaEntry{key, entry.tombstone, entry.value});
-        });
-    for (const auto& [partition, entries] : batches) {
-      total_entries += static_cast<int64_t>(entries.size());
+    for (int32_t p = 0; p < snap->partition_count(); ++p) {
+      // Held outside the partition lock: a write to this delta meanwhile
+      // copies it, so the batch appended is the one taken here.
+      const std::shared_ptr<const kv::ColumnBatch> delta =
+          snap->DeltaAt(p, checkpoint_id);
+      if (delta == nullptr) continue;
+      total_entries += static_cast<int64_t>(delta->row_count());
       ++total_batches;
-      Status s = log_->AppendDelta(table, checkpoint_id, partition, entries);
-      if (!s.ok()) {
-        write_failures_.fetch_add(1, std::memory_order_relaxed);
-        SQ_LOG(Warning) << "durable snapshot append failed for " << table
-                        << " partition " << partition << ": " << s;
-      }
+      SQ_RETURN_IF_ERROR(
+          log_->AppendDelta(table, checkpoint_id, p, *delta)
+              .WithContext("durable snapshot append of " + table +
+                           " partition " + std::to_string(p)));
     }
   }
   span.AddAttr("entries", total_entries);
   span.AddAttr("partition_batches", total_batches);
+  return Status::OK();
 }
 
 void DurableSnapshotListener::OnCheckpointCommitted(int64_t checkpoint_id) {
   Status s = log_->Commit(checkpoint_id);
   if (!s.ok()) {
-    write_failures_.fetch_add(1, std::memory_order_relaxed);
     SQ_LOG(Warning) << "durable snapshot commit of " << checkpoint_id
                     << " failed: " << s;
   }
@@ -89,7 +68,6 @@ void DurableSnapshotListener::OnCheckpointCommitted(int64_t checkpoint_id) {
 void DurableSnapshotListener::OnCheckpointAborted(int64_t checkpoint_id) {
   Status s = log_->Abort(checkpoint_id);
   if (!s.ok()) {
-    write_failures_.fetch_add(1, std::memory_order_relaxed);
     SQ_LOG(Warning) << "durable snapshot abort of " << checkpoint_id
                     << " failed: " << s;
   }

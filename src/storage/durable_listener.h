@@ -17,38 +17,32 @@ namespace sq::storage {
 /// by the time the registry publishes an id as the latest committed
 /// snapshot, its deltas and commit record are already fsynced:
 ///
-///   phase 1  OnCheckpointPrepared — read each table's exact-ssid delta
-///            (tombstones included) out of the grid's SnapshotTables with
-///            `ForEachEntryAt` and append it, one record per partition.
+///   phase 1  OnCheckpointPrepared — append each table's per-partition delta
+///            batches as the workers built them (`SnapshotTable::DeltaAt`,
+///            tombstones included); an error aborts the checkpoint.
 ///   phase 2  OnCheckpointCommitted — `SnapshotLog::Commit` (flush + fsync +
 ///            commit record + MANIFEST).
 ///   failure  OnCheckpointAborted — `SnapshotLog::Abort` discards the tail.
 ///
-/// Listener callbacks return void, so I/O errors are counted in
-/// `write_failures()` and logged rather than propagated; a failed append or
-/// commit leaves the log without that snapshot (recovery then falls back to
-/// the previous durable id), never with a half-written one.
+/// Phase-2 and abort I/O errors are logged; a failed commit leaves the log
+/// without that snapshot (recovery falls back to the previous durable id),
+/// never with a half-written one.
 class DurableSnapshotListener : public dataflow::CheckpointListener {
  public:
   /// Neither pointer is owned; both must outlive the listener.
   DurableSnapshotListener(kv::Grid* grid, SnapshotLog* log)
       : grid_(grid), log_(log) {}
 
-  void OnChannelLog(int64_t checkpoint_id, const std::string& vertex_name,
-                    int32_t instance,
-                    const std::vector<dataflow::Record>& records) override;
-  void OnCheckpointPrepared(int64_t checkpoint_id) override;
+  Status OnChannelLog(int64_t checkpoint_id, const std::string& vertex_name,
+                      int32_t instance,
+                      const std::vector<dataflow::Record>& records) override;
+  Status OnCheckpointPrepared(int64_t checkpoint_id) override;
   void OnCheckpointCommitted(int64_t checkpoint_id) override;
   void OnCheckpointAborted(int64_t checkpoint_id) override;
-
-  int64_t write_failures() const {
-    return write_failures_.load(std::memory_order_relaxed);
-  }
 
  private:
   kv::Grid* grid_;
   SnapshotLog* log_;
-  std::atomic<int64_t> write_failures_{0};
 };
 
 }  // namespace sq::storage

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -120,17 +121,12 @@ void AppendRecord(std::string* out, std::string_view payload) {
   out->append(payload.data(), payload.size());
 }
 
-struct DecodedEntry {
-  int64_t ssid = 0;
-  bool tombstone = false;
-  kv::Value key;
-  kv::Object value;
-};
-
+/// One delta record: a partition's rows of `table`, each carrying the ssid
+/// it was written at (compacted records mix ssids).
 struct DecodedDelta {
   std::string table;
   int32_t partition = 0;
-  std::vector<DecodedEntry> entries;
+  kv::ColumnBatch rows;
 };
 
 bool DecodeColumnarDelta(std::string_view payload, DecodedDelta* out) {
@@ -142,20 +138,62 @@ bool DecodeColumnarDelta(std::string_view payload, DecodedDelta* out) {
     return false;
   }
   out->partition = static_cast<int32_t>(partition);
-  kv::ColumnBatch batch;
-  if (!ReadColumnBatch(&reader, &batch)) return false;
-  out->entries.clear();
-  out->entries.reserve(batch.row_count());
-  for (size_t r = 0; r < batch.row_count(); ++r) {
-    DecodedEntry entry;
-    entry.ssid = batch.ssids()[r];
-    entry.tombstone = batch.tombstone(r);
-    entry.key = batch.keys()[r];
-    if (!entry.tombstone) entry.value = batch.MaterializeRow(r);
-    out->entries.push_back(std::move(entry));
-  }
-  return true;
+  return ReadColumnBatch(&reader, &out->rows);
 }
+
+/// The newest-wins merge of one table's delta records that time travel and
+/// compaction share: fed the records in log order, it keeps per key the row
+/// of its newest version at or before `ssid` (a tie goes to the later
+/// record), keys in the order they first appear.
+class DeltaMerge {
+ public:
+  explicit DeltaMerge(int64_t ssid) : ssid_(ssid) {}
+
+  void Add(int32_t partition, kv::ColumnBatch rows) {
+    const auto record = static_cast<uint32_t>(records_.size());
+    records_.push_back(std::move(rows));
+    const kv::ColumnBatch& batch = records_.back();
+    for (size_t r = 0; r < batch.row_count(); ++r) {
+      auto [slot, inserted] =
+          slots_.try_emplace(batch.keys()[r], winners_.size());
+      if (inserted) winners_.emplace_back();
+      const int64_t ssid = batch.ssids()[r];
+      if (ssid > ssid_) continue;
+      Winner& winner = winners_[slot->second];
+      if (winner.record != kNone &&
+          records_[winner.record].ssids()[winner.row] > ssid) {
+        continue;
+      }
+      winner = Winner{partition, record, static_cast<uint32_t>(r)};
+    }
+  }
+
+  /// Calls `fn(logged partition, batch, row)` for each key's winning row
+  /// that is not a tombstone, in first-appearance order.
+  template <typename Fn>
+  void ForEachRow(Fn fn) const {
+    for (const Winner& winner : winners_) {
+      if (winner.record == kNone) continue;
+      const kv::ColumnBatch& batch = records_[winner.record];
+      if (batch.tombstone(winner.row)) continue;
+      fn(winner.partition, batch, static_cast<size_t>(winner.row));
+    }
+  }
+
+ private:
+  static constexpr uint32_t kNone = ~uint32_t{0};
+  struct Winner {
+    int32_t partition = 0;
+    uint32_t record = kNone;
+    uint32_t row = 0;
+  };
+
+  int64_t ssid_;
+  std::vector<kv::ColumnBatch> records_;
+  // sq-lint: unordered-ok(key -> winners_ index; rows follow winners_ order)
+  std::unordered_map<kv::Value, size_t, kv::ValueHash> slots_;
+  std::vector<Winner> winners_;  // first-appearance order
+};
 
 std::string EncodeColumnarDeltaPayload(const std::string& table,
                                        int32_t partition,
@@ -412,7 +450,6 @@ Status SnapshotLog::OpenImpl() {
 Status SnapshotLog::ScanSegmentsLocked() {
   committed_.clear();
   bytes_per_ssid_.clear();
-  table_latest_.clear();
   recovery_.channel_log_records = 0;
   for (size_t i = 0; i < segments_.size(); ++i) {
     Segment& segment = segments_[i];
@@ -448,12 +485,10 @@ Status SnapshotLog::ScanSegmentsLocked() {
           static_cast<int64_t>(channel_log.records.size());
     };
     visit.delta = [&](DecodedDelta& delta, size_t payload_bytes) {
-      for (const DecodedEntry& entry : delta.entries) {
-        bytes_per_ssid_[entry.ssid] +=
-            static_cast<int64_t>(payload_bytes / delta.entries.size());
-        int64_t& latest = table_latest_[delta.table];
-        latest = std::max(latest, entry.ssid);
-        segment.max_ssid = std::max(segment.max_ssid, entry.ssid);
+      for (const int64_t ssid : delta.rows.ssids()) {
+        bytes_per_ssid_[ssid] +=
+            static_cast<int64_t>(payload_bytes / delta.rows.row_count());
+        segment.max_ssid = std::max(segment.max_ssid, ssid);
       }
     };
     const RecordWalk walk =
@@ -591,9 +626,6 @@ Status SnapshotLog::WriteManifestLocked() {
   body += "latest_committed " +
           std::to_string(committed_.empty() ? 0 : committed_.back()) + "\n";
   body += "committed_count " + std::to_string(committed_.size()) + "\n";
-  for (const auto& [table, ssid] : table_latest_) {
-    body += "table " + table + " " + std::to_string(ssid) + "\n";
-  }
   char crc_hex[16];
   std::snprintf(crc_hex, sizeof(crc_hex), "%08x", Crc32c(body));
   std::string contents = std::string(kManifestBanner) + "\ncrc " + crc_hex +
@@ -616,19 +648,17 @@ Status SnapshotLog::WriteManifestLocked() {
 
 Status SnapshotLog::AppendDelta(const std::string& table, int64_t ssid,
                                 int32_t partition,
-                                const std::vector<DeltaEntry>& entries) {
-  if (entries.empty()) return Status::OK();
-  kv::ColumnBatch batch;
-  batch.Reserve(entries.size());
-  for (const DeltaEntry& entry : entries) {
-    if (entry.tombstone) {
-      batch.AppendTombstone(entry.key, ssid);
-    } else {
-      batch.AppendRow(entry.key, ssid, entry.value);
+                                const kv::ColumnBatch& delta) {
+  if (delta.row_count() == 0) return Status::OK();
+  for (const int64_t row_ssid : delta.ssids()) {
+    if (row_ssid != ssid) {
+      return Status::InvalidArgument(
+          "delta row written at snapshot " + std::to_string(row_ssid) +
+          " appended under snapshot " + std::to_string(ssid));
     }
   }
   const std::string payload =
-      EncodeColumnarDeltaPayload(table, partition, batch);
+      EncodeColumnarDeltaPayload(table, partition, delta);
 
   MutexLock lock(&mu_);
   if (pending_ssid_ != 0 && pending_ssid_ != ssid) {
@@ -825,58 +855,63 @@ int64_t SnapshotLog::PersistedBytes(int64_t ssid) const {
   return it == bytes_per_ssid_.end() ? 0 : it->second;
 }
 
-std::vector<std::string> SnapshotLog::TableNames() const {
-  MutexLock lock(&mu_);
-  std::vector<std::string> names;
-  names.reserve(table_latest_.size());
-  for (const auto& [table, ssid] : table_latest_) names.push_back(table);
-  return names;
-}
-
-Status SnapshotLog::ScanSnapshot(const std::string& table, int64_t ssid,
-                                 const ScanFn& fn) const {
-  MutexLock lock(&mu_);
-  if (!std::binary_search(committed_.begin(), committed_.end(), ssid)) {
-    return Status::NotFound("snapshot " + std::to_string(ssid) +
-                            " is not durable in " + options_.dir);
-  }
-  return ScanSnapshotLocked(table, ssid, fn);
-}
-
-Status SnapshotLog::ScanSnapshotLocked(const std::string& table, int64_t ssid,
-                                       const ScanFn& fn) const {
-  struct Best {
-    int64_t ssid = 0;
-    int32_t partition = 0;
-    bool tombstone = false;
-    kv::Object value;
-  };
-  // Ordered map, not unordered: these rows reach query output on the
-  // durable-fallback path, so emission must be deterministic (key order),
-  // not hash order. Cold path; the tree map is fine.
-  std::map<kv::Value, Best> view;
-  RecordVisitor visit;
-  visit.delta = [&](DecodedDelta& delta, size_t) {
-    if (delta.table != table) return;
-    for (DecodedEntry& entry : delta.entries) {
-      if (entry.ssid > ssid) continue;
-      Best& best = view[entry.key];
-      if (best.ssid > entry.ssid) continue;
-      best.ssid = entry.ssid;
-      best.partition = delta.partition;
-      best.tombstone = entry.tombstone;
-      best.value = std::move(entry.value);
+Result<std::vector<std::shared_ptr<const kv::ColumnBatch>>>
+SnapshotLog::ReadSnapshot(const std::string& table, int64_t ssid,
+                          const kv::Partitioner& partitioner) const {
+  for (int attempt = 0;; ++attempt) {
+    DeltaMerge merge(ssid);
+    RecordVisitor visit;
+    visit.delta = [&](DecodedDelta& delta, size_t) {
+      if (delta.table == table) {
+        merge.Add(delta.partition, std::move(delta.rows));
+      }
+    };
+    const auto read_all = [&visit](const std::vector<Segment>& segments) {
+      for (const Segment& segment : segments) {
+        SQ_RETURN_IF_ERROR(VisitCommittedRecords(
+            segment.path, segment.durable_bytes, visit));
+      }
+      return Status::OK();
+    };
+    // After three reads that compactions overtook, read under the lock, so
+    // a steady stream of them cannot starve the reader.
+    const bool locked = attempt >= 3;
+    Status read = Status::OK();
+    std::vector<Segment> segments;
+    int64_t compactions = 0;
+    {
+      MutexLock lock(&mu_);
+      if (!std::binary_search(committed_.begin(), committed_.end(), ssid)) {
+        return Status::NotFound("snapshot " + std::to_string(ssid) +
+                                " is not durable in " + options_.dir);
+      }
+      segments = segments_;
+      compactions = compactions_;
+      if (locked) read = read_all(segments);
     }
-  };
-  for (const Segment& segment : segments_) {
-    SQ_RETURN_IF_ERROR(
-        VisitCommittedRecords(segment.path, segment.durable_bytes, visit));
+    if (!locked) {
+      // The files are read without the lock, so appends and commits go on
+      // meanwhile; they only grow the files past the durable sizes taken.
+      read = read_all(segments);
+      // Compaction rewrites and deletes segments under the lock; if one ran
+      // meanwhile, what was read may mix old and new files: read again.
+      MutexLock lock(&mu_);
+      if (compactions_ != compactions) continue;
+    }
+    SQ_RETURN_IF_ERROR(read);
+    std::vector<std::shared_ptr<kv::ColumnBatch>> partitions;
+    partitions.reserve(static_cast<size_t>(partitioner.partition_count()));
+    for (int32_t p = 0; p < partitioner.partition_count(); ++p) {
+      partitions.push_back(std::make_shared<kv::ColumnBatch>());
+    }
+    merge.ForEachRow(
+        [&](int32_t, const kv::ColumnBatch& rows, size_t row) {
+          partitions[partitioner.PartitionOf(rows.keys()[row])]
+              ->AppendRowFrom(rows, row);
+        });
+    return std::vector<std::shared_ptr<const kv::ColumnBatch>>(
+        partitions.begin(), partitions.end());
   }
-  for (const auto& [key, best] : view) {
-    if (best.tombstone) continue;
-    fn(best.partition, key, best.ssid, best.value);
-  }
-  return Status::OK();
 }
 
 Status SnapshotLog::ScanChannelLog(int64_t ssid, const ChannelLogFn& fn) const {
@@ -916,11 +951,13 @@ Result<RecoveryInfo> SnapshotLog::ReplayInto(kv::Grid* grid,
   };
   visit.delta = [&](DecodedDelta& delta, size_t) {
     kv::SnapshotTable* snap_table = grid->GetOrCreateSnapshotTable(delta.table);
-    for (DecodedEntry& entry : delta.entries) {
-      if (entry.tombstone) {
-        snap_table->WriteTombstone(entry.ssid, entry.key);
+    const kv::ColumnBatch& rows = delta.rows;
+    for (size_t r = 0; r < rows.row_count(); ++r) {
+      if (rows.tombstone(r)) {
+        snap_table->WriteTombstone(rows.ssids()[r], rows.keys()[r]);
       } else {
-        snap_table->Write(entry.ssid, entry.key, std::move(entry.value));
+        snap_table->Write(rows.ssids()[r], rows.keys()[r],
+                          rows.MaterializeRow(r));
       }
     }
   };
@@ -962,29 +999,18 @@ size_t SnapshotLog::CompactTo(int64_t floor_ssid) {
   }
   if (inputs.empty()) return 0;
 
-  struct Base {
-    int64_t ssid = 0;
-    int32_t partition = 0;
-    bool tombstone = false;
-    kv::Object value;
-  };
-  // Ordered by key so the rewritten segment's bytes are deterministic: a
-  // recovered node and a live node compacting the same inputs must produce
-  // identical segments. Cold path; the tree map is fine.
-  std::map<std::string, std::map<kv::Value, Base>> bases;
+  // Tables by name and partitions ascending, so the rewritten segment's
+  // bytes are deterministic: a recovered node and a live node compacting the
+  // same inputs must produce identical segments.
+  std::map<std::string, DeltaMerge> merges;
   int64_t max_base_ssid = 0;
   RecordVisitor visit;
   visit.delta = [&](DecodedDelta& delta, size_t) {
-    auto& table_bases = bases[delta.table];
-    for (DecodedEntry& entry : delta.entries) {
-      Base& base = table_bases[entry.key];
-      if (base.ssid > entry.ssid) continue;
-      base.ssid = entry.ssid;
-      base.partition = delta.partition;
-      base.tombstone = entry.tombstone;
-      base.value = std::move(entry.value);
-      max_base_ssid = std::max(max_base_ssid, entry.ssid);
+    for (const int64_t ssid : delta.rows.ssids()) {
+      max_base_ssid = std::max(max_base_ssid, ssid);
     }
+    merges.try_emplace(delta.table, std::numeric_limits<int64_t>::max())
+        .first->second.Add(delta.partition, std::move(delta.rows));
   };
   for (size_t i : inputs) {
     Status s = VisitCommittedRecords(segments_[i].path,
@@ -998,21 +1024,16 @@ size_t SnapshotLog::CompactTo(int64_t floor_ssid) {
   // Serialize the surviving bases into one compacted segment, one delta
   // record per (table, partition).
   std::string contents = SegmentHeader();
-  for (const auto& [table, table_bases] : bases) {
-    std::map<int32_t, std::vector<const std::pair<const kv::Value, Base>*>>
-        by_partition;
-    for (const auto& entry : table_bases) {
-      if (entry.second.tombstone) continue;
-      by_partition[entry.second.partition].push_back(&entry);
-    }
+  for (const auto& [table, merge] : merges) {
+    std::map<int32_t, kv::ColumnBatch> by_partition;
+    merge.ForEachRow(
+        [&by_partition](int32_t partition, const kv::ColumnBatch& rows,
+                        size_t row) {
+          by_partition[partition].AppendRowFrom(rows, row);
+        });
     for (const auto& [partition, rows] : by_partition) {
-      kv::ColumnBatch batch;
-      batch.Reserve(rows.size());
-      for (const auto* row : rows) {
-        batch.AppendRow(row->first, row->second.ssid, row->second.value);
-      }
       AppendRecord(&contents,
-                   EncodeColumnarDeltaPayload(table, partition, batch));
+                   EncodeColumnarDeltaPayload(table, partition, rows));
     }
   }
 

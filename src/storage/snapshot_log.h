@@ -17,7 +17,9 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "kv/columnar.h"
 #include "kv/grid.h"
+#include "kv/partitioner.h"
 #include "kv/object.h"
 #include "kv/value.h"
 
@@ -86,7 +88,8 @@ struct LogStats {
 /// records.
 ///
 /// Write protocol (driven by `DurableSnapshotListener`):
-///   phase 1   AppendDelta(table, ssid, partition, entries)  [batched]
+///   phase 1   AppendDelta(table, ssid, partition, delta)  [batched]
+///             — a partition's `SnapshotTable::DeltaAt` batch, unchanged
 ///   phase 2   Commit(ssid)     — flush + fsync + commit record + MANIFEST
 ///   failure   Abort(ssid)      — discard the uncommitted tail
 ///
@@ -94,23 +97,18 @@ struct LogStats {
 /// after the last commit record is garbage by definition and is truncated
 /// during `Open`. Records are framed [len][masked crc32c][payload] and a
 /// failed checksum anywhere marks the rest of that segment torn. Deltas are
-/// stored in one format, a column batch per (table, ssid, partition); a
-/// checksum-valid record of an unknown type, or one whose body does not
-/// decode, inside the committed prefix fails `Open` with an error naming
-/// the segment, offset and type.
+/// stored in one format, a column batch per (table, ssid, partition) whose
+/// rows carry their ssid; a checksum-valid record of an unknown type, or one
+/// whose body does not decode, inside the committed prefix fails `Open` with
+/// an error naming the segment, offset and type.
 ///
-/// Reads (`ScanSnapshot`, `ReplayInto`) re-read segment files on demand: the
-/// log is the cold path behind the in-memory retention window, so it trades
-/// read latency for zero steady-state memory beyond per-segment metadata.
+/// Reads re-read segment files on demand: the log is the cold path behind
+/// the in-memory retention window, so it trades read latency for zero
+/// steady-state memory beyond per-segment metadata. `ReadSnapshot` and
+/// `CompactTo` share one merge of the committed delta batches — per key the
+/// newest row at or before the ssid wins, copied batch to batch.
 class SnapshotLog {
  public:
-  /// One (key, version) delta entry of a partition.
-  struct DeltaEntry {
-    kv::Value key;
-    bool tombstone = false;
-    kv::Object value;
-  };
-
   /// One in-flight record overtaken by an unaligned checkpoint marker,
   /// expressed in KV-layer types (this header stays dataflow-free; the
   /// durable listener converts from `dataflow::Record`).
@@ -120,11 +118,6 @@ class SnapshotLog {
     int64_t source_nanos = 0;
     int32_t from_instance = 0;
   };
-
-  /// Receives reconstructed rows: partition, key, the ssid of the entry that
-  /// supplied the value, and the value (tombstoned keys are not emitted).
-  using ScanFn = std::function<void(int32_t, const kv::Value&, int64_t,
-                                    const kv::Object&)>;
 
   /// Receives one channel-log record: the consumer it was logged by (vertex
   /// name + instance) and the record itself.
@@ -143,10 +136,11 @@ class SnapshotLog {
   SnapshotLog(const SnapshotLog&) = delete;
   SnapshotLog& operator=(const SnapshotLog&) = delete;
 
-  /// Appends one partition's delta of `table` under snapshot `ssid`.
-  /// Buffered; durable only after `Commit(ssid)`.
+  /// Appends one partition's delta of `table` under snapshot `ssid`: the
+  /// rows written at `ssid` (tombstones included), every row's ssid `ssid`,
+  /// else InvalidArgument. Buffered; durable only after `Commit(ssid)`.
   Status AppendDelta(const std::string& table, int64_t ssid,
-                     int32_t partition, const std::vector<DeltaEntry>& entries);
+                     int32_t partition, const kv::ColumnBatch& delta);
 
   /// Appends the channel log of one consumer (unaligned mode): the records
   /// that overtook checkpoint `ssid`'s marker at `vertex[instance]`. Shares
@@ -173,14 +167,15 @@ class SnapshotLog {
   /// Payload bytes appended under `ssid` (0 if unknown/compacted away).
   int64_t PersistedBytes(int64_t ssid) const;
 
-  /// Tables with at least one durable delta.
-  std::vector<std::string> TableNames() const;
-
-  /// Reconstructs the view of `table` at snapshot `ssid` from the log (the
-  /// same backward differential read SnapshotTable::ScanAt performs in
-  /// memory). Fails if `ssid` is not durable.
-  Status ScanSnapshot(const std::string& table, int64_t ssid,
-                      const ScanFn& fn) const;
+  /// The view of `table` at durable snapshot `ssid` (else NotFound), read
+  /// back from the log: per key the row of its newest version at or before
+  /// `ssid`, tombstoned keys left out, in batch `partitioner.PartitionOf(key)`
+  /// of one per partition, keys in log first-appearance order. The files are
+  /// read without the log's lock; a compaction meanwhile makes it re-read,
+  /// and after three such reads it reads under the lock.
+  Result<std::vector<std::shared_ptr<const kv::ColumnBatch>>> ReadSnapshot(
+      const std::string& table, int64_t ssid,
+      const kv::Partitioner& partitioner) const;
 
   /// Replays the channel log of snapshot `ssid` (records overtaken by the
   /// unaligned barrier, in logged order per consumer). Fails if `ssid` is
@@ -224,8 +219,6 @@ class SnapshotLog {
   Status SyncActiveLocked() SQ_REQUIRES(mu_);
   Status RotateLocked() SQ_REQUIRES(mu_);
   void RunCompactor();
-  Status ScanSnapshotLocked(const std::string& table, int64_t ssid,
-                            const ScanFn& fn) const SQ_REQUIRES(mu_);
 
   // sq-lint: unguarded-ok(set in Open before any concurrent access)
   StorageOptions options_;
@@ -249,12 +242,12 @@ class SnapshotLog {
   std::vector<int64_t> committed_ SQ_GUARDED_BY(mu_);  // ascending
   // Payload bytes per snapshot.
   std::map<int64_t, int64_t> bytes_per_ssid_ SQ_GUARDED_BY(mu_);
-  // Per-operator latest ssid.
-  std::map<std::string, int64_t> table_latest_ SQ_GUARDED_BY(mu_);
 
   Histogram fsync_nanos_;  // internally synchronized
   int64_t commits_ SQ_GUARDED_BY(mu_) = 0;
   int64_t aborts_ SQ_GUARDED_BY(mu_) = 0;
+  // Also the generation of the segment files: each compaction that
+  // rewrites or deletes one bumps it.
   int64_t compactions_ SQ_GUARDED_BY(mu_) = 0;
   int64_t segments_deleted_ SQ_GUARDED_BY(mu_) = 0;
 

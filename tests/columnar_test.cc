@@ -2,14 +2,16 @@
 // invariants both query engines lean on (MaterializeRow rebuilds the exact
 // source object, incremental view patching equals a full rebuild, writes
 // invalidate only the views they can change, and under random histories
-// every view equals the version map's row scan) plus the encoding round-trip
-// the durable log's columnar delta records use.
+// every view equals an independent model of the table) plus the encoding
+// round-trip the durable log's columnar delta records use.
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -382,17 +384,6 @@ std::vector<ViewRow> PartitionViewRows(const SnapshotTable& table,
   return rows;
 }
 
-// The rows ScanPartitionAt emits for one partition at `ssid`.
-std::vector<ViewRow> PartitionScanRows(const SnapshotTable& table,
-                                       int32_t partition, int64_t ssid) {
-  std::vector<ViewRow> rows;
-  table.ScanPartitionAt(partition, ssid,
-                        [&](const Value& key, int64_t s, const Object& v) {
-                          rows.push_back({key, s, v});
-                        });
-  return rows;
-}
-
 // All rows of every partition's columnar view at `ssid`, flattened in
 // partition order.
 std::vector<ViewRow> ColumnarRows(const SnapshotTable& table, int64_t ssid) {
@@ -405,33 +396,158 @@ std::vector<ViewRow> ColumnarRows(const SnapshotTable& table, int64_t ssid) {
   return rows;
 }
 
-std::vector<ViewRow> ScanRows(const SnapshotTable& table, int64_t ssid) {
-  std::vector<ViewRow> rows;
-  for (int32_t p = 0; p < table.partition_count(); ++p) {
-    for (ViewRow& row : PartitionScanRows(table, p, ssid)) {
-      rows.push_back(std::move(row));
+// A reference for SnapshotTable written independently of its delta chain:
+// per partition, every key's versions in a sorted map (nullopt for a
+// tombstone) and the keys in first-write order, under the table's rules —
+//  * a write or tombstone at ssid S sets the key's version at S (a key new
+//    to the partition goes to the end of the key order);
+//  * DropSnapshot(S) removes every version at S;
+//  * Compact(F) removes each key's versions older than its newest one at or
+//    below F, and that one too if it is a tombstone;
+//  * a key left without versions leaves the key order;
+//  * primary failover changes nothing (the promoted replica saw the same
+//    writes).
+// The view at S lists, in key order, each key's newest version at or below
+// S that is not a tombstone.
+class ModelTable {
+ public:
+  explicit ModelTable(const Partitioner* partitioner)
+      : partitioner_(partitioner),
+        partitions_(static_cast<size_t>(partitioner->partition_count())) {}
+
+  void Write(int64_t ssid, const Value& key, std::optional<Object> value) {
+    Partition& part = partitions_[partitioner_->PartitionOf(key)];
+    auto [it, inserted] = part.versions.try_emplace(key);
+    if (inserted) part.order.push_back(key);
+    it->second[ssid] = std::move(value);
+  }
+
+  void DropSnapshot(int64_t ssid) {
+    for (Partition& part : partitions_) {
+      for (auto& [key, versions] : part.versions) versions.erase(ssid);
+      part.Prune();
     }
+  }
+
+  void Compact(int64_t floor) {
+    for (Partition& part : partitions_) {
+      for (auto& [key, versions] : part.versions) {
+        auto base = versions.upper_bound(floor);
+        if (base == versions.begin()) continue;
+        --base;
+        if (!base->second.has_value()) ++base;
+        versions.erase(versions.begin(), base);
+      }
+      part.Prune();
+    }
+  }
+
+  std::vector<ViewRow> View(int32_t partition, int64_t ssid) const {
+    const Partition& part = partitions_[partition];
+    std::vector<ViewRow> rows;
+    for (const Value& key : part.order) {
+      const std::optional<ViewRow> row = RowAt(part, key, ssid);
+      if (row.has_value()) rows.push_back(*row);
+    }
+    return rows;
+  }
+
+  std::optional<Object> GetAt(const Value& key, int64_t ssid) const {
+    const std::optional<ViewRow> row =
+        RowAt(partitions_[partitioner_->PartitionOf(key)], key, ssid);
+    if (!row.has_value()) return std::nullopt;
+    return row->value;
+  }
+
+  size_t EntryCount() const {
+    size_t total = 0;
+    for (const Partition& part : partitions_) {
+      for (const auto& [key, versions] : part.versions) {
+        total += versions.size();
+      }
+    }
+    return total;
+  }
+
+ private:
+  struct Partition {
+    std::map<Value, std::map<int64_t, std::optional<Object>>> versions;
+    std::vector<Value> order;
+
+    void Prune() {
+      std::vector<Value> kept;
+      for (const Value& key : order) {
+        auto it = versions.find(key);
+        if (it->second.empty()) {
+          versions.erase(it);
+        } else {
+          kept.push_back(key);
+        }
+      }
+      order = std::move(kept);
+    }
+  };
+
+  static std::optional<ViewRow> RowAt(const Partition& part, const Value& key,
+                                      int64_t ssid) {
+    auto it = part.versions.find(key);
+    if (it == part.versions.end()) return std::nullopt;
+    auto version = it->second.upper_bound(ssid);
+    if (version == it->second.begin()) return std::nullopt;
+    --version;
+    if (!version->second.has_value()) return std::nullopt;
+    return ViewRow{key, version->first, *version->second};
+  }
+
+  const Partitioner* partitioner_;
+  std::vector<Partition> partitions_;
+};
+
+// Every model partition's view at `ssid`, flattened in partition order.
+std::vector<ViewRow> ModelRows(const ModelTable& model, int32_t partitions,
+                               int64_t ssid) {
+  std::vector<ViewRow> rows;
+  for (int32_t p = 0; p < partitions; ++p) {
+    for (ViewRow& row : model.View(p, ssid)) rows.push_back(std::move(row));
   }
   return rows;
 }
 
-TEST(SnapshotTableColumnarTest, ViewMatchesRowScanOrderAndContent) {
+// A batch's rows as text (key, ssid, tombstone flag, fields): what a held
+// batch must keep showing.
+std::vector<std::string> BatchText(const ColumnBatch& batch) {
+  std::vector<std::string> rows;
+  for (size_t r = 0; r < batch.row_count(); ++r) {
+    rows.push_back(batch.keys()[r].ToString() + " @" +
+                   std::to_string(batch.ssids()[r]) +
+                   (batch.tombstone(r) ? " deleted " : " ") +
+                   batch.MaterializeRow(r).ToString());
+  }
+  return rows;
+}
+
+TEST(SnapshotTableColumnarTest, ViewMatchesTheModelOrderAndContent) {
   Partitioner part(4);
   SnapshotTable table("snapshot_t", &part);
+  ModelTable model(&part);
   for (int64_t k = 0; k < 50; ++k) {
     table.Write(1, Value(k), Row(k * 10));
+    model.Write(1, Value(k), Row(k * 10));
   }
   // Incremental second checkpoint: updates, an insert and a delete.
   table.Write(2, Value(int64_t{3}), Row(31));
+  model.Write(2, Value(int64_t{3}), Row(31));
   table.Write(2, Value(int64_t{100}), Row(1000));
+  model.Write(2, Value(int64_t{100}), Row(1000));
   table.WriteTombstone(2, Value(int64_t{7}));
+  model.Write(2, Value(int64_t{7}), std::nullopt);
 
   for (int64_t ssid : {int64_t{1}, int64_t{2}}) {
     const auto columnar = ColumnarRows(table, ssid);
-    const auto scanned = ScanRows(table, ssid);
-    ASSERT_EQ(columnar.size(), scanned.size()) << "ssid " << ssid;
-    for (size_t i = 0; i < scanned.size(); ++i) {
-      EXPECT_EQ(columnar[i], scanned[i]) << "ssid " << ssid << " row " << i;
+    const auto expected = ModelRows(model, 4, ssid);
+    ASSERT_EQ(columnar.size(), expected.size()) << "ssid " << ssid;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(columnar[i], expected[i]) << "ssid " << ssid << " row " << i;
     }
   }
 }
@@ -486,7 +602,52 @@ TEST(SnapshotTableColumnarTest, ViewsAreCachedAndInvalidatedByNewerWrites) {
   table.Compact(2);
   EXPECT_EQ(table.ColumnarPartitionAt(0, 2).get(), v2.get());
   EXPECT_NE(table.ColumnarPartitionAt(0, 1).get(), v1b.get());
-  EXPECT_EQ(ColumnarRows(table, 2), ScanRows(table, 2));
+  EXPECT_EQ(ColumnarRows(table, 2),
+            (std::vector<ViewRow>{{Value(int64_t{1}), 1, Row(10)},
+                                  {Value(int64_t{2}), 2, Row(20)},
+                                  {Value(int64_t{3}), 1, Row(30)}}));
+}
+
+// The checkpoint's delta is what the durable log persists: exactly the rows
+// written at that ssid, one per key (a rewrite replaces the key's row), and
+// a batch once handed out never changes — a later write copies it.
+TEST(SnapshotTableColumnarTest, DeltasHoldOneRowPerKeyAndStayUnchangedHeld) {
+  Partitioner part(1);
+  SnapshotTable table("snapshot_t", &part);
+  EXPECT_EQ(table.DeltaAt(0, 1), nullptr);
+  table.Write(1, Value(int64_t{1}), Row(10));
+  table.Write(1, Value(int64_t{2}), Row(20));
+  table.Write(2, Value(int64_t{1}), Row(11));
+  table.WriteTombstone(2, Value(int64_t{2}));
+
+  const auto held = table.DeltaAt(0, 2);
+  ASSERT_NE(held, nullptr);
+  const std::vector<std::string> before = BatchText(*held);
+  EXPECT_EQ(before,
+            (std::vector<std::string>{"1 @2 {n=11}", "2 @2 deleted {}"}));
+  // Appending to and rewriting a held delta leaves the held batch as it was.
+  table.Write(2, Value(int64_t{3}), Row(30));
+  table.Write(2, Value(int64_t{1}), Row(12));
+  EXPECT_EQ(BatchText(*held), before);
+  EXPECT_EQ(BatchText(*table.DeltaAt(0, 2)),
+            (std::vector<std::string>{"2 @2 deleted {}", "3 @2 {n=30}",
+                                      "1 @2 {n=12}"}));
+  EXPECT_EQ(table.GetAt(Value(int64_t{1}), 2), Row(12));
+  EXPECT_EQ(table.GetExact(Value(int64_t{1}), 1), Row(10));
+  EXPECT_EQ(table.EntryCount(), 5u);
+
+  // Compaction retires the versions below the floor's bases, 1@1, 2@1 and
+  // the base tombstone 2@2; neither delta is the checkpoint's any more.
+  EXPECT_EQ(table.Compact(2), 3u);
+  EXPECT_EQ(table.DeltaAt(0, 1), nullptr);
+  EXPECT_EQ(table.DeltaAt(0, 2), nullptr);
+  EXPECT_EQ(ColumnarRows(table, 2),
+            (std::vector<ViewRow>{{Value(int64_t{1}), 2, Row(12)},
+                                  {Value(int64_t{3}), 2, Row(30)}}));
+  // Dropping ssid 2 drops its folded rows too.
+  table.DropSnapshot(2);
+  EXPECT_EQ(table.EntryCount(), 0u);
+  EXPECT_TRUE(ColumnarRows(table, 2).empty());
 }
 
 TEST(SnapshotTableColumnarTest, MissingVersionYieldsEmptyView) {
@@ -506,15 +667,18 @@ TEST(SnapshotTableColumnarTest, MissingVersionYieldsEmptyView) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized differential: every view against the version map
+// Randomized differential: every view against the model
 //
 // Both query engines read the columnar views, so this is what checks the
-// incrementally built views themselves. Each seed applies random writes,
-// tombstones, snapshot drops, compactions and primary failovers; between
-// them it reads views at random ssids, so later builds patch different
-// cached bases. After every step each partition's view at a random ssid
-// must equal ScanPartitionAt row for row. A failure names its seed and
-// step; `--gtest_filter='*ColumnarViewDifferential*seed<n>'` replays it.
+// delta chain and the incrementally built views. Each seed applies random
+// writes, tombstones, snapshot drops, compactions and primary failovers to
+// the table and to ModelTable; between them it reads views at random ssids,
+// so later builds patch different cached bases, and holds a view and a
+// delta across a rewrite at their ssid. After every step each partition's
+// view at a random ssid must equal the model's row for row, and so must
+// every key's point lookup at a random ssid and the version count. A
+// failure names its seed and step;
+// `--gtest_filter='*ColumnarViewDifferential*seed<n>'` replays it.
 
 constexpr int32_t kDiffPartitions = 4;
 
@@ -542,11 +706,12 @@ Object RandomRow(Rng* rng) {
 
 class ColumnarViewDifferential : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ColumnarViewDifferential, ViewsMatchRowScanAfterEveryStep) {
+TEST_P(ColumnarViewDifferential, ViewsMatchTheModelAfterEveryStep) {
   const uint64_t seed = GetParam();
   Rng rng(seed);
   Partitioner part(kDiffPartitions);
   SnapshotTable table("snapshot_t", &part, /*backup_count=*/1);
+  ModelTable model(&part);
   int64_t latest = 1;  // the checkpoint being written
   const auto any_ssid = [&] { return rng.NextInRange(0, latest + 1); };
   const auto any_partition = [&] {
@@ -559,24 +724,54 @@ TEST_P(ColumnarViewDifferential, ViewsMatchRowScanAfterEveryStep) {
         rng.NextBool(0.8) ? latest : rng.NextInRange(1, latest);
     const uint64_t op = rng.NextBounded(100);
     std::string what;
-    if (op < 45) {
-      table.Write(ssid, key, RandomRow(&rng));
+    if (op < 42) {
+      Object row = RandomRow(&rng);
+      model.Write(ssid, key, row);
+      table.Write(ssid, key, std::move(row));
       what = "Write";
-    } else if (op < 60) {
+    } else if (op < 56) {
       table.WriteTombstone(ssid, key);
+      model.Write(ssid, key, std::nullopt);
       what = "WriteTombstone";
-    } else if (op < 72) {
+    } else if (op < 68) {
       ++latest;
       what = "next checkpoint";
-    } else if (op < 78) {
+    } else if (op < 74) {
       table.DropSnapshot(ssid);
+      model.DropSnapshot(ssid);
       what = "DropSnapshot";
-    } else if (op < 84) {
+    } else if (op < 80) {
       table.Compact(ssid);
+      model.Compact(ssid);
       what = "Compact";
-    } else if (op < 88) {
+    } else if (op < 84) {
       table.FailPartitionPrimary(any_partition());
       what = "FailPartitionPrimary";
+    } else if (op < 90) {
+      // Hold the view and the delta at `ssid` of the key's partition, then
+      // rewrite a key of that delta or add one: neither held batch may
+      // change.
+      const int32_t p = part.PartitionOf(key);
+      const std::shared_ptr<const ColumnBatch> view =
+          table.ColumnarPartitionAt(p, ssid);
+      const std::shared_ptr<const ColumnBatch> delta = table.DeltaAt(p, ssid);
+      const std::vector<std::string> view_before = BatchText(*view);
+      const std::vector<std::string> delta_before =
+          delta != nullptr ? BatchText(*delta) : std::vector<std::string>();
+      const Value rewritten =
+          delta != nullptr && rng.NextBool(0.5)
+              ? delta->keys()[rng.NextBounded(delta->row_count())]
+              : key;
+      Object row = RandomRow(&rng);
+      model.Write(ssid, rewritten, row);
+      table.Write(ssid, rewritten, std::move(row));
+      ASSERT_EQ(BatchText(*view), view_before)
+          << "seed " << seed << ", step " << step << ": held view changed";
+      if (delta != nullptr) {
+        ASSERT_EQ(BatchText(*delta), delta_before)
+            << "seed " << seed << ", step " << step << ": held delta changed";
+      }
+      what = "rewrite under held batches";
     } else {
       for (int i = 0; i < 3; ++i) {
         table.ColumnarPartitionAt(any_partition(), any_ssid());
@@ -586,11 +781,19 @@ TEST_P(ColumnarViewDifferential, ViewsMatchRowScanAfterEveryStep) {
     what += " at ssid " + std::to_string(ssid);
     for (int32_t p = 0; p < kDiffPartitions; ++p) {
       const int64_t at = any_ssid();
-      ASSERT_EQ(PartitionViewRows(table, p, at),
-                PartitionScanRows(table, p, at))
+      ASSERT_EQ(PartitionViewRows(table, p, at), model.View(p, at))
           << "seed " << seed << ", step " << step << " (" << what
           << "): partition " << p << " at ssid " << at;
     }
+    // Point lookups read the chain itself, not the cached views.
+    const int64_t at = any_ssid();
+    for (int64_t k = 0; k < 40; ++k) {
+      ASSERT_EQ(table.GetAt(Value(k), at), model.GetAt(Value(k), at))
+          << "seed " << seed << ", step " << step << " (" << what
+          << "): key " << k << " at ssid " << at;
+    }
+    ASSERT_EQ(table.EntryCount(), model.EntryCount())
+        << "seed " << seed << ", step " << step << " (" << what << ")";
   }
 }
 

@@ -258,7 +258,10 @@ TEST(SnapshotTableTest, CompactDropsDeadTombstones) {
   table.WriteTombstone(2, Value(int64_t{9}));
   table.Compact(3);
   EXPECT_EQ(table.EntryCount(), 0u);
-  EXPECT_EQ(table.KeyCount(), 0u);
+  // The key is gone with its versions: not even the view at 1 holds it.
+  EXPECT_EQ(table.ColumnarPartitionAt(part.PartitionOf(Value(int64_t{9})), 1)
+                ->row_count(),
+            0u);
 }
 
 TEST(SnapshotTableTest, CompactWithTombstoneBaseKeepsNewerVersionsCorrect) {
@@ -370,23 +373,6 @@ TEST(SnapshotTableTest, CompactIsSafeAgainstConcurrentReads) {
   table.ScanAt(kSnapshots,
                [&rows](const Value&, int64_t, const Object&) { ++rows; });
   EXPECT_EQ(rows, static_cast<size_t>(kKeys));
-}
-
-TEST(SnapshotTableTest, ScanAllVersionsExposesEveryVersion) {
-  Partitioner part(2);
-  SnapshotTable table("t", &part);
-  Object v;
-  v.Set("x", Value(int64_t{1}));
-  table.Write(1, Value(int64_t{1}), v);
-  table.Write(2, Value(int64_t{1}), v);
-  table.Write(2, Value(int64_t{2}), v);
-  std::multiset<int64_t> ssids;
-  table.ScanAllVersions(
-      [&ssids](const Value&, int64_t ssid, const Object&) {
-        ssids.insert(ssid);
-      });
-  EXPECT_EQ(ssids.count(1), 1u);
-  EXPECT_EQ(ssids.count(2), 2u);
 }
 
 TEST(GridTest, CreatesAndFindsTables) {
@@ -501,7 +487,7 @@ TEST(SnapshotTableTest, FailoverWithoutBackupLosesPartitionData) {
   o.Set("v", Value(int64_t{1}));
   for (int64_t i = 0; i < 64; ++i) table.Write(1, Value(i), o);
   for (int32_t p = 0; p < 4; ++p) table.FailPartitionPrimary(p);
-  EXPECT_EQ(table.KeyCount(), 0u);
+  EXPECT_EQ(table.EntryCount(), 0u);
 }
 
 TEST(GridTest, RefusesToKillLastNode) {
@@ -556,28 +542,34 @@ TEST(SnapshotTableTest, PerPartitionScansCoverExactlyTheFullView) {
     });
     std::set<std::pair<Value, int64_t>> partitioned;
     for (int32_t p = 0; p < partitioner.partition_count(); ++p) {
-      table.ScanPartitionAt(
-          p, ssid, [&](const Value& key, int64_t entry_ssid, const Object&) {
-            EXPECT_EQ(table.partitioner().PartitionOf(key), p);
-            EXPECT_TRUE(partitioned.insert({key, entry_ssid}).second);
-          });
+      const auto view = table.ColumnarPartitionAt(p, ssid);
+      for (size_t r = 0; r < view->row_count(); ++r) {
+        EXPECT_EQ(table.partitioner().PartitionOf(view->keys()[r]), p);
+        EXPECT_TRUE(
+            partitioned.insert({view->keys()[r], view->ssids()[r]}).second);
+      }
     }
     EXPECT_EQ(partitioned, full) << "ssid " << ssid;
   }
 
-  std::set<std::pair<Value, int64_t>> all_versions;
-  table.ScanAllVersions([&all_versions](const Value& key, int64_t ssid,
-                                        const Object&) {
-    EXPECT_TRUE(all_versions.insert({key, ssid}).second);
-  });
-  std::set<std::pair<Value, int64_t>> partitioned_versions;
+  // The deltas of ssid 2, partition by partition, hold exactly what was
+  // written at 2: one row per key, tombstones included, each in its key's
+  // partition.
+  std::set<std::pair<Value, bool>> written;
+  for (int64_t i = 0; i < 300; i += 3) written.insert({Value(i), i % 50 == 0});
+  for (int64_t i = 0; i < 300; i += 50) written.insert({Value(i), true});
+  std::set<std::pair<Value, bool>> deltas;
   for (int32_t p = 0; p < partitioner.partition_count(); ++p) {
-    table.ScanAllVersionsInPartition(
-        p, [&](const Value& key, int64_t ssid, const Object&) {
-          EXPECT_TRUE(partitioned_versions.insert({key, ssid}).second);
-        });
+    const std::shared_ptr<const ColumnBatch> delta = table.DeltaAt(p, 2);
+    if (delta == nullptr) continue;
+    for (size_t r = 0; r < delta->row_count(); ++r) {
+      EXPECT_EQ(partitioner.PartitionOf(delta->keys()[r]), p);
+      EXPECT_EQ(delta->ssids()[r], 2);
+      EXPECT_TRUE(
+          deltas.insert({delta->keys()[r], delta->tombstone(r)}).second);
+    }
   }
-  EXPECT_EQ(partitioned_versions, all_versions);
+  EXPECT_EQ(deltas, written);
 }
 
 }  // namespace

@@ -595,17 +595,19 @@ TEST_F(ParallelQueryTest, EverySourcePlacesKeysByThePartitioner) {
   {
     auto log = storage::SnapshotLog::Open({.dir = dir});
     ASSERT_TRUE(log.ok()) << log.status();
-    std::vector<storage::SnapshotLog::DeltaEntry> delta;
+    kv::ColumnBatch delta;
     for (int64_t k = 0; k < 400; ++k) {
       Object o;
       o.Set("v", Value(k * 3));
-      delta.push_back({Value(k), false, std::move(o)});
+      delta.AppendRow(Value(k), 1, o);
     }
     ASSERT_TRUE((*log)->AppendDelta("snapshot_logged", 1, 0, delta).ok());
     ASSERT_TRUE((*log)->Commit(1).ok());
     service_.AttachDurableStorage(log->get());
     auto durable = service_.OpenTableSource("snapshot_logged", 1, {});
     ASSERT_TRUE(durable.ok()) << durable.status();
+    // The log's read comes in the grid's partitions.
+    EXPECT_EQ((*durable)->partition_count(), kPartitions);
     ExpectPartitionedByKey(**durable, "durable log");
     ExpectLookupsMatchTheScan(**durable, keys, /*keys_in_order=*/false,
                               "durable log");
@@ -670,19 +672,20 @@ TEST_F(ParallelQueryTest, VectorizedEngineIsReportedAndCanBeForcedOff) {
 TEST(ReplayedLogQueryTest, MultiSegmentHistoryServesBothEngines) {
   std::string tmpl = "/tmp/sq_mixed_segments_XXXXXX";
   const std::string dir = ::mkdtemp(tmpl.data());
-  const auto entry = [](int64_t key, int64_t v, const std::string& zone) {
+  const auto append = [](kv::ColumnBatch* delta, int64_t ssid, int64_t key,
+                          int64_t v, const std::string& zone) {
     Object o;
     o.Set("v", Value(v));
     o.Set("zone", Value(zone));
-    return storage::SnapshotLog::DeltaEntry{Value(key), false, std::move(o)};
+    delta->AppendRow(Value(key), ssid, o);
   };
   {
     // First writer: one segment per commit.
     auto log = storage::SnapshotLog::Open({.dir = dir, .segment_bytes = 1});
     ASSERT_TRUE(log.ok());
-    std::vector<storage::SnapshotLog::DeltaEntry> delta;
+    kv::ColumnBatch delta;
     for (int64_t k = 0; k < 100; ++k) {
-      delta.push_back(entry(k, k, "zone-" + std::to_string(k % 3)));
+      append(&delta, 1, k, k, "zone-" + std::to_string(k % 3));
     }
     ASSERT_TRUE((*log)->AppendDelta("snapshot_mixed", 1, 0, delta).ok());
     ASSERT_TRUE((*log)->Commit(1).ok());
@@ -694,11 +697,10 @@ TEST(ReplayedLogQueryTest, MultiSegmentHistoryServesBothEngines) {
     // Second writer appends segments to the same log after a reopen.
     auto log = storage::SnapshotLog::Open({.dir = dir, .segment_bytes = 1});
     ASSERT_TRUE(log.ok());
-    std::vector<storage::SnapshotLog::DeltaEntry> delta;
-    for (int64_t k = 0; k < 100; k += 7) delta.push_back(entry(k, k + 1000, "hot"));
-    delta.push_back(entry(200, 42, "new"));
-    delta.push_back(storage::SnapshotLog::DeltaEntry{Value(int64_t{3}), true,
-                                                     Object()});
+    kv::ColumnBatch delta;
+    for (int64_t k = 0; k < 100; k += 7) append(&delta, 2, k, k + 1000, "hot");
+    append(&delta, 2, 200, 42, "new");
+    delta.AppendTombstone(Value(int64_t{3}), 2);
     ASSERT_TRUE((*log)->AppendDelta("snapshot_mixed", 2, 0, delta).ok());
     ASSERT_TRUE((*log)->Commit(2).ok());
 

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -61,12 +62,11 @@ std::string MakeTempDir() {
   int64_t id = (*log)->LatestDurable() + 1;
   for (;; ++id) {
     for (int32_t p = 0; p < kChildPartitions; ++p) {
-      std::vector<SnapshotLog::DeltaEntry> entries;
+      kv::ColumnBatch delta;
       for (int64_t k = p; k < kKeysPerSnapshot; k += kChildPartitions) {
-        entries.push_back(SnapshotLog::DeltaEntry{kv::Value(k), false,
-                                                  SnapshotValue(id, k)});
+        delta.AppendRow(kv::Value(k), id, SnapshotValue(id, k));
       }
-      if (!(*log)->AppendDelta("snapshot_orders", id, p, entries).ok()) {
+      if (!(*log)->AppendDelta("snapshot_orders", id, p, delta).ok()) {
         _exit(3);
       }
     }
@@ -74,6 +74,21 @@ std::string MakeTempDir() {
     char byte = 1;
     (void)::write(ready_fd, &byte, 1);
   }
+}
+
+/// Calls `fn(key, value)` for every row of `table` at durable snapshot `ssid`.
+Status ForEachDurableRow(
+    const SnapshotLog& log, const std::string& table, int64_t ssid,
+    const std::function<void(const kv::Value&, const kv::Object&)>& fn) {
+  SQ_ASSIGN_OR_RETURN(
+      const std::vector<std::shared_ptr<const kv::ColumnBatch>> partitions,
+      log.ReadSnapshot(table, ssid, kv::Partitioner(kChildPartitions)));
+  for (const auto& rows : partitions) {
+    for (size_t r = 0; r < rows->row_count(); ++r) {
+      fn(rows->keys()[r], rows->MaterializeRow(r));
+    }
+  }
+  return Status::OK();
 }
 
 /// Verifies every committed id in `log` reconstructs to exactly the 32 keys
@@ -86,12 +101,12 @@ void VerifyRecoveredLog(const SnapshotLog& log) {
             static_cast<int64_t>(committed.size()));
   for (const int64_t id : committed) {
     std::map<int64_t, int64_t> view;
-    ASSERT_TRUE(log.ScanSnapshot("snapshot_orders", id,
-                                 [&view](int32_t, const kv::Value& key,
-                                         int64_t, const kv::Object& value) {
-                                   view[key.int64_value()] =
-                                       value.Get("v").int64_value();
-                                 })
+    ASSERT_TRUE(ForEachDurableRow(log, "snapshot_orders", id,
+                                  [&view](const kv::Value& key,
+                                          const kv::Object& value) {
+                                    view[key.int64_value()] =
+                                        value.Get("v").int64_value();
+                                  })
                     .ok())
         << "ssid " << id;
     ASSERT_EQ(view.size(), static_cast<size_t>(kKeysPerSnapshot))
@@ -164,7 +179,7 @@ TEST(RecoveryCrashTest, SigkillDuringListenerPhase1RecoversCleanly) {
       for (int64_t k = 0; k < kKeysPerSnapshot; ++k) {
         table->Write(id, kv::Value(k), SnapshotValue(id, k));
       }
-      chain.OnCheckpointPrepared(id);
+      if (!chain.OnCheckpointPrepared(id).ok()) _exit(3);
       chain.OnCheckpointCommitted(id);
       char byte = 1;
       (void)::write(pipe_fds[1], &byte, 1);
@@ -318,25 +333,21 @@ TEST(RecoveryCrashTest, SigkillUnalignedJobLeavesReplayableChannelLog) {
   int64_t best_in_flight = 0;
   for (const int64_t id : committed) {
     int64_t emitted = 0;
-    ASSERT_TRUE((*log)
-                    ->ScanSnapshot("snapshot_src", id,
-                                   [&emitted](int32_t, const kv::Value&,
-                                              int64_t,
-                                              const kv::Object& value) {
-                                     emitted +=
-                                         value.Get("offset").int64_value();
-                                   })
+    ASSERT_TRUE(ForEachDurableRow(**log, "snapshot_src", id,
+                                  [&emitted](const kv::Value&,
+                                             const kv::Object& value) {
+                                    emitted +=
+                                        value.Get("offset").int64_value();
+                                  })
                     .ok())
         << "ssid " << id;
     int64_t counted = 0;
-    ASSERT_TRUE((*log)
-                    ->ScanSnapshot("snapshot_count", id,
-                                   [&counted](int32_t, const kv::Value&,
-                                              int64_t,
-                                              const kv::Object& value) {
-                                     counted +=
-                                         value.Get("count").int64_value();
-                                   })
+    ASSERT_TRUE(ForEachDurableRow(**log, "snapshot_count", id,
+                                  [&counted](const kv::Value&,
+                                             const kv::Object& value) {
+                                    counted +=
+                                        value.Get("count").int64_value();
+                                  })
                     .ok())
         << "ssid " << id;
     int64_t in_flight = 0;
@@ -462,7 +473,7 @@ class TimeTravelTest : public ::testing::Test {
         store_->Put(kv::Value(key), o);
       }
       SQ_CHECK_OK(store_->SnapshotTo(ckpt));
-      chain_.OnCheckpointPrepared(ckpt);
+      SQ_CHECK_OK(chain_.OnCheckpointPrepared(ckpt));
       chain_.OnCheckpointCommitted(ckpt);
     }
   }
@@ -555,10 +566,11 @@ TEST_F(TimeTravelTest, PointLookupPastRetentionReadsOnlyTheKeyFromDisk) {
   EXPECT_EQ(result->stats.rows_scanned, 1);
 }
 
-/// The grid's snapshot at ssid 5 (8 partitions) joined on its key with the
-/// log's read of pruned ssid 1 (one partition): the partition counts differ,
-/// so the log side is built once and every grid partition probes it.
-TEST_F(TimeTravelTest, KeyJoinAcrossPartitionCountsAgreesAcrossEngines) {
+/// The grid's snapshot at ssid 5 joined on its key with the log's read of
+/// pruned ssid 1: the log's read comes in the grid's 8 partitions, so the
+/// join is colocated, partition p of one side against partition p of the
+/// other.
+TEST_F(TimeTravelTest, KeyJoinOfRetainedAndPrunedSsidsIsColocated) {
   service_.AttachDurableStorage(log_.get());
   // What the fixture wrote: key k holds ckpt * 10 + k at checkpoint ckpt.
   int64_t then_sum = 0;
@@ -608,14 +620,57 @@ TEST_F(TimeTravelTest, KeyJoinAcrossPartitionCountsAgreesAcrossEngines) {
   }
   auto plan = service_.Execute("EXPLAIN " + count_sql);
   ASSERT_TRUE(plan.ok()) << plan.status();
-  bool whole_build = false;
+  bool colocated = false;
   for (const sql::Row& line : plan->rows) {
-    whole_build = whole_build ||
-                  line[0].string_value() ==
-                      "Join: hash join snapshot_counts USING (key), build "
-                      "over 1 partitions";
+    colocated = colocated ||
+                line[0].string_value() ==
+                    "Join: colocated hash join snapshot_counts USING (key), "
+                    "per partition (8)";
   }
-  EXPECT_TRUE(whole_build) << plan->ToString();
+  EXPECT_TRUE(colocated) << plan->ToString();
+}
+
+/// A pruned ssid served from the log has the grid's partitions: every row
+/// sits in the partition the grid's partitioner gives its key, and lookups
+/// find each key there.
+TEST_F(TimeTravelTest, DurableSourcePlacesKeysByTheGridsPartitioner) {
+  service_.AttachDurableStorage(log_.get());
+  auto source = service_.OpenTableSource("snapshot_counts", 1, {});
+  ASSERT_TRUE(source.ok()) << source.status();
+  ASSERT_EQ((*source)->partition_count(), 8);
+  std::map<int64_t, int64_t> scanned;
+  for (int32_t p = 0; p < 8; ++p) {
+    std::unique_ptr<sql::BatchReader> reader = (*source)->OpenBatchReader(p);
+    sql::ScanBatch batch;
+    while (true) {
+      Result<bool> more = reader->NextBatch(&batch);
+      ASSERT_TRUE(more.ok()) << more.status();
+      if (!*more) break;
+      EXPECT_EQ(batch.ssid, kv::Value(int64_t{1}));
+      for (size_t r = 0; r < batch.rows->row_count(); ++r) {
+        const kv::Value& key = batch.rows->keys()[r];
+        EXPECT_EQ(grid_.partitioner().PartitionOf(key), p) << key.ToString();
+        EXPECT_EQ((*source)->PartitionOfKey(key), p) << key.ToString();
+        scanned[key.int64_value()] =
+            batch.rows->MaterializeRow(r).Get("v").int64_value();
+      }
+    }
+  }
+  EXPECT_EQ(scanned, (std::map<int64_t, int64_t>{{0, 10}, {1, 11}}));
+  auto found = (*source)->ScanKeys(
+      {kv::Value(int64_t{1}), kv::Value(int64_t{9}), kv::Value(int64_t{0})});
+  ASSERT_TRUE(found.ok()) << found.status();
+  int64_t rows = 0;
+  for (const sql::PartitionLookup& partition : *found) {
+    for (const sql::ScanBatch& batch : partition.batches) {
+      for (size_t r = 0; r < batch.rows->row_count(); ++r) {
+        EXPECT_EQ(grid_.partitioner().PartitionOf(batch.rows->keys()[r]),
+                  partition.partition);
+        ++rows;
+      }
+    }
+  }
+  EXPECT_EQ(rows, 2);
 }
 
 TEST_F(TimeTravelTest, DirectObjectInterfaceFallsThroughToDisk) {

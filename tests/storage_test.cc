@@ -3,19 +3,27 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "dataflow/checkpoint.h"
+#include "dataflow/execution.h"
+#include "dataflow/job_graph.h"
+#include "dataflow/operators.h"
 #include "kv/grid.h"
 #include "kv/object.h"
 #include "kv/value.h"
@@ -164,30 +172,32 @@ TEST(SerdeTest, UnknownValueTagIsCorrupt) {
 // ---------------------------------------------------------------------------
 // SnapshotLog: append / commit / reopen
 
-std::vector<SnapshotLog::DeltaEntry> Delta(
-    std::initializer_list<std::pair<int64_t, int64_t>> kvs) {
-  std::vector<SnapshotLog::DeltaEntry> entries;
+// One partition's delta at `ssid`: a row {n, label} per (key, n) pair,
+// then a tombstone per key in `tombstones`.
+kv::ColumnBatch Delta(int64_t ssid,
+                      std::initializer_list<std::pair<int64_t, int64_t>> kvs,
+                      std::initializer_list<int64_t> tombstones = {}) {
+  kv::ColumnBatch delta;
   for (const auto& [k, v] : kvs) {
-    entries.push_back(
-        SnapshotLog::DeltaEntry{kv::Value(k), false, MakeObject(v)});
+    delta.AppendRow(kv::Value(k), ssid, MakeObject(v));
   }
-  return entries;
+  for (const int64_t k : tombstones) delta.AppendTombstone(kv::Value(k), ssid);
+  return delta;
 }
 
-SnapshotLog::DeltaEntry Tombstone(int64_t key) {
-  return SnapshotLog::DeltaEntry{kv::Value(key), true, kv::Object()};
-}
-
+// The view of `table` at `ssid` read from the log, key -> n.
 std::map<int64_t, int64_t> ReadView(const SnapshotLog& log,
                                     const std::string& table, int64_t ssid) {
   std::map<int64_t, int64_t> view;
-  EXPECT_TRUE(log.ScanSnapshot(table, ssid,
-                               [&view](int32_t, const kv::Value& key,
-                                       int64_t, const kv::Object& value) {
-                                 view[key.int64_value()] =
-                                     value.Get("n").int64_value();
-                               })
-                  .ok());
+  auto partitions = log.ReadSnapshot(table, ssid, kv::Partitioner(4));
+  EXPECT_TRUE(partitions.ok()) << partitions.status();
+  if (!partitions.ok()) return view;
+  for (const auto& rows : *partitions) {
+    for (size_t r = 0; r < rows->row_count(); ++r) {
+      view[rows->keys()[r].int64_value()] =
+          rows->MaterializeRow(r).Get("n").int64_value();
+    }
+  }
   return view;
 }
 
@@ -197,10 +207,11 @@ TEST(SnapshotLogTest, CommitMakesSnapshotDurableAcrossReopen) {
     auto log = SnapshotLog::Open({.dir = dir.path()});
     ASSERT_TRUE(log.ok()) << log.status();
     ASSERT_TRUE(
-        (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 10}, {2, 20}}))
+        (*log)
+            ->AppendDelta("snapshot_orders", 1, 0, Delta(1, {{1, 10}, {2, 20}}))
             .ok());
     ASSERT_TRUE(
-        (*log)->AppendDelta("snapshot_orders", 1, 1, Delta({{3, 30}})).ok());
+        (*log)->AppendDelta("snapshot_orders", 1, 1, Delta(1, {{3, 30}})).ok());
     ASSERT_TRUE((*log)->Commit(1).ok());
     EXPECT_TRUE((*log)->IsDurable(1));
     EXPECT_EQ((*log)->LatestDurable(), 1);
@@ -213,40 +224,48 @@ TEST(SnapshotLogTest, CommitMakesSnapshotDurableAcrossReopen) {
   EXPECT_EQ((*reopened)->recovery_info().torn_bytes_skipped, 0);
   EXPECT_EQ(ReadView(**reopened, "snapshot_orders", 1),
             (std::map<int64_t, int64_t>{{1, 10}, {2, 20}, {3, 30}}));
-  EXPECT_EQ((*reopened)->TableNames(),
-            std::vector<std::string>({"snapshot_orders"}));
 }
 
 // Regression test for a determinism bug sq-lint's pass flagged: the
 // durable-fallback scan built its merged view in an unordered_map and
 // emitted rows in hash order, which reached query output. Emission must be
-// in key order, byte-identical across processes and library versions.
-TEST(SnapshotLogTest, DurableScanEmitsRowsInKeyOrder) {
+// byte-identical across processes and library versions: per partition of
+// the reader's partitioner, keys in the order they first appear in the log.
+TEST(SnapshotLogTest, DurableReadEmitsRowsPerPartitionInFirstAppearanceOrder) {
   TempDir dir;
   auto log = SnapshotLog::Open({.dir = dir.path(), .segment_bytes = 64});
   ASSERT_TRUE(log.ok()) << log.status();
   // Append keys in a scrambled order, across several snapshots and segment
-  // rotations, so hash order and insertion order both differ from key order.
+  // rotations, so hash order and key order both differ from log order.
   ASSERT_TRUE((*log)
                   ->AppendDelta("snapshot_orders", 1, 0,
-                                Delta({{7, 70}, {2, 20}, {11, 110}}))
+                                Delta(1, {{7, 70}, {2, 20}, {11, 110}}))
                   .ok());
   ASSERT_TRUE((*log)->Commit(1).ok());
   ASSERT_TRUE((*log)
                   ->AppendDelta("snapshot_orders", 2, 0,
-                                Delta({{5, 50}, {1, 10}, {9, 90}}))
+                                Delta(2, {{5, 50}, {1, 10}, {9, 90}, {2, 21}}))
                   .ok());
   ASSERT_TRUE((*log)->Commit(2).ok());
 
-  std::vector<int64_t> emitted;
-  ASSERT_TRUE((*log)
-                  ->ScanSnapshot("snapshot_orders", 2,
-                                 [&emitted](int32_t, const kv::Value& key,
-                                            int64_t, const kv::Object&) {
-                                   emitted.push_back(key.int64_value());
-                                 })
-                  .ok());
-  EXPECT_EQ(emitted, (std::vector<int64_t>{1, 2, 5, 7, 9, 11}));
+  const kv::Partitioner partitioner(3);
+  auto partitions = (*log)->ReadSnapshot("snapshot_orders", 2, partitioner);
+  ASSERT_TRUE(partitions.ok()) << partitions.status();
+  ASSERT_EQ(partitions->size(), 3u);
+  for (int32_t p = 0; p < 3; ++p) {
+    std::vector<int64_t> expected;
+    for (const int64_t key : {7, 2, 11, 5, 1, 9}) {
+      if (partitioner.PartitionOf(kv::Value(key)) == p) {
+        expected.push_back(key);
+      }
+    }
+    std::vector<int64_t> emitted;
+    const kv::ColumnBatch& rows = *(*partitions)[p];
+    for (size_t r = 0; r < rows.row_count(); ++r) {
+      emitted.push_back(rows.keys()[r].int64_value());
+    }
+    EXPECT_EQ(emitted, expected) << "partition " << p;
+  }
 }
 
 // Compacting the same inputs must produce byte-identical rewritten
@@ -262,7 +281,7 @@ TEST(SnapshotLogTest, CompactionOutputIsByteIdenticalAcrossLogs) {
     for (int64_t id = 1; id <= 4; ++id) {
       ASSERT_TRUE((*log)
                       ->AppendDelta("snapshot_orders", id, 0,
-                                    Delta({{17 - id, id * 10}, {id, id}}))
+                                    Delta(id, {{17 - id, id * 10}, {id, id}}))
                       .ok());
       ASSERT_TRUE((*log)->Commit(id).ok());
     }
@@ -319,12 +338,12 @@ TEST(SnapshotLogTest, UncommittedAppendsAreDiscardedOnReopen) {
     auto log = SnapshotLog::Open({.dir = dir.path(), .flush_bytes = 1});
     ASSERT_TRUE(log.ok());
     ASSERT_TRUE(
-        (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 10}})).ok());
+        (*log)->AppendDelta("snapshot_orders", 1, 0, Delta(1, {{1, 10}})).ok());
     ASSERT_TRUE((*log)->Commit(1).ok());
     // Phase-1 spill of snapshot 2 (flush_bytes=1 forces it to the file) with
     // no commit: must vanish on reopen.
     ASSERT_TRUE(
-        (*log)->AppendDelta("snapshot_orders", 2, 0, Delta({{9, 99}})).ok());
+        (*log)->AppendDelta("snapshot_orders", 2, 0, Delta(2, {{9, 99}})).ok());
   }
   auto reopened = SnapshotLog::Open({.dir = dir.path()});
   ASSERT_TRUE(reopened.ok());
@@ -340,11 +359,11 @@ TEST(SnapshotLogTest, AbortDiscardsSpilledTailAndAllowsIdReuse) {
   auto log = SnapshotLog::Open({.dir = dir.path(), .flush_bytes = 1});
   ASSERT_TRUE(log.ok());
   ASSERT_TRUE(
-      (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 10}})).ok());
+      (*log)->AppendDelta("snapshot_orders", 1, 0, Delta(1, {{1, 10}})).ok());
   ASSERT_TRUE((*log)->Abort(1).ok());
   // The failure-recovery protocol reuses the aborted id for the retry.
   ASSERT_TRUE(
-      (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 11}})).ok());
+      (*log)->AppendDelta("snapshot_orders", 1, 0, Delta(1, {{1, 11}})).ok());
   ASSERT_TRUE((*log)->Commit(1).ok());
   EXPECT_EQ(ReadView(**log, "snapshot_orders", 1),
             (std::map<int64_t, int64_t>{{1, 11}}));
@@ -356,9 +375,9 @@ TEST(SnapshotLogTest, MismatchedPendingSsidIsRejected) {
   auto log = SnapshotLog::Open({.dir = dir.path()});
   ASSERT_TRUE(log.ok());
   ASSERT_TRUE(
-      (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 10}})).ok());
+      (*log)->AppendDelta("snapshot_orders", 1, 0, Delta(1, {{1, 10}})).ok());
   EXPECT_FALSE(
-      (*log)->AppendDelta("snapshot_orders", 2, 0, Delta({{2, 20}})).ok());
+      (*log)->AppendDelta("snapshot_orders", 2, 0, Delta(2, {{2, 20}})).ok());
   EXPECT_FALSE((*log)->Commit(2).ok());
   ASSERT_TRUE((*log)->Commit(1).ok());
 }
@@ -370,7 +389,7 @@ TEST(SnapshotLogTest, TornTailIsTruncatedByChecksum) {
     auto log = SnapshotLog::Open({.dir = dir.path()});
     ASSERT_TRUE(log.ok());
     ASSERT_TRUE(
-        (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 10}})).ok());
+        (*log)->AppendDelta("snapshot_orders", 1, 0, Delta(1, {{1, 10}})).ok());
     ASSERT_TRUE((*log)->Commit(1).ok());
   }
   for (const auto& entry : fs::directory_iterator(dir.path())) {
@@ -403,7 +422,7 @@ TEST(SnapshotLogTest, FailedFlushLeavesNoTornPrefixBeforeALaterCommit) {
     auto log = SnapshotLog::Open({.dir = dir.path(), .flush_bytes = 1});
     ASSERT_TRUE(log.ok()) << log.status();
     ASSERT_TRUE(
-        (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 10}})).ok());
+        (*log)->AppendDelta("snapshot_orders", 1, 0, Delta(1, {{1, 10}})).ok());
     ASSERT_TRUE((*log)->Commit(1).ok());
     std::string segment_path;
     for (const auto& entry : fs::directory_iterator(dir.path())) {
@@ -423,7 +442,7 @@ TEST(SnapshotLogTest, FailedFlushLeavesNoTornPrefixBeforeALaterCommit) {
     const auto previous_handler = std::signal(SIGXFSZ, SIG_IGN);
     ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
     const Status failed = (*log)->AppendDelta("snapshot_orders", 2, 0,
-                                              Delta({{2, 20}, {3, 30}}));
+                                              Delta(2, {{2, 20}, {3, 30}}));
     ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
     std::signal(SIGXFSZ, previous_handler);
     ASSERT_FALSE(failed.ok());
@@ -447,7 +466,8 @@ TEST(SnapshotLogTest, MultiSegmentHistoryReadsBackAcrossReopen) {
                                   .segment_bytes = 1});  // rotate per commit
     ASSERT_TRUE(log.ok());
     ASSERT_TRUE(
-        (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 10}, {2, 20}}))
+        (*log)
+            ->AppendDelta("snapshot_orders", 1, 0, Delta(1, {{1, 10}, {2, 20}}))
             .ok());
     ASSERT_TRUE((*log)->Commit(1).ok());
   }
@@ -457,9 +477,10 @@ TEST(SnapshotLogTest, MultiSegmentHistoryReadsBackAcrossReopen) {
     // history spans segments written by two log instances.
     auto log = SnapshotLog::Open({.dir = dir.path(), .segment_bytes = 1});
     ASSERT_TRUE(log.ok());
-    std::vector<SnapshotLog::DeltaEntry> delta2 = Delta({{2, 21}, {3, 30}});
-    delta2.push_back(Tombstone(1));
-    ASSERT_TRUE((*log)->AppendDelta("snapshot_orders", 2, 0, delta2).ok());
+    ASSERT_TRUE((*log)
+                    ->AppendDelta("snapshot_orders", 2, 0,
+                                  Delta(2, {{2, 21}, {3, 30}}, {1}))
+                    .ok());
     ASSERT_TRUE((*log)->Commit(2).ok());
   }
   for (const auto& entry : fs::directory_iterator(dir.path())) {
@@ -549,7 +570,7 @@ void WriteOneCommittedSnapshot(const std::string& dir) {
   auto log = SnapshotLog::Open({.dir = dir});
   ASSERT_TRUE(log.ok());
   ASSERT_TRUE(
-      (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 10}})).ok());
+      (*log)->AppendDelta("snapshot_orders", 1, 0, Delta(1, {{1, 10}})).ok());
   ASSERT_TRUE((*log)->Commit(1).ok());
 }
 
@@ -642,7 +663,7 @@ TEST(SnapshotLogTest, MissingManifestFallsBackToDirectoryScan) {
     for (int64_t id = 1; id <= 4; ++id) {
       ASSERT_TRUE((*log)
                       ->AppendDelta("snapshot_orders", id, 0,
-                                    Delta({{id, id * 10}}))
+                                    Delta(id, {{id, id * 10}}))
                       .ok());
       ASSERT_TRUE((*log)->Commit(id).ok());
     }
@@ -663,7 +684,7 @@ TEST(SnapshotLogTest, CorruptManifestFallsBackToDirectoryScan) {
     auto log = SnapshotLog::Open({.dir = dir.path()});
     ASSERT_TRUE(log.ok());
     ASSERT_TRUE(
-        (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 10}})).ok());
+        (*log)->AppendDelta("snapshot_orders", 1, 0, Delta(1, {{1, 10}})).ok());
     ASSERT_TRUE((*log)->Commit(1).ok());
   }
   {
@@ -681,12 +702,13 @@ TEST(SnapshotLogTest, BackwardDifferentialReadAcrossSnapshots) {
   ASSERT_TRUE(log.ok());
   // ssid 1: keys 1,2.  ssid 2: key 2 updated, key 3 added, key 1 deleted.
   ASSERT_TRUE(
-      (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 10}, {2, 20}}))
+      (*log)->AppendDelta("snapshot_orders", 1, 0, Delta(1, {{1, 10}, {2, 20}}))
           .ok());
   ASSERT_TRUE((*log)->Commit(1).ok());
-  std::vector<SnapshotLog::DeltaEntry> delta2 = Delta({{2, 21}, {3, 30}});
-  delta2.push_back(Tombstone(1));
-  ASSERT_TRUE((*log)->AppendDelta("snapshot_orders", 2, 0, delta2).ok());
+  ASSERT_TRUE((*log)
+                  ->AppendDelta("snapshot_orders", 2, 0,
+                                Delta(2, {{2, 21}, {3, 30}}, {1}))
+                  .ok());
   ASSERT_TRUE((*log)->Commit(2).ok());
 
   EXPECT_EQ(ReadView(**log, "snapshot_orders", 1),
@@ -695,11 +717,8 @@ TEST(SnapshotLogTest, BackwardDifferentialReadAcrossSnapshots) {
   EXPECT_EQ(ReadView(**log, "snapshot_orders", 2),
             (std::map<int64_t, int64_t>{{2, 21}, {3, 30}}));
   // Not-committed id is not readable.
-  EXPECT_FALSE((*log)
-                   ->ScanSnapshot("snapshot_orders", 3,
-                                  [](int32_t, const kv::Value&, int64_t,
-                                     const kv::Object&) {})
-                   .ok());
+  EXPECT_FALSE(
+      (*log)->ReadSnapshot("snapshot_orders", 3, kv::Partitioner(1)).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -716,18 +735,19 @@ TEST(SnapshotLogTest, CompactionPreservesBaseEntriesForDifferentialReads) {
   // deleted at ssid 2.
   ASSERT_TRUE((*log)
                   ->AppendDelta("snapshot_orders", 1, 0,
-                                Delta({{1, 10}, {2, 20}, {3, 30}}))
+                                Delta(1, {{1, 10}, {2, 20}, {3, 30}}))
                   .ok());
   ASSERT_TRUE((*log)->Commit(1).ok());
-  std::vector<SnapshotLog::DeltaEntry> delta2 = Delta({{2, 21}});
-  delta2.push_back(Tombstone(3));
-  ASSERT_TRUE((*log)->AppendDelta("snapshot_orders", 2, 0, delta2).ok());
+  ASSERT_TRUE((*log)
+                  ->AppendDelta("snapshot_orders", 2, 0,
+                                Delta(2, {{2, 21}}, {3}))
+                  .ok());
   ASSERT_TRUE((*log)->Commit(2).ok());
   ASSERT_TRUE(
-      (*log)->AppendDelta("snapshot_orders", 3, 0, Delta({{2, 22}})).ok());
+      (*log)->AppendDelta("snapshot_orders", 3, 0, Delta(3, {{2, 22}})).ok());
   ASSERT_TRUE((*log)->Commit(3).ok());
   ASSERT_TRUE(
-      (*log)->AppendDelta("snapshot_orders", 4, 0, Delta({{2, 23}})).ok());
+      (*log)->AppendDelta("snapshot_orders", 4, 0, Delta(4, {{2, 23}})).ok());
   ASSERT_TRUE((*log)->Commit(4).ok());
 
   // retained_snapshots=2 -> floor is ssid 3; ids 1-2 fell off the window.
@@ -756,7 +776,7 @@ TEST(SnapshotLogTest, CompactionSurvivesReopen) {
     for (int64_t id = 1; id <= 5; ++id) {
       ASSERT_TRUE((*log)
                       ->AppendDelta("snapshot_orders", id, 0,
-                                    Delta({{1, id * 10}, {id + 10, id}}))
+                                    Delta(id, {{1, id * 10}, {id + 10, id}}))
                       .ok());
       ASSERT_TRUE((*log)->Commit(id).ok());
     }
@@ -780,7 +800,9 @@ TEST(SnapshotLogTest, AsyncCompactorDrainsAndShutsDownCleanly) {
   ASSERT_TRUE(log.ok());
   for (int64_t id = 1; id <= 6; ++id) {
     ASSERT_TRUE(
-        (*log)->AppendDelta("snapshot_orders", id, 0, Delta({{1, id}})).ok());
+        (*log)
+            ->AppendDelta("snapshot_orders", id, 0, Delta(id, {{1, id}}))
+            .ok());
     ASSERT_TRUE((*log)->Commit(id).ok());
   }
   (*log)->FlushCompaction();
@@ -800,15 +822,17 @@ TEST(SnapshotLogTest, ReplayIntoRebuildsGridAndRegistry) {
     auto log = SnapshotLog::Open({.dir = dir.path()});
     ASSERT_TRUE(log.ok());
     ASSERT_TRUE(
-        (*log)->AppendDelta("snapshot_orders", 1, 0, Delta({{1, 10}, {2, 20}}))
+        (*log)
+            ->AppendDelta("snapshot_orders", 1, 0, Delta(1, {{1, 10}, {2, 20}}))
             .ok());
     ASSERT_TRUE((*log)->Commit(1).ok());
-    std::vector<SnapshotLog::DeltaEntry> delta2 = Delta({{2, 21}});
-    delta2.push_back(Tombstone(1));
-    ASSERT_TRUE((*log)->AppendDelta("snapshot_orders", 2, 0, delta2).ok());
+    ASSERT_TRUE((*log)
+                    ->AppendDelta("snapshot_orders", 2, 0,
+                                  Delta(2, {{2, 21}}, {1}))
+                    .ok());
     ASSERT_TRUE((*log)->Commit(2).ok());
     ASSERT_TRUE(
-        (*log)->AppendDelta("snapshot_riders", 3, 0, Delta({{7, 70}})).ok());
+        (*log)->AppendDelta("snapshot_riders", 3, 0, Delta(3, {{7, 70}})).ok());
     ASSERT_TRUE((*log)->Commit(3).ok());
   }
 
@@ -858,22 +882,21 @@ TEST(DurableListenerTest, ChainPersistsGridSnapshotsThroughCheckpoints) {
   // Simulate checkpoint 1's phase-1 writes, then drive the chain.
   table->Write(1, kv::Value(int64_t{1}), MakeObject(10));
   table->Write(1, kv::Value(int64_t{2}), MakeObject(20));
-  chain.OnCheckpointPrepared(1);
+  ASSERT_TRUE(chain.OnCheckpointPrepared(1).ok());
   chain.OnCheckpointCommitted(1);
   EXPECT_EQ(registry.latest_committed(), 1);
   EXPECT_TRUE((*log)->IsDurable(1));
-  EXPECT_EQ(durable.write_failures(), 0);
 
   // Checkpoint 2 aborts: neither the registry nor the log may keep it.
   table->Write(2, kv::Value(int64_t{1}), MakeObject(11));
-  chain.OnCheckpointPrepared(2);
+  ASSERT_TRUE(chain.OnCheckpointPrepared(2).ok());
   chain.OnCheckpointAborted(2);
   EXPECT_FALSE((*log)->IsDurable(2));
   EXPECT_FALSE(table->GetExact(kv::Value(int64_t{1}), 2).has_value());
 
   // Retry commits under the same id (the engine reuses aborted ids).
   table->Write(2, kv::Value(int64_t{1}), MakeObject(12));
-  chain.OnCheckpointPrepared(2);
+  ASSERT_TRUE(chain.OnCheckpointPrepared(2).ok());
   chain.OnCheckpointCommitted(2);
   EXPECT_TRUE((*log)->IsDurable(2));
   EXPECT_EQ(ReadView(**log, "snapshot_orders", 2),
@@ -896,7 +919,7 @@ TEST(DurableListenerTest, RestoreFromTableFallsBackToDisk) {
     for (int64_t k = 0; k < 50; ++k) {
       table->Write(1, kv::Value(k), MakeObject(k * 100));
     }
-    durable.OnCheckpointPrepared(1);
+    ASSERT_TRUE(durable.OnCheckpointPrepared(1).ok());
     durable.OnCheckpointCommitted(1);
   }
 
@@ -921,6 +944,281 @@ TEST(DurableListenerTest, RestoreFromTableFallsBackToDisk) {
     if (in0 || in1) ++found;
   }
   EXPECT_EQ(found, 50);
+}
+
+// ---------------------------------------------------------------------------
+// Time-travel reads against the live log
+
+// Reads of one durable snapshot run while other threads append and commit
+// newer snapshots and compact the old segments (rewriting the files the
+// read lists). The read holds the log's lock only to list the segments, so
+// it must notice a compaction that landed meanwhile and read again: every
+// read returns the same rows.
+TEST(SnapshotLogTest, DurableReadsStayExactUnderAppendsCommitsAndCompaction) {
+  TempDir dir;
+  auto log = SnapshotLog::Open({.dir = dir.path(),
+                                .segment_bytes = 1,  // rotate per commit
+                                .sync_on_commit = false,
+                                .async_compact = false});
+  ASSERT_TRUE(log.ok()) << log.status();
+  constexpr int64_t kRead = 6;
+  for (int64_t id = 1; id <= kRead; ++id) {
+    const std::initializer_list<int64_t> none = {};
+    const std::initializer_list<int64_t> gone = {2};
+    ASSERT_TRUE((*log)
+                    ->AppendDelta("snapshot_orders", id, 0,
+                                  Delta(id, {{id, id * 10}, {100, id}},
+                                        id == 4 ? gone : none))
+                    .ok());
+    ASSERT_TRUE((*log)->Commit(id).ok());
+  }
+  const std::map<int64_t, int64_t> expected = {
+      {1, 10}, {3, 30}, {4, 40}, {5, 50}, {6, 60}, {100, 6}};
+  ASSERT_EQ(ReadView(**log, "snapshot_orders", kRead), expected);
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int64_t id = kRead + 1; id <= kRead + 300 && !stop.load(); ++id) {
+      ASSERT_TRUE((*log)
+                      ->AppendDelta("snapshot_orders", id, 0,
+                                    Delta(id, {{id, id}, {100, id}}))
+                      .ok());
+      ASSERT_TRUE((*log)->Commit(id).ok());
+    }
+  });
+  std::thread compactor([&] {
+    // Every pass rewrites the segments below kRead into one.
+    while (!stop.load()) (*log)->CompactTo(kRead);
+  });
+  // At least 100 reads, and on until compaction has rewritten the files
+  // under them a few times.
+  for (int i = 0; i < 100 || (*log)->Stats().compactions < 5; ++i) {
+    ASSERT_LT(i, 100000) << "the compactor never ran";
+    ASSERT_EQ(ReadView(**log, "snapshot_orders", kRead), expected)
+        << "read " << i;
+  }
+  stop.store(true);
+  writer.join();
+  compactor.join();
+  EXPECT_EQ(ReadView(**log, "snapshot_orders", kRead), expected);
+}
+
+// The log read and the in-memory chain are two implementations of one
+// backward differential read. A seeded engine-shaped history (random
+// writes, rewrites and tombstones over 8 partitions, persisted through the
+// durable listener, segments rotating and compacting) is replayed into a
+// fresh grid; for every durable ssid each partition's log read must equal
+// that grid's ColumnarPartitionAt row for row.
+TEST(SnapshotLogTest, DurableReadsEqualTheReplayedGridRowForRow) {
+  constexpr int32_t kPartitions = 8;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    TempDir dir;
+    auto log = SnapshotLog::Open({.dir = dir.path(),
+                                  .segment_bytes = 2048,
+                                  .retained_snapshots = 6,
+                                  .sync_on_commit = false,
+                                  .async_compact = false});
+    ASSERT_TRUE(log.ok()) << log.status();
+    {
+      kv::Grid grid(kv::GridConfig{.node_count = 1,
+                                   .partition_count = kPartitions,
+                                   .backup_count = 0});
+      state::SnapshotRegistry registry(
+          &grid, {.retained_versions = 2, .async_prune = false});
+      DurableSnapshotListener durable(&grid, log->get());
+      dataflow::CheckpointListenerChain chain({&durable, &registry});
+      kv::SnapshotTable* table = grid.GetOrCreateSnapshotTable("snapshot_t");
+      Rng rng(seed);
+      for (int64_t id = 1; id <= 12; ++id) {
+        for (int i = 0; i < 40; ++i) {
+          const kv::Value key(static_cast<int64_t>(rng.NextBounded(60)));
+          if (rng.NextBool(0.2)) {
+            table->WriteTombstone(id, key);
+          } else {
+            kv::Object o;
+            o.Set("n", kv::Value(static_cast<int64_t>(rng.NextBounded(1000))));
+            if (rng.NextBool(0.5)) {
+              o.Set("s", kv::Value("v" + std::to_string(i)));
+            }
+            table->Write(id, key, std::move(o));
+          }
+        }
+        ASSERT_TRUE(chain.OnCheckpointPrepared(id).ok());
+        chain.OnCheckpointCommitted(id);
+      }
+    }
+    ASSERT_GT((*log)->Stats().compactions, 0) << "seed " << seed;
+    kv::Grid replayed(kv::GridConfig{.node_count = 1,
+                                     .partition_count = kPartitions,
+                                     .backup_count = 0});
+    ASSERT_TRUE((*log)->ReplayInto(&replayed, /*retained_versions=*/0).ok());
+    const kv::SnapshotTable* table = replayed.GetSnapshotTable("snapshot_t");
+    ASSERT_NE(table, nullptr);
+    const auto rows_of = [](const kv::ColumnBatch& batch) {
+      std::vector<std::string> rows;
+      for (size_t r = 0; r < batch.row_count(); ++r) {
+        rows.push_back(batch.keys()[r].ToString() + " @" +
+                       std::to_string(batch.ssids()[r]) + " " +
+                       batch.MaterializeRow(r).ToString());
+      }
+      return rows;
+    };
+    for (const int64_t ssid : (*log)->CommittedIds()) {
+      auto read = (*log)->ReadSnapshot("snapshot_t", ssid,
+                                       replayed.partitioner());
+      ASSERT_TRUE(read.ok()) << read.status();
+      ASSERT_EQ(read->size(), static_cast<size_t>(kPartitions));
+      for (int32_t p = 0; p < kPartitions; ++p) {
+        EXPECT_EQ(rows_of(*(*read)[p]),
+                  rows_of(*table->ColumnarPartitionAt(p, ssid)))
+            << "seed " << seed << ", ssid " << ssid << ", partition " << p;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Phase-1 failures abort the checkpoint
+
+/// Fails OnCheckpointPrepared for one checkpoint id.
+class FailingPrepareListener : public dataflow::CheckpointListener {
+ public:
+  explicit FailingPrepareListener(int64_t fail_id) : fail_id_(fail_id) {}
+  Status OnCheckpointPrepared(int64_t checkpoint_id) override {
+    if (checkpoint_id == fail_id_) {
+      return Status::Internal("injected prepare failure");
+    }
+    return Status::OK();
+  }
+
+ private:
+  const int64_t fail_id_;
+};
+
+/// A running unbounded source -> keyed count job over `grid`, checkpointing
+/// only when triggered, with `listener` observing its checkpoints.
+std::unique_ptr<dataflow::Job> StartCountJob(
+    kv::Grid* grid, dataflow::CheckpointListener* listener) {
+  dataflow::JobGraph graph;
+  dataflow::GeneratorSource::Options options;
+  options.total_records = -1;
+  options.target_rate = 20000.0;
+  const int32_t src = graph.AddSource(
+      "src", 1,
+      dataflow::MakeGeneratorSourceFactory(
+          options, [](int64_t offset, dataflow::OperatorContext* ctx) {
+            return dataflow::Record::Data(kv::Value(offset % 7), kv::Object(),
+                                          ctx->NowNanos());
+          }));
+  const int32_t count = graph.AddOperator(
+      "count", 1,
+      dataflow::MakeLambdaOperatorFactory(
+          [](const dataflow::Record& r, dataflow::OperatorContext* ctx) {
+            kv::Object state = ctx->GetState(r.key).value_or(kv::Object());
+            state.Set("count", kv::Value(state.Get("count").AsInt64() + 1));
+            ctx->PutState(r.key, std::move(state));
+            return Status::OK();
+          }));
+  SQ_CHECK_OK(graph.Connect(src, count, dataflow::EdgeKind::kKeyed));
+  dataflow::JobConfig config;
+  config.checkpoint_interval_ms = 0;
+  config.partitioner = &grid->partitioner();
+  config.listener = listener;
+  config.state_store_factory =
+      state::MakeSQueryStateStoreFactory(grid, state::SQueryConfig{});
+  auto job = dataflow::Job::Create(graph, std::move(config));
+  SQ_CHECK(job.ok()) << job.status().ToString();
+  SQ_CHECK_OK((*job)->Start());
+  return std::move(*job);
+}
+
+/// Checkpoint 1 commits, checkpoint 2 fails in phase 1 (however `fail`
+/// arranges it), checkpoint 3 commits: the failed id is aborted everywhere
+/// — never published, not in the log, listed aborted in the job's
+/// checkpoint history — and the previous id stays latest until 3.
+void ExpectPhase1FailureAborts(const std::string& dir,
+                               dataflow::CheckpointListener* extra,
+                               const std::function<void()>& before_fail,
+                               const std::function<void()>& after_fail) {
+  kv::Grid grid(kv::GridConfig{.node_count = 1, .partition_count = 8,
+                               .backup_count = 0});
+  auto log = SnapshotLog::Open({.dir = dir, .flush_bytes = 1});
+  ASSERT_TRUE(log.ok()) << log.status();
+  state::SnapshotRegistry registry(
+      &grid, {.retained_versions = 2, .async_prune = false});
+  DurableSnapshotListener durable(&grid, log->get());
+  dataflow::CheckpointListenerChain chain;
+  chain.Add(&durable);
+  if (extra != nullptr) chain.Add(extra);
+  chain.Add(&registry);
+  std::unique_ptr<dataflow::Job> job = StartCountJob(&grid, &chain);
+  // Let every key reach the state, so each checkpoint has a delta to log.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  Result<int64_t> first = job->TriggerCheckpoint();
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_EQ(*first, 1);
+  before_fail();
+  Result<int64_t> failed = job->TriggerCheckpoint();
+  after_fail();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsAborted()) << failed.status();
+  EXPECT_EQ(job->latest_committed_checkpoint(), 1);
+  EXPECT_EQ(registry.latest_committed(), 1);
+  EXPECT_EQ((*log)->LatestDurable(), 1);
+  EXPECT_FALSE((*log)->IsDurable(2));
+  const kv::SnapshotTable* table = grid.GetSnapshotTable("snapshot_count");
+  ASSERT_NE(table, nullptr);
+  for (int32_t p = 0; p < table->partition_count(); ++p) {
+    EXPECT_EQ(table->DeltaAt(p, 2), nullptr) << "partition " << p;
+  }
+  bool listed_aborted = false;
+  for (const dataflow::CheckpointRow& row : job->RecentCheckpoints()) {
+    if (row.id == 2) listed_aborted = !row.committed;
+  }
+  EXPECT_TRUE(listed_aborted);
+
+  Result<int64_t> next = job->TriggerCheckpoint();
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(*next, 3);
+  EXPECT_EQ(registry.latest_committed(), 3);
+  EXPECT_EQ((*log)->LatestDurable(), 3);
+  EXPECT_EQ((*log)->CommittedIds(), (std::vector<int64_t>{1, 3}));
+  ASSERT_TRUE(job->Stop().ok());
+}
+
+TEST(DurableListenerTest, FailingListenerInTheChainAbortsTheCheckpoint) {
+  TempDir dir;
+  FailingPrepareListener failing(/*fail_id=*/2);
+  ExpectPhase1FailureAborts(dir.path(), &failing, [] {}, [] {});
+}
+
+TEST(DurableListenerTest, FailedLogAppendAbortsTheCheckpoint) {
+  TempDir dir;
+  // As in FailedFlushLeavesNoTornPrefixBeforeALaterCommit: a file-size
+  // limit just past the segment's end turns checkpoint 2's first append
+  // (flush_bytes = 1 writes it through) into a short write and EFBIG.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  void (*previous_handler)(int) = SIG_DFL;
+  const auto limit = [&] {
+    std::string segment;
+    for (const auto& entry : fs::directory_iterator(dir.path())) {
+      if (entry.path().filename().string().rfind("segment-", 0) == 0) {
+        segment = entry.path().string();
+      }
+    }
+    ASSERT_FALSE(segment.empty());
+    rlimit limited = saved;
+    limited.rlim_cur = fs::file_size(segment) + 16;
+    previous_handler = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+  };
+  const auto lift = [&] {
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, previous_handler);
+  };
+  ExpectPhase1FailureAborts(dir.path(), nullptr, limit, lift);
 }
 
 }  // namespace
