@@ -22,6 +22,8 @@ namespace sq {
 /// The table mirrors the engine's call graph, outermost first:
 ///   job.checkpoint   held across the whole 2PC, including listener
 ///                    callbacks into storage and the snapshot registry
+///   storage.files    the snapshot log's segment files: shared by
+///                    time-travel reads, exclusive for compaction
 ///   storage.log      the durable snapshot log; takes histogram locks
 ///   storage.compact  compactor handoff queue
 ///   state.registry   snapshot registry; pruning descends into the grid
@@ -51,6 +53,7 @@ inline constexpr int kJobCheckpoint = 100;
 /// after the checkpoint coordinator.
 inline constexpr int kNetServer = 150;
 inline constexpr int kNetClient = 160;
+inline constexpr int kStorageFiles = 190;
 inline constexpr int kStorageLog = 200;
 inline constexpr int kStorageCompact = 210;
 inline constexpr int kStateRegistry = 300;

@@ -304,6 +304,13 @@ Status Job::BeginCapture(Worker* w, ContextImpl* ctx, int64_t checkpoint_id) {
   // acking it as prepared would commit a checkpoint silently missing this
   // worker's state.
   Status s = w->op->OnCheckpoint(checkpoint_id, ctx);
+  // The previous capture's checkpoint was decided before this marker was
+  // injected. If it did not commit, the store takes its changes back here:
+  // the abort notice is best-effort and may never have arrived.
+  if (w->state && w->written_capture > latest_committed_.load()) {
+    w->state->AbortSnapshot(w->written_capture);
+  }
+  w->written_capture = 0;
   if (s.ok() && w->state) s = w->state->BeginSnapshot(checkpoint_id);
   if (!s.ok()) {
     SQ_LOG(Error) << w->vertex_name << "[" << w->instance
@@ -324,6 +331,8 @@ void Job::StepCapture(Worker* w, PendingCapture* capture, size_t budget) {
       capture->status = step.status().WithContext(
           w->vertex_name + "[" + std::to_string(w->instance) + "]");
       w->state->AbortSnapshot(capture->checkpoint_id);  // release it
+    } else {
+      w->written_capture = capture->checkpoint_id;
     }
   }
   // Per-operator capture, attached to the coordinator's checkpoint span

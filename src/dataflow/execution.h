@@ -181,6 +181,8 @@ class Job {
     std::atomic<int64_t> processed{0};
     std::atomic<int64_t> emitted{0};
     std::atomic<size_t> state_entries{0};  // maintained by the worker thread
+    /// The last capture this worker wrote out (worker thread only).
+    int64_t written_capture = 0;
     Histogram proc_latency;                // sampled ProcessRecord nanos
   };
 

@@ -50,7 +50,9 @@ class StateStore {
   /// Phase-1 capture protocol, the same three calls in both barrier modes.
   /// `BeginSnapshot` marks the capture point for `checkpoint_id`: every
   /// mutation after it must be invisible to the snapshot. It fails with
-  /// FailedPrecondition while another capture is in flight.
+  /// FailedPrecondition while another capture is in flight. It also settles
+  /// the previous written-out capture: that checkpoint committed unless
+  /// AbortSnapshot abandoned it first.
   virtual Status BeginSnapshot(int64_t checkpoint_id) = 0;
 
   /// Persists at most `max_entries` captured entries and returns true once
@@ -61,8 +63,9 @@ class StateStore {
   virtual Result<bool> FinishSnapshotStep(int64_t checkpoint_id,
                                           size_t max_entries) = 0;
 
-  /// Abandons the in-flight capture of `checkpoint_id` without publishing
-  /// anything; a no-op if that capture is not in flight.
+  /// Abandons the capture of `checkpoint_id`, in flight or written out but
+  /// not yet settled by the next BeginSnapshot, so its changes count as
+  /// changes of the next capture; a no-op for any other id.
   virtual void AbortSnapshot(int64_t checkpoint_id) = 0;
 
   /// Convenience for callers outside the engine: Begin plus one unbounded

@@ -24,28 +24,21 @@ Value Column::At(size_t row) const {
 
 void Column::Resize(size_t rows) {
   present_.resize(rows, 0);
-  // The cell array grows with the presence bitmap, not a step behind it.
-  const size_t capacity = present_.capacity();
   if (mixed_) {
-    values_.reserve(capacity);
     values_.resize(rows);
     return;
   }
   switch (type_) {
     case ValueType::kBool:
-      bools_.reserve(capacity);
       bools_.resize(rows, 0);
       break;
     case ValueType::kInt64:
-      ints_.reserve(capacity);
       ints_.resize(rows, 0);
       break;
     case ValueType::kDouble:
-      doubles_.reserve(capacity);
       doubles_.resize(rows, 0.0);
       break;
     case ValueType::kString:
-      strings_.reserve(capacity);
       strings_.resize(rows);
       break;
     case ValueType::kNull:
@@ -172,7 +165,6 @@ size_t ColumnBatch::EnsureColumn(std::string_view name) {
   const size_t idx = static_cast<size_t>(it - names_.begin());
   names_.insert(it, std::string(name));
   Column col;
-  col.Reserve(keys_.capacity());
   col.Resize(row_count());
   columns_.insert(columns_.begin() + static_cast<ptrdiff_t>(idx),
                   std::move(col));
@@ -198,14 +190,10 @@ void ColumnBatch::Reserve(size_t rows) {
   keys_.reserve(rows);
   ssids_.reserve(rows);
   tombstones_.reserve(rows);
-  for (Column& col : columns_) col.Reserve(rows);
 }
 
 size_t ColumnBatch::StartRow(const Value& key, int64_t ssid, bool tombstone) {
   const size_t row = keys_.size();
-  // Room for a few rows up front: a batch built row by row would otherwise
-  // reallocate every array at 1, 2 and 4 rows.
-  if (keys_.capacity() == 0) Reserve(8);
   keys_.push_back(key);
   ssids_.push_back(ssid);
   tombstones_.push_back(tombstone ? 1 : 0);

@@ -48,8 +48,6 @@ class Column {
 
   /// Pads the column with absent cells up to `rows`.
   void Resize(size_t rows);
-  /// Makes room for `rows` cells; the typed array follows once typed.
-  void Reserve(size_t rows) { present_.reserve(rows); }
   /// Marks `row` present with `v`, demoting to mixed on type conflict.
   void Set(size_t row, const Value& v);
   /// Copies one cell (including absence) from `src`; avoids materializing a

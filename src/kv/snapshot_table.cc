@@ -72,14 +72,40 @@ void SnapshotTable::RebuildChunk(PartitionData* part, int64_t key) {
   }
 }
 
+void SnapshotTable::EncodeOpenRows(const PartitionData& part) {
+  if (part.open.empty()) return;
+  Chunk& delta = part.chunks[part.open_ssid];
+  if (delta.rows == nullptr) {
+    delta.rows = std::make_shared<ColumnBatch>();
+  } else if (delta.shared) {
+    delta.rows = std::make_shared<ColumnBatch>(*delta.rows);
+    delta.shared = false;
+  }
+  // A new batch is sized once; a growing one keeps its geometric growth.
+  if (delta.rows->row_count() == 0) delta.rows->Reserve(part.open.size());
+  for (const OpenRow& row : part.open) {
+    if (row.tombstone) {
+      delta.rows->AppendTombstone(row.key, part.open_ssid);
+    } else {
+      delta.rows->AppendRow(row.key, part.open_ssid, row.value);
+    }
+  }
+  delta.live += part.open.size();
+  std::vector<OpenRow>().swap(part.open);
+}
+
 void SnapshotTable::WriteInto(PartitionData* part, int64_t ssid,
-                              const Value& key, const Object* value) {
+                              const Value& key, Object value,
+                              bool tombstone) {
   MutexLock lock(&part->mu);
   // A write at `ssid` can only change merged views at `ssid` and newer;
   // older cached columnar views stay valid (that is what makes the next
   // view buildable incrementally from them).
   part->columnar.erase(part->columnar.lower_bound(ssid),
                        part->columnar.end());
+  // Checkpoints are produced in increasing ssid order, so the open rows are
+  // almost always this ssid's.
+  if (part->open_ssid != ssid) EncodeOpenRows(*part);
   auto [key_it, inserted] = part->index.try_emplace(key);
   if (inserted) part->key_order.push_back(key);
   std::vector<Version>& versions = key_it->second;
@@ -87,50 +113,63 @@ void SnapshotTable::WriteInto(PartitionData* part, int64_t ssid,
       versions.begin(), versions.end(), ssid,
       [](const Version& v, int64_t s) { return v.ssid < s; });
   if (pos != versions.end() && pos->ssid == ssid) {
-    // A rewrite of this version: its old row leaves its batch, so a delta
+    if (pos->chunk == ssid && pos->row >= part->open_base &&
+        !part->open.empty()) {
+      // A rewrite of an open row replaces it where it is.
+      part->open[pos->row - part->open_base] =
+          OpenRow{key, std::move(value), tombstone};
+      pos->tombstone = tombstone;
+      return;
+    }
+    // A rewrite of an encoded row: that row leaves its batch, so a delta
     // keeps one row per key.
+    EncodeOpenRows(*part);
     const int64_t chunk = pos->chunk;
     pos = versions.erase(pos);
     RebuildChunk(part, chunk);
   }
-  // Checkpoints are produced in increasing ssid order, so this is almost
-  // always the newest delta, appended to in place.
-  Chunk& delta = part->chunks[ssid];
-  if (delta.rows == nullptr) {
-    delta.rows = std::make_shared<ColumnBatch>();
-  } else if (delta.shared) {
-    delta.rows = std::make_shared<ColumnBatch>(*delta.rows);
-    delta.shared = false;
+  if (part->open.empty()) {
+    auto delta = part->chunks.find(ssid);
+    part->open_ssid = ssid;
+    part->open_base =
+        delta == part->chunks.end()
+            ? 0
+            : static_cast<uint32_t>(delta->second.rows->row_count());
   }
-  const auto row = static_cast<uint32_t>(delta.rows->row_count());
-  if (value != nullptr) {
-    delta.rows->AppendRow(key, ssid, *value);
-  } else {
-    delta.rows->AppendTombstone(key, ssid);
-  }
-  ++delta.live;
-  versions.insert(pos, Version{ssid, ssid, row, value == nullptr});
+  const auto row =
+      static_cast<uint32_t>(part->open_base + part->open.size());
+  part->open.push_back(OpenRow{key, std::move(value), tombstone});
+  versions.insert(pos, Version{ssid, ssid, row, tombstone});
+  if (part->open.size() >= kMaxOpenRows) EncodeOpenRows(*part);
 }
 
 void SnapshotTable::Write(int64_t ssid, const Value& key, Object value) {
   const int32_t p = partitioner_->PartitionOf(key);
   for (auto& replica : backups_) {
-    WriteInto(replica[p].get(), ssid, key, &value);
+    WriteInto(replica[p].get(), ssid, key, value, /*tombstone=*/false);
   }
-  WriteInto(partitions_[p].get(), ssid, key, &value);
+  WriteInto(partitions_[p].get(), ssid, key, std::move(value),
+            /*tombstone=*/false);
 }
 
 void SnapshotTable::WriteTombstone(int64_t ssid, const Value& key) {
   const int32_t p = partitioner_->PartitionOf(key);
   for (auto& replica : backups_) {
-    WriteInto(replica[p].get(), ssid, key, nullptr);
+    WriteInto(replica[p].get(), ssid, key, Object(), /*tombstone=*/true);
   }
-  WriteInto(partitions_[p].get(), ssid, key, nullptr);
+  WriteInto(partitions_[p].get(), ssid, key, Object(), /*tombstone=*/true);
+}
+
+void SnapshotTable::EncodeWrites(int32_t partition) {
+  PartitionData& part = *partitions_[partition];
+  MutexLock lock(&part.mu);
+  EncodeOpenRows(part);
 }
 
 void SnapshotTable::DropSnapshotInPartition(PartitionData* part,
                                             int64_t ssid) {
   MutexLock lock(&part->mu);
+  if (part->open_ssid == ssid) std::vector<OpenRow>().swap(part->open);
   part->columnar.erase(part->columnar.lower_bound(ssid),
                        part->columnar.end());
   bool erased_keys = false;
@@ -183,6 +222,7 @@ bool SnapshotTable::VisitRowAt(
   MutexLock lock(&part.mu);
   const Version* version = LiveVersionAt(part, key, ssid);
   if (version == nullptr) return false;
+  EncodeOpenRows(part);
   fn(*part.chunks.at(version->chunk).rows, version->row);
   return true;
 }
@@ -224,6 +264,7 @@ std::shared_ptr<const ColumnBatch> SnapshotTable::ColumnarPartitionAt(
   MutexLock lock(&part.mu);
   auto hit = part.columnar.find(ssid);
   if (hit != part.columnar.end()) return hit->second;
+  EncodeOpenRows(part);
 
   // Incremental build: start from the newest older cached view (still valid
   // by the invalidation rules) and copy its rows straight across, taking
@@ -260,7 +301,6 @@ std::shared_ptr<const ColumnBatch> SnapshotTable::ColumnarPartitionAt(
     }
     if (in_base) ++base_row;
   }
-
   part.columnar.emplace(ssid, batch);
   while (part.columnar.size() > kMaxCachedViews) {
     part.columnar.erase(part.columnar.begin());
@@ -272,6 +312,7 @@ std::shared_ptr<const ColumnBatch> SnapshotTable::DeltaAt(
     int32_t partition, int64_t ssid) const {
   const PartitionData& part = *partitions_[partition];
   MutexLock lock(&part.mu);
+  EncodeOpenRows(part);
   auto delta = part.chunks.find(ssid);
   if (delta == part.chunks.end()) return nullptr;
   Chunk& chunk = delta->second;
@@ -284,6 +325,18 @@ size_t SnapshotTable::CompactPartition(PartitionData* part,
                                        int64_t floor_ssid) {
   size_t removed = 0;
   MutexLock lock(&part->mu);
+  // Open rows newer than the floor are out of compaction's reach, and those
+  // at the floor are their keys' bases there, dropped only if tombstones:
+  // only then are they encoded first. The fold below leaves their delta be.
+  if (part->open_ssid < floor_ssid ||
+      (part->open_ssid == floor_ssid &&
+       std::any_of(part->open.begin(), part->open.end(),
+                   [](const OpenRow& row) { return row.tombstone; }))) {
+    EncodeOpenRows(*part);
+  }
+  const int64_t fold_limit = part->open.empty()
+                                 ? floor_ssid
+                                 : std::min(floor_ssid, part->open_ssid - 1);
   // Compaction only drops versions a view at >= floor never serves, so
   // cached views at the floor and newer survive; older ones would now read
   // base-shifted results and must go.
@@ -323,7 +376,7 @@ size_t SnapshotTable::CompactPartition(PartitionData* part,
   size_t rows = 0;
   size_t live = 0;
   auto chunk = part->chunks.begin();
-  while (chunk != part->chunks.end() && chunk->first <= floor_ssid) {
+  while (chunk != part->chunks.end() && chunk->first <= fold_limit) {
     if (chunk->second.live == 0) {
       chunk = part->chunks.erase(chunk);
       continue;
@@ -380,6 +433,7 @@ void SnapshotTable::FailPartitionPrimary(int32_t partition) {
   if (backups_.empty()) {
     // No replica to promote: the partition's data is simply lost.
     MutexLock lock(&primary.mu);
+    std::vector<OpenRow>().swap(primary.open);
     primary.chunks.clear();
     primary.index.clear();
     primary.key_order.clear();
@@ -396,6 +450,8 @@ void SnapshotTable::FailPartitionPrimary(int32_t partition) {
   PartitionData& backup = *backups_[0][partition];
   MutexLock backup_lock(&backup.mu);
   MutexLock primary_lock(&primary.mu);
+  EncodeOpenRows(backup);
+  std::vector<OpenRow>().swap(primary.open);
   // Both copies now hold the same batches; whichever writes one first
   // copies it.
   for (auto& [key, chunk] : backup.chunks) chunk.shared = true;

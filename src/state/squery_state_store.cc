@@ -123,6 +123,9 @@ Status SQueryStateStore::BeginSnapshot(int64_t checkpoint_id) {
         std::to_string(capture_ckpt_));
   }
   capture_ckpt_ = checkpoint_id;
+  // The previous written-out capture is settled: its checkpoint committed,
+  // or AbortSnapshot already handed its change tracking back.
+  ForgetWritten();
   // Freeze this epoch's delta; the live sets start tracking the next one.
   capture_dirty_ = std::move(dirty_);
   capture_deleted_ = std::move(deleted_);
@@ -187,6 +190,13 @@ Result<bool> SQueryStateStore::FinishSnapshotStep(int64_t checkpoint_id,
       snap_table_->WriteTombstone(checkpoint_id, key);
       ++tombstones;
     }
+    // Encode this instance's partitions of the checkpoint's deltas here, on
+    // the worker, rather than at the first read (the commit's durable
+    // append, or a query).
+    for (int32_t p = instance_; p < snap_table_->partition_count();
+         p += std::max(config_.parallelism, 1)) {
+      snap_table_->EncodeWrites(p);
+    }
   }
   const size_t captured_size = capture_build_.size();
   internal_snapshots_[checkpoint_id] = std::move(capture_build_);
@@ -216,22 +226,51 @@ Result<bool> SQueryStateStore::FinishSnapshotStep(int64_t checkpoint_id,
       }
     }
   }
+  // Keep the epoch's change tracking until the checkpoint is settled: if it
+  // aborts after this point, the next incremental delta must still cover
+  // these keys.
+  written_ckpt_ = checkpoint_id;
+  written_dirty_ = std::move(capture_dirty_);
+  written_deleted_ = std::move(capture_deleted_);
   DiscardCapture();
   return true;
 }
 
 void SQueryStateStore::AbortSnapshot(int64_t checkpoint_id) {
-  if (capture_ckpt_ == 0 || capture_ckpt_ != checkpoint_id) return;
-  // Fold the aborted epoch's change tracking back into the live epoch so
-  // the next successful incremental snapshot still covers those keys. A key
-  // mutated again since Begin keeps its newer classification.
-  for (const kv::Value& key : capture_dirty_) {
+  if (checkpoint_id == 0) return;
+  if (capture_ckpt_ == checkpoint_id) {
+    FoldBack(capture_dirty_, capture_deleted_);
+    DiscardCapture();
+  } else if (written_ckpt_ == checkpoint_id) {
+    FoldBack(written_dirty_, written_deleted_);
+    // An aborted checkpoint is never a recovery point.
+    internal_snapshots_.erase(checkpoint_id);
+    ForgetWritten();
+  }
+}
+
+void SQueryStateStore::FoldBack(const KeySet& dirty, const KeySet& deleted) {
+  // The aborted epoch's changes rejoin the live epoch so the next successful
+  // incremental snapshot still covers those keys. A key mutated again since
+  // the capture point keeps its newer classification.
+  for (const kv::Value& key : dirty) {
     if (deleted_.count(key) == 0) dirty_.insert(key);
   }
-  for (const kv::Value& key : capture_deleted_) {
+  for (const kv::Value& key : deleted) {
     if (dirty_.count(key) == 0) deleted_.insert(key);
   }
-  DiscardCapture();
+}
+
+void SQueryStateStore::ForgetWritten() {
+  written_ckpt_ = 0;
+  written_dirty_.clear();
+  written_deleted_.clear();
+}
+
+void SQueryStateStore::ResetChangeTracking() {
+  dirty_.clear();
+  deleted_.clear();
+  ForgetWritten();
 }
 
 void SQueryStateStore::DiscardCapture() {
@@ -280,8 +319,7 @@ Status SQueryStateStore::RestoreFrom(int64_t checkpoint_id) {
     }
   }
   local_ = std::move(restored);
-  dirty_.clear();
-  deleted_.clear();
+  ResetChangeTracking();
   return Status::OK();
 }
 
@@ -324,8 +362,7 @@ Status SQueryStateStore::RestoreFromTable(int64_t checkpoint_id) {
     }
   }
   local_ = std::move(restored);
-  dirty_.clear();
-  deleted_.clear();
+  ResetChangeTracking();
   return Status::OK();
 }
 
@@ -336,8 +373,7 @@ void SQueryStateStore::Clear() {
     }
   }
   local_.clear();
-  dirty_.clear();
-  deleted_.clear();
+  ResetChangeTracking();
   DiscardCapture();
 }
 

@@ -19,7 +19,8 @@ namespace sq::storage {
 ///
 ///   phase 1  OnCheckpointPrepared — append each table's per-partition delta
 ///            batches as the workers built them (`SnapshotTable::DeltaAt`,
-///            tombstones included); an error aborts the checkpoint.
+///            tombstones included, which encodes any rows a writer left
+///            open); an error aborts the checkpoint.
 ///   phase 2  OnCheckpointCommitted — `SnapshotLog::Commit` (flush + fsync +
 ///            commit record + MANIFEST).
 ///   failure  OnCheckpointAborted — `SnapshotLog::Abort` discards the tail.

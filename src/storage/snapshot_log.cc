@@ -858,60 +858,41 @@ int64_t SnapshotLog::PersistedBytes(int64_t ssid) const {
 Result<std::vector<std::shared_ptr<const kv::ColumnBatch>>>
 SnapshotLog::ReadSnapshot(const std::string& table, int64_t ssid,
                           const kv::Partitioner& partitioner) const {
-  for (int attempt = 0;; ++attempt) {
-    DeltaMerge merge(ssid);
-    RecordVisitor visit;
-    visit.delta = [&](DecodedDelta& delta, size_t) {
-      if (delta.table == table) {
-        merge.Add(delta.partition, std::move(delta.rows));
-      }
-    };
-    const auto read_all = [&visit](const std::vector<Segment>& segments) {
-      for (const Segment& segment : segments) {
-        SQ_RETURN_IF_ERROR(VisitCommittedRecords(
-            segment.path, segment.durable_bytes, visit));
-      }
-      return Status::OK();
-    };
-    // After three reads that compactions overtook, read under the lock, so
-    // a steady stream of them cannot starve the reader.
-    const bool locked = attempt >= 3;
-    Status read = Status::OK();
-    std::vector<Segment> segments;
-    int64_t compactions = 0;
-    {
-      MutexLock lock(&mu_);
-      if (!std::binary_search(committed_.begin(), committed_.end(), ssid)) {
-        return Status::NotFound("snapshot " + std::to_string(ssid) +
-                                " is not durable in " + options_.dir);
-      }
-      segments = segments_;
-      compactions = compactions_;
-      if (locked) read = read_all(segments);
+  // The files are read without mu_, so appends and commits go on meanwhile:
+  // they only grow the files past the durable sizes taken here. Compaction,
+  // which rewrites and deletes segments, waits for the read to finish.
+  ReaderMutexLock files(&files_mu_);
+  std::vector<Segment> segments;
+  {
+    MutexLock lock(&mu_);
+    if (!std::binary_search(committed_.begin(), committed_.end(), ssid)) {
+      return Status::NotFound("snapshot " + std::to_string(ssid) +
+                              " is not durable in " + options_.dir);
     }
-    if (!locked) {
-      // The files are read without the lock, so appends and commits go on
-      // meanwhile; they only grow the files past the durable sizes taken.
-      read = read_all(segments);
-      // Compaction rewrites and deletes segments under the lock; if one ran
-      // meanwhile, what was read may mix old and new files: read again.
-      MutexLock lock(&mu_);
-      if (compactions_ != compactions) continue;
-    }
-    SQ_RETURN_IF_ERROR(read);
-    std::vector<std::shared_ptr<kv::ColumnBatch>> partitions;
-    partitions.reserve(static_cast<size_t>(partitioner.partition_count()));
-    for (int32_t p = 0; p < partitioner.partition_count(); ++p) {
-      partitions.push_back(std::make_shared<kv::ColumnBatch>());
-    }
-    merge.ForEachRow(
-        [&](int32_t, const kv::ColumnBatch& rows, size_t row) {
-          partitions[partitioner.PartitionOf(rows.keys()[row])]
-              ->AppendRowFrom(rows, row);
-        });
-    return std::vector<std::shared_ptr<const kv::ColumnBatch>>(
-        partitions.begin(), partitions.end());
+    segments = segments_;
   }
+  DeltaMerge merge(ssid);
+  RecordVisitor visit;
+  visit.delta = [&](DecodedDelta& delta, size_t) {
+    if (delta.table == table) {
+      merge.Add(delta.partition, std::move(delta.rows));
+    }
+  };
+  for (const Segment& segment : segments) {
+    SQ_RETURN_IF_ERROR(
+        VisitCommittedRecords(segment.path, segment.durable_bytes, visit));
+  }
+  std::vector<std::shared_ptr<kv::ColumnBatch>> partitions;
+  partitions.reserve(static_cast<size_t>(partitioner.partition_count()));
+  for (int32_t p = 0; p < partitioner.partition_count(); ++p) {
+    partitions.push_back(std::make_shared<kv::ColumnBatch>());
+  }
+  merge.ForEachRow([&](int32_t, const kv::ColumnBatch& rows, size_t row) {
+    partitions[partitioner.PartitionOf(rows.keys()[row])]->AppendRowFrom(
+        rows, row);
+  });
+  return std::vector<std::shared_ptr<const kv::ColumnBatch>>(
+      partitions.begin(), partitions.end());
 }
 
 Status SnapshotLog::ScanChannelLog(int64_t ssid, const ChannelLogFn& fn) const {
@@ -986,6 +967,7 @@ Result<RecoveryInfo> SnapshotLog::ReplayInto(kv::Grid* grid,
 size_t SnapshotLog::CompactTo(int64_t floor_ssid) {
   trace::ScopedSpan span(trace::Category::kStorage, "compaction");
   span.AddAttr("floor_ssid", floor_ssid);
+  WriterMutexLock files(&files_mu_);
   MutexLock lock(&mu_);
   // Candidates: sealed segments whose every entry is older than the floor.
   // The newest per-key entry among them is a base a retained snapshot may

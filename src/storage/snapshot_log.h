@@ -171,8 +171,8 @@ class SnapshotLog {
   /// back from the log: per key the row of its newest version at or before
   /// `ssid`, tombstoned keys left out, in batch `partitioner.PartitionOf(key)`
   /// of one per partition, keys in log first-appearance order. The files are
-  /// read without the log's lock; a compaction meanwhile makes it re-read,
-  /// and after three such reads it reads under the lock.
+  /// read without the log's lock, so appends and commits go on meanwhile; a
+  /// compaction waits for the read to finish.
   Result<std::vector<std::shared_ptr<const kv::ColumnBatch>>> ReadSnapshot(
       const std::string& table, int64_t ssid,
       const kv::Partitioner& partitioner) const;
@@ -225,6 +225,10 @@ class SnapshotLog {
   // sq-lint: unguarded-ok(immutable once OpenImpl returns)
   RecoveryInfo recovery_;  // immutable once OpenImpl returns
 
+  // Held shared while ReadSnapshot reads segment files without mu_, and
+  // exclusively by CompactTo, which rewrites and deletes them; taken before
+  // mu_.
+  mutable SharedMutex files_mu_{lockrank::kStorageFiles, "storage.files"};
   // The commit path holds mu_ while enqueueing to the compactor under
   // compact_mu_, so kStorageLog must rank before kStorageCompact.
   mutable Mutex mu_{lockrank::kStorageLog, "storage.log"};
@@ -246,8 +250,6 @@ class SnapshotLog {
   Histogram fsync_nanos_;  // internally synchronized
   int64_t commits_ SQ_GUARDED_BY(mu_) = 0;
   int64_t aborts_ SQ_GUARDED_BY(mu_) = 0;
-  // Also the generation of the segment files: each compaction that
-  // rewrites or deletes one bumps it.
   int64_t compactions_ SQ_GUARDED_BY(mu_) = 0;
   int64_t segments_deleted_ SQ_GUARDED_BY(mu_) = 0;
 

@@ -772,11 +772,42 @@ TEST_P(ColumnarViewDifferential, ViewsMatchTheModelAfterEveryStep) {
             << "seed " << seed << ", step " << step << ": held delta changed";
       }
       what = "rewrite under held batches";
-    } else {
+    } else if (op < 95) {
       for (int i = 0; i < 3; ++i) {
         table.ColumnarPartitionAt(any_partition(), any_ssid());
       }
       what = "view reads";
+    } else {
+      // Writes no read has encoded yet, then a compaction, a drop or a
+      // failover over them.
+      for (int i = 0, n = 1 + static_cast<int>(rng.NextBounded(8)); i < n;
+           ++i) {
+        const Value k(static_cast<int64_t>(rng.NextBounded(40)));
+        if (rng.NextBool(0.3)) {
+          table.WriteTombstone(ssid, k);
+          model.Write(ssid, k, std::nullopt);
+        } else {
+          Object row = RandomRow(&rng);
+          model.Write(ssid, k, row);
+          table.Write(ssid, k, std::move(row));
+        }
+      }
+      const uint64_t then = rng.NextBounded(3);
+      const int64_t at = rng.NextInRange(1, latest);
+      if (then == 0) {
+        table.Compact(at);
+        model.Compact(at);
+      } else if (then == 1) {
+        table.DropSnapshot(at);
+        model.DropSnapshot(at);
+      } else {
+        table.FailPartitionPrimary(any_partition());
+      }
+      what = "unread writes, then " +
+             std::string(then == 0   ? "Compact"
+                         : then == 1 ? "DropSnapshot"
+                                     : "FailPartitionPrimary") +
+             " at " + std::to_string(at);
     }
     what += " at ssid " + std::to_string(ssid);
     for (int32_t p = 0; p < kDiffPartitions; ++p) {

@@ -258,6 +258,7 @@ TEST(SnapshotTableTest, CompactDropsDeadTombstones) {
   table.WriteTombstone(2, Value(int64_t{9}));
   table.Compact(3);
   EXPECT_EQ(table.EntryCount(), 0u);
+  EXPECT_EQ(table.KeyCount(), 0u);
   // The key is gone with its versions: not even the view at 1 holds it.
   EXPECT_EQ(table.ColumnarPartitionAt(part.PartitionOf(Value(int64_t{9})), 1)
                 ->row_count(),
@@ -487,6 +488,7 @@ TEST(SnapshotTableTest, FailoverWithoutBackupLosesPartitionData) {
   o.Set("v", Value(int64_t{1}));
   for (int64_t i = 0; i < 64; ++i) table.Write(1, Value(i), o);
   for (int32_t p = 0; p < 4; ++p) table.FailPartitionPrimary(p);
+  EXPECT_EQ(table.KeyCount(), 0u);
   EXPECT_EQ(table.EntryCount(), 0u);
 }
 

@@ -13,6 +13,8 @@
 #include <functional>
 #include <iterator>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -1095,10 +1097,46 @@ class FailingPrepareListener : public dataflow::CheckpointListener {
   const int64_t fail_id_;
 };
 
+/// Lets a test settle the count job's state: while open, each record
+/// increments the count of key offset % 7; while closed, records carry the
+/// key -1, which the operator ignores.
+class CountGate {
+ public:
+  bool Admit() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (open_) ++sent_;
+    return open_;
+  }
+  void Applied() { applied_.fetch_add(1); }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+  }
+  /// Closes the gate and waits until every admitted record is applied.
+  void Settle() {
+    int64_t sent = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = false;
+      sent = sent_;
+    }
+    while (applied_.load() < sent) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  bool open_ = true;
+  int64_t sent_ = 0;
+  std::atomic<int64_t> applied_{0};
+};
+
 /// A running unbounded source -> keyed count job over `grid`, checkpointing
 /// only when triggered, with `listener` observing its checkpoints.
 std::unique_ptr<dataflow::Job> StartCountJob(
-    kv::Grid* grid, dataflow::CheckpointListener* listener) {
+    kv::Grid* grid, dataflow::CheckpointListener* listener, bool incremental,
+    CountGate* gate) {
   dataflow::JobGraph graph;
   dataflow::GeneratorSource::Options options;
   options.total_records = -1;
@@ -1106,17 +1144,20 @@ std::unique_ptr<dataflow::Job> StartCountJob(
   const int32_t src = graph.AddSource(
       "src", 1,
       dataflow::MakeGeneratorSourceFactory(
-          options, [](int64_t offset, dataflow::OperatorContext* ctx) {
-            return dataflow::Record::Data(kv::Value(offset % 7), kv::Object(),
+          options, [gate](int64_t offset, dataflow::OperatorContext* ctx) {
+            const int64_t key = gate->Admit() ? offset % 7 : -1;
+            return dataflow::Record::Data(kv::Value(key), kv::Object(),
                                           ctx->NowNanos());
           }));
   const int32_t count = graph.AddOperator(
       "count", 1,
       dataflow::MakeLambdaOperatorFactory(
-          [](const dataflow::Record& r, dataflow::OperatorContext* ctx) {
+          [gate](const dataflow::Record& r, dataflow::OperatorContext* ctx) {
+            if (r.key == kv::Value(int64_t{-1})) return Status::OK();
             kv::Object state = ctx->GetState(r.key).value_or(kv::Object());
             state.Set("count", kv::Value(state.Get("count").AsInt64() + 1));
             ctx->PutState(r.key, std::move(state));
+            gate->Applied();
             return Status::OK();
           }));
   SQ_CHECK_OK(graph.Connect(src, count, dataflow::EdgeKind::kKeyed));
@@ -1124,19 +1165,23 @@ std::unique_ptr<dataflow::Job> StartCountJob(
   config.checkpoint_interval_ms = 0;
   config.partitioner = &grid->partitioner();
   config.listener = listener;
+  state::SQueryConfig state_config;
+  state_config.incremental = incremental;
   config.state_store_factory =
-      state::MakeSQueryStateStoreFactory(grid, state::SQueryConfig{});
+      state::MakeSQueryStateStoreFactory(grid, state_config);
   auto job = dataflow::Job::Create(graph, std::move(config));
   SQ_CHECK(job.ok()) << job.status().ToString();
   SQ_CHECK_OK((*job)->Start());
   return std::move(*job);
 }
 
-/// Checkpoint 1 commits, checkpoint 2 fails in phase 1 (however `fail`
-/// arranges it), checkpoint 3 commits: the failed id is aborted everywhere
-/// — never published, not in the log, listed aborted in the job's
-/// checkpoint history — and the previous id stays latest until 3.
-void ExpectPhase1FailureAborts(const std::string& dir,
+/// Checkpoint 1 commits, the keys change, checkpoint 2 fails in phase 1
+/// (however `before_fail` arranges it), checkpoint 3 commits with no change
+/// since 2: the failed id is aborted everywhere — never published, not in
+/// the log, listed aborted in the job's checkpoint history — the previous id
+/// stays latest until 3, and snapshot 3, in memory and in the log, holds the
+/// live state (an incremental delta 3 must carry the changes of aborted 2).
+void ExpectPhase1FailureAborts(const std::string& dir, bool incremental,
                                dataflow::CheckpointListener* extra,
                                const std::function<void()>& before_fail,
                                const std::function<void()>& after_fail) {
@@ -1151,13 +1196,17 @@ void ExpectPhase1FailureAborts(const std::string& dir,
   chain.Add(&durable);
   if (extra != nullptr) chain.Add(extra);
   chain.Add(&registry);
-  std::unique_ptr<dataflow::Job> job = StartCountJob(&grid, &chain);
+  CountGate gate;
+  std::unique_ptr<dataflow::Job> job =
+      StartCountJob(&grid, &chain, incremental, &gate);
   // Let every key reach the state, so each checkpoint has a delta to log.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   Result<int64_t> first = job->TriggerCheckpoint();
   ASSERT_TRUE(first.ok()) << first.status();
   ASSERT_EQ(*first, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate.Settle();
   before_fail();
   Result<int64_t> failed = job->TriggerCheckpoint();
   after_fail();
@@ -1184,41 +1233,94 @@ void ExpectPhase1FailureAborts(const std::string& dir,
   EXPECT_EQ(registry.latest_committed(), 3);
   EXPECT_EQ((*log)->LatestDurable(), 3);
   EXPECT_EQ((*log)->CommittedIds(), (std::vector<int64_t>{1, 3}));
+
+  const kv::LiveMap* live = grid.GetLiveMap("count");
+  ASSERT_NE(live, nullptr);
+  auto logged = (*log)->ReadSnapshot("snapshot_count", 3, grid.partitioner());
+  ASSERT_TRUE(logged.ok()) << logged.status();
+  std::map<kv::Value, kv::Object> durable_rows;
+  for (const auto& batch : *logged) {
+    for (size_t r = 0; r < batch->row_count(); ++r) {
+      durable_rows.emplace(batch->keys()[r], batch->MaterializeRow(r));
+    }
+  }
+  EXPECT_EQ(durable_rows.size(), 7u);
+  for (int64_t k = 0; k < 7; ++k) {
+    const kv::Value key(k);
+    const std::optional<kv::Object> now = live->Get(key);
+    ASSERT_TRUE(now.has_value()) << "key " << k;
+    const std::optional<kv::Object> at3 = table->GetAt(key, 3);
+    ASSERT_TRUE(at3.has_value()) << "key " << k;
+    EXPECT_EQ(at3->ToString(), now->ToString()) << "key " << k;
+    auto row = durable_rows.find(key);
+    ASSERT_NE(row, durable_rows.end()) << "key " << k;
+    EXPECT_EQ(row->second.ToString(), now->ToString()) << "key " << k;
+  }
   ASSERT_TRUE(job->Stop().ok());
 }
 
-TEST(DurableListenerTest, FailingListenerInTheChainAbortsTheCheckpoint) {
-  TempDir dir;
-  FailingPrepareListener failing(/*fail_id=*/2);
-  ExpectPhase1FailureAborts(dir.path(), &failing, [] {}, [] {});
-}
+/// Limits the file size to just past the log's current segment, so the next
+/// append (flush_bytes = 1 writes it through) is a short write and EFBIG,
+/// as in FailedFlushLeavesNoTornPrefixBeforeALaterCommit.
+class SegmentSizeLimit {
+ public:
+  explicit SegmentSizeLimit(std::string dir) : dir_(std::move(dir)) {}
 
-TEST(DurableListenerTest, FailedLogAppendAbortsTheCheckpoint) {
-  TempDir dir;
-  // As in FailedFlushLeavesNoTornPrefixBeforeALaterCommit: a file-size
-  // limit just past the segment's end turns checkpoint 2's first append
-  // (flush_bytes = 1 writes it through) into a short write and EFBIG.
-  rlimit saved{};
-  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
-  void (*previous_handler)(int) = SIG_DFL;
-  const auto limit = [&] {
+  void Apply() {
     std::string segment;
-    for (const auto& entry : fs::directory_iterator(dir.path())) {
+    for (const auto& entry : fs::directory_iterator(dir_)) {
       if (entry.path().filename().string().rfind("segment-", 0) == 0) {
         segment = entry.path().string();
       }
     }
     ASSERT_FALSE(segment.empty());
-    rlimit limited = saved;
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    rlimit limited = saved_;
     limited.rlim_cur = fs::file_size(segment) + 16;
-    previous_handler = std::signal(SIGXFSZ, SIG_IGN);
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
     ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
-  };
-  const auto lift = [&] {
-    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
-    std::signal(SIGXFSZ, previous_handler);
-  };
-  ExpectPhase1FailureAborts(dir.path(), nullptr, limit, lift);
+  }
+
+  void Lift() {
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved_), 0);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+
+ private:
+  std::string dir_;
+  rlimit saved_{};
+  void (*previous_handler_)(int) = SIG_DFL;
+};
+
+TEST(DurableListenerTest, FailingListenerInTheChainAbortsTheCheckpoint) {
+  TempDir dir;
+  FailingPrepareListener failing(/*fail_id=*/2);
+  ExpectPhase1FailureAborts(dir.path(), /*incremental=*/false, &failing,
+                            [] {}, [] {});
+}
+
+TEST(DurableListenerTest,
+     FailingListenerInTheChainAbortsTheIncrementalCheckpoint) {
+  TempDir dir;
+  FailingPrepareListener failing(/*fail_id=*/2);
+  ExpectPhase1FailureAborts(dir.path(), /*incremental=*/true, &failing,
+                            [] {}, [] {});
+}
+
+TEST(DurableListenerTest, FailedLogAppendAbortsTheCheckpoint) {
+  TempDir dir;
+  SegmentSizeLimit limit(dir.path());
+  ExpectPhase1FailureAborts(
+      dir.path(), /*incremental=*/false, nullptr, [&] { limit.Apply(); },
+      [&] { limit.Lift(); });
+}
+
+TEST(DurableListenerTest, FailedLogAppendAbortsTheIncrementalCheckpoint) {
+  TempDir dir;
+  SegmentSizeLimit limit(dir.path());
+  ExpectPhase1FailureAborts(
+      dir.path(), /*incremental=*/true, nullptr, [&] { limit.Apply(); },
+      [&] { limit.Lift(); });
 }
 
 }  // namespace
