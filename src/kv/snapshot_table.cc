@@ -113,15 +113,7 @@ void SnapshotTable::WriteInto(PartitionData* part, int64_t ssid,
       versions.begin(), versions.end(), ssid,
       [](const Version& v, int64_t s) { return v.ssid < s; });
   if (pos != versions.end() && pos->ssid == ssid) {
-    if (pos->chunk == ssid && pos->row >= part->open_base &&
-        !part->open.empty()) {
-      // A rewrite of an open row replaces it where it is.
-      part->open[pos->row - part->open_base] =
-          OpenRow{key, std::move(value), tombstone};
-      pos->tombstone = tombstone;
-      return;
-    }
-    // A rewrite of an encoded row: that row leaves its batch, so a delta
+    // A rewrite of this version: its old row leaves its batch, so a delta
     // keeps one row per key.
     EncodeOpenRows(*part);
     const int64_t chunk = pos->chunk;

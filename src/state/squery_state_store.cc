@@ -123,10 +123,10 @@ Status SQueryStateStore::BeginSnapshot(int64_t checkpoint_id) {
         std::to_string(capture_ckpt_));
   }
   capture_ckpt_ = checkpoint_id;
-  // The previous written-out capture is settled: its checkpoint committed,
-  // or AbortSnapshot already handed its change tracking back.
-  ForgetWritten();
   // Freeze this epoch's delta; the live sets start tracking the next one.
+  // This settles the previous written-out capture: its checkpoint
+  // committed, or AbortSnapshot already handed its sets back.
+  written_ckpt_ = 0;
   capture_dirty_ = std::move(dirty_);
   capture_deleted_ = std::move(deleted_);
   dirty_.clear();
@@ -226,59 +226,48 @@ Result<bool> SQueryStateStore::FinishSnapshotStep(int64_t checkpoint_id,
       }
     }
   }
-  // Keep the epoch's change tracking until the checkpoint is settled: if it
-  // aborts after this point, the next incremental delta must still cover
-  // these keys.
+  // The capture's dirty/deleted sets stay until the next BeginSnapshot: if
+  // the checkpoint aborts after all, the next incremental delta must still
+  // cover these keys.
   written_ckpt_ = checkpoint_id;
-  written_dirty_ = std::move(capture_dirty_);
-  written_deleted_ = std::move(capture_deleted_);
   DiscardCapture();
   return true;
 }
 
 void SQueryStateStore::AbortSnapshot(int64_t checkpoint_id) {
-  if (checkpoint_id == 0) return;
-  if (capture_ckpt_ == checkpoint_id) {
-    FoldBack(capture_dirty_, capture_deleted_);
-    DiscardCapture();
-  } else if (written_ckpt_ == checkpoint_id) {
-    FoldBack(written_dirty_, written_deleted_);
-    // An aborted checkpoint is never a recovery point.
-    internal_snapshots_.erase(checkpoint_id);
-    ForgetWritten();
+  if (checkpoint_id == 0 ||
+      (capture_ckpt_ != checkpoint_id && written_ckpt_ != checkpoint_id)) {
+    return;
   }
-}
-
-void SQueryStateStore::FoldBack(const KeySet& dirty, const KeySet& deleted) {
-  // The aborted epoch's changes rejoin the live epoch so the next successful
-  // incremental snapshot still covers those keys. A key mutated again since
-  // the capture point keeps its newer classification.
-  for (const kv::Value& key : dirty) {
+  // Fold the aborted epoch's change tracking back into the live epoch so
+  // the next successful incremental snapshot still covers those keys. A key
+  // mutated again since Begin keeps its newer classification.
+  for (const kv::Value& key : capture_dirty_) {
     if (deleted_.count(key) == 0) dirty_.insert(key);
   }
-  for (const kv::Value& key : deleted) {
+  for (const kv::Value& key : capture_deleted_) {
     if (dirty_.count(key) == 0) deleted_.insert(key);
   }
-}
-
-void SQueryStateStore::ForgetWritten() {
+  capture_dirty_.clear();
+  capture_deleted_.clear();
+  // An aborted checkpoint is never a recovery point.
+  if (written_ckpt_ == checkpoint_id) internal_snapshots_.erase(checkpoint_id);
   written_ckpt_ = 0;
-  written_dirty_.clear();
-  written_deleted_.clear();
+  DiscardCapture();
 }
 
 void SQueryStateStore::ResetChangeTracking() {
   dirty_.clear();
   deleted_.clear();
-  ForgetWritten();
+  capture_dirty_.clear();
+  capture_deleted_.clear();
+  written_ckpt_ = 0;
 }
 
 void SQueryStateStore::DiscardCapture() {
   capture_ckpt_ = 0;
   cow_overlay_.clear();
   cow_absent_.clear();
-  capture_dirty_.clear();
-  capture_deleted_.clear();
   capture_keys_.clear();
   capture_pos_ = 0;
   capture_build_.clear();

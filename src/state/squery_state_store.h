@@ -118,9 +118,6 @@ class SQueryStateStore : public dataflow::StateStore {
   /// if a capture is in flight and the key is not yet preserved.
   void PreserveForCapture(const kv::Value& key);
   void DiscardCapture();
-  /// Merges an aborted epoch's change tracking into the live epoch's.
-  void FoldBack(const KeySet& dirty, const KeySet& deleted);
-  void ForgetWritten();
   /// Forgets every epoch's change tracking (the state was replaced).
   void ResetChangeTracking();
 
@@ -164,11 +161,9 @@ class SQueryStateStore : public dataflow::StateStore {
   StateMap capture_build_;
   size_t capture_table_entries_ = 0;
   int64_t capture_bytes_ = 0;
-  // The last written-out capture's dirty/deleted sets, kept until the next
-  // BeginSnapshot settles it, so AbortSnapshot can still hand them back.
-  int64_t written_ckpt_ = 0;  // 0 = none unsettled
-  KeySet written_dirty_;
-  KeySet written_deleted_;
+  // The last written-out capture, whose capture_dirty_/capture_deleted_
+  // stay until the next BeginSnapshot settles it (0 = none).
+  int64_t written_ckpt_ = 0;
 
   // Private recovery snapshots (bounded retention).
   std::map<int64_t, StateMap> internal_snapshots_;
