@@ -183,9 +183,10 @@ class SnapshotTable {
   // Chunks at or below the compaction floor (base included) kept unfolded.
   static constexpr size_t kFoldChunks = 4;
   // Open rows are encoded once this many wait, so a large delta never holds
-  // all its objects next to its batch (unbounded, `query`'s peak RSS rose
-  // 86 -> 100 MB; at 64 it held at 88), while a partition written a few
-  // dozen rows per checkpoint is still encoded in one pass.
+  // all its objects next to its batch (left unbounded, sqbench `query`'s
+  // median peak RSS rose from 86 to 100 MB on a 4-vCPU host; at 64 it read
+  // 88), while a partition written a few dozen rows per checkpoint is still
+  // encoded in one pass.
   static constexpr size_t kMaxOpenRows = 64;
 
   static void WriteInto(PartitionData* part, int64_t ssid, const Value& key,
