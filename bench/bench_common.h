@@ -2,15 +2,26 @@
 #define SQUERY_BENCH_BENCH_COMMON_H_
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/metrics.h"
+#include "common/result.h"
+#include "common/status.h"
 #include "dataflow/checkpoint.h"
 #include "dataflow/execution.h"
 #include "dh/delivery.h"
@@ -29,6 +40,154 @@ inline double BenchScale() {
   if (env == nullptr) return 1.0;
   const double scale = std::atof(env);
   return scale > 0.0 ? scale : 1.0;
+}
+
+/// Ends a run that cannot produce valid numbers: prints what failed and
+/// why, then exits 1 at once. Reports are written only after the last
+/// measurement, so a failed run leaves no BENCH_*.json behind. `_Exit`
+/// skips static destructors, which job and query threads may still use.
+[[noreturn]] inline void Fail(const char* what, const Status& status) {
+  std::fflush(stdout);
+  std::fprintf(stderr, "%s failed: %s\n", what, status.ToString().c_str());
+  std::_Exit(1);
+}
+
+inline void Check(const Status& status, const char* what) {
+  if (!status.ok()) Fail(what, status);
+}
+
+template <typename T>
+T Check(Result<T> result, const char* what) {
+  if (!result.ok()) Fail(what, result.status());
+  return std::move(result).value();
+}
+
+/// Polls `done` until it holds. Fails the run if `job` stops first or the
+/// wait outlasts two minutes, so a dead job cannot leave a bench spinning.
+inline void WaitFor(const dataflow::Job& job, const char* what,
+                    const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::minutes(2);
+  while (!done()) {
+    if (!job.IsRunning()) Fail(what, Status::Aborted("the job stopped"));
+    if (std::chrono::steady_clock::now() > deadline) {
+      Fail(what, Status::Timeout("no progress within two minutes"));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
+/// A JSON value of a bench report, held as its rendered text. Strings are
+/// escaped and a non-finite number renders as null. An object holding an
+/// object or array puts each member on its own line; an array always does.
+class Json {
+ public:
+  using Member = std::pair<std::string, Json>;
+
+  Json(bool v) : text_(v ? "true" : "false") {}
+  Json(std::integral auto v) : text_(std::to_string(v)) {}
+  Json(std::floating_point auto v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.6g", static_cast<double>(v));
+    text_ = std::isfinite(v) ? buf : "null";
+  }
+  Json(const char* v) : text_(Quote(v)) {}
+  Json(const std::string& v) : text_(Quote(v)) {}
+
+  static Json Object(const std::vector<Member>& members) {
+    bool multiline = false;
+    for (const Member& m : members) multiline |= m.second.nested_;
+    std::string out = "{";
+    for (size_t i = 0; i < members.size(); ++i) {
+      if (i > 0) out += ",";
+      out += multiline ? "\n  " : (i > 0 ? " " : "");
+      out += Quote(members[i].first) + ": " + Indent(members[i].second.text_);
+    }
+    return Json(Nested{}, out + (multiline ? "\n}" : "}"));
+  }
+
+  static Json Array(const std::vector<Json>& items) {
+    std::string out = "[";
+    for (size_t i = 0; i < items.size(); ++i) {
+      out += (i > 0 ? ",\n  " : "\n  ") + Indent(items[i].text_);
+    }
+    return Json(Nested{}, out + (items.empty() ? "]" : "\n]"));
+  }
+
+  const std::string& text() const { return text_; }
+
+ private:
+  struct Nested {};
+  Json(Nested, std::string text) : text_(std::move(text)), nested_(true) {}
+
+  static std::string Quote(std::string_view s) {
+    std::string out = "\"";
+    for (const char c : s) {
+      if (c == '"' || c == '\\') {
+        out += '\\';
+        out += c;
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        out += buf;
+      } else {
+        out += c;
+      }
+    }
+    return out + "\"";
+  }
+
+  static std::string Indent(const std::string& text) {
+    std::string out;
+    for (const char c : text) {
+      out += c;
+      if (c == '\n') out += "  ";
+    }
+    return out;
+  }
+
+  std::string text_;
+  bool nested_ = false;
+};
+
+/// The machine and build a report came from, under the field names
+/// sqbench's reports use (nproc, cpu, build_type, compiler, cxx_flags).
+inline Json HostFacts() {
+  std::string cpu = "unknown";
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu = line.substr(std::min(line.size(), colon + 2));
+      break;
+    }
+  }
+#if defined(__clang__)
+  const char* compiler = "clang++ " __VERSION__;
+#else
+  const char* compiler = "g++ " __VERSION__;
+#endif
+  return Json::Object({{"nproc", std::thread::hardware_concurrency()},
+                       {"cpu", cpu},
+                       {"build_type", BENCH_BUILD_TYPE},
+                       {"compiler", compiler},
+                       {"cxx_flags", BENCH_CXX_FLAGS}});
+}
+
+/// Writes BENCH_<name>.json: the host block, then `sections`. Every bench
+/// report goes through here, each written whole by one binary.
+inline void WriteReport(const std::string& name,
+                        std::vector<Json::Member> sections) {
+  sections.insert(sections.begin(), {"host", HostFacts()});
+  const std::string path = "BENCH_" + name + ".json";
+  const std::string text = Json::Object(sections).text() + "\n";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) Fail(path.c_str(), Status::Internal(std::strerror(errno)));
+  const bool written = std::fputs(text.c_str(), f) >= 0;
+  if (std::fclose(f) != 0 || !written) {
+    Fail(path.c_str(), Status::Internal("write failed"));
+  }
+  std::printf("\nwrote %s\n", path.c_str());
 }
 
 inline void PrintHeader(const std::string& figure,
@@ -118,14 +277,9 @@ inline std::unique_ptr<DeliveryHarness> StartDeliveryHarness(
   job_config.checkpoint_mode = checkpoint_mode;
   job_config.partitioner = &harness->grid->partitioner();
   if (!durable_dir.empty()) {
-    auto log = storage::SnapshotLog::Open(storage::StorageOptions{
-        .dir = durable_dir, .metrics = &harness->metrics});
-    if (!log.ok()) {
-      std::fprintf(stderr, "snapshot log open failed: %s\n",
-                   log.status().ToString().c_str());
-      std::exit(1);
-    }
-    harness->log = std::move(*log);
+    harness->log = Check(storage::SnapshotLog::Open(storage::StorageOptions{
+                             .dir = durable_dir, .metrics = &harness->metrics}),
+                         "snapshot log open");
     harness->durable_listener =
         std::make_unique<storage::DurableSnapshotListener>(
             harness->grid.get(), harness->log.get());
@@ -143,19 +297,15 @@ inline std::unique_ptr<DeliveryHarness> StartDeliveryHarness(
     job_config.state_store_factory = state::MakeSQueryStateStoreFactory(
         harness->grid.get(), state_config, &harness->stats);
   }
-  auto job = dataflow::Job::Create(graph, std::move(job_config));
-  if (!job.ok()) {
-    std::fprintf(stderr, "job creation failed: %s\n",
-                 job.status().ToString().c_str());
-    std::exit(1);
-  }
-  harness->job = std::move(*job);
-  (void)harness->job->Start();
+  harness->job =
+      Check(dataflow::Job::Create(graph, std::move(job_config)), "job create");
+  Check(harness->job->Start(), "job start");
   const int64_t warm_target =
       config.total_events > 0 ? config.total_events : num_orders;
-  while (harness->job->ProcessedCount(dh::kOrderStateVertex) < warm_target) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  const dataflow::Job& job = *harness->job;
+  WaitFor(job, "warm-up", [&] {
+    return job.ProcessedCount(dh::kOrderStateVertex) >= warm_target;
+  });
   return harness;
 }
 

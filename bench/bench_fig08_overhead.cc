@@ -71,52 +71,39 @@ Row RunConfig(const char* label, bool live, bool snap, double rate,
   row.label = label;
   row.mode = mode == dataflow::CheckpointMode::kUnaligned ? "unaligned"
                                                           : "aligned";
-  auto job = dataflow::Job::Create(graph, std::move(job_config));
-  if (!job.ok()) {
-    std::fprintf(stderr, "%s\n", job.status().ToString().c_str());
-    return row;
-  }
-  (void)(*job)->Start();
+  auto job = Check(dataflow::Job::Create(graph, std::move(job_config)),
+                   "job create");
+  Check(job->Start(), "job start");
   // Warmup, then measure.
   std::this_thread::sleep_for(std::chrono::milliseconds(1500));
   latency.Reset();
   std::this_thread::sleep_for(
       std::chrono::milliseconds(static_cast<int64_t>(seconds * 1000)));
   row.latency = latency.Summarize();
-  for (const dataflow::CheckpointRow& c : (*job)->RecentCheckpoints()) {
+  for (const dataflow::CheckpointRow& c : job->RecentCheckpoints()) {
     if (!c.committed) continue;
     ++row.checkpoints;
     row.overtaken_records += c.overtaken_records;
   }
   PrintLatencyRow(row.label + " [" + row.mode + "]", latency);
-  (void)(*job)->Stop();
+  (void)job->Stop();
   return row;
 }
 
 void WriteJson(const std::vector<Row>& rows) {
-  std::FILE* f = std::fopen("BENCH_fig08.json", "w");
-  if (f == nullptr) return;
-  std::fprintf(f, "{\n  \"configs\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"label\": \"%s\", \"mode\": \"%s\", \"events\": %lld, "
-        "\"p50_nanos\": %lld, \"p99_nanos\": %lld, \"p999_nanos\": %lld, "
-        "\"max_nanos\": %lld, \"checkpoints\": %lld, "
-        "\"overtaken_records\": %lld}%s\n",
-        r.label.c_str(), r.mode, static_cast<long long>(r.latency.count),
-        static_cast<long long>(r.latency.p50),
-        static_cast<long long>(r.latency.p99),
-        static_cast<long long>(r.latency.p999),
-        static_cast<long long>(r.latency.max),
-        static_cast<long long>(r.checkpoints),
-        static_cast<long long>(r.overtaken_records),
-        i + 1 < rows.size() ? "," : "");
+  std::vector<Json> configs;
+  for (const Row& r : rows) {
+    configs.push_back(Json::Object({{"label", r.label},
+                                    {"mode", r.mode},
+                                    {"events", r.latency.count},
+                                    {"p50_nanos", r.latency.p50},
+                                    {"p99_nanos", r.latency.p99},
+                                    {"p999_nanos", r.latency.p999},
+                                    {"max_nanos", r.latency.max},
+                                    {"checkpoints", r.checkpoints},
+                                    {"overtaken_records", r.overtaken_records}}));
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_fig08.json\n");
+  WriteReport("fig08", {{"configs", Json::Array(configs)}});
 }
 
 }  // namespace

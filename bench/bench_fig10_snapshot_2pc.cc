@@ -22,16 +22,11 @@ void RunConfig(const char* label, int64_t keys, bool squery, int checkpoints,
   Histogram* phase1 = harness->metrics.GetHistogram("checkpoint.phase1_nanos");
   Histogram* phase2 = harness->metrics.GetHistogram("checkpoint.phase2_nanos");
   // Warm one checkpoint (first-touch allocations), then measure.
-  (void)harness->job->TriggerCheckpoint();
+  Check(harness->job->TriggerCheckpoint(), "warm-up checkpoint");
   phase1->Reset();
   phase2->Reset();
   for (int i = 0; i < checkpoints; ++i) {
-    auto result = harness->job->TriggerCheckpoint();
-    if (!result.ok()) {
-      std::fprintf(stderr, "checkpoint failed: %s\n",
-                   result.status().ToString().c_str());
-      break;
-    }
+    Check(harness->job->TriggerCheckpoint(), "checkpoint");
   }
   PrintLatencyRow(label, *phase2);
 }

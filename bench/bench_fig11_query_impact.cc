@@ -20,7 +20,8 @@ void RunConfig(const char* label, int64_t keys, bool with_queries,
                                       /*checkpoint_interval_ms=*/0);
   query::QueryService service(harness->grid.get(), harness->registry.get());
   Histogram* phase2 = harness->metrics.GetHistogram("checkpoint.phase2_nanos");
-  (void)harness->job->TriggerCheckpoint();  // make a snapshot queryable
+  // Make a snapshot queryable.
+  Check(harness->job->TriggerCheckpoint(), "warm-up checkpoint");
   phase2->Reset();
 
   std::atomic<bool> stop{false};
@@ -30,15 +31,14 @@ void RunConfig(const char* label, int64_t keys, bool with_queries,
     for (int t = 0; t < 2; ++t) {  // the paper: two concurrent threads
       query_threads.emplace_back([&] {
         while (!stop.load()) {
-          auto result = service.Execute(dh::Query1());
-          if (result.ok()) queries_run.fetch_add(1);
+          Check(service.Execute(dh::Query1()), "query");
+          queries_run.fetch_add(1);
         }
       });
     }
   }
   for (int i = 0; i < checkpoints; ++i) {
-    auto result = harness->job->TriggerCheckpoint();
-    if (!result.ok()) break;
+    Check(harness->job->TriggerCheckpoint(), "checkpoint");
   }
   stop.store(true);
   for (auto& t : query_threads) t.join();

@@ -63,17 +63,12 @@ void RunConfig(const char* label, int64_t keys, double delta_ratio,
   job_config.metrics = &metrics;
   Histogram* commit_latency =
       metrics.GetHistogram(metric_names::kCheckpointPhase2Nanos);
-  auto job = dataflow::Job::Create(graph, std::move(job_config));
-  if (!job.ok()) {
-    std::fprintf(stderr, "%s\n", job.status().ToString().c_str());
-    return;
-  }
-  (void)(*job)->Start();
-  // Wait for the initial full load.
-  while ((*job)->ProcessedCount("state") < keys) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  (void)(*job)->TriggerCheckpoint();  // baseline version
+  auto job = Check(dataflow::Job::Create(graph, std::move(job_config)),
+                   "job create");
+  Check(job->Start(), "job start");
+  WaitFor(*job, "initial load",
+          [&] { return job->ProcessedCount("state") >= keys; });
+  Check(job->TriggerCheckpoint(), "baseline checkpoint");
   commit_latency->Reset();
   // Give the churn enough time to touch the whole delta subset between
   // checkpoints.
@@ -81,11 +76,10 @@ void RunConfig(const char* label, int64_t keys, double delta_ratio,
       std::max<int64_t>(20, delta_keys / 200);  // ~200 updates/ms
   for (int i = 0; i < checkpoints; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(churn_ms));
-    auto result = (*job)->TriggerCheckpoint();
-    if (!result.ok()) break;
+    Check(job->TriggerCheckpoint(), "checkpoint");
   }
   PrintLatencyRow(label, *commit_latency);
-  (void)(*job)->Stop();
+  (void)job->Stop();
 }
 
 }  // namespace

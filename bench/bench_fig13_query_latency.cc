@@ -2,18 +2,8 @@
 // snapshot state, incremental vs full snapshots, for 1K/10K/100K keys.
 // Also reports the snapshot-id retrieval time the paper quotes (~1-2ms
 // median in their setup).
-//
-// Second section: partition-parallel execution & pushdown. Core scaling of a
-// full-scan aggregate (parallelism 1/2/4/8), predicate pushdown on/off, and
-// key-equality point lookup vs full scan, over a 271-partition grid. Emits
-// BENCH_query.json. SQ_BENCH_QUERY_ONLY=1 skips the Fig. 13 harness runs
-// (CI smoke mode).
 
 #include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <thread>
-#include <vector>
 
 #include "bench/bench_common.h"
 #include "query/query_service.h"
@@ -33,22 +23,17 @@ void RunConfig(const char* label, int64_t keys, bool incremental,
   query::QueryService service(harness->grid.get(), harness->registry.get());
   // Let a few checkpoints commit so incremental chains have depth (the
   // differential read has something to walk back through).
-  while (harness->registry->latest_committed() < 4) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  WaitFor(*harness->job, "checkpoints",
+          [&] { return harness->registry->latest_committed() >= 4; });
   Histogram latency;
   int64_t rows = 0;
   int64_t resolve_ns_total = 0;
   for (int i = 0; i < queries; ++i) {
     const int64_t start = SystemClock::Default()->NowNanos();
-    auto result = service.Execute(dh::Query1());
+    const sql::ResultSet result =
+        Check(service.Execute(dh::Query1()), "query");
     const int64_t end = SystemClock::Default()->NowNanos();
-    if (!result.ok()) {
-      std::fprintf(stderr, "query failed: %s\n",
-                   result.status().ToString().c_str());
-      return;
-    }
-    rows = static_cast<int64_t>(result->RowCount());
+    rows = static_cast<int64_t>(result.RowCount());
     resolve_ns_total += service.last_ssid_resolve_nanos();
     latency.Record(end - start);
   }
@@ -59,227 +44,31 @@ void RunConfig(const char* label, int64_t keys, bool incremental,
       static_cast<double>(resolve_ns_total) / queries / 1e6);
 }
 
-/// One measured configuration of the parallel-execution section.
-struct ScanBenchRow {
-  std::string label;
-  int32_t parallelism = 1;
-  bool pushdown = true;
-  double mean_ms = 0.0;
-  double p50_ms = 0.0;
-  int64_t rows_scanned = 0;
-  int64_t rows_returned = 0;
-  int32_t partitions_scanned = 0;
-};
-
-ScanBenchRow MeasureQuery(query::QueryService* service,
-                          const std::string& label, const std::string& sql,
-                          int32_t parallelism, bool pushdown, int queries,
-                          bool force_row_scan = false) {
-  query::QueryOptions options;
-  options.isolation = state::IsolationLevel::kReadCommittedNoFailures;
-  options.parallelism = parallelism;
-  options.pushdown = pushdown;
-  options.force_row_scan = force_row_scan;
-  Histogram latency;
-  sql::ExecStats stats;
-  for (int i = 0; i < queries; ++i) {
-    const int64_t start = SystemClock::Default()->NowNanos();
-    auto result = service->ExecuteWithStats(sql, options);
-    const int64_t end = SystemClock::Default()->NowNanos();
-    if (!result.ok()) {
-      std::fprintf(stderr, "query failed: %s\n",
-                   result.status().ToString().c_str());
-      std::exit(1);
-    }
-    latency.Record(end - start);
-    stats = result->stats;
-  }
-  ScanBenchRow row;
-  row.label = label;
-  row.parallelism = parallelism;
-  row.pushdown = pushdown;
-  row.mean_ms = latency.Mean() / 1e6;
-  row.p50_ms = static_cast<double>(latency.ValueAtPercentile(50)) / 1e6;
-  row.rows_scanned = stats.rows_scanned;
-  row.rows_returned = stats.rows_returned;
-  row.partitions_scanned = stats.partitions_scanned;
-  std::printf(
-      "%-34s parallelism=%d pushdown=%-3s mean=%8.3f ms p50=%8.3f ms "
-      "scanned=%lld returned=%lld partitions=%d\n",
-      label.c_str(), parallelism, pushdown ? "on" : "off", row.mean_ms,
-      row.p50_ms, static_cast<long long>(row.rows_scanned),
-      static_cast<long long>(row.rows_returned), row.partitions_scanned);
-  return row;
-}
-
-void RunParallelExecutionSection() {
-  const double scale = BenchScale();
-  const int64_t keys = std::max<int64_t>(2000,
-                                         static_cast<int64_t>(100000 * scale));
-  const int queries = static_cast<int>(20 * scale) + 5;
-  PrintHeader("Query execution",
-              "partition-parallel scans, predicate & key pushdown "
-              "(271 partitions, " + std::to_string(keys) + " keys)");
-
-  kv::Grid grid(kv::GridConfig{.node_count = 3,
-                               .partition_count = kv::kDefaultPartitionCount,
-                               .backup_count = 0});
-  state::SnapshotRegistry registry(
-      &grid, {.retained_versions = 2, .async_prune = false});
-  query::QueryService service(&grid, &registry);
-  state::SQueryStateStore store(&grid, "orders", 0,
-                                state::SQueryConfig{.parallelism = 1});
-  for (int64_t key = 0; key < keys; ++key) {
-    kv::Object o;
-    o.Set("v", kv::Value(key * 2654435761 % 1000));
-    o.Set("g", kv::Value(key % 16));
-    store.Put(kv::Value(key), std::move(o));
-  }
-  if (!store.SnapshotTo(1).ok()) std::exit(1);
-  registry.OnCheckpointCommitted(1);
-
-  // (a) Core scaling of a full-scan partial aggregate, live and snapshot.
-  const std::string agg_live =
-      "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM orders GROUP BY g";
-  const std::string agg_snapshot =
-      "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM snapshot_orders GROUP BY g";
-  std::vector<ScanBenchRow> scaling_live, scaling_snapshot;
-  for (int32_t parallelism : {1, 2, 4, 8}) {
-    scaling_live.push_back(MeasureQuery(&service, "full-scan agg (live)",
-                                        agg_live, parallelism, true,
-                                        queries));
-  }
-  for (int32_t parallelism : {1, 2, 4, 8}) {
-    scaling_snapshot.push_back(
-        MeasureQuery(&service, "full-scan agg (snapshot)", agg_snapshot,
-                     parallelism, true, queries));
-  }
-  // Engine contrast: the same snapshot scan-aggregate with the vectorized
-  // engine forced off (row-at-a-time evaluation), at the scaling endpoints.
-  std::vector<ScanBenchRow> snapshot_row_engine;
-  for (int32_t parallelism : {1, 8}) {
-    snapshot_row_engine.push_back(
-        MeasureQuery(&service, "full-scan agg (snapshot, row engine)",
-                     agg_snapshot, parallelism, true, queries,
-                     /*force_row_scan=*/true));
-  }
-
-  // (b) Predicate pushdown on/off: selective filter, rows never materialized
-  // vs copy-everything-then-filter.
-  const std::string filter_sql =
-      "SELECT key, v FROM orders WHERE v > 990 AND g = 3";
-  std::vector<ScanBenchRow> pushdown_rows;
-  for (bool pushdown : {true, false}) {
-    pushdown_rows.push_back(MeasureQuery(&service, "selective filter",
-                                         filter_sql, 4, pushdown, queries));
-  }
-
-  // (c) Key pushdown: point lookup vs full scan (rows_scanned contrast).
-  ScanBenchRow point = MeasureQuery(
-      &service, "point lookup", "SELECT v FROM orders WHERE key = 123", 1,
-      true, queries);
-  ScanBenchRow full = MeasureQuery(&service, "full scan",
-                                   "SELECT COUNT(*) AS n FROM orders", 1,
-                                   true, queries);
-
-  const double speedup_live =
-      scaling_live.front().mean_ms / scaling_live.back().mean_ms;
-  const double speedup_snapshot =
-      scaling_snapshot.front().mean_ms / scaling_snapshot.back().mean_ms;
-  // The columnar engine's own contribution: row-engine time over vectorized
-  // time for the identical query and parallelism.
-  const double columnar_speedup_p1 =
-      snapshot_row_engine.front().mean_ms / scaling_snapshot.front().mean_ms;
-  const double columnar_speedup_p8 =
-      snapshot_row_engine.back().mean_ms / scaling_snapshot.back().mean_ms;
-  std::printf(
-      "\nspeedup @8 vs @1: live=%.2fx snapshot=%.2fx "
-      "(bounded by available cores: %u)\n",
-      speedup_live, speedup_snapshot, std::thread::hardware_concurrency());
-  std::printf("columnar vs row engine (snapshot agg): %.2fx @1, %.2fx @8\n",
-              columnar_speedup_p1, columnar_speedup_p8);
-  std::printf("point lookup scanned %lld of %lld rows (%.5f of full scan; "
-              "1/%d partitions)\n",
-              static_cast<long long>(point.rows_scanned),
-              static_cast<long long>(full.rows_scanned),
-              static_cast<double>(point.rows_scanned) /
-                  static_cast<double>(full.rows_scanned),
-              kv::kDefaultPartitionCount);
-
-  std::FILE* f = std::fopen("BENCH_query.json", "w");
-  if (f == nullptr) return;
-  auto emit_rows = [f](const char* name,
-                       const std::vector<ScanBenchRow>& rows) {
-    std::fprintf(f, "  \"%s\": [\n", name);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const ScanBenchRow& r = rows[i];
-      std::fprintf(
-          f,
-          "    {\"parallelism\": %d, \"pushdown\": %s, \"mean_ms\": %.4f, "
-          "\"p50_ms\": %.4f, \"rows_scanned\": %lld, \"rows_returned\": "
-          "%lld, \"partitions_scanned\": %d}%s\n",
-          r.parallelism, r.pushdown ? "true" : "false", r.mean_ms, r.p50_ms,
-          static_cast<long long>(r.rows_scanned),
-          static_cast<long long>(r.rows_returned), r.partitions_scanned,
-          i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-  };
-  std::fprintf(f, "{\n  \"keys\": %lld,\n  \"partitions\": %d,\n"
-               "  \"hardware_concurrency\": %u,\n",
-               static_cast<long long>(keys), kv::kDefaultPartitionCount,
-               std::thread::hardware_concurrency());
-  emit_rows("full_scan_aggregate_live", scaling_live);
-  emit_rows("full_scan_aggregate_snapshot", scaling_snapshot);
-  emit_rows("full_scan_aggregate_snapshot_row_engine", snapshot_row_engine);
-  emit_rows("predicate_pushdown", pushdown_rows);
-  std::fprintf(
-      f,
-      "  \"point_lookup\": {\"rows_scanned\": %lld, "
-      "\"full_scan_rows_scanned\": %lld, \"fraction\": %.6f},\n"
-      "  \"speedup_8_vs_1_live\": %.3f,\n"
-      "  \"speedup_8_vs_1_snapshot\": %.3f,\n"
-      "  \"columnar_vs_row_snapshot_agg_p1\": %.3f,\n"
-      "  \"columnar_vs_row_snapshot_agg_p8\": %.3f\n}\n",
-      static_cast<long long>(point.rows_scanned),
-      static_cast<long long>(full.rows_scanned),
-      static_cast<double>(point.rows_scanned) /
-          static_cast<double>(full.rows_scanned),
-      speedup_live, speedup_snapshot, columnar_speedup_p1,
-      columnar_speedup_p8);
-  std::fclose(f);
-  std::printf("wrote BENCH_query.json\n");
-}
-
 }  // namespace
 }  // namespace sq::bench
 
 int main() {
   const double scale = sq::bench::BenchScale();
-  const bool query_only = std::getenv("SQ_BENCH_QUERY_ONLY") != nullptr;
-  if (!query_only) {
-    const int queries = static_cast<int>(15 * scale) + 5;
-    sq::bench::PrintHeader(
-        "Figure 13",
-        "Query 1 latency over snapshot state, incremental vs full snapshots, "
-        "1K/10K/100K keys");
-    std::printf("%d queries per configuration, checkpoints every 1s in "
-                "the background\n\n", queries);
-    for (const int64_t keys : {1000, 10000, 100000}) {
-      char label[64];
-      std::snprintf(label, sizeof(label), "Incremental %ldk",
-                    static_cast<long>(keys / 1000));
-      sq::bench::RunConfig(label, keys, /*incremental=*/true, queries);
-      std::snprintf(label, sizeof(label), "Full %ldk",
-                    static_cast<long>(keys / 1000));
-      sq::bench::RunConfig(label, keys, /*incremental=*/false, queries);
-    }
-    std::printf(
-        "\nExpected shape (paper Fig. 13): latency grows with state size;\n"
-        "incremental ≈ full at 1K/10K, and clearly slower at 100K (the\n"
-        "backward differential reads) — the paper reports ~5x there. Flat\n"
-        "distributions (small tail spread) in all configurations.\n");
+  const int queries = static_cast<int>(15 * scale) + 5;
+  sq::bench::PrintHeader(
+      "Figure 13",
+      "Query 1 latency over snapshot state, incremental vs full snapshots, "
+      "1K/10K/100K keys");
+  std::printf("%d queries per configuration, checkpoints every 1s in "
+              "the background\n\n", queries);
+  for (const int64_t keys : {1000, 10000, 100000}) {
+    char label[64];
+    std::snprintf(label, sizeof(label), "Incremental %ldk",
+                  static_cast<long>(keys / 1000));
+    sq::bench::RunConfig(label, keys, /*incremental=*/true, queries);
+    std::snprintf(label, sizeof(label), "Full %ldk",
+                  static_cast<long>(keys / 1000));
+    sq::bench::RunConfig(label, keys, /*incremental=*/false, queries);
   }
-  sq::bench::RunParallelExecutionSection();
+  std::printf(
+      "\nExpected shape (paper Fig. 13): latency grows with state size;\n"
+      "incremental ≈ full at 1K/10K, and clearly slower at 100K (the\n"
+      "backward differential reads) — the paper reports ~5x there. Flat\n"
+      "distributions (small tail spread) in all configurations.\n");
   return 0;
 }

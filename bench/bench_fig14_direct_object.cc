@@ -62,12 +62,11 @@ void SpinFor(int64_t ns) {
 
 // Aggregate throughput over a small client pool (the paper uses 180
 // threads on the client node; a handful saturates a 1-vCPU host).
-double MeasureThroughput(const std::function<bool(const std::vector<Value>&)>&
-                             issue,
-                         int64_t selection, double seconds) {
+double MeasureThroughput(
+    const std::function<Status(const std::vector<Value>&)>& issue,
+    int64_t selection, double seconds) {
   constexpr int kClientThreads = 3;
   std::atomic<int64_t> queries{0};
-  std::atomic<bool> failed{false};
   Clock* clock = SystemClock::Default();
   const int64_t start = clock->NowNanos();
   const int64_t end = start + static_cast<int64_t>(seconds * 1e9);
@@ -75,12 +74,9 @@ double MeasureThroughput(const std::function<bool(const std::vector<Value>&)>&
   for (int t = 0; t < kClientThreads; ++t) {
     clients.emplace_back([&, t] {
       Rng rng(17 + t);
-      while (clock->NowNanos() < end && !failed.load()) {
+      while (clock->NowNanos() < end) {
         SpinFor(kClientRttNs);
-        if (!issue(PickKeys(selection, &rng))) {
-          failed.store(true);
-          break;
-        }
+        Check(issue(PickKeys(selection, &rng)), "query");
         queries.fetch_add(1);
       }
     });
@@ -127,17 +123,12 @@ void Run(double seconds) {
   job_config.listener = &registry;
   job_config.state_store_factory =
       state::MakeSQueryStateStoreFactory(&grid, state_config);
-  auto job = dataflow::Job::Create(graph, std::move(job_config));
-  if (!job.ok()) {
-    std::fprintf(stderr, "%s\n", job.status().ToString().c_str());
-    return;
-  }
-  (void)(*job)->Start();
-  // Populate all 100K rider keys first (unthrottled would be faster, but a
-  // modest wait suffices: preload directly through a burst).
-  while ((*job)->ProcessedCount("riderlocation") < kKeys) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  auto job = Check(dataflow::Job::Create(graph, std::move(job_config)),
+                   "job create");
+  Check(job->Start(), "job start");
+  // Populate all 100K rider keys first.
+  WaitFor(*job, "preload",
+          [&] { return job->ProcessedCount("riderlocation") >= kKeys; });
 
   query::QueryService service(&grid, &registry);
   baseline::TSpoonClient client(&mailbox, &grid.partitioner());
@@ -147,19 +138,19 @@ void Run(double seconds) {
   for (const int64_t selection : {1, 10, 100, 1000}) {
     const double squery_qps = MeasureThroughput(
         [&service](const std::vector<Value>& keys) {
-          return service.GetLiveObjects("riderlocation", keys).ok();
+          return service.GetLiveObjects("riderlocation", keys).status();
         },
         selection, seconds);
     const double tspoon_qps = MeasureThroughput(
         [&client](const std::vector<Value>& keys) {
-          return client.Get(keys).ok();
+          return client.Get(keys).status();
         },
         selection, seconds);
     std::printf("%-10lld %16.0f %16.0f %7.2fx\n",
                 static_cast<long long>(selection), squery_qps, tspoon_qps,
                 squery_qps / std::max(tspoon_qps, 1.0));
   }
-  (void)(*job)->Stop();
+  (void)job->Stop();
   mailbox.Close();
 }
 

@@ -1,35 +1,15 @@
-// Fig. 15: throughput vs degree of parallelism, in two modes.
-//
-// Modeled (always runs): maximum sustainable throughput vs DOP (36/60/84 =
-// 3/5/7 nodes × 12 workers) for snapshot intervals of 0.5s/1s/2s, with 10
-// JOIN queries/s sharing the nodes — on the calibrated cluster model (the
-// container has one vCPU; see DESIGN.md §3).
-//
-// Measured (`--measured` or SQ_BENCH_MEASURED=1): a real multi-process
-// cluster on localhost — N forked node processes, each a NodeServer over its
-// own grid, with this process as the query coordinator routing over the TCP
-// wire protocol. Reports measured scan-aggregate rows/s and point-lookup /
-// snapshot-query latency percentiles per node count into BENCH_fig15.json
-// next to the modeled series, so the two are never conflated.
-
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
+// Fig. 15: maximum sustainable throughput vs degree of parallelism
+// (36/60/84 = 3/5/7 nodes × 12 workers) for snapshot intervals of
+// 0.5s/1s/2s, with 10 JOIN queries/s sharing the nodes — on the calibrated
+// cluster model (DESIGN.md §3), labelled "modeled" in BENCH_fig15.json.
+// Measured numbers from real node processes over TCP come from sqbench's
+// `cluster` workload.
 
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "common/histogram.h"
-#include "kv/partitioner.h"
-#include "net/cluster_client.h"
-#include "net/node_server.h"
-#include "query/query_service.h"
 #include "sim/cluster_sim.h"
-#include "state/isolation.h"
-#include "trace/trace.h"
 
 namespace sq::bench {
 namespace {
@@ -38,16 +18,6 @@ struct ModeledRow {
   int dop = 0;
   double interval_s = 0.0;
   double max_events_per_sec = 0.0;
-};
-
-struct MeasuredRow {
-  int nodes = 0;
-  int64_t rows = 0;
-  double scan_rows_per_sec = 0.0;
-  int64_t point_p50_nanos = 0;
-  int64_t point_p99_nanos = 0;
-  int64_t query_p50_nanos = 0;
-  int64_t query_p99_nanos = 0;
 };
 
 std::vector<ModeledRow> RunModeled(double scale) {
@@ -87,273 +57,20 @@ std::vector<ModeledRow> RunModeled(double scale) {
   return rows;
 }
 
-// ---------------------------------------------------------------------------
-// Measured mode: real processes, real sockets.
-
-constexpr int32_t kPartitions = kv::kDefaultPartitionCount;
-
-kv::Object OrderValue(int64_t key) {
-  kv::Object o;
-  o.Set("total", kv::Value((key * 37) % 1000));
-  o.Set("region", kv::Value("r" + std::to_string(key % 8)));
-  return o;
-}
-
-/// Child body: one cluster node serving its partition range until killed.
-[[noreturn]] void RunNodeChild(int32_t node_id, int32_t node_count,
-                               int port_fd) {
-  kv::Grid grid(kv::GridConfig{.node_count = 1,
-                               .partition_count = kPartitions,
-                               .backup_count = 0});
-  state::SnapshotRegistry registry(
-      &grid, state::SnapshotRegistry::Options{.retained_versions = 2,
-                                              .async_prune = false,
-                                              .metrics = nullptr});
-  query::QueryService query(&grid, &registry);
-  query.set_node_id(node_id);
-  net::NodeServerOptions opts;
-  opts.node_id = node_id;
-  opts.owned = kv::PartitionRangeOf(node_id, node_count, kPartitions);
-  opts.partition_count = kPartitions;
-  opts.query = &query;
-  opts.grid = &grid;
-  opts.registry = &registry;
-  opts.checkpoint = &registry;
-  net::NodeServer server(opts);
-  if (!server.Start().ok()) _exit(2);
-  const int32_t port = server.port();
-  if (::write(port_fd, &port, sizeof(port)) != sizeof(port)) _exit(3);
-  ::close(port_fd);
-  for (;;) ::pause();
-}
-
-struct Child {
-  pid_t pid = -1;
-  int port = 0;
-};
-
-Child SpawnNode(int32_t node_id, int32_t node_count) {
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    std::perror("pipe");
-    std::exit(1);
+void WriteJson(const std::vector<ModeledRow>& modeled) {
+  std::vector<Json> rows;
+  for (const ModeledRow& r : modeled) {
+    rows.push_back(Json::Object({{"dop", r.dop},
+                                 {"snapshot_interval_s", r.interval_s},
+                                 {"max_events_per_sec", r.max_events_per_sec}}));
   }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::perror("fork");
-    std::exit(1);
-  }
-  if (pid == 0) {
-    ::close(fds[0]);
-    RunNodeChild(node_id, node_count, fds[1]);  // never returns
-  }
-  ::close(fds[1]);
-  int32_t port = 0;
-  size_t got = 0;
-  while (got < sizeof(port)) {
-    const ssize_t n = ::read(fds[0], reinterpret_cast<char*>(&port) + got,
-                             sizeof(port) - got);
-    if (n <= 0) {
-      std::fprintf(stderr, "node %d died before reporting a port\n", node_id);
-      std::exit(1);
-    }
-    got += static_cast<size_t>(n);
-  }
-  ::close(fds[0]);
-  return Child{pid, port};
-}
-
-MeasuredRow MeasureCluster(int32_t node_count, int64_t keys,
-                           double measure_s) {
-  std::vector<Child> children;
-  net::ClusterTopology topology;
-  topology.partition_count = kPartitions;
-  for (int32_t i = 0; i < node_count; ++i) {
-    children.push_back(SpawnNode(i, node_count));
-    topology.nodes.push_back(
-        net::NodeAddress{i, "127.0.0.1", children.back().port});
-  }
-
-  MeasuredRow row;
-  row.nodes = node_count;
-  row.rows = keys;
-  {
-    net::ClusterClient client(topology);
-    kv::Grid coord_grid(kv::GridConfig{.node_count = 1,
-                                       .partition_count = kPartitions,
-                                       .backup_count = 0});
-    state::SnapshotRegistry coord_registry(
-        &coord_grid,
-        state::SnapshotRegistry::Options{.retained_versions = 2,
-                                         .async_prune = false,
-                                         .metrics = nullptr});
-    query::QueryService coordinator(&coord_grid, &coord_registry);
-    coordinator.AttachCluster(&client);
-
-    std::vector<net::DeltaEntry> entries;
-    entries.reserve(static_cast<size_t>(keys));
-    for (int64_t k = 0; k < keys; ++k) {
-      entries.push_back(net::DeltaEntry{kv::Value(k), false, OrderValue(k)});
-    }
-    if (!client.Apply("orders", 0, entries).ok() ||
-        !client.Apply("snapshot_orders", 1, entries).ok() ||
-        !client.RunCheckpoint(1).ok()) {
-      std::fprintf(stderr, "cluster load failed (nodes=%d)\n", node_count);
-      std::exit(1);
-    }
-
-    query::QueryOptions live;
-    live.isolation = state::IsolationLevel::kReadCommittedNoFailures;
-
-    // Scan-aggregate throughput: every iteration folds all `keys` rows
-    // across the node processes and merges the partials.
-    const int64_t scan_deadline =
-        trace::NowNanos() + static_cast<int64_t>(measure_s * 1e9);
-    int64_t scans = 0;
-    const int64_t scan_t0 = trace::NowNanos();
-    while (trace::NowNanos() < scan_deadline) {
-      auto r = coordinator.Execute("SELECT count(*), sum(total) FROM orders",
-                                   live);
-      if (!r.ok()) {
-        std::fprintf(stderr, "scan failed: %s\n", r.status().ToString().c_str());
-        std::exit(1);
-      }
-      ++scans;
-    }
-    const double scan_elapsed_s =
-        static_cast<double>(trace::NowNanos() - scan_t0) / 1e9;
-    row.scan_rows_per_sec =
-        static_cast<double>(scans * keys) / std::max(scan_elapsed_s, 1e-9);
-
-    // Point-lookup latency (routed to the single owning node).
-    Histogram point_nanos;
-    const int64_t lookup_deadline =
-        trace::NowNanos() + static_cast<int64_t>(measure_s * 1e9);
-    int64_t key = 0;
-    while (trace::NowNanos() < lookup_deadline) {
-      const int64_t t0 = trace::NowNanos();
-      auto r = coordinator.Execute(
-          "SELECT total FROM orders WHERE key = " + std::to_string(key % keys),
-          live);
-      if (!r.ok()) std::exit(1);
-      point_nanos.Record(trace::NowNanos() - t0);
-      ++key;
-    }
-    Histogram::Summary point = point_nanos.Summarize();
-    row.point_p50_nanos = point.p50;
-    row.point_p99_nanos = point.p99;
-
-    // Snapshot scan-aggregate latency (the paper's "query a consistent
-    // snapshot while the cluster keeps running" shape).
-    Histogram query_nanos;
-    const int64_t query_deadline =
-        trace::NowNanos() + static_cast<int64_t>(measure_s * 1e9);
-    while (trace::NowNanos() < query_deadline) {
-      const int64_t t0 = trace::NowNanos();
-      auto r = coordinator.Execute(
-          "SELECT region, count(*), sum(total) FROM snapshot_orders "
-          "GROUP BY region");
-      if (!r.ok()) std::exit(1);
-      query_nanos.Record(trace::NowNanos() - t0);
-    }
-    Histogram::Summary query = query_nanos.Summarize();
-    row.query_p50_nanos = query.p50;
-    row.query_p99_nanos = query.p99;
-  }
-
-  for (const Child& child : children) {
-    (void)::kill(child.pid, SIGKILL);
-    int status = 0;
-    (void)::waitpid(child.pid, &status, 0);
-  }
-  return row;
-}
-
-std::vector<MeasuredRow> RunMeasured(double scale) {
-  PrintHeader(
-      "Figure 15 (measured)",
-      "real multi-process cluster on localhost: N node processes + TCP "
-      "wire protocol, coordinator in this process");
-  const int64_t keys =
-      std::max<int64_t>(1000, static_cast<int64_t>(20000 * scale));
-  const double measure_s = std::max(0.3, 1.5 * scale);
-  std::printf("%-6s %10s %18s %14s %14s %14s %14s\n", "nodes", "rows",
-              "scan (rows/s)", "point p50", "point p99", "snap p50",
-              "snap p99");
-  std::vector<MeasuredRow> rows;
-  for (const int32_t nodes : {1, 2, 3}) {
-    MeasuredRow row = MeasureCluster(nodes, keys, measure_s);
-    std::printf("%-6d %10lld %18.0f %11.3fms %11.3fms %11.3fms %11.3fms\n",
-                row.nodes, static_cast<long long>(row.rows),
-                row.scan_rows_per_sec,
-                static_cast<double>(row.point_p50_nanos) / 1e6,
-                static_cast<double>(row.point_p99_nanos) / 1e6,
-                static_cast<double>(row.query_p50_nanos) / 1e6,
-                static_cast<double>(row.query_p99_nanos) / 1e6);
-    rows.push_back(row);
-  }
-  std::printf(
-      "\nMeasured numbers come from real processes and real sockets on one\n"
-      "host: they show the wire protocol's routing/merge cost, not the\n"
-      "paper's 7-machine linear scaling (all N processes share this host's\n"
-      "cores, so rows/s stays roughly flat as N grows).\n");
-  return rows;
-}
-
-void WriteJson(const std::vector<ModeledRow>& modeled,
-               const std::vector<MeasuredRow>& measured) {
-  std::FILE* f = std::fopen("BENCH_fig15.json", "w");
-  if (f == nullptr) return;
-  std::fprintf(f, "{\n  \"modeled\": [\n");
-  for (size_t i = 0; i < modeled.size(); ++i) {
-    const ModeledRow& r = modeled[i];
-    std::fprintf(f,
-                 "    {\"dop\": %d, \"snapshot_interval_s\": %.1f, "
-                 "\"max_events_per_sec\": %.0f}%s\n",
-                 r.dop, r.interval_s, r.max_events_per_sec,
-                 i + 1 < modeled.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"measured\": [\n");
-  for (size_t i = 0; i < measured.size(); ++i) {
-    const MeasuredRow& r = measured[i];
-    std::fprintf(
-        f,
-        "    {\"nodes\": %d, \"rows\": %lld, \"scan_rows_per_sec\": %.0f, "
-        "\"point_p50_nanos\": %lld, \"point_p99_nanos\": %lld, "
-        "\"query_p50_nanos\": %lld, \"query_p99_nanos\": %lld}%s\n",
-        r.nodes, static_cast<long long>(r.rows), r.scan_rows_per_sec,
-        static_cast<long long>(r.point_p50_nanos),
-        static_cast<long long>(r.point_p99_nanos),
-        static_cast<long long>(r.query_p50_nanos),
-        static_cast<long long>(r.query_p99_nanos),
-        i + 1 < measured.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_fig15.json\n");
+  WriteReport("fig15", {{"modeled", Json::Array(rows)}});
 }
 
 }  // namespace
 }  // namespace sq::bench
 
-int main(int argc, char** argv) {
-  const double scale = sq::bench::BenchScale();
-  bool measured = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--measured") == 0) measured = true;
-  }
-  const char* env = std::getenv("SQ_BENCH_MEASURED");
-  if (env != nullptr && env[0] == '1') measured = true;
-
-  const auto modeled = sq::bench::RunModeled(scale);
-  std::vector<sq::bench::MeasuredRow> measured_rows;
-  if (measured) {
-    measured_rows = sq::bench::RunMeasured(scale);
-  } else {
-    std::printf(
-        "\n(measured multi-process mode skipped; pass --measured or set\n"
-        "SQ_BENCH_MEASURED=1 to fork a real localhost cluster)\n");
-  }
-  sq::bench::WriteJson(modeled, measured_rows);
+int main() {
+  sq::bench::WriteJson(sq::bench::RunModeled(sq::bench::BenchScale()));
   return 0;
 }

@@ -1,29 +1,28 @@
 // Micro-benchmarks (google-benchmark): per-operation costs of the
 // substrates, used to calibrate the cluster simulator and as ablations for
 // the design decisions listed in DESIGN.md §6 (colocation, key-level
-// locking, incremental snapshots, SQL operator costs). A custom main adds
-// three sections with their own output files:
-//   * trace overhead (off / sampled / full), writing BENCH_trace.json and a
-//     Perfetto-loadable sq_query.trace.json; SQ_BENCH_TRACE_ONLY=1 runs
-//     just this section (the CI smoke run);
+// locking, incremental snapshots, SQL operator costs), and the
+// partition-parallel query fixture (core scaling, pushdown, point lookup vs
+// full scan). After the google-benchmark cases (which
+// `--benchmark_filter` selects or skips) a custom main always runs three
+// sections, each with its own report (all written after the last one):
+//   * trace overhead (off / sampled / full) → BENCH_trace.json, plus a
+//     Perfetto-loadable sq_query.trace.json;
 //   * scan throughput (row vs columnar engine, filtered vs unfiltered,
-//     parallelism 1/8) in rows/sec, merged into BENCH_query.json;
-//     SQ_BENCH_SCAN_ONLY=1 runs just this section;
+//     parallelism 1/8) in rows/sec → BENCH_query.json;
 //   * federated-scan overhead (system-table scan with vs without a cluster
-//     attached), writing BENCH_federation.json; SQ_BENCH_FED_ONLY=1 runs
-//     just this section (CI gates the overhead at < 5%).
+//     attached) → BENCH_federation.json.
+// CI gates full tracing and the federated path at < 5% and columnar ≥ row.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/clock.h"
 #include "common/histogram.h"
 #include "common/queue.h"
@@ -212,6 +211,8 @@ BENCHMARK(BM_PartitionerHash);
 
 // --- Partition-parallel query execution. One shared 100k-key grid so the
 // per-benchmark setup cost is paid once.
+constexpr int64_t kFixtureKeys = 100000;
+
 struct ParallelQueryFixture {
   kv::Grid grid{kv::GridConfig{.node_count = 3, .partition_count = 271,
                                .backup_count = 0}};
@@ -222,13 +223,13 @@ struct ParallelQueryFixture {
   ParallelQueryFixture() {
     state::SQueryStateStore store(&grid, "orders", 0,
                                   state::SQueryConfig{.parallelism = 1});
-    for (int64_t key = 0; key < 100000; ++key) {
+    for (int64_t key = 0; key < kFixtureKeys; ++key) {
       kv::Object o;
       o.Set("v", kv::Value(key * 2654435761 % 1000));
       o.Set("g", kv::Value(key % 16));
       store.Put(kv::Value(key), std::move(o));
     }
-    (void)store.SnapshotTo(1);
+    bench::Check(store.SnapshotTo(1), "fixture snapshot");
     registry.OnCheckpointCommitted(1);
   }
 
@@ -238,282 +239,91 @@ struct ParallelQueryFixture {
   }
 };
 
-// Arg = parallelism. Full-scan partial aggregate (the core-scaling case).
-void BM_QueryParallelScanAggregate(benchmark::State& state) {
-  auto& fixture = ParallelQueryFixture::Get();
+query::QueryOptions FixtureOptions(int32_t parallelism) {
   query::QueryOptions options;
   options.isolation = state::IsolationLevel::kReadCommittedNoFailures;
-  options.parallelism = static_cast<int32_t>(state.range(0));
-  for (auto _ : state) {
-    auto result = fixture.service.Execute(
-        "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM orders GROUP BY g",
-        options);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() * 100000);
+  options.parallelism = parallelism;
+  return options;
 }
-BENCHMARK(BM_QueryParallelScanAggregate)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// Runs one fixture query; a failed query ends the run like any bench.
+sql::ExecStats RunFixtureQuery(const std::string& sql,
+                               const query::QueryOptions& options) {
+  return bench::Check(
+             ParallelQueryFixture::Get().service.ExecuteWithStats(sql, options),
+             "query")
+      .stats;
+}
+
+// Rows the last iteration scanned, and their share of the fixture: 1 for a
+// full scan, 1/100000 for a key-equality point lookup.
+void SetScanCounters(benchmark::State& state, const sql::ExecStats& stats) {
+  state.counters["rows_scanned"] = static_cast<double>(stats.rows_scanned);
+  state.counters["scanned_fraction"] =
+      static_cast<double>(stats.rows_scanned) / kFixtureKeys;
+}
+
+// Args = {parallelism, snapshot table?}. Full-scan partial aggregate (the
+// core-scaling case), over the live and the snapshot table.
+void BM_QueryParallelScanAggregate(benchmark::State& state) {
+  const bool snapshot = state.range(1) != 0;
+  const std::string sql = std::string("SELECT g, COUNT(*) AS n, SUM(v) AS s "
+                                      "FROM ") +
+                          (snapshot ? "snapshot_orders" : "orders") +
+                          " GROUP BY g";
+  const query::QueryOptions options =
+      FixtureOptions(static_cast<int32_t>(state.range(0)));
+  ParallelQueryFixture::Get();  // built outside the timed loop
+  sql::ExecStats stats;
+  for (auto _ : state) {
+    stats = RunFixtureQuery(sql, options);
+    benchmark::DoNotOptimize(stats);
+  }
+  SetScanCounters(state, stats);
+  state.SetItemsProcessed(state.iterations() * kFixtureKeys);
+  state.SetLabel(snapshot ? "snapshot" : "live");
+}
+BENCHMARK(BM_QueryParallelScanAggregate)->ArgsProduct({{1, 2, 4, 8}, {0, 1}});
 
 // Arg = pushdown (0/1). Selective filter: pushdown evaluates the predicate
 // inside the scan, off materializes all 100k rows first.
 void BM_QueryPredicatePushdown(benchmark::State& state) {
-  auto& fixture = ParallelQueryFixture::Get();
-  query::QueryOptions options;
-  options.isolation = state::IsolationLevel::kReadCommittedNoFailures;
-  options.parallelism = 4;
+  query::QueryOptions options = FixtureOptions(4);
   options.pushdown = state.range(0) != 0;
+  ParallelQueryFixture::Get();  // built outside the timed loop
+  sql::ExecStats stats;
   for (auto _ : state) {
-    auto result = fixture.service.Execute(
+    stats = RunFixtureQuery(
         "SELECT key, v FROM orders WHERE v > 990 AND g = 3", options);
-    benchmark::DoNotOptimize(result);
+    benchmark::DoNotOptimize(stats);
   }
-  state.SetItemsProcessed(state.iterations() * 100000);
+  SetScanCounters(state, stats);
+  state.SetItemsProcessed(state.iterations() * kFixtureKeys);
 }
 BENCHMARK(BM_QueryPredicatePushdown)->Arg(0)->Arg(1);
 
 // Key pushdown routes `key = <literal>` to a single point lookup instead of
 // a 271-partition sweep.
 void BM_QueryKeyEqualityPointLookup(benchmark::State& state) {
-  auto& fixture = ParallelQueryFixture::Get();
-  query::QueryOptions options;
-  options.isolation = state::IsolationLevel::kReadCommittedNoFailures;
+  const query::QueryOptions options = FixtureOptions(1);
+  ParallelQueryFixture::Get();  // built outside the timed loop
+  sql::ExecStats stats;
   int64_t i = 0;
   for (auto _ : state) {
-    auto result = fixture.service.Execute(
-        "SELECT v FROM orders WHERE key = " + std::to_string(i++ % 100000),
+    stats = RunFixtureQuery(
+        "SELECT v FROM orders WHERE key = " +
+            std::to_string(i++ % kFixtureKeys),
         options);
-    benchmark::DoNotOptimize(result);
+    benchmark::DoNotOptimize(stats);
   }
+  SetScanCounters(state, stats);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QueryKeyEqualityPointLookup);
 
-// --- Tracing overhead. The spans are default-on, so this section is the
-// guardrail: the full-tracing cost on the partition-parallel aggregate query
-// must stay marginal (CI asserts < 5%). Modes are interleaved round-robin so
-// thermal / scheduler drift hits all three equally; best-of-rounds absorbs
-// outliers.
-double MeasureTracedQueryNanos(query::QueryService* service,
-                               const std::string& sql, int iters) {
-  query::QueryOptions options;
-  options.isolation = state::IsolationLevel::kReadCommittedNoFailures;
-  options.parallelism = 4;
+double NanosOf(const std::function<void()>& run) {
   const int64_t t0 = SystemClock::Default()->NowNanos();
-  for (int i = 0; i < iters; ++i) {
-    auto result = service->Execute(sql, options);
-    benchmark::DoNotOptimize(result);
-  }
-  return static_cast<double>(SystemClock::Default()->NowNanos() - t0) /
-         iters;
-}
-
-void RunTraceOverheadSection() {
-  auto& fixture = ParallelQueryFixture::Get();
-  const std::string sql =
-      "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM orders GROUP BY g";
-  const char* scale_env = std::getenv("SQ_BENCH_SCALE");
-  const double scale = scale_env != nullptr ? std::atof(scale_env) : 1.0;
-  const int iters = std::max(10, static_cast<int>(200 * scale));
-  const int rounds = 3;
-
-  trace::TraceConfig off;
-  off.enabled = false;
-  trace::TraceConfig sampled;  // 1-in-64 roots
-  sampled.sample_every.fill(64);
-  const trace::TraceConfig full;  // default: everything
-
-  // Warmup (also populates caches identically for all modes).
-  trace::SetConfig(off);
-  MeasureTracedQueryNanos(&fixture.service, sql, iters / 2 + 1);
-
-  double best[3] = {1e300, 1e300, 1e300};
-  const trace::TraceConfig* configs[3] = {&off, &sampled, &full};
-  for (int round = 0; round < rounds; ++round) {
-    for (int mode = 0; mode < 3; ++mode) {
-      trace::SetConfig(*configs[mode]);
-      const double nanos =
-          MeasureTracedQueryNanos(&fixture.service, sql, iters);
-      if (nanos < best[mode]) best[mode] = nanos;
-    }
-  }
-  trace::SetConfig(trace::TraceConfig{});
-
-  const double overhead_sampled = (best[1] - best[0]) / best[0] * 100.0;
-  const double overhead_full = (best[2] - best[0]) / best[0] * 100.0;
-  std::printf(
-      "\ntrace overhead on '%s' (%d queries x %d rounds):\n"
-      "  off:     %10.0f ns/query\n"
-      "  sampled: %10.0f ns/query (1 in 64 roots, %+.2f%%)\n"
-      "  full:    %10.0f ns/query (every span, %+.2f%%)\n",
-      sql.c_str(), iters, rounds, best[0], best[1], overhead_sampled,
-      best[2], overhead_full);
-
-  const Status exported = trace::ExportChromeJson("sq_query.trace.json");
-  if (exported.ok()) {
-    std::printf("wrote sq_query.trace.json (load in ui.perfetto.dev)\n");
-  } else {
-    std::printf("trace export failed: %s\n", exported.ToString().c_str());
-  }
-
-  std::FILE* f = std::fopen("BENCH_trace.json", "w");
-  if (f == nullptr) return;
-  std::fprintf(
-      f,
-      "{\n  \"trace_overhead\": {\n"
-      "    \"query\": \"%s\",\n"
-      "    \"iters\": %d,\n"
-      "    \"off_nanos\": %.0f,\n"
-      "    \"sampled_nanos\": %.0f,\n"
-      "    \"full_nanos\": %.0f,\n"
-      "    \"overhead_sampled_pct\": %.3f,\n"
-      "    \"overhead_full_pct\": %.3f\n  }\n}\n",
-      sql.c_str(), iters, best[0], best[1], best[2], overhead_sampled,
-      overhead_full);
-  std::fclose(f);
-  std::printf("wrote BENCH_trace.json\n");
-}
-
-// --- Scan throughput: the vectorized (columnar-batch) engine against the
-// row engine on the same snapshot table, fused filter+COUNT so the measured
-// cost is the scan itself, not result materialization. rows/sec over the
-// 100k-key fixture; the force-row knob selects the engine.
-
-struct ScanThroughputRow {
-  const char* scan;    // "unfiltered" | "filtered"
-  const char* engine;  // "columnar" | "row"
-  int32_t parallelism;
-  double mean_ms;
-  double rows_per_sec;
-};
-
-ScanThroughputRow MeasureScanThroughput(query::QueryService* service,
-                                        const char* scan, const char* engine,
-                                        const std::string& sql,
-                                        int32_t parallelism, int iters) {
-  query::QueryOptions options;
-  options.parallelism = parallelism;
-  options.force_row_scan = std::strcmp(engine, "row") == 0;
-  // Warm up: builds (and caches) the columnar partition views so both
-  // engines are measured over resident state.
-  for (int i = 0; i < 2; ++i) {
-    auto r = service->Execute(sql, options);
-    if (!r.ok()) {
-      std::fprintf(stderr, "scan bench failed: %s\n",
-                   r.status().ToString().c_str());
-      std::exit(1);
-    }
-  }
-  const int64_t t0 = SystemClock::Default()->NowNanos();
-  for (int i = 0; i < iters; ++i) {
-    auto r = service->Execute(sql, options);
-    benchmark::DoNotOptimize(r);
-  }
-  const double nanos =
-      static_cast<double>(SystemClock::Default()->NowNanos() - t0) / iters;
-  ScanThroughputRow row{scan, engine, parallelism, nanos / 1e6,
-                        100000.0 / (nanos / 1e9)};
-  std::printf(
-      "scan=%-10s engine=%-8s parallelism=%d  mean=%8.3f ms  %12.0f rows/s\n",
-      row.scan, row.engine, row.parallelism, row.mean_ms, row.rows_per_sec);
-  return row;
-}
-
-// Merges `payload` into BENCH_query.json under the "scan_throughput" key:
-// the file's closing brace is replaced by `, "scan_throughput": {...}}` so
-// the section composes with the series bench_fig13_query_latency wrote. A
-// missing file gets a fresh object.
-void MergeScanSection(const std::string& payload) {
-  std::string existing;
-  {
-    std::ifstream in("BENCH_query.json");
-    std::stringstream ss;
-    ss << in.rdbuf();
-    existing = ss.str();
-  }
-  const size_t brace = existing.find_last_of('}');
-  std::ofstream out("BENCH_query.json", std::ios::trunc);
-  if (brace == std::string::npos) {
-    out << "{\n" << payload << "\n}\n";
-  } else {
-    out << existing.substr(0, brace) << ",\n" << payload << "\n}\n";
-  }
-}
-
-void RunScanThroughputSection() {
-  const char* scale_env = std::getenv("SQ_BENCH_SCALE");
-  const double scale = scale_env != nullptr ? std::atof(scale_env) : 1.0;
-  const int iters = std::max(3, static_cast<int>(30 * scale));
-  auto& fixture = ParallelQueryFixture::Get();
-
-  const std::string unfiltered =
-      "SELECT COUNT(*) AS n FROM snapshot_orders";
-  const std::string filtered =
-      "SELECT COUNT(*) AS n FROM snapshot_orders WHERE v > 500";
-  std::printf("\nscan throughput (100000 keys, %d queries per cell):\n",
-              iters);
-  std::vector<ScanThroughputRow> rows;
-  for (int32_t parallelism : {1, 8}) {
-    for (const char* engine : {"row", "columnar"}) {
-      rows.push_back(MeasureScanThroughput(&fixture.service, "unfiltered",
-                                           engine, unfiltered, parallelism,
-                                           iters));
-      rows.push_back(MeasureScanThroughput(&fixture.service, "filtered",
-                                           engine, filtered, parallelism,
-                                           iters));
-    }
-  }
-
-  auto find = [&rows](const char* scan, const char* engine,
-                      int32_t parallelism) -> const ScanThroughputRow& {
-    for (const auto& r : rows) {
-      if (std::strcmp(r.scan, scan) == 0 &&
-          std::strcmp(r.engine, engine) == 0 &&
-          r.parallelism == parallelism) {
-        return r;
-      }
-    }
-    std::abort();
-  };
-  const double ratio_p1 = find("unfiltered", "columnar", 1).rows_per_sec /
-                          find("unfiltered", "row", 1).rows_per_sec;
-  const double ratio_p8 = find("unfiltered", "columnar", 8).rows_per_sec /
-                          find("unfiltered", "row", 8).rows_per_sec;
-  std::printf("columnar vs row, unfiltered scan: %.2fx @1, %.2fx @8\n",
-              ratio_p1, ratio_p8);
-
-  std::string payload = "  \"scan_throughput\": {\n    \"keys\": 100000,\n"
-                        "    \"series\": [\n";
-  char line[256];
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::snprintf(line, sizeof(line),
-                  "      {\"scan\": \"%s\", \"engine\": \"%s\", "
-                  "\"parallelism\": %d, \"mean_ms\": %.4f, "
-                  "\"rows_per_sec\": %.0f}%s\n",
-                  r.scan, r.engine, r.parallelism, r.mean_ms, r.rows_per_sec,
-                  i + 1 < rows.size() ? "," : "");
-    payload += line;
-  }
-  std::snprintf(line, sizeof(line),
-                "    ],\n    \"columnar_vs_row_unfiltered_p1\": %.3f,\n"
-                "    \"columnar_vs_row_unfiltered_p8\": %.3f\n  }",
-                ratio_p1, ratio_p8);
-  payload += line;
-  MergeScanSection(payload);
-  std::printf("merged scan_throughput into BENCH_query.json\n");
-}
-
-// --- Federation overhead. Attaching a ClusterRouter sends every
-// system-table scan through the federated path (local scan, then remote
-// fan-out over RemoteNodeIds). With no remote nodes that fan-out must be
-// free: CI gates the delta on a local `__spans` scan at < 5% so the cluster
-// observability plumbing never taxes single-node deployments.
-// SQ_BENCH_FED_ONLY=1 runs just this section.
-double TimeSystemScanNanos(query::QueryService* service,
-                           const std::string& sql) {
-  const int64_t t0 = SystemClock::Default()->NowNanos();
-  auto result = service->Execute(sql);
-  benchmark::DoNotOptimize(result);
+  run();
   return static_cast<double>(SystemClock::Default()->NowNanos() - t0);
 }
 
@@ -523,15 +333,165 @@ double Median(std::vector<double> values) {
   return *mid;
 }
 
-void RunFederatedOverheadSection() {
+struct PairedTiming {
+  double base_nanos = 0;     // median time of `base`
+  double variant_nanos = 0;  // median time of `variant`
+  double overhead_pct = 0;   // median over pairs of variant / base, minus 1
+};
+
+// Times `base` and `variant` in back-to-back pairs, alternating which runs
+// first, so drift in host speed and in shared state (a journal both scan,
+// warm caches) hits both sides alike. The overhead is the median over pairs
+// of the variant's time relative to the base's, which noise on single runs
+// does not move; a best-of or mean over whole rounds swings by tens of
+// percent on a shared host. The first `warmup` pairs are discarded.
+PairedTiming TimePaired(const std::function<void()>& base,
+                        const std::function<void()>& variant, int warmup,
+                        int pairs) {
+  std::vector<double> base_nanos;
+  std::vector<double> variant_nanos;
+  std::vector<double> ratios;
+  for (int i = 0; i < warmup + pairs; ++i) {
+    double b = 0;
+    double v = 0;
+    if (i % 2 == 0) {
+      b = NanosOf(base);
+      v = NanosOf(variant);
+    } else {
+      v = NanosOf(variant);
+      b = NanosOf(base);
+    }
+    if (i < warmup) continue;
+    base_nanos.push_back(b);
+    variant_nanos.push_back(v);
+    ratios.push_back(v / b);
+  }
+  return PairedTiming{Median(base_nanos), Median(variant_nanos),
+                      (Median(ratios) - 1.0) * 100.0};
+}
+
+// --- Tracing overhead. The spans are default-on, so this section is the
+// guardrail: the full-tracing cost on the partition-parallel aggregate query
+// must stay marginal (CI asserts < 5%). Off is paired once with sampled and
+// once with full tracing.
+bench::Json RunTraceOverheadSection() {
+  const std::string sql =
+      "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM orders GROUP BY g";
+  const int pairs = std::max(20, static_cast<int>(300 * bench::BenchScale()));
+  const int warmup = pairs / 4 + 1;
+  const query::QueryOptions options = FixtureOptions(4);
+
+  trace::TraceConfig off;
+  off.enabled = false;
+  trace::TraceConfig sampled;  // 1-in-64 roots
+  sampled.sample_every.fill(64);
+  const trace::TraceConfig full;  // default: everything
+  auto query_with = [&](const trace::TraceConfig& config) {
+    return [&sql, &options, config] {
+      trace::SetConfig(config);
+      RunFixtureQuery(sql, options);
+    };
+  };
+  const PairedTiming vs_sampled =
+      TimePaired(query_with(off), query_with(sampled), warmup, pairs);
+  const PairedTiming vs_full =
+      TimePaired(query_with(off), query_with(full), warmup, pairs);
+  trace::SetConfig(trace::TraceConfig{});
+
+  std::printf(
+      "\ntrace overhead on '%s' (%d query pairs per mode, medians):\n"
+      "  off:     %10.0f ns/query\n"
+      "  sampled: %10.0f ns/query (1 in 64 roots, pairwise %+.2f%%)\n"
+      "  full:    %10.0f ns/query (every span, pairwise %+.2f%%)\n",
+      sql.c_str(), pairs, vs_full.base_nanos, vs_sampled.variant_nanos,
+      vs_sampled.overhead_pct, vs_full.variant_nanos, vs_full.overhead_pct);
+
+  bench::Check(trace::ExportChromeJson("sq_query.trace.json"), "trace export");
+  std::printf("wrote sq_query.trace.json (load in ui.perfetto.dev)\n");
+  return bench::Json::Object(
+      {{"query", sql},
+       {"pairs", pairs},
+       {"off_nanos", vs_full.base_nanos},
+       {"sampled_nanos", vs_sampled.variant_nanos},
+       {"full_nanos", vs_full.variant_nanos},
+       {"overhead_sampled_pct", vs_sampled.overhead_pct},
+       {"overhead_full_pct", vs_full.overhead_pct}});
+}
+
+// --- Scan throughput: the vectorized (columnar-batch) engine against the
+// row engine on the same snapshot table, fused filter+COUNT so the measured
+// cost is the scan itself, not result materialization. rows/sec over the
+// 100k-key fixture; the force-row knob selects the engine.
+// Appends one series row and returns its rows/sec.
+double MeasureScanThroughput(const char* scan, bool row_engine,
+                             const std::string& sql, int32_t parallelism,
+                             int iters, std::vector<bench::Json>* series) {
+  query::QueryOptions options;
+  options.parallelism = parallelism;
+  options.force_row_scan = row_engine;
+  // Warm up: builds (and caches) the columnar partition views so both
+  // engines are measured over resident state.
+  for (int i = 0; i < 2; ++i) RunFixtureQuery(sql, options);
+  const double nanos = NanosOf([&] {
+                         for (int i = 0; i < iters; ++i) {
+                           RunFixtureQuery(sql, options);
+                         }
+                       }) /
+                       iters;
+  const double rows_per_sec = kFixtureKeys / (nanos / 1e9);
+  const char* engine = row_engine ? "row" : "columnar";
+  std::printf(
+      "scan=%-10s engine=%-8s parallelism=%d  mean=%8.3f ms  %12.0f rows/s\n",
+      scan, engine, parallelism, nanos / 1e6, rows_per_sec);
+  series->push_back(bench::Json::Object({{"scan", scan},
+                                         {"engine", engine},
+                                         {"parallelism", parallelism},
+                                         {"mean_ms", nanos / 1e6},
+                                         {"rows_per_sec", rows_per_sec}}));
+  return rows_per_sec;
+}
+
+bench::Json RunScanThroughputSection() {
+  const int iters = std::max(3, static_cast<int>(30 * bench::BenchScale()));
+  const std::string unfiltered = "SELECT COUNT(*) AS n FROM snapshot_orders";
+  const std::string filtered =
+      "SELECT COUNT(*) AS n FROM snapshot_orders WHERE v > 500";
+  std::printf("\nscan throughput (%lld keys, %d queries per cell):\n",
+              static_cast<long long>(kFixtureKeys), iters);
+  std::vector<bench::Json> series;
+  double ratio[2] = {0, 0};  // columnar over row, unfiltered, @1 and @8
+  for (const int32_t parallelism : {1, 8}) {
+    double unfiltered_rate[2] = {0, 0};  // row, columnar
+    for (const bool row_engine : {true, false}) {
+      unfiltered_rate[!row_engine] = MeasureScanThroughput(
+          "unfiltered", row_engine, unfiltered, parallelism, iters, &series);
+      MeasureScanThroughput("filtered", row_engine, filtered, parallelism,
+                            iters, &series);
+    }
+    ratio[parallelism == 8] = unfiltered_rate[1] / unfiltered_rate[0];
+  }
+  std::printf("columnar vs row, unfiltered scan: %.2fx @1, %.2fx @8\n",
+              ratio[0], ratio[1]);
+  return bench::Json::Object(
+      {{"keys", kFixtureKeys},
+       {"series", bench::Json::Array(series)},
+       {"columnar_vs_row_unfiltered_p1", ratio[0]},
+       {"columnar_vs_row_unfiltered_p8", ratio[1]}});
+}
+
+// --- Federation overhead. Attaching a ClusterRouter sends every
+// system-table scan through the federated path (local scan, then remote
+// fan-out over RemoteNodeIds). With no remote nodes that fan-out must be
+// free: CI gates the delta on a local `__spans` scan at < 5% so the cluster
+// observability plumbing never taxes single-node deployments.
+bench::Json RunFederatedOverheadSection() {
   auto& fixture = ParallelQueryFixture::Get();
-  const char* scale_env = std::getenv("SQ_BENCH_SCALE");
-  const double scale = scale_env != nullptr ? std::atof(scale_env) : 1.0;
-  const int iters = std::max(10, static_cast<int>(150 * scale));
-  const int rounds = 5;
+  const int pairs = std::max(50, static_cast<int>(750 * bench::BenchScale()));
 
   // A deterministically full journal, so the scan measures real row volume
-  // rather than the fixed per-query cost on an empty snapshot.
+  // rather than the fixed per-query cost on an empty snapshot. Clearing it
+  // first keeps the spans of the sections that ran before out of the scan.
+  trace::ClearForTest();
   for (int64_t i = 0; i < 2000; ++i) {
     trace::RecordSpan(trace::Category::kQuery, "bench.fed_fixture",
                       trace::RootContext(trace::NewTraceId(), /*forced=*/true),
@@ -544,71 +504,42 @@ void RunFederatedOverheadSection() {
       net::RpcOptions{});
   federated.AttachCluster(&client);
 
+  // Every query adds spans to the journal it scans; the pairs keep both
+  // queries of a pair on the same journal.
   const std::string sql = "SELECT COUNT(*) AS n FROM __spans";
-  // Every query adds spans to the journal it scans, so the two services run
-  // in back-to-back pairs, alternating which one goes first: both queries
-  // of a pair scan the same journal. The overhead is the median over pairs
-  // of the attached query's time relative to the local one, which host
-  // noise on single queries does not move. The first pairs warm up both
-  // paths identically.
-  const int warmup = iters / 2 + 1;
-  const int pairs = iters * rounds;
-  std::vector<double> local_nanos;
-  std::vector<double> fed_nanos;
-  std::vector<double> fed_over_local;
-  for (int i = 0; i < warmup + pairs; ++i) {
-    double local = 0;
-    double fed = 0;
-    if (i % 2 == 0) {
-      local = TimeSystemScanNanos(&fixture.service, sql);
-      fed = TimeSystemScanNanos(&federated, sql);
-    } else {
-      fed = TimeSystemScanNanos(&federated, sql);
-      local = TimeSystemScanNanos(&fixture.service, sql);
-    }
-    if (i < warmup) continue;
-    local_nanos.push_back(local);
-    fed_nanos.push_back(fed);
-    fed_over_local.push_back(fed / local);
-  }
-  const double median_local = Median(local_nanos);
-  const double median_fed = Median(fed_nanos);
-  const double overhead_pct = (Median(fed_over_local) - 1.0) * 100.0;
+  auto scan_on = [&](query::QueryService* service) {
+    return [&sql, service] { bench::Check(service->Execute(sql), "query"); };
+  };
+  const PairedTiming fed = TimePaired(scan_on(&fixture.service),
+                                      scan_on(&federated), pairs / 10 + 1, pairs);
   std::printf(
       "\nfederated-scan overhead on '%s' (%d query pairs, medians):\n"
       "  local-only:       %10.0f ns/query\n"
       "  cluster attached: %10.0f ns/query (pairwise %+.2f%%)\n",
-      sql.c_str(), pairs, median_local, median_fed, overhead_pct);
-
-  std::FILE* f = std::fopen("BENCH_federation.json", "w");
-  if (f == nullptr) return;
-  std::fprintf(f,
-               "{\n  \"federated_scan_overhead\": {\n"
-               "    \"query\": \"%s\",\n"
-               "    \"iters\": %d,\n"
-               "    \"local_nanos\": %.0f,\n"
-               "    \"federated_nanos\": %.0f,\n"
-               "    \"overhead_pct\": %.3f\n  }\n}\n",
-               sql.c_str(), pairs, median_local, median_fed, overhead_pct);
-  std::fclose(f);
-  std::printf("wrote BENCH_federation.json\n");
+      sql.c_str(), pairs, fed.base_nanos, fed.variant_nanos, fed.overhead_pct);
+  return bench::Json::Object({{"query", sql},
+                              {"pairs", pairs},
+                              {"local_nanos", fed.base_nanos},
+                              {"federated_nanos", fed.variant_nanos},
+                              {"overhead_pct", fed.overhead_pct}});
 }
 
 }  // namespace
 }  // namespace sq
 
 int main(int argc, char** argv) {
-  const bool trace_only = std::getenv("SQ_BENCH_TRACE_ONLY") != nullptr;
-  const bool scan_only = std::getenv("SQ_BENCH_SCAN_ONLY") != nullptr;
-  const bool fed_only = std::getenv("SQ_BENCH_FED_ONLY") != nullptr;
-  if (!trace_only && !scan_only && !fed_only) {
-    ::benchmark::Initialize(&argc, argv);
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    ::benchmark::RunSpecifiedBenchmarks();
-    ::benchmark::Shutdown();
-  }
-  if (!scan_only && !fed_only) sq::RunTraceOverheadSection();
-  if (!trace_only && !fed_only) sq::RunScanThroughputSection();
-  if (!trace_only && !scan_only) sq::RunFederatedOverheadSection();
+  ::benchmark::Initialize(&argc, argv);
+  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  ::benchmark::RunSpecifiedBenchmarks();
+  ::benchmark::Shutdown();
+  // Reports are written after the last section, so a failure in any
+  // section leaves none behind.
+  const sq::bench::Json trace = sq::RunTraceOverheadSection();
+  const sq::bench::Json scan = sq::RunScanThroughputSection();
+  const sq::bench::Json federation = sq::RunFederatedOverheadSection();
+  sq::bench::WriteReport("trace", {{"trace_overhead", trace}});
+  sq::bench::WriteReport("query", {{"scan_throughput", scan}});
+  sq::bench::WriteReport("federation",
+                         {{"federated_scan_overhead", federation}});
   return 0;
 }

@@ -1,8 +1,8 @@
 // Durable-snapshot recovery benchmark (no paper figure — the durability
 // subsystem is this reproduction's extension beyond the in-memory window):
 //
-//  1. commit-path overhead — snapshot 2PC latency with the durable log off,
-//     on without fsync, and on with fsync, across state sizes;
+//  1. commit-path overhead — snapshot 2PC latency with the durable log off
+//     vs on (fsync on commit), across state sizes;
 //  2. cold recovery — time to rebuild the grid's snapshot tables from the
 //     log (`ReplayInto`) vs state size, with the resulting durable floor;
 //  3. modeled kill-and-restart downtime — the cluster simulator's view of
@@ -41,10 +41,7 @@ struct RecoveryRow {
 std::string MakeTempDir() {
   std::string tmpl = "/tmp/sq_bench_recovery_XXXXXX";
   char* dir = ::mkdtemp(tmpl.data());
-  if (dir == nullptr) {
-    std::fprintf(stderr, "mkdtemp failed\n");
-    std::exit(1);
-  }
+  if (dir == nullptr) Fail("mkdtemp", Status::Internal(std::strerror(errno)));
   return dir;
 }
 
@@ -56,15 +53,10 @@ CommitRow RunCommitConfig(int64_t keys, const char* mode, int checkpoints) {
                            /*checkpoint_interval_ms=*/0, /*churn_rate=*/0.0,
                            /*retained_versions=*/2, dir);
   Histogram* phase2 = harness->metrics.GetHistogram("checkpoint.phase2_nanos");
-  (void)harness->job->TriggerCheckpoint();  // warm-up
+  Check(harness->job->TriggerCheckpoint(), "warm-up checkpoint");
   phase2->Reset();
   for (int i = 0; i < checkpoints; ++i) {
-    auto result = harness->job->TriggerCheckpoint();
-    if (!result.ok()) {
-      std::fprintf(stderr, "checkpoint failed: %s\n",
-                   result.status().ToString().c_str());
-      break;
-    }
+    Check(harness->job->TriggerCheckpoint(), "checkpoint");
   }
   const Histogram::Summary s = phase2->Summarize();
   CommitRow row;
@@ -92,31 +84,23 @@ RecoveryRow RunColdRecovery(int64_t keys, int checkpoints) {
                              /*checkpoint_interval_ms=*/0, /*churn_rate=*/0.0,
                              /*retained_versions=*/2, dir);
     for (int i = 0; i < checkpoints; ++i) {
-      (void)harness->job->TriggerCheckpoint();
+      Check(harness->job->TriggerCheckpoint(), "checkpoint");
     }
   }  // harness destroyed: "the node died"
 
   RecoveryRow row;
   row.keys = keys;
   const auto start = std::chrono::steady_clock::now();
-  auto log = storage::SnapshotLog::Open(storage::StorageOptions{.dir = dir});
-  if (!log.ok()) {
-    std::fprintf(stderr, "reopen failed: %s\n",
-                 log.status().ToString().c_str());
-    std::exit(1);
-  }
+  auto log = Check(storage::SnapshotLog::Open(storage::StorageOptions{.dir = dir}),
+                   "reopen");
   kv::Grid grid(kv::GridConfig{.node_count = 3, .partition_count = 24,
                                .backup_count = 0});
-  auto info = (*log)->ReplayInto(&grid, /*retained_versions=*/2);
-  if (!info.ok()) {
-    std::fprintf(stderr, "replay failed: %s\n",
-                 info.status().ToString().c_str());
-    std::exit(1);
-  }
+  const auto info =
+      Check(log->ReplayInto(&grid, /*retained_versions=*/2), "replay");
   row.replay_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                       std::chrono::steady_clock::now() - start)
                       .count();
-  row.records = info->records_scanned;
+  row.records = info.records_scanned;
   row.entries_rebuilt = static_cast<int64_t>(grid.TotalSnapshotEntries());
   std::printf(
       "%-28s open+replay=%6lld ms  records=%-9lld entries=%-9lld "
@@ -125,7 +109,7 @@ RecoveryRow RunColdRecovery(int64_t keys, int checkpoints) {
       static_cast<long long>(row.replay_ms),
       static_cast<long long>(row.records),
       static_cast<long long>(row.entries_rebuilt),
-      static_cast<long long>(info->latest_committed));
+      static_cast<long long>(info.latest_committed));
   std::filesystem::remove_all(dir);
   return row;
 }
@@ -133,38 +117,27 @@ RecoveryRow RunColdRecovery(int64_t keys, int checkpoints) {
 void WriteJson(const std::vector<CommitRow>& commits,
                const std::vector<RecoveryRow>& recoveries,
                double downtime_replay_s, double downtime_durable_s) {
-  std::FILE* f = std::fopen("BENCH_recovery.json", "w");
-  if (f == nullptr) return;
-  std::fprintf(f, "{\n  \"commit_overhead\": [\n");
-  for (size_t i = 0; i < commits.size(); ++i) {
-    const CommitRow& r = commits[i];
-    std::fprintf(f,
-                 "    {\"keys\": %lld, \"mode\": \"%s\", \"p50_nanos\": %lld, "
-                 "\"p99_nanos\": %lld, \"persisted_bytes\": %lld}%s\n",
-                 static_cast<long long>(r.keys), r.mode.c_str(),
-                 static_cast<long long>(r.p50_nanos),
-                 static_cast<long long>(r.p99_nanos),
-                 static_cast<long long>(r.persisted_bytes),
-                 i + 1 < commits.size() ? "," : "");
+  std::vector<Json> commit_rows;
+  for (const CommitRow& r : commits) {
+    commit_rows.push_back(Json::Object({{"keys", r.keys},
+                                        {"mode", r.mode},
+                                        {"p50_nanos", r.p50_nanos},
+                                        {"p99_nanos", r.p99_nanos},
+                                        {"persisted_bytes", r.persisted_bytes}}));
   }
-  std::fprintf(f, "  ],\n  \"cold_recovery\": [\n");
-  for (size_t i = 0; i < recoveries.size(); ++i) {
-    const RecoveryRow& r = recoveries[i];
-    std::fprintf(f,
-                 "    {\"keys\": %lld, \"replay_ms\": %lld, \"records\": "
-                 "%lld, \"entries_rebuilt\": %lld}%s\n",
-                 static_cast<long long>(r.keys),
-                 static_cast<long long>(r.replay_ms),
-                 static_cast<long long>(r.records),
-                 static_cast<long long>(r.entries_rebuilt),
-                 i + 1 < recoveries.size() ? "," : "");
+  std::vector<Json> recovery_rows;
+  for (const RecoveryRow& r : recoveries) {
+    recovery_rows.push_back(Json::Object({{"keys", r.keys},
+                                          {"replay_ms", r.replay_ms},
+                                          {"records", r.records},
+                                          {"entries_rebuilt", r.entries_rebuilt}}));
   }
-  std::fprintf(f,
-               "  ],\n  \"modeled_downtime_s\": {\"replay_from_source\": "
-               "%.3f, \"durable_log\": %.3f}\n}\n",
-               downtime_replay_s, downtime_durable_s);
-  std::fclose(f);
-  std::printf("\nwrote BENCH_recovery.json\n");
+  WriteReport("recovery",
+              {{"commit_overhead", Json::Array(commit_rows)},
+               {"cold_recovery", Json::Array(recovery_rows)},
+               {"modeled_downtime_s",
+                Json::Object({{"replay_from_source", downtime_replay_s},
+                              {"durable_log", downtime_durable_s}})}});
 }
 
 }  // namespace
